@@ -8,8 +8,6 @@ policy (``rewards``), the multi-round IoU-filtered self-training driver
 (``selftrain``), and the ``ptzkit`` command line (``cli``).
 """
 
-from ptzkit._kernels import BACKEND as kernel_backend
-
 __version__ = "0.1.0"
 
-__all__ = ["kernel_backend", "__version__"]
+__all__ = ["__version__"]

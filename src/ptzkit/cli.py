@@ -23,7 +23,7 @@ from ptzkit import codec
 from ptzkit import pseudolabel as pl
 from ptzkit import rewards as rw
 from ptzkit import selftrain as st
-from ptzkit.config import ConfigError, RunConfig, load_config
+from ptzkit.config import ConfigError, RunConfig, load_config, parse_thresholds
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,6 +80,13 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
     if lo > hi:
         raise ConfigError(f"--{name}: empty range {text!r}")
     return lo, hi
+
+
+def _thresholds_flag(text: str) -> tuple[float, ...]:
+    try:
+        return parse_thresholds(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _regressor_config(cfg: RunConfig, kind: str | None, seed: int) -> pl.RegressorConfig:
@@ -200,11 +207,7 @@ def cmd_iterate(args, cfg: RunConfig) -> int:
     samples, _, k = _scene_samples(args, cfg, seed)
     s = cfg.selftrain
     rounds = args.rounds if args.rounds is not None else s.rounds
-    thresholds = (
-        tuple(float(t) for t in args.thresholds.split(","))
-        if args.thresholds
-        else s.threshold_list()
-    )
+    thresholds = args.thresholds if args.thresholds is not None else s.threshold_list()
     replace_bbox = s.replace_bbox if args.replace_bbox is None else args.replace_bbox
     iter_cfg = st.IterationConfig(
         rounds=rounds,
@@ -425,7 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iterate", parents=[globals_parent], help="multi-round IoU-filtered self-training")
     p.add_argument("--scene", required=True)
     p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--thresholds", default=None, help="per-round IoU thresholds, comma separated")
+    p.add_argument(
+        "--thresholds", type=_thresholds_flag, default=None,
+        help="per-round IoU thresholds in [0, 1], comma separated",
+    )
     p.add_argument("--replace-bbox", dest="replace_bbox", action="store_true", default=None)
     p.add_argument("--no-replace-bbox", dest="replace_bbox", action="store_false")
     p.add_argument("--label-noise-angle", type=float, default=None, help="sigma in degrees")

@@ -20,6 +20,9 @@ Strict decoding accepts exactly the canonical sequences.  Lenient decoding
 additionally tolerates arbitrary magnitude order, missing dimension markers
 (read as zero), markers in any order, and signed-but-empty dimensions, which
 covers the kind of near-miss sequences a sampling policy emits.
+
+``encode_batch`` and ``decode_batch`` are the array forms of ``encode_action``
+and strict ``decode``, for many actions at once.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from ptzkit import _kernels
 
 DIGIT_BASIS = (5, 2, 1)
 DEFAULT_LEVELS = 3
@@ -423,9 +424,146 @@ def seq_to_str(seq: TokenSeq | Iterable[int], vocab: TokenVocab) -> str:
     return " ".join(vocab.token(i).symbol for i in ids)
 
 
+def ids_from_str(text: str, vocab: TokenVocab) -> tuple[int, ...]:
+    return tuple(vocab.token_for_symbol(sym).token_id for sym in text.split())
+
+
 def seq_from_str(text: str, vocab: TokenVocab) -> TokenSeq:
-    ids = tuple(vocab.token_for_symbol(sym).token_id for sym in text.split())
+    ids = ids_from_str(text, vocab)
     return TokenSeq(ids, canonical=is_canonical(ids, vocab))
+
+
+def _digit_token_ids(vocab: TokenVocab) -> np.ndarray:
+    """``[level, digit, slot]`` ids of each digit's greedy magnitude tokens, -1 padded."""
+    table = np.full((vocab.levels, 10, 3), -1, dtype=np.int64)
+    for level in range(vocab.levels):
+        for digit in range(10):
+            ids = _magnitude_ids(digit * 10**level, vocab)
+            table[level, digit, : len(ids)] = ids
+    return table
+
+
+def encode_batch(pan, tilt, zoom, vocab: TokenVocab) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical token ids for a batch of actions, row ``i`` as ``encode_action``.
+
+    Returns ``(tokens, lengths)``: ``tokens`` is int64[n, 6 + 9 * levels]
+    padded with -1, and ``tokens[i, :lengths[i]]`` is the sequence of action i.
+    Raises ``CodecRangeError`` naming the first row that ``encode_action``
+    would reject for its range.
+    """
+    columns = [np.asarray(v) for v in (pan, tilt, zoom)]
+    for name, v in zip(_AXIS_NAMES, columns):
+        if not np.issubdtype(v.dtype, np.integer) or v.shape != columns[0].shape or v.ndim != 1:
+            raise CodecError(f"{name} must be a 1-D integer array as long as pan")
+    columns = [v.astype(np.int64) for v in columns]
+    limit = min(vocab.max_value, MAX_ACTION_VALUE)
+    for name, v, low in zip(_AXIS_NAMES, columns, (-limit, -limit, 0)):
+        bad = (v < low) | (v > limit)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise CodecRangeError(f"{name} value {v[row]} in row {row} outside [{low}, {limit}]")
+
+    n = columns[0].shape[0]
+    tokens = np.full((n, 6 + 9 * vocab.levels), -1, dtype=np.int64)
+    lengths = np.zeros(n, dtype=np.int64)
+
+    def emit(ids, present):
+        rows = np.flatnonzero(present)
+        tokens[rows, lengths[rows]] = ids[rows]
+        lengths[rows] += 1
+
+    everyone = np.ones(n, dtype=bool)
+    digit_ids = _digit_token_ids(vocab)
+    for axis, v in enumerate(columns):
+        emit(np.full(n, vocab.dim_id(axis)), everyone)
+        if axis != AXIS_ZOOM:
+            emit(np.where(v > 0, vocab.sign_id(1), vocab.sign_id(-1)), v != 0)
+        magnitude = np.abs(v)
+        for level in range(vocab.levels - 1, -1, -1):
+            ids = digit_ids[level][(magnitude // 10**level) % 10]
+            for slot in range(ids.shape[1]):
+                emit(ids[:, slot], ids[:, slot] >= 0)
+    emit(np.full(n, vocab.end_id), everyone)
+    return tokens, lengths
+
+
+_CODE_DIM, _CODE_SIGN, _CODE_MAG, _CODE_END, _CODE_NONE = range(5)
+_KIND_CODES = {KIND_DIM: _CODE_DIM, KIND_SIGN: _CODE_SIGN, KIND_MAG: _CODE_MAG, KIND_END: _CODE_END}
+
+
+def decode_batch(tokens, lengths, vocab: TokenVocab) -> tuple[np.ndarray, np.ndarray]:
+    """Strict decoding of many token-id rows at once.
+
+    Row ``i`` is ``tokens[i, :lengths[i]]``; what lies past its length is
+    ignored.  Returns ``(actions, ok)``: ``ok[i]`` is True exactly when
+    ``decode(row, vocab, strict=True)`` accepts the row, and then
+    ``actions[i]`` holds its (pan, tilt, zoom); rejected rows read 0.
+    """
+    tokens = np.asarray(tokens)
+    lengths = np.asarray(lengths)
+    if tokens.ndim != 2 or not np.issubdtype(tokens.dtype, np.integer):
+        raise CodecError("tokens must be a 2-D integer array")
+    n, width = tokens.shape
+    if lengths.shape != (n,) or not np.issubdtype(lengths.dtype, np.integer):
+        raise CodecError("lengths must be a 1-D integer array with one entry per row")
+    if np.any((lengths < 0) | (lengths > width)):
+        raise CodecError(f"lengths must lie in [0, {width}]")
+
+    kind_of = np.array([_KIND_CODES[t.kind] for t in vocab.tokens] + [_CODE_NONE])
+    value_of = np.array([t.value for t in vocab.tokens] + [0], dtype=np.int64)
+    rel = tokens.astype(np.int64) - vocab.base_id
+    inside = np.arange(width) < lengths[:, None]
+    known = (rel >= 0) & (rel < len(vocab))
+    ok = (lengths >= 1) & np.all(known | ~inside, axis=1)
+    # tokens past a row's length, and unknown ids, read as _CODE_NONE
+    rel = np.where(known & inside, rel, len(vocab))
+    kind = kind_of[rel]
+    value = value_of[rel]
+    none = np.full((n, 1), _CODE_NONE)
+    prev_kind = np.hstack([none, kind[:, :-1]])
+    next_kind = np.hstack([kind[:, 1:], none])
+
+    # END exactly once, and last
+    is_end = kind == _CODE_END
+    ok &= (is_end.sum(axis=1) == 1) & is_end[np.arange(n), np.maximum(lengths - 1, 0)]
+    # the three markers, first and in axis order; ``section`` is the current axis
+    is_dim = kind == _CODE_DIM
+    section = np.cumsum(is_dim, axis=1) - 1
+    ok &= (kind[:, 0] == _CODE_DIM) & (is_dim.sum(axis=1) == 3)
+    ok &= np.all(~is_dim | (value == section), axis=1)
+    # a sign right after a pan or tilt marker, and followed by a magnitude
+    is_sign = kind == _CODE_SIGN
+    sign_ok = (prev_kind == _CODE_DIM) & (section != AXIS_ZOOM) & (next_kind == _CODE_MAG)
+    ok &= np.all(~is_sign | sign_ok, axis=1)
+    # pan and tilt magnitudes follow their sign; magnitudes are non-increasing
+    is_mag = kind == _CODE_MAG
+    prev_value = np.hstack([np.zeros((n, 1), dtype=np.int64), value[:, :-1]])
+    mag_ok = ((prev_kind != _CODE_DIM) | (section == AXIS_ZOOM)) & (
+        (prev_kind != _CODE_MAG) | (value <= prev_value)
+    )
+    ok &= np.all(~is_mag | mag_ok, axis=1)
+
+    actions = np.zeros((n, 3), dtype=np.int64)
+    for axis in (AXIS_PAN, AXIS_TILT, AXIS_ZOOM):
+        in_axis = section == axis
+        total = np.sum(np.where(is_mag & in_axis, value, 0), axis=1)
+        sign = np.sum(np.where(is_sign & in_axis, value, 0), axis=1)
+        actions[:, axis] = np.where(sign < 0, -total, total)
+    ok &= np.all(np.abs(actions) <= min(vocab.max_value, MAX_ACTION_VALUE), axis=1)
+    actions[~ok] = 0
+    return actions, ok
+
+
+def _greedy_magnitude_counts(values) -> np.ndarray:
+    """Greedy magnitude-token count for each value (digits over basis {5,2,1})."""
+    v = np.abs(np.asarray(values, dtype=np.int64))
+    counts = np.zeros(v.shape, dtype=np.int64)
+    while np.any(v > 0):
+        d = v % 10
+        r = d % 5
+        counts += d // 5 + r // 2 + r % 2
+        v //= 10
+    return counts
 
 
 def mean_token_length(actions: Sequence[ActionDelta]) -> TokenLengthStats:
@@ -439,9 +577,9 @@ def mean_token_length(actions: Sequence[ActionDelta]) -> TokenLengthStats:
     tilt = np.array([a.tilt_deg for a in actions], dtype=np.int64)
     zoom = np.array([a.zoom_units for a in actions], dtype=np.int64)
     hier = (
-        _kernels.greedy_magnitude_counts(pan)
-        + _kernels.greedy_magnitude_counts(tilt)
-        + _kernels.greedy_magnitude_counts(zoom)
+        _greedy_magnitude_counts(pan)
+        + _greedy_magnitude_counts(tilt)
+        + _greedy_magnitude_counts(zoom)
     )
     uniform = np.abs(pan) + np.abs(tilt) + np.abs(zoom)
     return TokenLengthStats(

@@ -1,13 +1,14 @@
 """Run configuration: INI-style file with sections, strict key validation.
 
 Every command-line flag overrides its config key; unknown sections or keys
-are rejected so a typo cannot silently fall back to a default.  Paths named
-under ``[io]`` must exist at load time when marked as inputs.
+are rejected so a typo cannot silently fall back to a default.  Float keys
+must be finite, and ``[codec] vocab_path`` must exist at load time.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -33,7 +34,6 @@ class CameraSection:
     pan: float = 0.0
     tilt: float = 0.0
     zoom: float = 0.0
-    zoom_max: float = 999.0
 
 
 @dataclass
@@ -87,18 +87,25 @@ class SelftrainSection:
 
     def threshold_list(self) -> tuple[float, ...]:
         try:
-            return tuple(float(t) for t in self.thresholds.split(",") if t.strip())
-        except ValueError:
-            raise ConfigError(f"bad thresholds list {self.thresholds!r}") from None
+            return parse_thresholds(self.thresholds)
+        except ValueError as exc:
+            raise ConfigError(f"[selftrain] thresholds: {exc}") from None
+
+
+def parse_thresholds(text: str) -> tuple[float, ...]:
+    """Comma-separated IoU thresholds, each in [0, 1]."""
+    try:
+        values = tuple(float(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        raise ValueError(f"bad thresholds list {text!r}") from None
+    if not values or not all(0.0 <= t <= 1.0 for t in values):
+        raise ValueError(f"expected IoU thresholds in [0, 1], got {text!r}")
+    return values
 
 
 @dataclass
 class IoSection:
     out_dir: str = "."
-    scene: str = ""
-    records: str = ""
-    model: str = ""
-    policy: str = ""
 
 
 @dataclass
@@ -114,9 +121,6 @@ class RunConfig:
     io: IoSection = field(default_factory=IoSection)
 
 
-_INPUT_PATH_KEYS = ("scene", "records", "model", "policy")
-
-
 def _coerce(raw: str, target_type: type, where: str):
     raw = raw.strip()
     try:
@@ -127,9 +131,12 @@ def _coerce(raw: str, target_type: type, where: str):
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        return target_type(raw)
+        value = target_type(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    if target_type is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite, got {raw!r}")
+    return value
 
 
 def load_config(path) -> RunConfig:
@@ -155,9 +162,5 @@ def load_config(path) -> RunConfig:
 
 
 def validate_paths(cfg: RunConfig) -> None:
-    for key in _INPUT_PATH_KEYS:
-        value = getattr(cfg.io, key)
-        if value and not Path(value).exists():
-            raise ConfigError(f"[io] {key}: path does not exist: {value}")
     if cfg.codec.vocab_path and not Path(cfg.codec.vocab_path).exists():
         raise ConfigError(f"[codec] vocab_path: path does not exist: {cfg.codec.vocab_path}")

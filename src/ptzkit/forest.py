@@ -1,9 +1,9 @@
 """Bagged CART regression trees with variance-reduction splits.
 
 Trees are stored as flat parallel arrays so predictions vectorize and the
-whole forest serializes to plain JSON.  Split search goes through the kernel
-dispatch (compiled core or numpy fallback, identical floating-point results),
-and every tree draws its bootstrap sample from a spawned seed sequence, so a
+whole forest serializes to plain JSON.  The split search fixes its
+floating-point evaluation order (stable argsort, sequential prefix sums), and
+every tree draws its bootstrap sample from a spawned seed sequence, so a
 forest is bit-reproducible given (seed, data).
 """
 
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from ptzkit import _kernels
 
 
 @dataclass
@@ -69,6 +67,54 @@ class Tree:
         )
 
 
+def best_split(x, y, idx, min_leaf: int):
+    """Best variance-reducing axis-aligned split over samples ``idx``.
+
+    Returns (feature, threshold, sse) with sse the summed child squared error,
+    or (-1, 0.0, inf) when no valid split exists.  Candidate thresholds are
+    midpoints between consecutive distinct sorted values; children must keep
+    at least ``min_leaf`` samples.  Ties keep the lowest feature index and
+    then the lowest threshold.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    idx = np.asarray(idx, dtype=np.int64)
+    m = idx.shape[0]
+    best_f = -1
+    best_thr = 0.0
+    best_sse = np.inf
+    if m < 2 * min_leaf:
+        return best_f, best_thr, best_sse
+    for f in range(x.shape[1]):
+        xv = x[idx, f]
+        order = np.argsort(xv, kind="stable")
+        xs = xv[order]
+        if xs[0] == xs[m - 1]:
+            continue
+        yo = y[idx][order]
+        cy = np.cumsum(yo)
+        cy2 = np.cumsum(yo * yo)
+        total_y = cy[m - 1]
+        total_y2 = cy2[m - 1]
+        ks = np.arange(min_leaf, m - min_leaf + 1, dtype=np.int64)
+        valid = xs[ks] > xs[ks - 1]
+        if not np.any(valid):
+            continue
+        ks = ks[valid]
+        sl = cy[ks - 1]
+        sl2 = cy2[ks - 1]
+        sr = total_y - sl
+        sr2 = total_y2 - sl2
+        sse = (sl2 - sl * sl / ks) + (sr2 - sr * sr / (m - ks))
+        j = int(np.argmin(sse))
+        if sse[j] < best_sse:
+            best_sse = float(sse[j])
+            best_f = f
+            k = int(ks[j])
+            best_thr = (xs[k - 1] + xs[k]) / 2.0
+    return best_f, best_thr, best_sse
+
+
 def _build_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, cfg: ForestConfig) -> Tree:
     feature: list[int] = []
     threshold: list[float] = []
@@ -93,7 +139,7 @@ def _build_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, cfg: ForestConfig
         total = float(np.sum(ys))
         total2 = float(np.sum(ys * ys))
         parent_sse = total2 - total * total / m
-        feat, thr, sse = _kernels.best_split(x, y, sub, cfg.min_samples_leaf)
+        feat, thr, sse = best_split(x, y, sub, cfg.min_samples_leaf)
         if feat < 0 or not (parent_sse - sse > 1e-12 * max(1.0, abs(parent_sse))):
             return add_leaf(sub)
         node = len(feature)

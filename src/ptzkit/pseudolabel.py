@@ -349,7 +349,7 @@ def read_pseudo_labels(path, vocab: codec.TokenVocab) -> list[PseudoLabel]:
                 action = ActionDelta(
                     rec["action"]["pan"], rec["action"]["tilt"], rec["action"]["zoom"]
                 )
-                decoded = codec.decode(codec.seq_from_str(rec["tokens"], vocab), vocab)
+                decoded = codec.decode(codec.ids_from_str(rec["tokens"], vocab), vocab)
                 if decoded != action:
                     raise ValueError("token string disagrees with structured action")
                 b = rec["bbox_post"]

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The heavier criteria
-(exhaustive codec sweep, self-training trend) are sized for the compiled
-kernel backend; with the pure-Python fallback the codec criterion switches to
-its sampled variant automatically and everything still passes, just slower.
+Run with ``pytest tests/test_acceptance.py -v -s``.  The codec criterion
+round-trips a seeded 10^6-action sample of the 199x199x1000 grid: the whole
+grid takes minutes through the numpy batch codec, beyond the criterion's
+60 s bound.  The self-training criterion refits random forests repeatedly
+and dominates the module's run time.
 """
 
 import json
@@ -13,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from ptzkit import _kernels
 from ptzkit import camera as cam
 from ptzkit import codec
 from ptzkit import pseudolabel as pl
@@ -33,32 +33,32 @@ def report(n: int, message: str) -> None:
 def test_01_codec_round_trip_exhaustive_or_sampled():
     started = time.perf_counter()
     vocab = codec.TokenVocab.default()
-    # anchor the batch kernel to the reference codec on a random slice
+    # anchor the batch codec to the per-action codec on a random slice
     rng = np.random.default_rng(101)
     pan = rng.integers(-99, 100, 20000)
     tilt = rng.integers(-99, 100, 20000)
     zoom = rng.integers(0, 1000, 20000)
-    tokens, lengths = _kernels.encode_actions(pan, tilt, zoom)
+    tokens, lengths = codec.encode_batch(pan, tilt, zoom, vocab)
     for i in range(0, 20000, 97):
         a = ActionDelta(int(pan[i]), int(tilt[i]), int(zoom[i]))
         seq = codec.encode_action(a, vocab)
         assert tuple(tokens[i, : lengths[i]]) == seq.ids
         assert codec.decode(seq, vocab) == a
 
-    if _kernels.BACKEND == "compiled":
-        failures = _kernels.roundtrip_exhaustive(-99, 99, -99, 99, 0, 999)
-        scope = "exhaustive 199x199x1000"
-    else:
-        n = 10**6
-        sp = rng.integers(-99, 100, n)
-        stt = rng.integers(-99, 100, n)
-        sz = rng.integers(0, 1000, n)
-        failures = _kernels.roundtrip_failures(sp, stt, sz)
-        scope = "seeded 10^6-sample subset"
+    n = 10**6
+    sample = np.stack(
+        [rng.integers(-99, 100, n), rng.integers(-99, 100, n), rng.integers(0, 1000, n)], axis=1
+    )
+    failures = 0
+    # chunks of 10^5 rows keep the token arrays small
+    for chunk in np.array_split(sample, 10):
+        tokens, lengths = codec.encode_batch(chunk[:, 0], chunk[:, 1], chunk[:, 2], vocab)
+        back, ok = codec.decode_batch(tokens, lengths, vocab)
+        failures += int(np.sum(~ok | np.any(back != chunk, axis=1)))
     elapsed = time.perf_counter() - started
     assert failures == 0
     assert elapsed < 60.0
-    report(1, f"codec round trip, {scope}, 0 failures in {elapsed:.1f}s")
+    report(1, f"codec round trip, seeded 10^6-sample subset, 0 failures in {elapsed:.1f}s")
 
 
 def test_02_greedy_optimality_vs_dp():

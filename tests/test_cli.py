@@ -145,6 +145,13 @@ class TestIterate:
         first = json.loads(refined.read_text().splitlines()[0])
         assert set(first) == {"id", "instruction", "action", "tokens", "bbox_post", "w1", "w2"}
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_bad_thresholds_is_usage_error(self, tmp_path, scene_file, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["iterate", "--scene", str(scene_file), "--thresholds", value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--thresholds" in capsys.readouterr().err
+
     def test_empty_filter_exit_code(self, tmp_path, scene_file):
         code = run([
             "iterate", "--scene", str(scene_file), "--rounds", "1",
@@ -187,10 +194,28 @@ class TestConfig:
         assert run(["scene-gen", "--count", "4", "--seed", "9", "--out", str(again)]) == 0
         assert (out / "scene.jsonl").read_bytes() == (again / "scene.jsonl").read_bytes()
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[run]\nsneed = 9\n")
-        assert run(["--config", str(cfg), "scene-gen", "--count", "1", "--out", str(tmp_path)]) == 3
+        # [camera] zoom_max and the [io] input paths were once read and then ignored
+        for section, key, value in [
+            ("run", "sneed", "9"),
+            ("camera", "zoom_max", "100"),
+            ("io", "scene", str(cfg)),
+            ("io", "records", str(cfg)),
+            ("io", "model", str(cfg)),
+            ("io", "policy", str(cfg)),
+        ]:
+            cfg.write_text(f"[{section}]\n{key} = {value}\n")
+            assert run(["--config", str(cfg), "scene-gen", "--count", "1", "--out", str(tmp_path)]) == 3
+            assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.ini"
+        for section, key in (("reward", "angle_tol"), ("grpo", "learning_rate")):
+            cfg.write_text(f"[{section}]\n{key} = {value}\n")
+            assert run(["--config", str(cfg), "scene-gen", "--count", "1", "--out", str(tmp_path)]) == 3
+            assert f"[{section}] {key}: must be finite" in capsys.readouterr().err
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "run.ini"

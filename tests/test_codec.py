@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptzkit import codec
 from ptzkit.codec import (
@@ -10,6 +12,8 @@ from ptzkit.codec import (
     TokenSeq,
     TokenVocab,
     decode,
+    decode_batch,
+    encode_batch,
     encode_action,
     encode_digit,
     mean_token_length,
@@ -271,6 +275,103 @@ class TestCanonicity:
                     assert decode(encode_action(a, vocab), vocab) == a
 
 
+def random_actions(n, seed, limit=999):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.integers(-limit, limit + 1, n),
+        rng.integers(-limit, limit + 1, n),
+        rng.integers(0, limit + 1, n),
+    )
+
+
+BATCH_VOCABS = {"default": TokenVocab.default(), "levels2-base7": TokenVocab.default(levels=2, base_id=7)}
+
+
+class TestBatchCodec:
+    @pytest.mark.parametrize("name", sorted(BATCH_VOCABS))
+    def test_encode_batch_matches_encode_action(self, name):
+        vocab = BATCH_VOCABS[name]
+        pan, tilt, zoom = random_actions(2000, seed=13, limit=vocab.max_value)
+        tokens, lengths = encode_batch(pan, tilt, zoom, vocab)
+        assert tokens.shape == (2000, 6 + 9 * vocab.levels)
+        for i in range(pan.shape[0]):
+            ref = encode_action(ActionDelta(int(pan[i]), int(tilt[i]), int(zoom[i])), vocab)
+            assert tuple(tokens[i, : lengths[i]]) == ref.ids
+            assert np.all(tokens[i, lengths[i] :] == -1)
+
+    @pytest.mark.parametrize("name", sorted(BATCH_VOCABS))
+    def test_round_trip_random(self, name):
+        vocab = BATCH_VOCABS[name]
+        actions = np.stack(random_actions(5000, seed=29, limit=vocab.max_value), axis=1)
+        back, ok = decode_batch(*encode_batch(actions[:, 0], actions[:, 1], actions[:, 2], vocab), vocab)
+        assert ok.all()
+        assert np.array_equal(back, actions)
+
+    def test_round_trip_small_block(self, vocab):
+        grid = np.stack(np.meshgrid(np.arange(-9, 10), np.arange(-9, 10), np.arange(100)), -1).reshape(-1, 3)
+        back, ok = decode_batch(*encode_batch(grid[:, 0], grid[:, 1], grid[:, 2], vocab), vocab)
+        assert ok.all()
+        assert np.array_equal(back, grid)
+
+    @pytest.mark.parametrize(
+        "pan,tilt,zoom,levels",
+        [(1000, 0, 0, 3), (0, -1000, 0, 3), (0, 0, 1000, 3), (0, 0, -1, 3), (100, 0, 0, 2), (0, 0, 100, 2)],
+    )
+    def test_encode_batch_rejects_what_encode_action_rejects(self, pan, tilt, zoom, levels):
+        vocab = TokenVocab.default(levels=levels)
+        with pytest.raises(CodecError):
+            encode_action(ActionDelta(pan, tilt, zoom), vocab)
+        with pytest.raises(CodecRangeError, match="row 1"):
+            encode_batch(np.array([0, pan]), np.array([0, tilt]), np.array([0, zoom]), vocab)
+
+    def test_decode_batch_ignores_padding_and_flags_bad_rows(self, vocab):
+        good = list(encode_action(ActionDelta(23, -8, 0), vocab).ids)
+        unsorted = seq_from_str("<PAN> <+> <1> <20> <2> <TILT> <ZOOM> <END>", vocab).ids
+        width = 6 + 9 * vocab.levels
+        tokens = np.full((3, width), 999)
+        tokens[0, : len(good)] = good
+        tokens[1, : len(unsorted)] = unsorted
+        tokens[2, : len(good)] = good
+        actions, ok = decode_batch(tokens, np.array([len(good), len(unsorted), 0]), vocab)
+        assert ok.tolist() == [True, False, False]
+        assert actions.tolist() == [[23, -8, 0], [0, 0, 0], [0, 0, 0]]
+
+    @settings(derandomize=True, max_examples=1500, deadline=None)
+    @given(st.sampled_from(sorted(BATCH_VOCABS)), st.data())
+    def test_decode_batch_accepts_exactly_what_strict_decode_accepts(self, name, data):
+        vocab = BATCH_VOCABS[name]
+        width = 6 + 9 * vocab.levels
+        some_id = st.integers(vocab.base_id - 1, vocab.base_id + len(vocab))
+        if data.draw(st.booleans()):
+            row = data.draw(st.lists(some_id, max_size=width))
+        else:
+            # a canonical row with a few ids substituted, deleted or inserted
+            limit = vocab.max_value
+            action = ActionDelta(
+                data.draw(st.integers(-limit, limit)),
+                data.draw(st.integers(-limit, limit)),
+                data.draw(st.integers(0, limit)),
+            )
+            row = list(encode_action(action, vocab).ids)
+            for _ in range(data.draw(st.integers(0, 3))):
+                at = data.draw(st.integers(0, len(row) - 1))
+                edit = data.draw(st.sampled_from(["substitute", "delete", "insert"]))
+                if edit == "substitute":
+                    row[at] = data.draw(some_id)
+                elif edit == "delete" and len(row) > 1:
+                    del row[at]
+                elif edit == "insert" and len(row) < width:
+                    row.insert(at, data.draw(some_id))
+        try:
+            expected = decode(row, vocab, strict=True).as_tuple()
+        except CodecError:
+            expected = None
+        tokens = np.full((1, width), -1)
+        tokens[0, : len(row)] = row
+        actions, ok = decode_batch(tokens, np.array([len(row)]), vocab)
+        assert (tuple(actions[0].tolist()) if ok[0] else None) == expected
+
+
 class TestVocab:
     def test_default_layout(self, vocab):
         assert len(vocab) == 15
@@ -336,3 +437,11 @@ class TestMeanTokenLength:
     def test_empty_dataset(self):
         with pytest.raises(CodecError):
             mean_token_length([])
+
+    def test_greedy_counts_match_dp(self):
+        values = np.arange(0, 1000, dtype=np.int64)
+        counts = codec._greedy_magnitude_counts(values)
+        expected = np.array([minimal_token_count(int(v)) for v in values])
+        assert np.array_equal(counts, expected)
+        # signs do not change the count
+        assert np.array_equal(codec._greedy_magnitude_counts(-values), counts)

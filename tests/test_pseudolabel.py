@@ -358,6 +358,20 @@ class TestFiles:
         loaded = pl.read_pseudo_labels(path, vocab)
         assert loaded == labels
 
+    def test_read_decodes_each_label_once(self, tmp_path, monkeypatch):
+        vocab = codec.TokenVocab.default()
+        labels = [
+            pl.PseudoLabel(str(i), "What is the mug?", ActionDelta(i, -i, 10 * i), BBoxPx(0, 0, 50, 40), 0.01, 0.2)
+            for i in range(5)
+        ]
+        path = tmp_path / "labels.jsonl"
+        pl.write_pseudo_labels(path, labels, vocab)
+        calls = []
+        real_decode = codec.decode
+        monkeypatch.setattr(codec, "decode", lambda *a, **kw: calls.append(1) or real_decode(*a, **kw))
+        assert pl.read_pseudo_labels(path, vocab) == labels
+        assert len(calls) == len(labels)
+
     def test_model_file_round_trip(self, tmp_path):
         pairs = exact_linear_pairs()
         for kind in ("ols_linear", "random_forest"):
