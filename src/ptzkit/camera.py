@@ -74,6 +74,9 @@ class CameraState:
         object.__setattr__(self, "zoom_units", max(float(self.zoom_units), 0.0))
 
 
+_TARGET_NUMBERS = ("azimuth", "elevation", "distance", "width", "height")
+
+
 @dataclass(frozen=True)
 class TargetSpec:
     azimuth: float
@@ -84,6 +87,10 @@ class TargetSpec:
     phrase: str = ""
 
     def __post_init__(self):
+        for name in _TARGET_NUMBERS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"target {name} must be finite, got {value}")
         if self.distance <= 0:
             raise ValueError("target distance must be positive")
         if self.width <= 0 or self.height <= 0:
@@ -276,7 +283,7 @@ def oracle_action(
 
 # --- scene files -----------------------------------------------------------
 
-_SCENE_FIELDS = ("id", "azimuth", "elevation", "distance", "width", "height", "phrase")
+_SCENE_FIELDS = ("id", *_TARGET_NUMBERS, "phrase")
 
 
 def sample_targets(
@@ -338,31 +345,41 @@ def write_scene(path, targets: Iterable[tuple[str, TargetSpec]]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _scene_row(line: str) -> tuple[str, TargetSpec]:
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc})") from None
+    if not isinstance(rec, dict):
+        raise ValueError("expected a JSON object")
+    missing = [f for f in _SCENE_FIELDS if f not in rec]
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    try:
+        values = {f: float(rec[f]) for f in _TARGET_NUMBERS}
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"non-numeric field ({exc})") from None
+    return str(rec["id"]), TargetSpec(**values, phrase=str(rec["phrase"]))
+
+
 def read_scene(path) -> list[tuple[str, TargetSpec]]:
+    """Scene rows in file order; a bad row or a repeated id raises ``ValueError``
+    naming ``path:line``."""
     out = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            missing = [f for f in _SCENE_FIELDS if f not in rec]
-            if missing:
-                raise ValueError(f"{path}:{lineno}: missing fields {missing}")
-            out.append(
-                (
-                    str(rec["id"]),
-                    TargetSpec(
-                        azimuth=float(rec["azimuth"]),
-                        elevation=float(rec["elevation"]),
-                        distance=float(rec["distance"]),
-                        width=float(rec["width"]),
-                        height=float(rec["height"]),
-                        phrase=str(rec["phrase"]),
-                    ),
+                target_id, target = _scene_row(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if target_id in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate id {target_id!r} (first on line {first_line[target_id]})"
                 )
-            )
+            first_line[target_id] = lineno
+            out.append((target_id, target))
     return out

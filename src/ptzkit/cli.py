@@ -132,8 +132,8 @@ def cmd_decode(args, cfg: RunConfig) -> int:
     text = args.tokens if args.tokens is not None else sys.stdin.read()
     strict = cfg.codec.strict and not args.lenient
     try:
-        seq = codec.seq_from_str(text, vocab)
-        action = codec.decode(seq, vocab, strict=strict)
+        ids = codec.ids_from_str(text, vocab)
+        action = codec.decode(ids, vocab, strict=strict)
     except codec.CodecError as exc:
         print(f"decode error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -226,7 +226,7 @@ def cmd_iterate(args, cfg: RunConfig) -> int:
             fill_ratio=cfg.pseudolabel.fill_ratio,
         )
         train = st.relabel(train, noisy)
-    factory = st.regressor_policy_factory(k, _regressor_config(cfg, None, seed))
+    factory = st.regressor_policy_factory(_regressor_config(cfg, None, seed))
     completion_cfg = st.CompletionConfig(s.completion_center_frac, s.completion_min_area)
     vocab = _vocab(args, cfg)
 
@@ -299,12 +299,12 @@ def _load_policy_adapter(spec: str, k: cam.CameraIntrinsics, cfg: RunConfig, see
             fill_ratio=cfg.pseudolabel.fill_ratio,
         )
     if spec == "zero":
-        return st.ConstantPolicy(codec.ActionDelta(0, 0, 0), k)
+        return st.ConstantPolicy(codec.ActionDelta(0, 0, 0))
     with open(spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if "bins" in doc:
-        return st.ToyPolicyAdapter(rw.ToyPolicy.from_dict(doc), k)
-    return st.RegressorPolicy(pl.load_model(spec), k)
+        return st.ToyPolicyAdapter(rw.ToyPolicy.from_dict(doc))
+    return st.RegressorPolicy(pl.load_model(spec))
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:

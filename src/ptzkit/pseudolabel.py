@@ -122,10 +122,6 @@ class RegressorModel:
             out[:, j] = self.forests[name].predict(x)
         return out
 
-    def predict(self, features: FeatureVec) -> np.ndarray:
-        x = features.as_array(self.config.use_zoom_feature)
-        return self.predict_batch(x[None, :])[0]
-
 
 def normalize_center(b: BBoxPx, image_w: float, image_h: float) -> tuple[float, float]:
     """Bbox center mapped to (-1, 1) per axis; frame center maps to (0, 0)."""
@@ -249,36 +245,45 @@ def generate(
     Pan/tilt always come from the regressor.  Zoom comes from the crop
     geometry (``zoom_source="geometry"``) or from the regressor's zoom head
     (``"model"``).  Output order and instruction choice are deterministic
-    given the seed; records are processed sorted by id.
+    given the seed; records are processed sorted by id, and the regressor
+    predicts every usable record in one batch.
     """
     if zoom_source not in ("geometry", "model"):
         raise ValueError(f"unknown zoom_source {zoom_source!r}")
     if not templates:
         raise ValueError("need at least one instruction template")
     rng = np.random.default_rng(seed)
-    labels: list[PseudoLabel] = []
+    include_zoom = model.config.use_zoom_feature
+    x = np.empty((len(records), 4 if include_zoom else 3), dtype=np.float64)
+    # per usable record, in x's row order: (id, instruction, bbox_post, w1, w2)
+    pending: list[tuple[str, str, BBoxPx, float, float]] = []
     skipped: list[tuple[str, str]] = []
-    limit = codec.MAX_ACTION_VALUE
     for record in sorted(records, key=lambda r: r.id):
         template = templates[int(rng.integers(0, len(templates)))]
         problem = record.geometry_problem()
         if problem is not None:
             skipped.append((record.id, problem))
             continue
-        feats, window, w1, w2 = features_for_record(record, model.config.use_zoom_feature)
-        pred = model.predict(feats)
-        pan = max(-limit, min(limit, round_half_away(float(pred[0]))))
-        tilt = max(-limit, min(limit, round_half_away(float(pred[1]))))
+        feats, window, w1, w2 = features_for_record(record, include_zoom)
+        x[len(pending)] = feats.as_array(include_zoom)
+        bbox_post = _bbox_in_crop_frame(record.bbox, window, record.image_w, record.image_h)
+        pending.append((record.id, template.format(phrase=record.phrase), bbox_post, w1, w2))
+    pred = model.predict_batch(x[: len(pending)])
+
+    labels: list[PseudoLabel] = []
+    limit = codec.MAX_ACTION_VALUE
+    for (record_id, instruction, bbox_post, w1, w2), row in zip(pending, pred):
+        pan = max(-limit, min(limit, round_half_away(float(row[0]))))
+        tilt = max(-limit, min(limit, round_half_away(float(row[1]))))
         if zoom_source == "geometry":
             zoom = zoom_label(w1, w2)
         else:
-            zoom = round_half_away(float(pred[2]))
+            zoom = round_half_away(float(row[2]))
         zoom = max(0, min(limit, zoom))
-        bbox_post = _bbox_in_crop_frame(record.bbox, window, record.image_w, record.image_h)
         labels.append(
             PseudoLabel(
-                record_id=record.id,
-                instruction=template.format(phrase=record.phrase),
+                record_id=record_id,
+                instruction=instruction,
                 action=ActionDelta(pan, tilt, zoom),
                 gt_bbox_post=bbox_post,
                 w1=w1,

@@ -1,12 +1,13 @@
 """Multi-round IoU-filtered self-training over pluggable policies.
 
-Each round the current policy predicts an (action, bbox) pair for every
-training sample; samples whose predicted bbox overlaps the ground-truth box
-above the round's IoU threshold survive, carrying the predicted action as
-their new label and (optionally) the ground-truth box as supervision.  The
-policy is refit on the survivors and scored on a held-out split.  Policies
-are adapters around the oracle, a noise-corrupted oracle, a fitted regressor,
-or a trained toy policy, so the loop runs end to end on synthetic scenes.
+Each round the current policy chooses an action for every training sample
+in one batch call; the simulator projects each action to its post-action
+bbox, and samples whose bbox overlaps the ground-truth box above the round's
+IoU threshold survive, carrying the chosen action as their new label and
+(optionally) the ground-truth box as supervision.  The policy is refit on
+the survivors and scored on a held-out split.  Policies are adapters around
+the oracle, a noise-corrupted oracle, a fitted regressor, or a trained toy
+policy, so the loop runs end to end on synthetic scenes.
 """
 
 from __future__ import annotations
@@ -92,8 +93,12 @@ class RoundDiagnostics:
 class RoundReport:
     round_idx: int
     threshold: float | None
-    kept_fraction: float
     metrics: MetricsReport
+    diagnostics: RoundDiagnostics | None = None  # None for the round-0 baseline
+
+    @property
+    def kept_fraction(self) -> float:
+        return 1.0 if self.diagnostics is None else self.diagnostics.kept_fraction
 
 
 @dataclass(frozen=True)
@@ -121,11 +126,25 @@ class IterationConfig:
 
 
 class PolicyAdapter(Protocol):
-    def predict(self, sample: SampleTuple) -> tuple[ActionDelta, BBoxPx]: ...
+    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
+        """One action per sample, in order; each depends only on its own sample."""
+        ...
 
 
-def _simulate_bbox(sample: SampleTuple, action: ActionDelta, k: CameraIntrinsics) -> BBoxPx:
-    return project(apply_action(sample.camera_init, action), k, sample.target)
+def _simulate_bboxes(
+    samples: Sequence[SampleTuple], actions: Sequence[ActionDelta], k: CameraIntrinsics
+) -> list[BBoxPx]:
+    return [project(apply_action(s.camera_init, a), k, s.target) for s, a in zip(samples, actions)]
+
+
+def _rounded_action(pan: float, tilt: float, zoom: float) -> ActionDelta:
+    """Round half away from zero, then clamp to the codec range (zoom in only)."""
+    lim = MAX_ACTION_VALUE
+    return ActionDelta(
+        max(-lim, min(lim, round_half_away(pan))),
+        max(-lim, min(lim, round_half_away(tilt))),
+        max(0, min(lim, round_half_away(zoom))),
+    )
 
 
 @dataclass(frozen=True)
@@ -133,9 +152,8 @@ class OraclePolicy:
     k: CameraIntrinsics
     fill_ratio: float = DEFAULT_FILL_RATIO
 
-    def predict(self, sample: SampleTuple) -> tuple[ActionDelta, BBoxPx]:
-        action = oracle_action(sample.camera_init, self.k, sample.target, self.fill_ratio)
-        return action, _simulate_bbox(sample, action, self.k)
+    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
+        return [oracle_action(s.camera_init, self.k, s.target, self.fill_ratio) for s in samples]
 
 
 def _sample_rng(seed: int, sample_id: str) -> np.random.Generator:
@@ -155,33 +173,30 @@ class NoisyOraclePolicy:
     seed: int = 0
     fill_ratio: float = DEFAULT_FILL_RATIO
 
-    def predict(self, sample: SampleTuple) -> tuple[ActionDelta, BBoxPx]:
-        exact = oracle_action(sample.camera_init, self.k, sample.target, self.fill_ratio)
-        rng = _sample_rng(self.seed, sample.id)
-        noise = rng.normal(0.0, [self.sigma_pan, self.sigma_tilt, self.sigma_zoom])
-        lim = MAX_ACTION_VALUE
-        action = ActionDelta(
-            max(-lim, min(lim, round_half_away(exact.pan_deg + noise[0]))),
-            max(-lim, min(lim, round_half_away(exact.tilt_deg + noise[1]))),
-            max(0, min(lim, round_half_away(exact.zoom_units + noise[2]))),
-        )
-        return action, _simulate_bbox(sample, action, self.k)
+    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
+        sigma = [self.sigma_pan, self.sigma_tilt, self.sigma_zoom]
+        out = []
+        for s in samples:
+            exact = oracle_action(s.camera_init, self.k, s.target, self.fill_ratio)
+            noise = _sample_rng(self.seed, s.id).normal(0.0, sigma)
+            out.append(
+                _rounded_action(
+                    exact.pan_deg + noise[0], exact.tilt_deg + noise[1], exact.zoom_units + noise[2]
+                )
+            )
+        return out
 
 
 @dataclass(frozen=True)
 class RegressorPolicy:
     model: RegressorModel
-    k: CameraIntrinsics
 
-    def predict(self, sample: SampleTuple) -> tuple[ActionDelta, BBoxPx]:
-        pred = self.model.predict(sample.features)
-        lim = MAX_ACTION_VALUE
-        action = ActionDelta(
-            max(-lim, min(lim, round_half_away(float(pred[0])))),
-            max(-lim, min(lim, round_half_away(float(pred[1])))),
-            max(0, min(lim, round_half_away(float(pred[2])))),
-        )
-        return action, _simulate_bbox(sample, action, self.k)
+    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
+        if not samples:
+            return []
+        include_zoom = self.model.config.use_zoom_feature
+        x = np.stack([s.features.as_array(include_zoom) for s in samples])
+        return [_rounded_action(*row.tolist()) for row in self.model.predict_batch(x)]
 
 
 @dataclass(frozen=True)
@@ -189,20 +204,17 @@ class ToyPolicyAdapter:
     """Greedy (argmax) decoding of a trained toy policy."""
 
     policy: ToyPolicy
-    k: CameraIntrinsics
 
-    def predict(self, sample: SampleTuple) -> tuple[ActionDelta, BBoxPx]:
-        action = self.policy.greedy(sample.features.as_array(False))
-        return action, _simulate_bbox(sample, action, self.k)
+    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
+        return [self.policy.greedy(s.features.as_array(False)) for s in samples]
 
 
 @dataclass(frozen=True)
 class ConstantPolicy:
     action: ActionDelta
-    k: CameraIntrinsics
 
-    def predict(self, sample: SampleTuple) -> tuple[ActionDelta, BBoxPx]:
-        return self.action, _simulate_bbox(sample, self.action, self.k)
+    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
+        return [self.action] * len(samples)
 
 
 def make_samples(
@@ -247,8 +259,8 @@ def make_samples(
 
 
 def relabel(dataset: Sequence[SampleTuple], policy: PolicyAdapter) -> list[SampleTuple]:
-    """Replace every working action label with the policy's prediction."""
-    return [replace(s, gt_action=policy.predict(s)[0]) for s in dataset]
+    """Replace every working action label with the policy's action."""
+    return [replace(s, gt_action=a) for s, a in zip(dataset, policy.actions(dataset))]
 
 
 def completion(post_bbox: BBoxPx, k: CameraIntrinsics, cfg: CompletionConfig = CompletionConfig()) -> bool:
@@ -274,11 +286,12 @@ def evaluate(
     """Per-dimension MAE, mean post-action IoU, and completion rate."""
     if not testset:
         raise ValueError("empty test set")
+    actions = policy.actions(testset)
+    boxes = _simulate_bboxes(testset, actions, k)
     abs_err = np.zeros(3)
     iou_sum = 0.0
     completed = 0
-    for s in testset:
-        action, bbox = policy.predict(s)
+    for s, action, bbox in zip(testset, actions, boxes):
         abs_err += np.abs(
             np.array(action.as_tuple(), dtype=np.float64)
             - np.array(s.gt_action.as_tuple(), dtype=np.float64)
@@ -299,22 +312,25 @@ def evaluate(
 def run_round(
     dataset: Sequence[SampleTuple],
     policy: PolicyAdapter,
+    k: CameraIntrinsics,
     threshold: float,
     replace_bbox: bool = True,
 ) -> tuple[list[SampleTuple], RoundDiagnostics]:
-    """One filter round: keep samples whose predicted bbox beats the threshold.
+    """One filter round: keep samples whose simulated bbox beats the threshold.
 
-    Kept samples carry the predicted action as their label; their supervision
-    box is the ground-truth box when ``replace_bbox`` is on, otherwise the
-    predicted box.
+    The policy chooses every action in one batch call and each action is
+    projected from the sample's start pose.  Kept samples carry the chosen
+    action as their label; their supervision box is the ground-truth box when
+    ``replace_bbox`` is on, otherwise the simulated box.
     """
     if not dataset:
         raise ValueError("empty dataset")
+    actions = policy.actions(dataset)
+    boxes = _simulate_bboxes(dataset, actions, k)
     refined: list[SampleTuple] = []
     iou_all = 0.0
     iou_kept = 0.0
-    for s in dataset:
-        action, bbox = policy.predict(s)
+    for s, action, bbox in zip(dataset, actions, boxes):
         overlap = iou(bbox, s.gt_bbox_post)
         iou_all += overlap
         if overlap > threshold:
@@ -339,13 +355,13 @@ def run_round(
 PolicyFactory = Callable[[Sequence[SampleTuple], int], PolicyAdapter]
 
 
-def regressor_policy_factory(k: CameraIntrinsics, cfg: RegressorConfig) -> PolicyFactory:
+def regressor_policy_factory(cfg: RegressorConfig) -> PolicyFactory:
     """Refit operation: a fresh regressor on the round's dataset, seeded per round."""
 
     def factory(samples: Sequence[SampleTuple], round_idx: int) -> RegressorPolicy:
         round_cfg = replace(cfg, seed=cfg.seed + round_idx)
         model = pl.fit([(s.features, s.gt_action) for s in samples], round_cfg)
-        return RegressorPolicy(model, k)
+        return RegressorPolicy(model)
 
     return factory
 
@@ -386,13 +402,11 @@ def iterate(
     if not train or not testset:
         raise ValueError("empty train or test split")
     policy = policy_factory(train, 0)
-    reports = [
-        RoundReport(0, None, 1.0, evaluate(policy, testset, k, completion_cfg))
-    ]
+    reports = [RoundReport(0, None, evaluate(policy, testset, k, completion_cfg))]
     current = train
     for round_idx in range(1, cfg.rounds + 1):
         threshold = cfg.threshold_for_round(round_idx)
-        current, diag = run_round(current, policy, threshold, cfg.replace_bbox)
+        current, diag = run_round(current, policy, k, threshold, cfg.replace_bbox)
         if not current:
             raise EmptyFilterError(round_idx, threshold)
         if on_round is not None:
@@ -409,8 +423,8 @@ def iterate(
             RoundReport(
                 round_idx,
                 threshold,
-                diag.kept_fraction,
                 evaluate(policy, testset, k, completion_cfg),
+                diag,
             )
         )
     return reports
@@ -434,13 +448,21 @@ def grpo_tasks_from_samples(samples: Sequence[SampleTuple]) -> list[GrpoTask]:
 
 
 def write_round_reports(path, reports: Sequence[RoundReport]) -> None:
-    """One JSON object per round with the filter and test metrics."""
+    """One JSON object per round with the filter and test metrics.
+
+    The filter counts and IoU means are null for round 0, which filters nothing.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for r in reports:
+            d = r.diagnostics
             rec = {
                 "round": r.round_idx,
                 "threshold": r.threshold,
                 "kept_fraction": r.kept_fraction,
+                "n_total": None if d is None else d.n_total,
+                "n_kept": None if d is None else d.n_kept,
+                "mean_iou_all": None if d is None else d.mean_iou_all,
+                "mean_iou_kept": None if d is None else d.mean_iou_kept,
                 "mean_iou": r.metrics.mean_iou,
                 "mae_theta1": r.metrics.mae_theta1,
                 "mae_theta2": r.metrics.mae_theta2,

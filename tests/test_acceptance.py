@@ -264,7 +264,6 @@ def test_08_self_training_trend():
     noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=11, fill_ratio=0.30)
     train_noisy = st.relabel(train, noisy)
     factory = st.regressor_policy_factory(
-        K,
         pl.RegressorConfig(kind="random_forest", seed=9, max_depth=10, min_samples_leaf=4),
     )
     cfg_on = st.IterationConfig(rounds=2, iou_thresholds=(0.7, 0.95), replace_bbox=True, seed=3)

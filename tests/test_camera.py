@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -272,6 +273,20 @@ class TestSceneIO:
         path.write_text('{"id": "x", "azimuth": 0}\n')
         with pytest.raises(ValueError, match="missing fields"):
             cam.read_scene(path)
+
+    def test_non_numeric_field_names_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        row = {"id": "x", "azimuth": "left", "elevation": 0, "distance": 2, "width": 0.3, "height": 0.3, "phrase": "p"}
+        path.write_text("\n" + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:2: non-numeric field"):
+            cam.read_scene(path)
+
+    @pytest.mark.parametrize("field", ["azimuth", "elevation", "distance", "width", "height"])
+    def test_target_rejects_non_finite(self, field):
+        base = {"azimuth": 0.0, "elevation": 0.0, "distance": 2.0, "width": 0.3, "height": 0.3}
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"target {field} must be finite"):
+                TargetSpec(**{**base, field: bad})
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):

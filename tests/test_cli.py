@@ -36,6 +36,16 @@ class TestEncodeDecode:
         assert run(["decode", text, "--lenient"]) == 0
         assert capsys.readouterr().out.strip() == "23 0 0"
 
+    def test_decode_decodes_once(self, monkeypatch, capsys):
+        from ptzkit import codec
+
+        calls = []
+        real_decode = codec.decode
+        monkeypatch.setattr(codec, "decode", lambda *a, **kw: calls.append(1) or real_decode(*a, **kw))
+        assert run(["decode", "<PAN> <+> <20> <2> <1> <TILT> <-> <5> <2> <1> <ZOOM> <END>"]) == 0
+        assert capsys.readouterr().out.strip() == "23 -8 0"
+        assert len(calls) == 1
+
     def test_custom_vocab(self, tmp_path, capsys):
         from ptzkit.codec import TokenVocab
 
@@ -128,6 +138,27 @@ class TestFitEval:
 
     def test_missing_scene_is_data_error(self, tmp_path):
         assert run(["eval", "--scene", str(tmp_path / "nope.jsonl"), "--policy", "oracle"]) == 3
+
+    @pytest.mark.parametrize(
+        "second, reason",
+        [
+            ({"distance": -2.0}, "target distance must be positive"),
+            ({"azimuth": float("nan")}, "target azimuth must be finite"),
+            ({"id": "a"}, "duplicate id 'a' (first on line 1)"),
+        ],
+        ids=["negative-distance", "nan-azimuth", "duplicate-id"],
+    )
+    def test_bad_scene_row_names_file_and_line(self, tmp_path, capsys, second, reason):
+        first = {
+            "id": "a", "azimuth": 5.0, "elevation": 2.0, "distance": 2.0,
+            "width": 0.4, "height": 0.4, "phrase": "red mug",
+        }
+        scene = tmp_path / "scene.jsonl"
+        rows = [first, {**first, "id": "b", "azimuth": -5.0, **second}]
+        scene.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert run(["eval", "--scene", str(scene), "--policy", "oracle", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{scene}:2: {reason}" in err
 
 
 class TestIterate:

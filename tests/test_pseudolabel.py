@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ptzkit import camera as cam
 from ptzkit import codec
 from ptzkit import pseudolabel as pl
 from ptzkit import selftrain as st
-from ptzkit.camera import BBoxPx, CameraIntrinsics, CameraState
+from ptzkit.camera import BBoxPx, CameraIntrinsics, CameraState, round_half_away
 from ptzkit.codec import ActionDelta
 
 K = CameraIntrinsics(1280, 720, 60.0)
@@ -168,7 +169,7 @@ class TestOLS:
         pairs = exact_linear_pairs()
         model = pl.fit(pairs, pl.RegressorConfig(kind="ols_linear"))
         f, a = pairs[0]
-        pred = model.predict(f)
+        pred = model.predict_batch(f.as_array(False)[None, :])[0]
         assert np.allclose(pred, a.as_tuple(), atol=1e-6)
 
     def test_degenerate_design_rejected(self):
@@ -189,7 +190,7 @@ class TestRandomForest:
             for _ in range(40)
         ]
         model = pl.fit(pairs, pl.RegressorConfig(kind="random_forest", n_trees=10))
-        pred = model.predict(pairs[0][0])
+        pred = model.predict_batch(pairs[0][0].as_array(False)[None, :])[0]
         assert np.allclose(pred, [4, 4, 40])
 
     def test_bit_deterministic_under_seed(self):
@@ -231,8 +232,9 @@ class TestRandomForest:
         model = pl.fit(pairs, cfg)
         assert model.train_r2["zoom"] >= 0.95
         # a model expecting the extra feature rejects bare feature vectors
+        bare = replace(samples[0], features=pl.FeatureVec(0.1, 0.1, 0.05))
         with pytest.raises(pl.FitError, match="zoom feature"):
-            model.predict(pl.FeatureVec(0.1, 0.1, 0.05))
+            st.RegressorPolicy(model).actions([samples[1], bare])
 
 
 class TestGenerate:
@@ -310,6 +312,25 @@ class TestGenerate:
         assert any(
             g.action.zoom_units != m.action.zoom_units for g, m in zip(geo, mod)
         )
+
+    def test_one_batch_prediction_matches_rows(self, monkeypatch):
+        records = self.grounding_records(n=30, seed=13)
+        bad = pl.GroundingRecord("r0005x", 1280, 720, BBoxPx(0, 0, 0, 0), "empty")
+        model = self.oracle_model()
+        calls = []
+        real_predict = pl.RegressorModel.predict_batch
+        monkeypatch.setattr(
+            pl.RegressorModel, "predict_batch", lambda self, x: calls.append(len(x)) or real_predict(self, x)
+        )
+        labels, skipped = pl.generate(records + [bad], model, seed=3, zoom_source="model")
+        assert calls == [len(records)]
+        assert skipped == [("r0005x", "empty bbox")]
+        for lab, rec in zip(labels, sorted(records, key=lambda r: r.id)):
+            x = pl.features_for_record(rec, False)[0].as_array(False)
+            pan, tilt, zoom = real_predict(model, x[None, :])[0]
+            expected = (round_half_away(pan), round_half_away(tilt), max(0, round_half_away(zoom)))
+            assert lab.action.as_tuple() == expected
+        assert pl.generate([bad], model) == ([], [("r0005x", "empty bbox")])
 
     def test_actions_round_trip_through_codec(self):
         records = self.grounding_records(n=30, seed=12)

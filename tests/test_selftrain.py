@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ptzkit import camera as cam
 from ptzkit import pseudolabel as pl
 from ptzkit import selftrain as st
 from ptzkit.camera import BBoxPx, CameraIntrinsics, CameraState
 from ptzkit.codec import ActionDelta
+from ptzkit.forest import RandomForest
 from ptzkit.pseudolabel import RegressorConfig
 
 K = CameraIntrinsics(1280, 720, 60.0)
@@ -55,21 +58,19 @@ class TestPolicies:
 
     def test_constant_zero_policy_fails_completion(self, dataset):
         off_center = [s for s in dataset if abs(s.target.azimuth) > 5]
-        metrics = st.evaluate(st.ConstantPolicy(ActionDelta(0, 0, 0), K), off_center, K)
+        metrics = st.evaluate(st.ConstantPolicy(ActionDelta(0, 0, 0)), off_center, K)
         assert metrics.completion_rate == 0.0
 
     def test_noisy_oracle_deterministic_and_order_independent(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3)
-        a1, b1 = noisy.predict(dataset[0])
-        a2, b2 = noisy.predict(dataset[0])
-        assert a1 == a2 and b1 == b2
+        assert noisy.actions([dataset[0]]) == noisy.actions([dataset[0]])
         labels_fwd = st.relabel(dataset, noisy)
         labels_rev = list(reversed(st.relabel(list(reversed(dataset)), noisy)))
         assert labels_fwd == labels_rev
 
     def test_noisy_oracle_seed_matters(self, dataset):
-        a = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3).predict(dataset[0])[0]
-        b = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=4).predict(dataset[0])[0]
+        a = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3).actions([dataset[0]])[0]
+        b = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=4).actions([dataset[0]])[0]
         assert a != b
 
     def test_noise_magnitude(self, dataset):
@@ -85,7 +86,7 @@ class TestPolicies:
             [(s.features, s.gt_action) for s in dataset],
             RegressorConfig(kind="random_forest", seed=1),
         )
-        metrics = st.evaluate(st.RegressorPolicy(model, K), dataset, K)
+        metrics = st.evaluate(st.RegressorPolicy(model), dataset, K)
         assert metrics.mean_iou > 0.8
 
     def test_mae_against_own_labels_is_zero(self, dataset):
@@ -101,23 +102,76 @@ class TestPolicies:
             st.evaluate(st.OraclePolicy(K), [], K)
 
 
+@pytest.fixture(scope="module")
+def batch_policies(dataset):
+    model = pl.fit(
+        [(s.features, s.gt_action) for s in dataset],
+        RegressorConfig(kind="random_forest", seed=4, n_trees=5),
+    )
+    return {
+        "regressor": st.RegressorPolicy(model),
+        "noisy-oracle": st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=12),
+    }
+
+
+class TestBatchActions:
+    @pytest.mark.parametrize("name", ["regressor", "noisy-oracle"])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=hst.data())
+    def test_batch_equals_rows_and_ignores_order(self, batch_policies, dataset, name, data):
+        policy = batch_policies[name]
+        idx = data.draw(hst.lists(hst.integers(0, len(dataset) - 1), min_size=1, max_size=30))
+        order = data.draw(hst.permutations(range(len(idx))))
+        samples = [dataset[i] for i in idx]
+        batch = policy.actions(samples)
+        assert batch == [policy.actions([s])[0] for s in samples]
+        assert policy.actions([samples[j] for j in order]) == [batch[j] for j in order]
+
+    def test_empty_batch(self, batch_policies):
+        for policy in batch_policies.values():
+            assert policy.actions([]) == []
+
+    def test_one_forest_call_per_head(self, batch_policies, dataset, monkeypatch):
+        calls = []
+        real_predict = RandomForest.predict
+        monkeypatch.setattr(
+            RandomForest, "predict", lambda self, x: calls.append(len(x)) or real_predict(self, x)
+        )
+        policy = batch_policies["regressor"]
+        st.run_round(dataset, policy, K, 0.5, True)
+        assert calls == [len(dataset)] * 3
+        calls.clear()
+        st.evaluate(policy, dataset, K)
+        assert calls == [len(dataset)] * 3
+
+    def test_relabel_projects_nothing(self, dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(st, "project", lambda *a: calls.append(1) or cam.project(*a))
+        noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3)
+        st.relabel(dataset, noisy)
+        assert calls == []
+        # the counter is live: a filter round projects every sample once
+        st.run_round(dataset, noisy, K, 0.5, True)
+        assert len(calls) == len(dataset)
+
+
 class TestRunRound:
     def test_oracle_keeps_all(self, dataset):
-        refined, diag = st.run_round(dataset, st.OraclePolicy(K), 0.9, True)
+        refined, diag = st.run_round(dataset, st.OraclePolicy(K), K, 0.9, True)
         assert diag.kept_fraction == 1.0
         assert diag.mean_iou_all == pytest.approx(1.0)
         assert len(refined) == len(dataset)
 
     def test_threshold_zero_keeps_overlapping(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 2.0, 2.0, 10.0, seed=5)
-        refined, diag = st.run_round(dataset, noisy, 0.0, True)
+        refined, diag = st.run_round(dataset, noisy, K, 0.0, True)
         assert diag.kept_fraction == 1.0
 
     def test_monotone_in_threshold(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=6)
         kept_ids = {}
         for threshold in (0.3, 0.7, 0.95):
-            refined, _ = st.run_round(dataset, noisy, threshold, True)
+            refined, _ = st.run_round(dataset, noisy, K, threshold, True)
             kept_ids[threshold] = {s.id for s in refined}
         assert kept_ids[0.95] <= kept_ids[0.7] <= kept_ids[0.3]
 
@@ -125,8 +179,8 @@ class TestRunRound:
         # unbiased noise: the IoU-filtered subset has lower action MAE
         data = make_dataset(1800)
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=7)
-        predictions = {s.id: noisy.predict(s)[0] for s in data}
-        refined, diag = st.run_round(data, noisy, 0.7, True)
+        predictions = {s.id: a for s, a in zip(data, noisy.actions(data))}
+        refined, diag = st.run_round(data, noisy, K, 0.7, True)
         assert 0.01 < diag.kept_fraction < 0.95
 
         def mae(samples):
@@ -143,34 +197,34 @@ class TestRunRound:
 
     def test_replace_bbox_flag(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=8)
-        kept_on, _ = st.run_round(dataset, noisy, 0.5, True)
-        kept_off, _ = st.run_round(dataset, noisy, 0.5, False)
+        kept_on, _ = st.run_round(dataset, noisy, K, 0.5, True)
+        kept_off, _ = st.run_round(dataset, noisy, K, 0.5, False)
         originals = {s.id: s for s in dataset}
         assert all(s.gt_bbox_post == originals[s.id].gt_bbox_post for s in kept_on)
         assert any(s.gt_bbox_post != originals[s.id].gt_bbox_post for s in kept_off)
 
     def test_labels_become_predictions(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=9)
-        refined, _ = st.run_round(dataset, noisy, 0.0, True)
+        refined, _ = st.run_round(dataset, noisy, K, 0.0, True)
         for s in refined:
-            assert s.gt_action == noisy.predict(s)[0]
+            assert s.gt_action == noisy.actions([s])[0]
 
     def test_idempotent(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 3.0, 3.0, 15.0, seed=10)
-        once, _ = st.run_round(dataset, noisy, 0.0, False)
-        twice, diag = st.run_round(once, noisy, 0.0, False)
+        once, _ = st.run_round(dataset, noisy, K, 0.0, False)
+        twice, diag = st.run_round(once, noisy, K, 0.0, False)
         assert twice == once
         assert diag.kept_fraction == 1.0
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
-            st.run_round([], st.OraclePolicy(K), 0.5, True)
+            st.run_round([], st.OraclePolicy(K), K, 0.5, True)
 
 
 class TestIterate:
     def factory(self):
         return st.regressor_policy_factory(
-            K, RegressorConfig(kind="random_forest", seed=3, n_trees=30, max_depth=10, min_samples_leaf=4)
+            RegressorConfig(kind="random_forest", seed=3, n_trees=30, max_depth=10, min_samples_leaf=4)
         )
 
     def test_single_round_threshold_zero_equals_fit_eval(self, dataset):
@@ -192,7 +246,7 @@ class TestIterate:
         cfg = st.IterationConfig(rounds=1, iou_thresholds=(1.0,), seed=3)
 
         def bad_factory(samples, round_idx):
-            return st.ConstantPolicy(ActionDelta(0, 0, 0), K)
+            return st.ConstantPolicy(ActionDelta(0, 0, 0))
 
         with pytest.raises(st.EmptyFilterError) as err:
             st.iterate(dataset, cfg, bad_factory, K)
@@ -209,7 +263,7 @@ class TestIterate:
     def test_refit_failure_names_the_round(self, dataset):
         # survivors too few for the forest's leaf size: error carries context
         starving = st.regressor_policy_factory(
-            K, RegressorConfig(kind="random_forest", seed=3, min_samples_leaf=1000)
+            RegressorConfig(kind="random_forest", seed=3, min_samples_leaf=1000)
         )
         cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,), seed=5, refit_each_round=True)
         noisy_factory = lambda samples, r: (
@@ -253,7 +307,7 @@ class TestSelfTrainingTrend:
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3)
         train_noisy = st.relabel(train, noisy)
         factory = st.regressor_policy_factory(
-            K, RegressorConfig(kind="random_forest", seed=7, max_depth=10, min_samples_leaf=4)
+            RegressorConfig(kind="random_forest", seed=7, max_depth=10, min_samples_leaf=4)
         )
         cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.7,), seed=4)
         reports = st.iterate(train_noisy, cfg, factory, K, testset=test)
@@ -270,7 +324,7 @@ class TestSampleFiles:
     def test_round_report_file(self, tmp_path, dataset):
         cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,), seed=2)
         factory = st.regressor_policy_factory(
-            K, RegressorConfig(kind="random_forest", seed=3, n_trees=10)
+            RegressorConfig(kind="random_forest", seed=3, n_trees=10)
         )
         reports = st.iterate(dataset, cfg, factory, K)
         path = tmp_path / "report.jsonl"
@@ -281,9 +335,16 @@ class TestSampleFiles:
         assert rows[0]["round"] == 0
         assert rows[0]["threshold"] is None
         assert set(rows[0]) == {
-            "round", "threshold", "kept_fraction", "mean_iou",
+            "round", "threshold", "kept_fraction", "n_total", "n_kept",
+            "mean_iou_all", "mean_iou_kept", "mean_iou",
             "mae_theta1", "mae_theta2", "mae_zoom", "cr",
         }
+        assert all(rows[0][key] is None for key in ("n_total", "n_kept", "mean_iou_all", "mean_iou_kept"))
+        diag = reports[1].diagnostics
+        assert rows[1]["n_total"] == diag.n_total > 0
+        assert rows[1]["n_kept"] == diag.n_kept
+        assert rows[1]["kept_fraction"] == diag.n_kept / diag.n_total
+        assert rows[1]["mean_iou_kept"] == diag.mean_iou_kept > 0.5
 
     def test_pseudolabel_conversion(self, dataset):
         s = dataset[0]
