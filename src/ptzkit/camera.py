@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,12 +27,15 @@ VISIBILITY_OUT = "out_of_view"
 DEFAULT_ZOOM_MAX = 999.0
 
 
+def wrap_angles(deg: np.ndarray) -> np.ndarray:
+    """Wrap angles in degrees to (-180, 180], elementwise."""
+    w = np.fmod(deg + 180.0, 360.0)
+    return np.where(w <= 0.0, w + 360.0, w) - 180.0
+
+
 def wrap_angle(deg: float) -> float:
     """Wrap an angle in degrees to (-180, 180]."""
-    w = math.fmod(deg + 180.0, 360.0)
-    if w <= 0.0:
-        w += 360.0
-    return w - 180.0
+    return float(wrap_angles(np.float64(deg)))
 
 
 def clamp(value: float, lo: float, hi: float) -> float:
@@ -145,94 +148,232 @@ def magnification(zoom_units: float) -> float:
     return 2.0 ** (zoom_units / 100.0)
 
 
-def apply_action(state: CameraState, action: ActionDelta, zoom_max: float = DEFAULT_ZOOM_MAX) -> CameraState:
-    """New camera state: pan wraps, tilt clamps to +/-90, zoom clamps to [0, zoom_max]."""
-    return CameraState(
-        pan=wrap_angle(state.pan + action.pan_deg),
-        tilt=clamp(state.tilt + action.tilt_deg, -90.0, 90.0),
-        zoom_units=clamp(state.zoom_units + action.zoom_units, 0.0, zoom_max),
+# --- array forms -------------------------------------------------------------
+#
+# Poses are float64[n] arrays of pan, tilt and zoom; actions are int64[n, 3]
+# rows of (pan, tilt, zoom) deltas; targets enter as float64[n, 4, 3] corner
+# arrays from ``target_corners``; boxes are float64[n, 4] rows of (x_min,
+# y_min, x_max, y_max) with int8[n] visibility codes indexing
+# ``VISIBILITY_CODES``.  Each row is computed on its own, by elementwise
+# operations and one stacked 4x3 matmul per row, so a row's bits do not depend
+# on the other rows (a 2-D matmul or einsum over the batch rounds differently).
+# The scalar forms further down are one-row calls of these.
+# Elementwise numpy ``sin``, ``cos``, ``radians`` and ``fmod`` round like their
+# ``math`` counterparts; ``hypot``, ``log2`` and ``2.0 ** x`` do not, so those
+# stay scalar per row.
+
+VISIBILITY_CODES = (VISIBILITY_FULL, VISIBILITY_CLIPPED, VISIBILITY_OUT)
+CODE_FULL, CODE_CLIPPED, CODE_OUT = range(3)
+
+
+def apply_action_batch(
+    pan: np.ndarray,
+    tilt: np.ndarray,
+    zoom: np.ndarray,
+    actions: np.ndarray,
+    zoom_max: float = DEFAULT_ZOOM_MAX,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New (pan, tilt, zoom) arrays: pan wraps, tilt clamps to +/-90, zoom to [0, zoom_max].
+
+    Pan wraps twice, as the one-state update always has (once in the update,
+    once in ``CameraState``).  No input tried makes the second wrap change a
+    bit, but keeping it ties the result to the old one without a proof.
+    """
+    actions = np.asarray(actions)
+    return (
+        wrap_angles(wrap_angles(pan + actions[:, 0])),
+        np.clip(tilt + actions[:, 1], -90.0, 90.0),
+        np.clip(zoom + actions[:, 2], 0.0, zoom_max),
     )
 
 
-def _direction(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
-    az = math.radians(azimuth_deg)
-    el = math.radians(elevation_deg)
-    return np.array(
-        [math.sin(az) * math.cos(el), math.sin(el), math.cos(az) * math.cos(el)]
-    )
+def _directions(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
+    az = np.radians(azimuth)
+    el = np.radians(elevation)
+    return np.stack([np.sin(az) * np.cos(el), np.sin(el), np.cos(az) * np.cos(el)], axis=-1)
 
 
-def _camera_basis(state: CameraState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(right, up, forward) unit vectors of the gimbal pose in world frame."""
-    p = math.radians(state.pan)
-    t = math.radians(state.tilt)
-    forward = np.array([math.sin(p) * math.cos(t), math.sin(t), math.cos(p) * math.cos(t)])
-    right = np.array([math.cos(p), 0.0, -math.sin(p)])
-    up = np.cross(right, forward) * -1.0  # = forward x right
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of float64[n, 3] arrays, with ``np.cross``'s products and order."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _camera_basis(pan: np.ndarray, tilt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(right, up, forward) float64[n, 3] unit vectors of the gimbal poses in world frame."""
+    p = np.radians(pan)
+    t = np.radians(tilt)
+    forward = np.stack([np.sin(p) * np.cos(t), np.sin(t), np.cos(p) * np.cos(t)], axis=-1)
+    right = np.stack([np.cos(p), np.zeros_like(p), -np.sin(p)], axis=-1)
+    up = _cross(right, forward) * -1.0  # = forward x right
     return right, up, forward
 
 
-def _target_corners(target: TargetSpec) -> np.ndarray:
-    """World positions of the rectangle's corners (faces the camera origin)."""
-    d = _direction(target.azimuth, target.elevation)
-    center = target.distance * d
-    horiz = math.hypot(d[0], d[2])
-    if horiz < 1e-9:
-        span_r = np.array([1.0, 0.0, 0.0])
-    else:
-        span_r = np.array([d[2] / horiz, 0.0, -d[0] / horiz])
-    span_u = np.cross(d, span_r)  # in-plane up, unit length
-    hw, hh = target.width / 2.0, target.height / 2.0
-    return np.array(
+def target_corners(targets: Sequence[TargetSpec]) -> np.ndarray:
+    """float64[n, 4, 3] world positions of each rectangle's corners (it faces the origin)."""
+    n = len(targets)
+    d = _directions(
+        np.array([t.azimuth for t in targets], dtype=np.float64),
+        np.array([t.elevation for t in targets], dtype=np.float64),
+    )
+    center = np.array([t.distance for t in targets], dtype=np.float64)[:, None] * d
+    horiz = np.array([math.hypot(x, z) for x, z in zip(d[:, 0].tolist(), d[:, 2].tolist())])
+    flat = horiz < 1e-9
+    horiz[flat] = 1.0
+    span_r = np.stack([d[:, 2] / horiz, np.zeros(n), -d[:, 0] / horiz], axis=-1)
+    span_r[flat] = (1.0, 0.0, 0.0)
+    span_u = _cross(d, span_r)  # in-plane up, unit length
+    hw = np.array([t.width / 2.0 for t in targets])[:, None]
+    hh = np.array([t.height / 2.0 for t in targets])[:, None]
+    return np.stack(
         [
             center + sx * hw * span_r + sy * hh * span_u
             for sx in (-1.0, 1.0)
             for sy in (-1.0, 1.0)
-        ]
+        ],
+        axis=1,
     )
 
 
-def _project_hull(
-    state: CameraState, k: CameraIntrinsics, target: TargetSpec
-) -> tuple[float, float, float, float] | None:
-    """Unclipped pixel hull of the projected corners, or None when behind the camera."""
-    right, up, forward = _camera_basis(state)
-    corners = _target_corners(target)
-    z = corners @ forward
-    if np.any(z <= 1e-9):
-        return None
-    f = k.focal_px(state.zoom_units)
-    u = k.image_w / 2.0 + f * (corners @ right) / z
-    v = k.image_h / 2.0 - f * (corners @ up) / z
-    return float(u.min()), float(v.min()), float(u.max()), float(v.max())
+def _hull_batch(
+    pan: np.ndarray, tilt: np.ndarray, zoom: np.ndarray, k: CameraIntrinsics, corners: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unclipped float64[n, 4] pixel hulls, and a bool[n] mask of targets behind the camera.
+
+    Rows behind the camera hold no meaningful hull.
+    """
+    right, up, forward = _camera_basis(pan, tilt)
+    z = np.matmul(corners, forward[:, :, None])[:, :, 0]
+    behind = np.any(z <= 1e-9, axis=1)
+    f = np.array([k.focal_px(zu) for zu in zoom.tolist()])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = k.image_w / 2.0 + f * np.matmul(corners, right[:, :, None])[:, :, 0] / z
+        v = k.image_h / 2.0 - f * np.matmul(corners, up[:, :, None])[:, :, 0] / z
+    return np.stack([u.min(axis=1), v.min(axis=1), u.max(axis=1), v.max(axis=1)], axis=1), behind
+
+
+def project_batch(
+    pan: np.ndarray, tilt: np.ndarray, zoom: np.ndarray, k: CameraIntrinsics, corners: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boxes of the targets on the image plane, clipped to the frame, with visibility codes.
+
+    Row i projects the target with corners ``corners[i]`` from pose ``(pan[i],
+    tilt[i], zoom[i])``; corners of shape [1, 4, 3] serve every row.
+    Out-of-view rows are all zero with ``CODE_OUT``.
+    """
+    hull, behind = _hull_batch(pan, tilt, zoom, k, corners)
+    x0, y0, x1, y1 = hull.T
+    clipped = np.stack(
+        [
+            np.maximum(x0, 0.0),
+            np.maximum(y0, 0.0),
+            np.minimum(x1, float(k.image_w)),
+            np.minimum(y1, float(k.image_h)),
+        ],
+        axis=1,
+    )
+    out = behind | (clipped[:, 0] >= clipped[:, 2]) | (clipped[:, 1] >= clipped[:, 3])
+    inside = (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= k.image_w) & (y1 <= k.image_h)
+    codes = np.where(out, CODE_OUT, np.where(inside, CODE_FULL, CODE_CLIPPED)).astype(np.int8)
+    return np.where(out[:, None], 0.0, clipped), codes
+
+
+def iou_batch(
+    boxes1: np.ndarray, codes1: np.ndarray, boxes2: np.ndarray, codes2: np.ndarray
+) -> np.ndarray:
+    """Row-wise intersection over union; zero where either box is empty.
+
+    Either side may be a single row, which then pairs with every row of the other.
+    """
+    area1 = np.maximum(boxes1[:, 2] - boxes1[:, 0], 0.0) * np.maximum(boxes1[:, 3] - boxes1[:, 1], 0.0)
+    area2 = np.maximum(boxes2[:, 2] - boxes2[:, 0], 0.0) * np.maximum(boxes2[:, 3] - boxes2[:, 1], 0.0)
+    ix = np.minimum(boxes1[:, 2], boxes2[:, 2]) - np.maximum(boxes1[:, 0], boxes2[:, 0])
+    iy = np.minimum(boxes1[:, 3], boxes2[:, 3]) - np.maximum(boxes1[:, 1], boxes2[:, 1])
+    overlap = (
+        (codes1 != CODE_OUT) & (area1 > 0.0) & (codes2 != CODE_OUT) & (area2 > 0.0)
+        & (ix > 0.0) & (iy > 0.0)
+    )
+    inter = ix * iy
+    return np.divide(inter, area1 + area2 - inter, out=np.zeros(inter.shape), where=overlap)
+
+
+def oracle_actions(
+    pan: np.ndarray,
+    tilt: np.ndarray,
+    zoom: np.ndarray,
+    k: CameraIntrinsics,
+    targets: Sequence[TargetSpec],
+    fill_ratio: float,
+    zoom_max: float = DEFAULT_ZOOM_MAX,
+) -> tuple[np.ndarray, np.ndarray]:
+    """int64[n, 3] ground-truth actions from each pose to its target, and a bool[n] mask
+    of the rows that have one.
+
+    A row has none when its target is out of the pose's front hemisphere;
+    its action row is zero.  See ``oracle_action`` for the rule.
+    """
+    if not 0.0 < fill_ratio < 1.0:
+        raise ValueError("fill_ratio must be in (0, 1)")
+    azimuth = np.array([t.azimuth for t in targets], dtype=np.float64)
+    elevation = np.array([t.elevation for t in targets], dtype=np.float64)
+    d = _directions(azimuth, elevation)
+    _, _, forward = _camera_basis(pan, tilt)
+    # one 3-vector dot per row, as the scalar code rounds it
+    ok = np.array([float(di @ fi) > 0.0 for di, fi in zip(d, forward)], dtype=bool)
+    actions = np.zeros((len(targets), 3), dtype=np.int64)
+    actions[:, 0] = [round_half_away(x) for x in wrap_angles(azimuth - pan).tolist()]
+    actions[:, 1] = [round_half_away(x) for x in (np.clip(elevation, -90.0, 90.0) - tilt).tolist()]
+    centered = apply_action_batch(pan, tilt, zoom, actions, zoom_max)
+    hull, behind = _hull_batch(*centered, k, target_corners(targets))
+    ok &= ~behind
+    x0, y0, x1, y1 = hull.T
+    with np.errstate(invalid="ignore"):
+        ratio = np.maximum((x1 - x0) * (y1 - y0), 0.0) / (k.image_w * k.image_h)
+    for i in np.flatnonzero(ok).tolist():
+        r = float(ratio[i])
+        d_zoom = 0 if r <= 0.0 else round_half_away(50.0 * math.log2(fill_ratio / r))
+        budget = int(math.floor(zoom_max - float(zoom[i])))
+        actions[i, 2] = max(0, min(d_zoom, budget))
+    actions[~ok] = 0
+    return actions, ok
+
+
+def bbox_arrays(boxes: Sequence[BBoxPx]) -> tuple[np.ndarray, np.ndarray]:
+    """float64[n, 4] coordinates and int8[n] visibility codes of ``BBoxPx`` objects."""
+    coords = np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(len(boxes), 4)
+    codes = np.array([VISIBILITY_CODES.index(b.visibility) for b in boxes], dtype=np.int8)
+    return coords, codes
+
+
+def bbox_row(coords: np.ndarray, code: int) -> BBoxPx:
+    """The ``BBoxPx`` of one row of ``project_batch``'s output."""
+    x0, y0, x1, y1 = coords.tolist()
+    return BBoxPx(x0, y0, x1, y1, VISIBILITY_CODES[code])
+
+
+# --- scalar forms: one-row calls of the array forms ---------------------------
+
+
+def _pose(state: CameraState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.array([state.pan]), np.array([state.tilt]), np.array([state.zoom_units])
+
+
+def apply_action(state: CameraState, action: ActionDelta, zoom_max: float = DEFAULT_ZOOM_MAX) -> CameraState:
+    """New camera state: pan wraps, tilt clamps to +/-90, zoom clamps to [0, zoom_max]."""
+    pan, tilt, zoom = apply_action_batch(*_pose(state), np.array([action.as_tuple()]), zoom_max)
+    return CameraState(pan[0], tilt[0], zoom[0])
 
 
 def project(state: CameraState, k: CameraIntrinsics, target: TargetSpec) -> BBoxPx:
     """Bounding box of the target on the image plane, clipped to the frame."""
-    hull = _project_hull(state, k, target)
-    if hull is None:
-        return BBoxPx.empty()
-    x0, y0, x1, y1 = hull
-    cx0, cy0 = max(x0, 0.0), max(y0, 0.0)
-    cx1, cy1 = min(x1, float(k.image_w)), min(y1, float(k.image_h))
-    if cx0 >= cx1 or cy0 >= cy1:
-        return BBoxPx.empty()
-    inside = x0 >= 0.0 and y0 >= 0.0 and x1 <= k.image_w and y1 <= k.image_h
-    vis = VISIBILITY_FULL if inside else VISIBILITY_CLIPPED
-    return BBoxPx(cx0, cy0, cx1, cy1, vis)
+    boxes, codes = project_batch(*_pose(state), k, target_corners([target]))
+    return bbox_row(boxes[0], codes[0])
 
 
 def iou(b1: BBoxPx, b2: BBoxPx) -> float:
     """Intersection over union; zero when either box is empty."""
-    if b1.is_empty() or b2.is_empty():
-        return 0.0
-    ix = min(b1.x_max, b2.x_max) - max(b1.x_min, b2.x_min)
-    iy = min(b1.y_max, b2.y_max) - max(b1.y_min, b2.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = b1.area() + b2.area() - inter
-    return inter / union
+    return float(iou_batch(*bbox_arrays([b1]), *bbox_arrays([b2]))[0])
 
 
 def area_ratio(b: BBoxPx, k: CameraIntrinsics) -> float:
@@ -257,28 +398,10 @@ def oracle_action(
     zoom]: the model zooms in only, so a target already larger than the fill
     ratio gets a zero zoom delta.
     """
-    if not 0.0 < fill_ratio < 1.0:
-        raise ValueError("fill_ratio must be in (0, 1)")
-    d = _direction(target.azimuth, target.elevation)
-    _, _, forward = _camera_basis(state)
-    if float(d @ forward) <= 0.0:
+    actions, ok = oracle_actions(*_pose(state), k, [target], fill_ratio, zoom_max)
+    if not ok[0]:
         raise ValueError("target out of front hemisphere")
-    d_pan = round_half_away(wrap_angle(target.azimuth - state.pan))
-    d_tilt = round_half_away(clamp(target.elevation, -90.0, 90.0) - state.tilt)
-
-    centered = apply_action(state, ActionDelta(d_pan, d_tilt, 0), zoom_max)
-    hull = _project_hull(centered, k, target)
-    if hull is None:
-        raise ValueError("target out of front hemisphere")
-    x0, y0, x1, y1 = hull
-    ratio = max((x1 - x0) * (y1 - y0), 0.0) / (k.image_w * k.image_h)
-    if ratio <= 0.0:
-        d_zoom = 0
-    else:
-        d_zoom = round_half_away(50.0 * math.log2(fill_ratio / ratio))
-    budget = int(math.floor(zoom_max - state.zoom_units))
-    d_zoom = max(0, min(d_zoom, budget))
-    return ActionDelta(d_pan, d_tilt, d_zoom)
+    return ActionDelta(*actions[0].tolist())
 
 
 # --- scene files -----------------------------------------------------------

@@ -290,11 +290,16 @@ def _load_policy_adapter(spec: str, k: cam.CameraIntrinsics, cfg: RunConfig, see
         return st.OraclePolicy(k, cfg.pseudolabel.fill_ratio)
     if spec == "noisy-oracle":
         s = cfg.selftrain
+        if s.label_noise_angle == 0 and s.label_noise_zoom == 0:
+            raise ConfigError(
+                "--policy noisy-oracle needs [selftrain] label_noise_angle or "
+                "label_noise_zoom above 0; with both 0 it is the oracle"
+            )
         return st.NoisyOraclePolicy(
             k,
-            s.label_noise_angle or 5.0,
-            s.label_noise_angle or 5.0,
-            s.label_noise_zoom or 30.0,
+            s.label_noise_angle,
+            s.label_noise_angle,
+            s.label_noise_zoom,
             seed=seed,
             fill_ratio=cfg.pseudolabel.fill_ratio,
         )

@@ -296,28 +296,48 @@ def generate(
 # --- file formats ----------------------------------------------------------
 
 
+def _finite(values: Sequence[float], what: str) -> list[float]:
+    out = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{what} must be finite, got {out}")
+    return out
+
+
+def _grounding_row(line: str) -> GroundingRecord:
+    rec = json.loads(line)
+    bbox = _finite([rec["bbox"][i] for i in range(4)], "bbox numbers")
+    return GroundingRecord(
+        id=str(rec["id"]),
+        image_w=int(rec["image_w"]),
+        image_h=int(rec["image_h"]),
+        bbox=BBoxPx(*bbox),
+        phrase=str(rec["phrase"]),
+    )
+
+
 def read_grounding_records(path) -> list[GroundingRecord]:
-    """One JSON object per line: {id, image_w, image_h, bbox:[...], phrase}."""
+    """One JSON object per line: {id, image_w, image_h, bbox:[...], phrase}.
+
+    A bad row (non-finite numbers included) or a repeated id raises
+    ``ValueError`` naming ``path:line``.
+    """
     out = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                bbox = rec["bbox"]
-                out.append(
-                    GroundingRecord(
-                        id=str(rec["id"]),
-                        image_w=int(rec["image_w"]),
-                        image_h=int(rec["image_h"]),
-                        bbox=BBoxPx(float(bbox[0]), float(bbox[1]), float(bbox[2]), float(bbox[3])),
-                        phrase=str(rec["phrase"]),
-                    )
-                )
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                record = _grounding_row(line)
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad grounding record ({exc})") from None
+            if record.id in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate id {record.id!r} (first on line {first_line[record.id]})"
+                )
+            first_line[record.id] = lineno
+            out.append(record)
     return out
 
 
@@ -374,7 +394,10 @@ def read_pseudo_labels(path, vocab: codec.TokenVocab) -> list[PseudoLabel]:
 
 
 def read_feature_action_pairs(path) -> list[tuple[FeatureVec, ActionDelta]]:
-    """Training pairs, one JSON object per line: {features: {...}, action: {...}}."""
+    """Training pairs, one JSON object per line: {features: {...}, action: {...}}.
+
+    A bad row (non-finite features included) raises ``ValueError`` naming ``path:line``.
+    """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -385,17 +408,9 @@ def read_feature_action_pairs(path) -> list[tuple[FeatureVec, ActionDelta]]:
                 rec = json.loads(line)
                 f = rec["features"]
                 a = rec["action"]
-                out.append(
-                    (
-                        FeatureVec(
-                            float(f["x_norm"]),
-                            float(f["y_norm"]),
-                            float(f["w1"]),
-                            None if f.get("zoom_feat") is None else float(f["zoom_feat"]),
-                        ),
-                        ActionDelta(a["pan"], a["tilt"], a["zoom"]),
-                    )
-                )
+                names = ["x_norm", "y_norm", "w1"] + ([] if f.get("zoom_feat") is None else ["zoom_feat"])
+                values = _finite([f[name] for name in names], "features")
+                out.append((FeatureVec(*values), ActionDelta(a["pan"], a["tilt"], a["zoom"])))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad training pair ({exc})") from None
     return out

@@ -19,12 +19,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ptzkit.camera import BBoxPx, CameraIntrinsics, CameraState, TargetSpec, apply_action, iou, project
+from ptzkit.camera import (
+    BBoxPx,
+    CameraIntrinsics,
+    CameraState,
+    TargetSpec,
+    apply_action_batch,
+    bbox_arrays,
+    bbox_row,
+    iou_batch,
+    project_batch,
+    target_corners,
+)
 from ptzkit.codec import ActionDelta
 
 HEADS = ("pan", "tilt", "zoom")
@@ -51,30 +62,77 @@ class RewardBreakdown:
 
     @property
     def total(self) -> float:
-        return (self.r_iou + self.r_theta1 + self.r_theta2 + self.r_zoom) / 4.0
+        terms = np.array([[self.r_iou, self.r_theta1, self.r_theta2, self.r_zoom]])
+        return float(reward_totals(terms)[0])
 
 
-def angle_reward(pred: float, gt: float, cfg: RewardConfig = RewardConfig()) -> float:
-    """1 at zero error, 0 at the tolerance, saturating to -1 beyond it."""
-    e = abs(pred - gt)
-    if e <= cfg.angle_tol:
-        return 1.0 - e / cfg.angle_tol
-    return -min((e - cfg.angle_tol) / cfg.angle_penalty_span, 1.0)
+def angle_rewards(pred: np.ndarray, gt: np.ndarray, cfg: RewardConfig = RewardConfig()) -> np.ndarray:
+    """Elementwise: 1 at zero error, 0 at the tolerance, saturating to -1 beyond it."""
+    e = np.abs(np.asarray(pred, dtype=np.float64) - gt)
+    return np.where(
+        e <= cfg.angle_tol,
+        1.0 - e / cfg.angle_tol,
+        -np.minimum((e - cfg.angle_tol) / cfg.angle_penalty_span, 1.0),
+    )
 
 
-def zoom_reward(pred: float, gt: float, cfg: RewardConfig = RewardConfig()) -> float:
-    """1 at the target, 0 at the bottom of the undershoot band, negative outside.
+def zoom_rewards(pred: np.ndarray, gt: np.ndarray, cfg: RewardConfig = RewardConfig()) -> np.ndarray:
+    """Elementwise: 1 at the target, 0 at the bottom of the undershoot band, negative outside.
 
     The paying band is [gt - zoom_band, gt]; undershoot below it and any
     overshoot above the target are penalized linearly, saturating at -1.
     """
-    if gt - cfg.zoom_band <= pred <= gt:
-        return 1.0 - (gt - pred) / cfg.zoom_band
-    if pred < gt - cfg.zoom_band:
-        outside = (gt - cfg.zoom_band) - pred
-    else:
-        outside = pred - gt
-    return -min(outside / cfg.zoom_penalty_span, 1.0)
+    pred = np.asarray(pred, dtype=np.float64)
+    floor = gt - cfg.zoom_band
+    outside = np.where(pred < floor, floor - pred, pred - gt)
+    return np.where(
+        (floor <= pred) & (pred <= gt),
+        1.0 - (gt - pred) / cfg.zoom_band,
+        -np.minimum(outside / cfg.zoom_penalty_span, 1.0),
+    )
+
+
+def reward_terms(
+    pred: np.ndarray,
+    gt: np.ndarray,
+    pred_boxes: np.ndarray,
+    pred_codes: np.ndarray,
+    gt_boxes: np.ndarray,
+    gt_codes: np.ndarray,
+    cfg: RewardConfig = RewardConfig(),
+) -> np.ndarray:
+    """float64[n, 4] columns (IoU, pan, tilt, zoom) of the composite reward.
+
+    ``pred`` and ``gt`` are [n, 3] action rows and the boxes and codes are
+    as ``camera.project_batch`` returns them; ``gt`` and its box may be one
+    row for all.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
+    return np.stack(
+        [
+            iou_batch(pred_boxes, pred_codes, gt_boxes, gt_codes),
+            angle_rewards(pred[:, 0], gt[:, 0], cfg),
+            angle_rewards(pred[:, 1], gt[:, 1], cfg),
+            zoom_rewards(pred[:, 2], gt[:, 2], cfg),
+        ],
+        axis=1,
+    )
+
+
+def reward_totals(terms: np.ndarray) -> np.ndarray:
+    """The composite reward of each row of ``reward_terms``: the mean of its four terms."""
+    return (terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]) / 4.0
+
+
+def angle_reward(pred: float, gt: float, cfg: RewardConfig = RewardConfig()) -> float:
+    """1 at zero error, 0 at the tolerance, saturating to -1 beyond it."""
+    return float(angle_rewards(np.array([pred], dtype=np.float64), gt, cfg)[0])
+
+
+def zoom_reward(pred: float, gt: float, cfg: RewardConfig = RewardConfig()) -> float:
+    """1 at the target, 0 at the bottom of the undershoot band, negative outside."""
+    return float(zoom_rewards(np.array([pred], dtype=np.float64), gt, cfg)[0])
 
 
 def composite_reward(
@@ -84,12 +142,10 @@ def composite_reward(
     gt_bbox: BBoxPx,
     cfg: RewardConfig = RewardConfig(),
 ) -> RewardBreakdown:
-    return RewardBreakdown(
-        r_iou=iou(pred_bbox, gt_bbox),
-        r_theta1=angle_reward(pred.pan_deg, gt.pan_deg, cfg),
-        r_theta2=angle_reward(pred.tilt_deg, gt.tilt_deg, cfg),
-        r_zoom=zoom_reward(pred.zoom_units, gt.zoom_units, cfg),
+    terms = reward_terms(
+        np.array([pred.as_tuple()]), gt.as_tuple(), *bbox_arrays([pred_bbox]), *bbox_arrays([gt_bbox]), cfg
     )
+    return RewardBreakdown(*terms[0].tolist())
 
 
 def group_advantages(rewards: Sequence[float], std_guard: float = 1e-8) -> list[float]:
@@ -124,6 +180,24 @@ def default_bins() -> dict[str, np.ndarray]:
         "tilt": np.arange(-30, 31, 1, dtype=np.int64),
         "zoom": np.arange(0, 301, 10, dtype=np.int64),
     }
+
+
+def draw_bins(log_probs: dict[str, np.ndarray], uniforms: np.ndarray) -> np.ndarray:
+    """int64[n, 3] bin indices drawn by inverse CDF from one prompt's per-head ``log_probs``.
+
+    ``uniforms`` is float64[n, 3] from ``rng.random``, one per rollout and
+    head in that order.  ``Generator.choice(len(p), p=p)`` reads one
+    ``random()`` and returns ``searchsorted(cumsum(p) / cdf[-1], u,
+    side="right")``, so the draws equal one ``choice`` call per head and rollout.
+    """
+    idx = np.empty(uniforms.shape, dtype=np.int64)
+    for j, h in enumerate(HEADS):
+        p = np.exp(log_probs[h])
+        p = p / p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        idx[:, j] = cdf.searchsorted(uniforms[:, j], side="right")
+    return idx
 
 
 class ToyPolicy:
@@ -173,19 +247,13 @@ class ToyPolicy:
         lp = self.log_probs(features)
         return float(sum(lp[h][bin_idx[j]] for j, h in enumerate(HEADS)))
 
+    def actions_of(self, idx: np.ndarray) -> np.ndarray:
+        """int64[n, 3] (pan, tilt, zoom) actions of bin-index rows."""
+        return np.stack([self.bins[h][idx[:, j]] for j, h in enumerate(HEADS)], axis=1)
+
     def sample(self, features: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ActionDelta]:
-        lp = self.log_probs(features)
-        idx = []
-        for h in HEADS:
-            p = np.exp(lp[h])
-            p = p / p.sum()
-            idx.append(int(rng.choice(p.shape[0], p=p)))
-        action = ActionDelta(
-            int(self.bins["pan"][idx[0]]),
-            int(self.bins["tilt"][idx[1]]),
-            int(self.bins["zoom"][idx[2]]),
-        )
-        return (idx[0], idx[1], idx[2]), action
+        idx = draw_bins(self.log_probs(features), rng.random((1, len(HEADS))))
+        return tuple(idx[0].tolist()), ActionDelta(*self.actions_of(idx)[0].tolist())
 
     def greedy(self, features: np.ndarray) -> ActionDelta:
         lp = self.log_probs(features)
@@ -271,6 +339,10 @@ class GrpoTask:
     target: TargetSpec
     gt_action: ActionDelta
     gt_bbox: BBoxPx
+    corners: np.ndarray = field(init=False, repr=False, compare=False)  # of ``target``
+
+    def __post_init__(self):
+        object.__setattr__(self, "corners", target_corners([self.target])[0])
 
 
 def build_rollout_group(
@@ -282,34 +354,44 @@ def build_rollout_group(
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
 ) -> RolloutGroup:
-    """Sample a group on-policy and score each rollout through the simulator."""
+    """Sample a group on-policy and score every rollout through the simulator at once.
+
+    One ``rng.random`` call draws all bins, one ``project_batch`` projects
+    every post-action view and the reward is scored over arrays.  The draws,
+    rewards and log-probabilities are those of sampling, applying, projecting
+    and scoring one rollout at a time.
+    """
     cur_lp = policy.log_probs(task.features)
     ref_lp = ref_policy.log_probs(task.features)
-    sampled = []
-    rewards = []
-    for _ in range(cfg.group_size):
-        bins, action = policy.sample(task.features, rng)
-        state = apply_action(task.camera, action)
-        pred_bbox = project(state, k, task.target)
-        breakdown = composite_reward(action, task.gt_action, pred_bbox, task.gt_bbox, reward_cfg)
-        sampled.append((bins, action, pred_bbox))
-        rewards.append(breakdown.total)
+    n = cfg.group_size
+    idx = draw_bins(cur_lp, rng.random(n * len(HEADS)).reshape(n, len(HEADS)))
+    actions = policy.actions_of(idx)
+    cam = task.camera
+    pose = apply_action_batch(np.full(n, cam.pan), np.full(n, cam.tilt), np.full(n, cam.zoom_units), actions)
+    boxes, codes = project_batch(*pose, k, task.corners[None])
+    terms = reward_terms(
+        actions, task.gt_action.as_tuple(), boxes, codes, *bbox_arrays([task.gt_bbox]), reward_cfg
+    )
+    rewards = reward_totals(terms).tolist()
     advantages = group_advantages(rewards, cfg.std_guard)
-    rollouts = []
-    for (bins, action, pred_bbox), reward, adv in zip(sampled, rewards, advantages):
-        lp = float(sum(cur_lp[h][bins[j]] for j, h in enumerate(HEADS)))
-        rollouts.append(
-            Rollout(
-                action=action,
-                bins=bins,
-                pred_bbox=pred_bbox,
-                logp_cur=lp,
-                logp_old=lp,  # sampling is on-policy
-                logp_ref=float(sum(ref_lp[h][bins[j]] for j, h in enumerate(HEADS))),
-                reward=reward,
-                advantage=adv,
-            )
+    logp_cur = cur_lp["pan"][idx[:, 0]] + cur_lp["tilt"][idx[:, 1]] + cur_lp["zoom"][idx[:, 2]]
+    logp_ref = ref_lp["pan"][idx[:, 0]] + ref_lp["tilt"][idx[:, 1]] + ref_lp["zoom"][idx[:, 2]]
+    rollouts = [
+        Rollout(
+            action=ActionDelta(*a),
+            bins=tuple(b),
+            pred_bbox=bbox_row(box, code),
+            logp_cur=lc,
+            logp_old=lc,  # sampling is on-policy
+            logp_ref=lr,
+            reward=r,
+            advantage=adv,
         )
+        for a, b, box, code, lc, lr, r, adv in zip(
+            actions.tolist(), idx.tolist(), boxes, codes, logp_cur.tolist(), logp_ref.tolist(),
+            rewards, advantages,
+        )
+    ]
     return RolloutGroup(
         prompt_id=task.prompt_id,
         features=np.asarray(task.features, dtype=np.float64),
@@ -372,17 +454,28 @@ class StepStats:
     mae_pan: float
     mae_tilt: float
     mae_zoom: float
+    reward_std: float  # population std of every rollout reward in the step
+    zero_signal_fraction: float  # share of groups whose rewards are all equal
 
 
 def grpo_step(
     policy: ToyPolicy, groups: Sequence[RolloutGroup], cfg: GRPOConfig
 ) -> tuple[ToyPolicy, StepStats]:
-    """One ascent step on the batch objective via the analytic gradient."""
+    """One ascent step on the batch objective via the analytic gradient.
+
+    Each group's surrogate terms enter the gradient as one stack of outer
+    products, reduced along its first axis onto the running gradient: row by
+    row, in rollout order, as adding them one at a time would.  A group whose
+    rewards are all equal has zero advantages and adds no surrogate gradient;
+    ``zero_signal_fraction`` counts such groups.
+    """
     grads = {h: np.zeros_like(policy.weights[h]) for h in HEADS}
     n_groups = len(groups)
     n_rollouts = 0
     n_clipped = 0
+    n_zero_signal = 0
     reward_sum = 0.0
+    all_rewards: list[float] = []
     kl_sum = 0.0
     abs_err = np.zeros(3)
     n_err = 0
@@ -391,31 +484,38 @@ def grpo_step(
         cur_lp = policy.log_probs(group.features)
         probs = {h: np.exp(cur_lp[h]) for h in HEADS}
         n = len(group.rollouts)
-        for r in group.rollouts:
-            n_rollouts += 1
-            reward_sum += r.reward
-            lp = float(sum(cur_lp[h][r.bins[j]] for j, h in enumerate(HEADS)))
-            if not math.isfinite(lp) or not math.isfinite(r.logp_old):
-                raise ValueError("non-finite log-probabilities in rollout group")
-            s = math.exp(lp - r.logp_old)
-            clipped = (r.advantage > 0 and s > 1.0 + cfg.clip_eps) or (
-                r.advantage < 0 and s < 1.0 - cfg.clip_eps
-            )
-            if clipped:
-                n_clipped += 1
-                continue
-            coef = s * r.advantage / (n * n_groups)
-            if coef == 0.0:
-                continue
+        n_rollouts += n
+        rewards = [r.reward for r in group.rollouts]
+        for reward in rewards:
+            reward_sum += reward
+        all_rewards.extend(rewards)
+        n_zero_signal += min(rewards) == max(rewards)
+        bins = np.array([r.bins for r in group.rollouts], dtype=np.int64)
+        logp_old = np.array([r.logp_old for r in group.rollouts])
+        advantage = np.array([r.advantage for r in group.rollouts], dtype=np.float64)
+        lp = cur_lp["pan"][bins[:, 0]] + cur_lp["tilt"][bins[:, 1]] + cur_lp["zoom"][bins[:, 2]]
+        if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(logp_old))):
+            raise ValueError("non-finite log-probabilities in rollout group")
+        s = np.array([math.exp(x) for x in (lp - logp_old).tolist()])
+        clipped = ((advantage > 0) & (s > 1.0 + cfg.clip_eps)) | (
+            (advantage < 0) & (s < 1.0 - cfg.clip_eps)
+        )
+        n_clipped += int(clipped.sum())
+        coef = s * advantage / (n * n_groups)
+        live = ~clipped & (coef != 0.0)
+        if live.any():
+            coef = coef[live]
+            rows = np.arange(coef.shape[0])
             for j, h in enumerate(HEADS):
-                dz = -probs[h] * coef
-                dz[r.bins[j]] += coef
-                grads[h] += np.outer(dz, phi)
+                dz = -probs[h][None, :] * coef[:, None]
+                dz[rows, bins[live, j]] += coef
+                terms = dz[:, :, None] * phi[None, None, :]
+                grads[h] = np.add.reduce(np.concatenate([grads[h][None], terms]), axis=0)
         if group.gt_action is not None:
-            gt = np.array(group.gt_action.as_tuple(), dtype=np.float64)
-            for r in group.rollouts:
-                abs_err += np.abs(np.array(r.action.as_tuple(), dtype=np.float64) - gt)
-                n_err += 1
+            taken = np.array([r.action.as_tuple() for r in group.rollouts], dtype=np.float64)
+            # integer-valued, so the sum is exact in any order
+            abs_err += np.abs(taken - np.array(group.gt_action.as_tuple(), dtype=np.float64)).sum(axis=0)
+            n_err += n
         kl = 0.0
         for h in HEADS:
             diff = cur_lp[h] - group.ref_log_probs[h]
@@ -437,6 +537,8 @@ def grpo_step(
         mae_pan=float(mae[0]),
         mae_tilt=float(mae[1]),
         mae_zoom=float(mae[2]),
+        reward_std=float(np.std(all_rewards)),
+        zero_signal_fraction=n_zero_signal / n_groups,
     )
     return new_policy, stats
 
@@ -477,5 +579,7 @@ def write_training_log(path, history: Sequence[StepStats]) -> None:
                 "mae_pan": st.mae_pan,
                 "mae_tilt": st.mae_tilt,
                 "mae_zoom": st.mae_zoom,
+                "reward_std": st.reward_std,
+                "zero_signal_fraction": st.zero_signal_fraction,
             }
             fh.write(json.dumps(rec) + "\n")

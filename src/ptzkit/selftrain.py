@@ -22,17 +22,23 @@ import numpy as np
 
 from ptzkit import pseudolabel as pl
 from ptzkit.camera import (
+    CODE_FULL,
+    VISIBILITY_CODES,
     BBoxPx,
     CameraIntrinsics,
     CameraState,
     TargetSpec,
     VISIBILITY_FULL,
-    apply_action,
+    apply_action_batch,
     area_ratio,
-    iou,
-    oracle_action,
-    project,
+    bbox_arrays,
+    bbox_row,
+    iou_batch,
+    oracle_actions,
+    project,  # noqa: F401  (perfbench checks its tracer restores selftrain.project)
+    project_batch,
     round_half_away,
+    target_corners,
 )
 from ptzkit.codec import MAX_ACTION_VALUE, ActionDelta
 from ptzkit.pseudolabel import FeatureVec, RegressorConfig, RegressorModel
@@ -131,10 +137,33 @@ class PolicyAdapter(Protocol):
         ...
 
 
+def _start_poses(samples: Sequence[SampleTuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        np.array([s.camera_init.pan for s in samples], dtype=np.float64),
+        np.array([s.camera_init.tilt for s in samples], dtype=np.float64),
+        np.array([s.camera_init.zoom_units for s in samples], dtype=np.float64),
+    )
+
+
+def _oracle_batch(
+    samples: Sequence[SampleTuple], k: CameraIntrinsics, fill_ratio: float
+) -> list[ActionDelta]:
+    actions, ok = oracle_actions(*_start_poses(samples), k, [s.target for s in samples], fill_ratio)
+    if not ok.all():
+        raise ValueError("target out of front hemisphere")
+    return [ActionDelta(*row) for row in actions.tolist()]
+
+
 def _simulate_bboxes(
     samples: Sequence[SampleTuple], actions: Sequence[ActionDelta], k: CameraIntrinsics
-) -> list[BBoxPx]:
-    return [project(apply_action(s.camera_init, a), k, s.target) for s, a in zip(samples, actions)]
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Each sample's post-action box and visibility code, from one projection of
+    the batch, with its IoU against the sample's ground-truth box."""
+    moves = np.array([a.as_tuple() for a in actions], dtype=np.int64).reshape(len(actions), 3)
+    pose = apply_action_batch(*_start_poses(samples), moves)
+    boxes, codes = project_batch(*pose, k, target_corners([s.target for s in samples]))
+    overlaps = iou_batch(boxes, codes, *bbox_arrays([s.gt_bbox_post for s in samples]))
+    return overlaps.tolist(), boxes, codes
 
 
 def _rounded_action(pan: float, tilt: float, zoom: float) -> ActionDelta:
@@ -153,7 +182,7 @@ class OraclePolicy:
     fill_ratio: float = DEFAULT_FILL_RATIO
 
     def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
-        return [oracle_action(s.camera_init, self.k, s.target, self.fill_ratio) for s in samples]
+        return _oracle_batch(samples, self.k, self.fill_ratio)
 
 
 def _sample_rng(seed: int, sample_id: str) -> np.random.Generator:
@@ -176,8 +205,7 @@ class NoisyOraclePolicy:
     def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
         sigma = [self.sigma_pan, self.sigma_tilt, self.sigma_zoom]
         out = []
-        for s in samples:
-            exact = oracle_action(s.camera_init, self.k, s.target, self.fill_ratio)
+        for s, exact in zip(samples, _oracle_batch(samples, self.k, self.fill_ratio)):
             noise = _sample_rng(self.seed, s.id).normal(0.0, sigma)
             out.append(
                 _rounded_action(
@@ -225,24 +253,33 @@ def make_samples(
     templates: Sequence[str] = pl.DEFAULT_TEMPLATES,
     seed: int = 0,
 ) -> tuple[list[SampleTuple], list[tuple[str, str]]]:
-    """Oracle-labeled samples for every target fully visible from the start pose."""
+    """Oracle-labeled samples for every target fully visible from the start pose.
+
+    The start views, the oracle actions and the post-action views of the
+    whole scene are each computed in one batch call.
+    """
     rng = np.random.default_rng(seed)
     samples: list[SampleTuple] = []
     skipped: list[tuple[str, str]] = []
-    for target_id, target in scene:
+    targets = [t for _, t in scene]
+    n = len(targets)
+    pose = (np.full(n, camera_init.pan), np.full(n, camera_init.tilt), np.full(n, camera_init.zoom_units))
+    corners = target_corners(targets)
+    start_boxes, start_codes = project_batch(*pose, k, corners)
+    gt_actions, has_oracle = oracle_actions(*pose, k, targets, fill_ratio)
+    post_boxes, post_codes = project_batch(*apply_action_batch(*pose, gt_actions), k, corners)
+    for i, (target_id, target) in enumerate(scene):
         template = templates[int(rng.integers(0, len(templates)))]
-        bbox0 = project(camera_init, k, target)
-        if bbox0.visibility != VISIBILITY_FULL:
-            skipped.append((target_id, f"initial view is {bbox0.visibility}"))
+        if start_codes[i] != CODE_FULL:
+            skipped.append((target_id, f"initial view is {VISIBILITY_CODES[start_codes[i]]}"))
             continue
+        bbox0 = bbox_row(start_boxes[i], start_codes[i])
         x_norm, y_norm = pl.normalize_center(bbox0, k.image_w, k.image_h)
         w1 = area_ratio(bbox0, k)
         _, w2_crop = pl.isotropic_crop(bbox0, k.image_w, k.image_h)
         zoom_feat = 0.5 * math.log2(w2_crop / w1)
-        try:
-            gt = oracle_action(camera_init, k, target, fill_ratio)
-        except ValueError as exc:
-            skipped.append((target_id, str(exc)))
+        if not has_oracle[i]:
+            skipped.append((target_id, "target out of front hemisphere"))
             continue
         samples.append(
             SampleTuple(
@@ -251,8 +288,8 @@ def make_samples(
                 features=FeatureVec(x_norm, y_norm, w1, zoom_feat),
                 camera_init=camera_init,
                 target=target,
-                gt_action=gt,
-                gt_bbox_post=project(apply_action(camera_init, gt), k, target),
+                gt_action=ActionDelta(*gt_actions[i].tolist()),
+                gt_bbox_post=bbox_row(post_boxes[i], post_codes[i]),
             )
         )
     return samples, skipped
@@ -287,17 +324,14 @@ def evaluate(
     if not testset:
         raise ValueError("empty test set")
     actions = policy.actions(testset)
-    boxes = _simulate_bboxes(testset, actions, k)
-    abs_err = np.zeros(3)
+    overlaps, boxes, codes = _simulate_bboxes(testset, actions, k)
+    taken = np.array([a.as_tuple() for a in actions], dtype=np.float64)
+    wanted = np.array([s.gt_action.as_tuple() for s in testset], dtype=np.float64)
+    abs_err = np.abs(taken - wanted).sum(axis=0)  # integer-valued: exact in any order
     iou_sum = 0.0
-    completed = 0
-    for s, action, bbox in zip(testset, actions, boxes):
-        abs_err += np.abs(
-            np.array(action.as_tuple(), dtype=np.float64)
-            - np.array(s.gt_action.as_tuple(), dtype=np.float64)
-        )
-        iou_sum += iou(bbox, s.gt_bbox_post)
-        completed += bool(completion(bbox, k, completion_cfg))
+    for overlap in overlaps:  # in order, one addition at a time, as the mean has always been taken
+        iou_sum += overlap
+    completed = sum(completion(bbox_row(b, c), k, completion_cfg) for b, c in zip(boxes, codes))
     n = len(testset)
     return MetricsReport(
         mae_theta1=float(abs_err[0] / n),
@@ -326,12 +360,11 @@ def run_round(
     if not dataset:
         raise ValueError("empty dataset")
     actions = policy.actions(dataset)
-    boxes = _simulate_bboxes(dataset, actions, k)
+    overlaps, boxes, codes = _simulate_bboxes(dataset, actions, k)
     refined: list[SampleTuple] = []
     iou_all = 0.0
     iou_kept = 0.0
-    for s, action, bbox in zip(dataset, actions, boxes):
-        overlap = iou(bbox, s.gt_bbox_post)
+    for i, (s, action, overlap) in enumerate(zip(dataset, actions, overlaps)):
         iou_all += overlap
         if overlap > threshold:
             iou_kept += overlap
@@ -339,7 +372,7 @@ def run_round(
                 replace(
                     s,
                     gt_action=action,
-                    gt_bbox_post=s.gt_bbox_post if replace_bbox else bbox,
+                    gt_bbox_post=s.gt_bbox_post if replace_bbox else bbox_row(boxes[i], codes[i]),
                 )
             )
     n, n_kept = len(dataset), len(refined)

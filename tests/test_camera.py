@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from ptzkit import camera as cam
 from ptzkit.camera import (
@@ -293,3 +295,201 @@ class TestSceneIO:
             cam.sample_targets(5, np.random.default_rng(0), azimuth_range=(10, -10))
         with pytest.raises(ValueError):
             cam.sample_targets(5, np.random.default_rng(0), distance_range=(-1, 2))
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+# one row: start pose, action, and the target's offset from the start pose
+_ROW = hst.tuples(
+    hst.floats(-400.0, 400.0),  # start pan: wraps, and is rarely an integer
+    hst.floats(-89.0, 89.0),  # start tilt
+    hst.floats(0.0, 998.0),  # start zoom
+    hst.integers(-200, 200),  # pan delta: crosses +/-180
+    hst.integers(-120, 120),  # tilt delta: reaches the +/-90 clamp
+    hst.integers(0, 999),  # zoom delta: reaches the zoom_max clamp
+    hst.floats(-200.0, 200.0),  # target azimuth minus start pan: in view, clipped, out, behind
+    hst.floats(-60.0, 60.0),  # target elevation minus start tilt
+    hst.floats(0.2, 8.0),  # distance
+    hst.floats(0.01, 3.0),  # width
+    hst.floats(0.01, 3.0),  # height
+)
+
+
+def _row_objects(row):
+    pan, tilt, zoom, dp, dt, dz, daz, del_, dist, w, h = row
+    target = TargetSpec(pan + daz, float(np.clip(tilt + del_, -89.9, 89.9)), dist, w, h)
+    return CameraState(pan, tilt, zoom), ActionDelta(dp, dt, dz), target
+
+
+def _reference_wrap(deg):
+    w = math.fmod(deg + 180.0, 360.0)
+    if w <= 0.0:
+        w += 360.0
+    return w - 180.0
+
+
+def _reference_apply(state, action):
+    """The scalar pose update, wrapping pan in the update and again in the state."""
+    pan = _reference_wrap(_reference_wrap(state.pan + action.pan_deg))
+    tilt = min(max(state.tilt + action.tilt_deg, -90.0), 90.0)
+    zoom = min(max(state.zoom_units + action.zoom_units, 0.0), cam.DEFAULT_ZOOM_MAX)
+    return pan, tilt, zoom
+
+
+def _reference_direction(azimuth, elevation):
+    az, el = math.radians(azimuth), math.radians(elevation)
+    return np.array([math.sin(az) * math.cos(el), math.sin(el), math.cos(az) * math.cos(el)])
+
+
+def _reference_basis(pan, tilt):
+    p, t = math.radians(pan), math.radians(tilt)
+    forward = np.array([math.sin(p) * math.cos(t), math.sin(t), math.cos(p) * math.cos(t)])
+    right = np.array([math.cos(p), 0.0, -math.sin(p)])
+    return right, np.cross(right, forward) * -1.0, forward
+
+
+def _reference_hull(pan, tilt, zoom, k, target):
+    """The unclipped hull one target at a time, in ``math`` and 3-vector numpy."""
+    d = _reference_direction(target.azimuth, target.elevation)
+    horiz = math.hypot(d[0], d[2])
+    span_r = np.array([1.0, 0.0, 0.0]) if horiz < 1e-9 else np.array([d[2] / horiz, 0.0, -d[0] / horiz])
+    span_u = np.cross(d, span_r)
+    hw, hh = target.width / 2.0, target.height / 2.0
+    corners = np.array(
+        [target.distance * d + sx * hw * span_r + sy * hh * span_u for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)]
+    )
+    right, up, forward = _reference_basis(pan, tilt)
+    z = corners @ forward
+    if np.any(z <= 1e-9):
+        return None
+    f = k.focal_px(zoom)
+    u = k.image_w / 2.0 + f * (corners @ right) / z
+    v = k.image_h / 2.0 - f * (corners @ up) / z
+    return float(u.min()), float(v.min()), float(u.max()), float(v.max())
+
+
+def _reference_project(pan, tilt, zoom, k, target):
+    hull = _reference_hull(pan, tilt, zoom, k, target)
+    if hull is None:
+        return [0.0, 0.0, 0.0, 0.0], cam.VISIBILITY_OUT
+    x0, y0, x1, y1 = hull
+    cx0, cy0, cx1, cy1 = max(x0, 0.0), max(y0, 0.0), min(x1, float(k.image_w)), min(y1, float(k.image_h))
+    if cx0 >= cx1 or cy0 >= cy1:
+        return [0.0, 0.0, 0.0, 0.0], cam.VISIBILITY_OUT
+    inside = x0 >= 0.0 and y0 >= 0.0 and x1 <= k.image_w and y1 <= k.image_h
+    return [cx0, cy0, cx1, cy1], cam.VISIBILITY_FULL if inside else cam.VISIBILITY_CLIPPED
+
+
+def _reference_oracle(pan, tilt, zoom, k, target, fill_ratio):
+    """The oracle action one target at a time, or None out of the front hemisphere."""
+    if float(_reference_direction(target.azimuth, target.elevation) @ _reference_basis(pan, tilt)[2]) <= 0.0:
+        return None
+    d_pan = round_half_away(_reference_wrap(target.azimuth - pan))
+    d_tilt = round_half_away(min(max(target.elevation, -90.0), 90.0) - tilt)
+    centered = _reference_apply(CameraState(pan, tilt, zoom), ActionDelta(d_pan, d_tilt, 0))
+    hull = _reference_hull(*centered, k, target)
+    if hull is None:
+        return None
+    x0, y0, x1, y1 = hull
+    ratio = max((x1 - x0) * (y1 - y0), 0.0) / (k.image_w * k.image_h)
+    d_zoom = 0 if ratio <= 0.0 else round_half_away(50.0 * math.log2(fill_ratio / ratio))
+    return d_pan, d_tilt, max(0, min(d_zoom, int(math.floor(cam.DEFAULT_ZOOM_MAX - zoom))))
+
+
+class TestBatchForms:
+    """Every row of an array form equals the scalar form of that row, bit for bit,
+    and the scalar projection equals a one-target-at-a-time reference."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(hst.lists(_ROW, min_size=1, max_size=12))
+    @example([(179.37, 0.0, 0.0, 1, 0, 0, 0.5, 0.0, 2.0, 0.4, 0.4)])  # pan wraps across 180
+    @example([(-179.61, 85.5, 990.5, -1, 10, 50, -0.3, 0.0, 2.0, 0.4, 0.4)])  # wrap, tilt and zoom clamps
+    @example([(0.25, 0.0, 0.0, 0, 0, 0, 150.0, 0.0, 2.0, 0.4, 0.4)])  # target behind the camera
+    def test_project_batch_rows_equal_project(self, rows):
+        objects = [_row_objects(row) for row in rows]
+        pan = np.array([s.pan for s, _, _ in objects])
+        tilt = np.array([s.tilt for s, _, _ in objects])
+        zoom = np.array([s.zoom_units for s, _, _ in objects])
+        actions = np.array([a.as_tuple() for _, a, _ in objects])
+        corners = cam.target_corners([t for _, _, t in objects])
+        post = cam.apply_action_batch(pan, tilt, zoom, actions)
+        boxes, codes = cam.project_batch(*post, K, corners)
+        start_boxes, start_codes = cam.project_batch(pan, tilt, zoom, K, corners)
+        ious = cam.iou_batch(boxes, codes, start_boxes, start_codes)
+        oracle, ok = cam.oracle_actions(pan, tilt, zoom, K, [t for _, _, t in objects], 0.3)
+        for i, (state, action, target) in enumerate(objects):
+            after = apply_action(state, action)
+            assert _bits([post[0][i], post[1][i], post[2][i]]) == _bits([after.pan, after.tilt, after.zoom_units])
+            assert _bits([after.pan, after.tilt, after.zoom_units]) == _bits(_reference_apply(state, action))
+            box = project(after, K, target)
+            assert _bits(boxes[i]) == _bits(box.as_list())
+            assert cam.VISIBILITY_CODES[codes[i]] == box.visibility
+            ref_box, ref_vis = _reference_project(after.pan, after.tilt, after.zoom_units, K, target)
+            assert (_bits(box.as_list()), box.visibility) == (_bits(ref_box), ref_vis)
+            start = project(state, K, target)
+            assert _bits(start_boxes[i]) == _bits(start.as_list())
+            assert ious[i].hex() == iou(box, start).hex()
+            try:
+                expected = oracle_action(state, K, target, 0.3)
+            except ValueError:
+                expected = None
+            assert (ActionDelta(*oracle[i].tolist()) if ok[i] else None) == expected
+
+    def test_random_rows_match_reference(self):
+        # plain random floats: hypothesis favours round values, on which
+        # np.hypot and math.hypot, say, agree
+        rng = np.random.default_rng(31)
+        n = 3000
+        pan = rng.uniform(-180.0, 180.0, n)
+        tilt = rng.uniform(-60.0, 60.0, n)
+        zoom = rng.uniform(0.0, 400.0, n)
+        targets = [
+            TargetSpec(float(p + rng.uniform(-100.0, 100.0)), float(t + rng.uniform(-25.0, 25.0)),
+                       float(rng.uniform(0.5, 6.0)), float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0)))
+            for p, t in zip(pan, tilt)
+        ]
+        boxes, codes = cam.project_batch(pan, tilt, zoom, K, cam.target_corners(targets))
+        assert set(codes.tolist()) == {cam.CODE_FULL, cam.CODE_CLIPPED, cam.CODE_OUT}
+        oracle, ok = cam.oracle_actions(pan, tilt, zoom, K, targets, 0.3)
+        assert 0 < ok.sum() < n
+        for i, target in enumerate(targets):
+            pose = (float(pan[i]), float(tilt[i]), float(zoom[i]))
+            ref_box, ref_vis = _reference_project(*pose, K, target)
+            assert (_bits(boxes[i]), cam.VISIBILITY_CODES[codes[i]]) == (_bits(ref_box), ref_vis)
+            assert (tuple(oracle[i].tolist()) if ok[i] else None) == _reference_oracle(*pose, K, target, 0.3)
+
+    def test_rows_cover_every_visibility(self):
+        # the strategy's ranges reach full, clipped and out-of-view boxes, and
+        # targets behind the camera
+        state = CameraState(0.5, 0.0, 0.0)
+        targets = [
+            TargetSpec(0.5, 0.0, 3.0, 0.3, 0.3),
+            TargetSpec(30.0, 0.0, 2.0, 0.6, 0.6),
+            TargetSpec(80.0, 0.0, 2.0, 0.3, 0.3),
+            TargetSpec(170.0, 0.0, 2.0, 0.3, 0.3),
+        ]
+        boxes, codes = cam.project_batch(
+            np.full(4, state.pan), np.zeros(4), np.zeros(4), K, cam.target_corners(targets)
+        )
+        assert [cam.VISIBILITY_CODES[c] for c in codes] == [
+            cam.VISIBILITY_FULL, cam.VISIBILITY_CLIPPED, cam.VISIBILITY_OUT, cam.VISIBILITY_OUT,
+        ]
+        assert [project(state, K, t).visibility for t in targets] == [cam.VISIBILITY_CODES[c] for c in codes]
+        assert not boxes[2:].any()
+
+    def test_empty_batch(self):
+        empty = np.zeros(0)
+        boxes, codes = cam.project_batch(empty, empty, empty, K, cam.target_corners([]))
+        assert boxes.shape == (0, 4) and codes.shape == (0,)
+        actions, ok = cam.oracle_actions(empty, empty, empty, K, [], 0.3)
+        assert actions.shape == (0, 3) and ok.shape == (0,)
+
+    def test_shared_corners_broadcast(self):
+        t = TargetSpec(3.0, -2.0, 2.5, 0.4, 0.3)
+        pan = np.array([0.0, 2.5, -4.0])
+        zoom = np.array([0.0, 50.0, 120.0])
+        one = cam.project_batch(pan, np.zeros(3), zoom, K, cam.target_corners([t]))
+        each = cam.project_batch(pan, np.zeros(3), zoom, K, cam.target_corners([t, t, t]))
+        assert np.array_equal(one[0], each[0]) and np.array_equal(one[1], each[1])

@@ -136,6 +136,24 @@ class TestFitEval:
         doc = json.loads((tmp_path / "eval.json").read_text())
         assert doc["cr"] == 0.0
 
+    def test_eval_noisy_oracle_uses_configured_noise(self, tmp_path, scene_file):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[selftrain]\nlabel_noise_angle = 0\nlabel_noise_zoom = 20\n")
+        assert run([
+            "--config", str(cfg), "eval", "--scene", str(scene_file), "--policy", "noisy-oracle",
+            "--out", str(tmp_path), "--quiet",
+        ]) == 0
+        doc = json.loads((tmp_path / "eval.json").read_text())
+        assert doc["mae_theta1"] == 0.0 and doc["mae_theta2"] == 0.0
+        assert doc["mae_zoom"] > 0.0
+
+    def test_eval_noisy_oracle_without_noise_rejected(self, tmp_path, scene_file, capsys):
+        assert run([
+            "eval", "--scene", str(scene_file), "--policy", "noisy-oracle", "--out", str(tmp_path),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "label_noise_angle" in err and "label_noise_zoom" in err
+
     def test_missing_scene_is_data_error(self, tmp_path):
         assert run(["eval", "--scene", str(tmp_path / "nope.jsonl"), "--policy", "oracle"]) == 3
 
@@ -159,6 +177,51 @@ class TestFitEval:
         assert run(["eval", "--scene", str(scene), "--policy", "oracle", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert f"{scene}:2: {reason}" in err
+
+
+GOOD_RECORD = {"id": "a", "image_w": 640, "image_h": 480, "bbox": [100, 100, 200, 180], "phrase": "red mug"}
+
+
+class TestBadInputRows:
+    """Records and training pairs are checked row by row, naming ``path:line``."""
+
+    @pytest.mark.parametrize(
+        "second, reason",
+        [
+            ({"id": "b", "bbox": [100, 100, float("nan"), 180]}, "bbox numbers must be finite"),
+            ({"id": "b", "image_w": float("inf")}, "bad grounding record"),
+            ({}, "duplicate id 'a' (first on line 1)"),
+        ],
+        ids=["nan-bbox", "inf-image-size", "duplicate-id"],
+    )
+    def test_synth_rejects_bad_record(self, tmp_path, scene_file, capsys, second, reason):
+        assert run(["fit", "--scene", str(scene_file), "--kind", "ols", "--out", str(tmp_path), "--quiet"]) == 0
+        records = tmp_path / "records.jsonl"
+        rows = [GOOD_RECORD, {**GOOD_RECORD, **second}]
+        records.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert run([
+            "synth", "--records", str(records), "--model", str(tmp_path / "model.json"),
+            "--out", str(tmp_path), "--quiet",
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"{records}:2: " in err and reason in err
+        assert not (tmp_path / "labels.jsonl").exists()
+
+    @pytest.mark.parametrize("name", ["x_norm", "w1", "zoom_feat"])
+    def test_fit_rejects_non_finite_feature(self, tmp_path, capsys, name):
+        rows = [
+            {
+                "features": {"x_norm": i / 10, "y_norm": (i % 3) / 10, "w1": (i * i + 1) / 100, "zoom_feat": 0.5},
+                "action": {"pan": 2 * i, "tilt": i % 3, "zoom": 10},
+            }
+            for i in range(8)
+        ]
+        rows[4]["features"][name] = float("nan")
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert run(["fit", "--pairs", str(pairs), "--kind", "ols", "--out", str(tmp_path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert f"{pairs}:5: " in err and "features must be finite" in err
 
 
 class TestIterate:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -272,6 +273,71 @@ class TestGradient:
         )
 
 
+def _reference_step(policy, groups, cfg):
+    """``grpo_step`` one rollout at a time: each outer product added in turn."""
+    grads = {h: np.zeros_like(policy.weights[h]) for h in rw.HEADS}
+    n_groups = len(groups)
+    n_rollouts = n_clipped = 0
+    reward_sum = 0.0
+    for group in groups:
+        phi = policy._phi(group.features)
+        cur_lp = policy.log_probs(group.features)
+        probs = {h: np.exp(cur_lp[h]) for h in rw.HEADS}
+        n = len(group.rollouts)
+        for r in group.rollouts:
+            n_rollouts += 1
+            reward_sum += r.reward
+            lp = float(sum(cur_lp[h][r.bins[j]] for j, h in enumerate(rw.HEADS)))
+            s = math.exp(lp - r.logp_old)
+            if (r.advantage > 0 and s > 1.0 + cfg.clip_eps) or (r.advantage < 0 and s < 1.0 - cfg.clip_eps):
+                n_clipped += 1
+                continue
+            coef = s * r.advantage / (n * n_groups)
+            if coef == 0.0:
+                continue
+            for j, h in enumerate(rw.HEADS):
+                dz = -probs[h] * coef
+                dz[r.bins[j]] += coef
+                grads[h] += np.outer(dz, phi)
+        for h in rw.HEADS:
+            diff = cur_lp[h] - group.ref_log_probs[h]
+            kl_h = float(np.sum(probs[h] * diff))
+            if cfg.kl_weight > 0.0:
+                grads[h] -= (cfg.kl_weight / n_groups) * np.outer(probs[h] * (diff - kl_h), phi)
+    weights = {h: policy.weights[h] + cfg.learning_rate * grads[h] for h in rw.HEADS}
+    return weights, reward_sum / n_rollouts, n_clipped / n_rollouts
+
+
+class TestStepMatchesLoop:
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_synthetic_groups(self, seed):
+        policy = small_policy(seed=seed)
+        cfg = rw.GRPOConfig(group_size=6, kl_weight=0.05, learning_rate=0.7)
+        rng = np.random.default_rng(seed + 100)
+        groups = [synthetic_group(policy, rng, cfg, ref=small_policy(seed=seed + 1)) for _ in range(5)]
+        stepped, stats = rw.grpo_step(policy, groups, cfg)
+        weights, mean_reward, clip_fraction = _reference_step(policy, groups, cfg)
+        assert 0.0 < clip_fraction < 1.0
+        for h in rw.HEADS:
+            assert np.array_equal(stepped.weights[h], weights[h])
+        assert (stats.mean_reward, stats.clip_fraction) == (mean_reward, clip_fraction)
+
+    def test_sampled_groups(self):
+        tasks = TestTraining().make_tasks(n=8)
+        policy = rw.ToyPolicy.init(3)
+        wrng = np.random.default_rng(4)
+        for h in rw.HEADS:
+            policy.weights[h] += wrng.normal(0, 0.5, policy.weights[h].shape)
+        cfg = rw.GRPOConfig()
+        rng = np.random.default_rng(6)
+        groups = [rw.build_rollout_group(policy, rw.ToyPolicy.init(3), t, K, cfg, CFG, rng) for t in tasks]
+        stepped, stats = rw.grpo_step(policy, groups, cfg)
+        weights, mean_reward, _ = _reference_step(policy, groups, cfg)
+        for h in rw.HEADS:
+            assert np.array_equal(stepped.weights[h], weights[h])
+        assert stats.mean_reward == mean_reward
+
+
 class TestKL:
     def test_self_kl_zero(self):
         policy = small_policy(seed=2)
@@ -358,4 +424,111 @@ class TestTraining:
         assert [r["step"] for r in rows] == [0, 1, 2]
         assert set(rows[0]) == {
             "step", "mean_reward", "mean_kl", "clip_fraction", "mae_pan", "mae_tilt", "mae_zoom",
+            "reward_std", "zero_signal_fraction",
         }
+        for row, st_ in zip(rows, history):
+            assert row["reward_std"] == st_.reward_std >= 0.0
+            assert 0.0 <= row["zero_signal_fraction"] == st_.zero_signal_fraction <= 1.0
+
+    def test_constant_reward_has_no_signal(self, tmp_path):
+        # one bin per head: every rollout takes the same action, so every
+        # group's rewards are equal and no group carries a gradient
+        tasks = self.make_tasks(n=5)
+        bins = {"pan": np.array([3]), "tilt": np.array([-2]), "zoom": np.array([40])}
+        policy, history = rw.grpo_train(
+            rw.ToyPolicy.init(3, bins), tasks, K, rw.GRPOConfig(), CFG, steps=2, seed=4
+        )
+        assert [h.zero_signal_fraction for h in history] == [1.0, 1.0]
+        assert all(h.reward_std > 0.0 for h in history)  # the tasks differ from each other
+        path = tmp_path / "log.jsonl"
+        rw.write_training_log(path, history)
+        import json
+
+        assert [json.loads(line)["zero_signal_fraction"] for line in path.read_text().splitlines()] == [1.0, 1.0]
+
+    def test_zero_signal_fraction_counts_equal_reward_groups(self):
+        policy = small_policy(seed=2)
+        cfg = rw.GRPOConfig(group_size=4)
+        rng = np.random.default_rng(5)
+        groups = [synthetic_group(policy, rng, cfg) for _ in range(4)]
+        flat = groups[1]
+        flat.rollouts = [
+            rw.Rollout(r.action, r.bins, r.pred_bbox, r.logp_cur, r.logp_old, r.logp_ref, 0.25, 0.0)
+            for r in flat.rollouts
+        ]
+        _, stats = rw.grpo_step(policy, groups, cfg)
+        assert stats.zero_signal_fraction == 0.25
+        rewards = [r.reward for g in groups for r in g.rollouts]
+        assert stats.reward_std == float(np.std(rewards))
+
+
+def _reference_rollouts(policy, ref_policy, task, k, cfg, reward_cfg, rng):
+    """The rollout loop one rollout at a time: ``rng.choice`` per head, then
+    ``apply_action``, ``project`` and ``composite_reward``."""
+    cur_lp = policy.log_probs(task.features)
+    ref_lp = ref_policy.log_probs(task.features)
+    sampled, rewards = [], []
+    for _ in range(cfg.group_size):
+        idx = []
+        for h in rw.HEADS:
+            p = np.exp(cur_lp[h])
+            p = p / p.sum()
+            idx.append(int(rng.choice(p.shape[0], p=p)))
+        action = ActionDelta(*(int(policy.bins[h][i]) for h, i in zip(rw.HEADS, idx)))
+        box = cam.project(cam.apply_action(task.camera, action), k, task.target)
+        rewards.append(rw.composite_reward(action, task.gt_action, box, task.gt_bbox, reward_cfg).total)
+        sampled.append((tuple(idx), action, box))
+    advantages = rw.group_advantages(rewards, cfg.std_guard)
+    return [
+        (
+            bins, action, box,
+            float(sum(cur_lp[h][bins[j]] for j, h in enumerate(rw.HEADS))),
+            float(sum(ref_lp[h][bins[j]] for j, h in enumerate(rw.HEADS))),
+            reward, float(adv),
+        )
+        for (bins, action, box), reward, adv in zip(sampled, rewards, advantages)
+    ]
+
+
+class TestBatchedRollouts:
+    """``build_rollout_group`` draws, scores and normalises exactly as the
+    one-at-a-time loop does."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_matches_one_at_a_time_loop(self, seed):
+        tasks = TestTraining().make_tasks(n=6, seed=seed + 40)
+        # one task starts near the pan seam with zoom already in, so pans wrap and zoom clamps
+        tasks.append(dataclasses.replace(tasks[0], camera=cam.CameraState(179.37, 3.5, 980.25)))
+        policy = rw.ToyPolicy.init(3)
+        wrng = np.random.default_rng(seed)
+        for h in rw.HEADS:
+            policy.weights[h] += wrng.normal(0, 0.8, policy.weights[h].shape)
+        ref = rw.ToyPolicy.init(3)
+        cfg = rw.GRPOConfig(group_size=6)
+        batched_rng = np.random.default_rng(seed)
+        loop_rng = np.random.default_rng(seed)
+        for task in tasks:
+            group = rw.build_rollout_group(policy, ref, task, K, cfg, CFG, batched_rng)
+            expected = _reference_rollouts(policy, ref, task, K, cfg, CFG, loop_rng)
+            got = [
+                (r.bins, r.action, r.pred_bbox, r.logp_cur, r.logp_ref, r.reward, float(r.advantage))
+                for r in group.rollouts
+            ]
+            assert got == expected
+            assert all(r.logp_old == r.logp_cur for r in group.rollouts)
+        # both consumed the same number of draws
+        assert batched_rng.random() == loop_rng.random()
+
+    def test_sample_matches_choice(self):
+        policy = small_policy(seed=11, scale=1.0)
+        feats = np.array([0.3, -0.4, 0.2])
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        lp = policy.log_probs(feats)
+        for _ in range(200):
+            bins, action = policy.sample(feats, a)
+            expected = []
+            for h in rw.HEADS:
+                p = np.exp(lp[h])
+                expected.append(int(b.choice(p.shape[0], p=p / p.sum())))
+            assert bins == tuple(expected)
+            assert action.as_tuple() == tuple(int(policy.bins[h][i]) for h, i in zip(rw.HEADS, expected))

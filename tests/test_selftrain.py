@@ -145,14 +145,16 @@ class TestBatchActions:
         assert calls == [len(dataset)] * 3
 
     def test_relabel_projects_nothing(self, dataset, monkeypatch):
-        calls = []
-        monkeypatch.setattr(st, "project", lambda *a: calls.append(1) or cam.project(*a))
+        rows = []
+        monkeypatch.setattr(
+            st, "project_batch", lambda *a: rows.append(len(a[0])) or cam.project_batch(*a)
+        )
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3)
         st.relabel(dataset, noisy)
-        assert calls == []
+        assert rows == []
         # the counter is live: a filter round projects every sample once
         st.run_round(dataset, noisy, K, 0.5, True)
-        assert len(calls) == len(dataset)
+        assert sum(rows) == len(dataset)
 
 
 class TestRunRound:
