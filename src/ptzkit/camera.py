@@ -11,13 +11,13 @@ axis-aligned hull of its four projected corners, clipped to the frame.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ptzkit import jsonl
 from ptzkit.codec import ActionDelta
 
 VISIBILITY_FULL = "full"
@@ -454,27 +454,21 @@ def sample_targets(
 
 def write_scene(path, targets: Iterable[tuple[str, TargetSpec]]) -> None:
     """One JSON object per line with the scene record fields."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for target_id, t in targets:
-            rec = {
-                "id": target_id,
-                "azimuth": t.azimuth,
-                "elevation": t.elevation,
-                "distance": t.distance,
-                "width": t.width,
-                "height": t.height,
-                "phrase": t.phrase,
-            }
-            fh.write(json.dumps(rec) + "\n")
+    jsonl.write(path, (
+        {
+            "id": target_id,
+            "azimuth": t.azimuth,
+            "elevation": t.elevation,
+            "distance": t.distance,
+            "width": t.width,
+            "height": t.height,
+            "phrase": t.phrase,
+        }
+        for target_id, t in targets
+    ))
 
 
-def _scene_row(line: str) -> tuple[str, TargetSpec]:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON ({exc})") from None
-    if not isinstance(rec, dict):
-        raise ValueError("expected a JSON object")
+def _scene_row(rec: dict) -> tuple[str, TargetSpec]:
     missing = [f for f in _SCENE_FIELDS if f not in rec]
     if missing:
         raise ValueError(f"missing fields {missing}")
@@ -486,23 +480,5 @@ def _scene_row(line: str) -> tuple[str, TargetSpec]:
 
 
 def read_scene(path) -> list[tuple[str, TargetSpec]]:
-    """Scene rows in file order; a bad row or a repeated id raises ``ValueError``
-    naming ``path:line``."""
-    out = []
-    first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                target_id, target = _scene_row(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if target_id in first_line:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate id {target_id!r} (first on line {first_line[target_id]})"
-                )
-            first_line[target_id] = lineno
-            out.append((target_id, target))
-    return out
+    """Scene rows in file order, under the ``ptzkit.jsonl`` rules."""
+    return jsonl.read(path, _scene_row, "scene row")

@@ -11,7 +11,7 @@ keys) and validates inputs before touching outputs; files are written to a
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ptzkit import camera as cam
-from ptzkit import codec
+from ptzkit import codec, jsonl
 from ptzkit import pseudolabel as pl
 from ptzkit import rewards as rw
 from ptzkit import selftrain as st
@@ -87,6 +87,26 @@ def _thresholds_flag(text: str) -> tuple[float, ...]:
         return parse_thresholds(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _steps_flag(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _sigma_flag(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite sigma >= 0, got {text!r}")
+    return value
 
 
 def _regressor_config(cfg: RunConfig, kind: str | None, seed: int) -> pl.RegressorConfig:
@@ -305,11 +325,13 @@ def _load_policy_adapter(spec: str, k: cam.CameraIntrinsics, cfg: RunConfig, see
         )
     if spec == "zero":
         return st.ConstantPolicy(codec.ActionDelta(0, 0, 0))
-    with open(spec, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    return jsonl.load(spec, _policy_from_doc, "regressor model or policy checkpoint")
+
+
+def _policy_from_doc(doc: dict):
     if "bins" in doc:
         return st.ToyPolicyAdapter(rw.ToyPolicy.from_dict(doc))
-    return st.RegressorPolicy(pl.load_model(spec))
+    return st.RegressorPolicy(pl.model_from_dict(doc))
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
@@ -329,7 +351,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         "cr": metrics.completion_rate,
     }
     out = _out_dir(args, cfg) / args.eval_file
-    _write_atomic(out, lambda p: Path(p).write_text(json.dumps(doc) + "\n", encoding="utf-8"))
+    _write_atomic(out, lambda p: jsonl.write(p, [doc]))
     _say(
         args,
         f"eval {args.policy}: MAE ({metrics.mae_theta1:.2f}, {metrics.mae_theta2:.2f}, "
@@ -340,12 +362,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_report(args, cfg: RunConfig) -> int:
-    rows = []
-    with open(args.file, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+    rows = jsonl.read(args.file, _report_row, "report row")
     if not rows:
         print("report error: empty report file", file=sys.stderr)
         return EXIT_DATA
@@ -357,6 +374,11 @@ def cmd_report(args, cfg: RunConfig) -> int:
     for r in rows:
         print("  ".join(_fmt_cell(r.get(c)).ljust(widths[c]) for c in columns))
     return EXIT_OK
+
+
+def _report_row(rec: dict) -> dict:
+    jsonl.finite([v for v in rec.values() if isinstance(v, float)], "report numbers")
+    return rec
 
 
 def _fmt_cell(value) -> str:
@@ -439,15 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--replace-bbox", dest="replace_bbox", action="store_true", default=None)
     p.add_argument("--no-replace-bbox", dest="replace_bbox", action="store_false")
-    p.add_argument("--label-noise-angle", type=float, default=None, help="sigma in degrees")
-    p.add_argument("--label-noise-zoom", type=float, default=None, help="sigma in zoom units")
+    p.add_argument("--label-noise-angle", type=_sigma_flag, default=None, help="sigma in degrees")
+    p.add_argument("--label-noise-zoom", type=_sigma_flag, default=None, help="sigma in zoom units")
     p.add_argument("--split", type=float, default=None, help="held-out test fraction")
     p.add_argument("--report", default="round_report.jsonl")
     p.set_defaults(func=cmd_iterate)
 
     p = sub.add_parser("grpo-train", parents=[globals_parent], help="train the toy policy with GRPO")
     p.add_argument("--scene", required=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_steps_flag, default=None)
     p.add_argument("--policy-file", default="policy.json")
     p.add_argument("--report", default="train_log.jsonl")
     p.set_defaults(func=cmd_grpo_train)
@@ -486,7 +508,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -2,7 +2,8 @@
 
 Every command-line flag overrides its config key; unknown sections or keys
 are rejected so a typo cannot silently fall back to a default.  Float keys
-must be finite, and ``[codec] vocab_path`` must exist at load time.
+must be finite, ``[codec] vocab_path`` must exist, ``[grpo] steps`` must be
+positive and the ``[selftrain]`` label noise sigmas non-negative at load time.
 """
 
 from __future__ import annotations
@@ -157,10 +158,15 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
             current = getattr(section, key)
             setattr(section, key, _coerce(raw, type(current), f"[{section_name}] {key}"))
-    validate_paths(cfg)
+    validate(cfg)
     return cfg
 
 
-def validate_paths(cfg: RunConfig) -> None:
+def validate(cfg: RunConfig) -> None:
     if cfg.codec.vocab_path and not Path(cfg.codec.vocab_path).exists():
         raise ConfigError(f"[codec] vocab_path: path does not exist: {cfg.codec.vocab_path}")
+    if cfg.grpo.steps <= 0:
+        raise ConfigError(f"[grpo] steps: must be positive, got {cfg.grpo.steps}")
+    for key in ("label_noise_angle", "label_noise_zoom"):
+        if getattr(cfg.selftrain, key) < 0:
+            raise ConfigError(f"[selftrain] {key}: must be >= 0, got {getattr(cfg.selftrain, key)}")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ptzkit import codec
+from ptzkit import codec, jsonl
 from ptzkit.camera import BBoxPx, round_half_away
 from ptzkit.codec import ActionDelta
 from ptzkit.forest import ForestConfig, RandomForest
@@ -296,124 +296,80 @@ def generate(
 # --- file formats ----------------------------------------------------------
 
 
-def _finite(values: Sequence[float], what: str) -> list[float]:
-    out = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{what} must be finite, got {out}")
-    return out
-
-
-def _grounding_row(line: str) -> GroundingRecord:
-    rec = json.loads(line)
-    bbox = _finite([rec["bbox"][i] for i in range(4)], "bbox numbers")
+def _grounding_row(rec: dict) -> GroundingRecord:
+    bbox = jsonl.finite([rec["bbox"][i] for i in range(4)], "bbox numbers")
     return GroundingRecord(
         id=str(rec["id"]),
-        image_w=int(rec["image_w"]),
-        image_h=int(rec["image_h"]),
+        image_w=jsonl.integer(rec["image_w"], "image_w"),
+        image_h=jsonl.integer(rec["image_h"], "image_h"),
         bbox=BBoxPx(*bbox),
         phrase=str(rec["phrase"]),
     )
 
 
 def read_grounding_records(path) -> list[GroundingRecord]:
-    """One JSON object per line: {id, image_w, image_h, bbox:[...], phrase}.
+    """One JSON object per line: {id, image_w, image_h, bbox:[...], phrase},
+    under the ``ptzkit.jsonl`` rules; image sizes are integers."""
+    return jsonl.read(path, _grounding_row, "grounding record")
 
-    A bad row (non-finite numbers included) or a repeated id raises
-    ``ValueError`` naming ``path:line``.
-    """
-    out = []
-    first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = _grounding_row(line)
-            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad grounding record ({exc})") from None
-            if record.id in first_line:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate id {record.id!r} (first on line {first_line[record.id]})"
-                )
-            first_line[record.id] = lineno
-            out.append(record)
-    return out
+
+def _label_row(lab: PseudoLabel, vocab: codec.TokenVocab) -> dict:
+    return {
+        "id": lab.record_id,
+        "instruction": lab.instruction,
+        "action": {
+            "pan": lab.action.pan_deg,
+            "tilt": lab.action.tilt_deg,
+            "zoom": lab.action.zoom_units,
+        },
+        "tokens": codec.seq_to_str(codec.encode_action(lab.action, vocab), vocab),
+        "bbox_post": lab.gt_bbox_post.as_list(),
+        "w1": lab.w1,
+        "w2": lab.w2,
+    }
 
 
 def write_pseudo_labels(path, labels: Iterable[PseudoLabel], vocab: codec.TokenVocab) -> None:
     """One JSON object per line with the action both structured and tokenized."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for lab in labels:
-            seq = codec.encode_action(lab.action, vocab)
-            rec = {
-                "id": lab.record_id,
-                "instruction": lab.instruction,
-                "action": {
-                    "pan": lab.action.pan_deg,
-                    "tilt": lab.action.tilt_deg,
-                    "zoom": lab.action.zoom_units,
-                },
-                "tokens": codec.seq_to_str(seq, vocab),
-                "bbox_post": lab.gt_bbox_post.as_list(),
-                "w1": lab.w1,
-                "w2": lab.w2,
-            }
-            fh.write(json.dumps(rec) + "\n")
+    jsonl.write(path, (_label_row(lab, vocab) for lab in labels))
+
+
+def _pseudo_label(rec: dict, vocab: codec.TokenVocab) -> PseudoLabel:
+    a = rec["action"]
+    action = ActionDelta(a["pan"], a["tilt"], a["zoom"])
+    if codec.decode(codec.ids_from_str(rec["tokens"], vocab), vocab) != action:
+        raise ValueError("token string disagrees with structured action")
+    bbox = jsonl.finite([rec["bbox_post"][i] for i in range(4)], "bbox_post numbers")
+    w1, w2 = jsonl.finite([rec["w1"], rec["w2"]], "w1 and w2")
+    return PseudoLabel(
+        record_id=str(rec["id"]),
+        instruction=str(rec["instruction"]),
+        action=action,
+        gt_bbox_post=BBoxPx(*bbox),
+        w1=w1,
+        w2=w2,
+    )
 
 
 def read_pseudo_labels(path, vocab: codec.TokenVocab) -> list[PseudoLabel]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                action = ActionDelta(
-                    rec["action"]["pan"], rec["action"]["tilt"], rec["action"]["zoom"]
-                )
-                decoded = codec.decode(codec.ids_from_str(rec["tokens"], vocab), vocab)
-                if decoded != action:
-                    raise ValueError("token string disagrees with structured action")
-                b = rec["bbox_post"]
-                out.append(
-                    PseudoLabel(
-                        record_id=str(rec["id"]),
-                        instruction=str(rec["instruction"]),
-                        action=action,
-                        gt_bbox_post=BBoxPx(float(b[0]), float(b[1]), float(b[2]), float(b[3])),
-                        w1=float(rec["w1"]),
-                        w2=float(rec["w2"]),
-                    )
-                )
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad pseudo-label record ({exc})") from None
-    return out
+    """Labels as ``write_pseudo_labels`` writes them, under the ``ptzkit.jsonl``
+    rules; a token string must decode to the structured action."""
+    return jsonl.read(path, lambda rec: _pseudo_label(rec, vocab), "pseudo-label record")
+
+
+def _training_pair(rec: dict) -> tuple[FeatureVec, ActionDelta]:
+    f, a = rec["features"], rec["action"]
+    names = ["x_norm", "y_norm", "w1"]
+    if "zoom_feat" in f and f["zoom_feat"] is not None:
+        names.append("zoom_feat")
+    features = jsonl.finite([f[name] for name in names], "features")
+    return FeatureVec(*features), ActionDelta(a["pan"], a["tilt"], a["zoom"])
 
 
 def read_feature_action_pairs(path) -> list[tuple[FeatureVec, ActionDelta]]:
-    """Training pairs, one JSON object per line: {features: {...}, action: {...}}.
-
-    A bad row (non-finite features included) raises ``ValueError`` naming ``path:line``.
-    """
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                f = rec["features"]
-                a = rec["action"]
-                names = ["x_norm", "y_norm", "w1"] + ([] if f.get("zoom_feat") is None else ["zoom_feat"])
-                values = _finite([f[name] for name in names], "features")
-                out.append((FeatureVec(*values), ActionDelta(a["pan"], a["tilt"], a["zoom"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad training pair ({exc})") from None
-    return out
+    """Training pairs, one JSON object per line: {features: {...}, action: {...}},
+    under the ``ptzkit.jsonl`` rules."""
+    return jsonl.read(path, _training_pair, "training pair")
 
 
 def save_model(path, model: RegressorModel) -> None:
@@ -445,9 +401,7 @@ def save_model(path, model: RegressorModel) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> RegressorModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def model_from_dict(doc: dict) -> RegressorModel:
     cfg = RegressorConfig(kind=doc["kind"], **doc["config"])
     model = RegressorModel(config=cfg, train_r2=dict(doc.get("train_r2", {})))
     if cfg.kind == "ols_linear":
@@ -456,3 +410,8 @@ def load_model(path) -> RegressorModel:
     else:
         model.forests = {n: RandomForest.from_dict(doc["heads"][n]) for n in HEAD_NAMES}
     return model
+
+
+def load_model(path) -> RegressorModel:
+    """A model as ``save_model`` writes it; a malformed file raises ``ValueError`` naming it."""
+    return jsonl.load(path, model_from_dict, "regressor model")

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ptzkit import jsonl
 from ptzkit.camera import (
     BBoxPx,
     CameraIntrinsics,
@@ -243,10 +244,6 @@ class ToyPolicy:
             out[h] = z - math.log(np.exp(z).sum())
         return out
 
-    def logp(self, features: np.ndarray, bin_idx: Sequence[int]) -> float:
-        lp = self.log_probs(features)
-        return float(sum(lp[h][bin_idx[j]] for j, h in enumerate(HEADS)))
-
     def actions_of(self, idx: np.ndarray) -> np.ndarray:
         """int64[n, 3] (pan, tilt, zoom) actions of bin-index rows."""
         return np.stack([self.bins[h][idx[:, j]] for j, h in enumerate(HEADS)], axis=1)
@@ -297,8 +294,7 @@ def save_policy(path, policy: ToyPolicy, seed: int | None = None) -> None:
 
 
 def load_policy(path) -> ToyPolicy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ToyPolicy.from_dict(json.load(fh))
+    return jsonl.load(path, ToyPolicy.from_dict, "policy checkpoint")
 
 
 @dataclass(frozen=True)
@@ -569,17 +565,17 @@ def grpo_train(
 
 def write_training_log(path, history: Sequence[StepStats]) -> None:
     """Line-delimited per-step records of the training trajectory."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for step, st in enumerate(history):
-            rec = {
-                "step": step,
-                "mean_reward": st.mean_reward,
-                "mean_kl": st.mean_kl,
-                "clip_fraction": st.clip_fraction,
-                "mae_pan": st.mae_pan,
-                "mae_tilt": st.mae_tilt,
-                "mae_zoom": st.mae_zoom,
-                "reward_std": st.reward_std,
-                "zero_signal_fraction": st.zero_signal_fraction,
-            }
-            fh.write(json.dumps(rec) + "\n")
+    jsonl.write(path, (
+        {
+            "step": step,
+            "mean_reward": st.mean_reward,
+            "mean_kl": st.mean_kl,
+            "clip_fraction": st.clip_fraction,
+            "mae_pan": st.mae_pan,
+            "mae_tilt": st.mae_tilt,
+            "mae_zoom": st.mae_zoom,
+            "reward_std": st.reward_std,
+            "zero_signal_fraction": st.zero_signal_fraction,
+        }
+        for step, st in enumerate(history)
+    ))

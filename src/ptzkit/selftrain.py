@@ -13,13 +13,13 @@ policy, so the loop runs end to end on synthetic scenes.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from ptzkit import jsonl
 from ptzkit import pseudolabel as pl
 from ptzkit.camera import (
     CODE_FULL,
@@ -480,29 +480,30 @@ def grpo_tasks_from_samples(samples: Sequence[SampleTuple]) -> list[GrpoTask]:
 # --- file formats ----------------------------------------------------------
 
 
+def _report_row(r: RoundReport) -> dict:
+    d = r.diagnostics
+    return {
+        "round": r.round_idx,
+        "threshold": r.threshold,
+        "kept_fraction": r.kept_fraction,
+        "n_total": None if d is None else d.n_total,
+        "n_kept": None if d is None else d.n_kept,
+        "mean_iou_all": None if d is None else d.mean_iou_all,
+        "mean_iou_kept": None if d is None else d.mean_iou_kept,
+        "mean_iou": r.metrics.mean_iou,
+        "mae_theta1": r.metrics.mae_theta1,
+        "mae_theta2": r.metrics.mae_theta2,
+        "mae_zoom": r.metrics.mae_zoom,
+        "cr": r.metrics.completion_rate,
+    }
+
+
 def write_round_reports(path, reports: Sequence[RoundReport]) -> None:
     """One JSON object per round with the filter and test metrics.
 
     The filter counts and IoU means are null for round 0, which filters nothing.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            d = r.diagnostics
-            rec = {
-                "round": r.round_idx,
-                "threshold": r.threshold,
-                "kept_fraction": r.kept_fraction,
-                "n_total": None if d is None else d.n_total,
-                "n_kept": None if d is None else d.n_kept,
-                "mean_iou_all": None if d is None else d.mean_iou_all,
-                "mean_iou_kept": None if d is None else d.mean_iou_kept,
-                "mean_iou": r.metrics.mean_iou,
-                "mae_theta1": r.metrics.mae_theta1,
-                "mae_theta2": r.metrics.mae_theta2,
-                "mae_zoom": r.metrics.mae_zoom,
-                "cr": r.metrics.completion_rate,
-            }
-            fh.write(json.dumps(rec) + "\n")
+    jsonl.write(path, (_report_row(r) for r in reports))
 
 
 def sample_to_pseudolabel(s: SampleTuple, k: CameraIntrinsics) -> pl.PseudoLabel:
@@ -514,91 +515,3 @@ def sample_to_pseudolabel(s: SampleTuple, k: CameraIntrinsics) -> pl.PseudoLabel
         w1=s.features.w1,
         w2=area_ratio(s.gt_bbox_post, k),
     )
-
-
-def write_samples(path, samples: Sequence[SampleTuple]) -> None:
-    """Full sample tuples, one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            rec = {
-                "id": s.id,
-                "instruction": s.instruction,
-                "features": {
-                    "x_norm": s.features.x_norm,
-                    "y_norm": s.features.y_norm,
-                    "w1": s.features.w1,
-                    "zoom_feat": s.features.zoom_feat,
-                },
-                "camera": {
-                    "pan": s.camera_init.pan,
-                    "tilt": s.camera_init.tilt,
-                    "zoom": s.camera_init.zoom_units,
-                },
-                "target": {
-                    "azimuth": s.target.azimuth,
-                    "elevation": s.target.elevation,
-                    "distance": s.target.distance,
-                    "width": s.target.width,
-                    "height": s.target.height,
-                    "phrase": s.target.phrase,
-                },
-                "gt_action": {
-                    "pan": s.gt_action.pan_deg,
-                    "tilt": s.gt_action.tilt_deg,
-                    "zoom": s.gt_action.zoom_units,
-                },
-                "gt_bbox_post": s.gt_bbox_post.as_list(),
-                "gt_bbox_visibility": s.gt_bbox_post.visibility,
-            }
-            fh.write(json.dumps(rec) + "\n")
-
-
-def read_samples(path) -> list[SampleTuple]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                f = rec["features"]
-                b = rec["gt_bbox_post"]
-                out.append(
-                    SampleTuple(
-                        id=str(rec["id"]),
-                        instruction=str(rec["instruction"]),
-                        features=FeatureVec(
-                            float(f["x_norm"]),
-                            float(f["y_norm"]),
-                            float(f["w1"]),
-                            None if f.get("zoom_feat") is None else float(f["zoom_feat"]),
-                        ),
-                        camera_init=CameraState(
-                            rec["camera"]["pan"], rec["camera"]["tilt"], rec["camera"]["zoom"]
-                        ),
-                        target=TargetSpec(
-                            azimuth=float(rec["target"]["azimuth"]),
-                            elevation=float(rec["target"]["elevation"]),
-                            distance=float(rec["target"]["distance"]),
-                            width=float(rec["target"]["width"]),
-                            height=float(rec["target"]["height"]),
-                            phrase=str(rec["target"]["phrase"]),
-                        ),
-                        gt_action=ActionDelta(
-                            rec["gt_action"]["pan"],
-                            rec["gt_action"]["tilt"],
-                            rec["gt_action"]["zoom"],
-                        ),
-                        gt_bbox_post=BBoxPx(
-                            float(b[0]),
-                            float(b[1]),
-                            float(b[2]),
-                            float(b[3]),
-                            str(rec.get("gt_bbox_visibility", VISIBILITY_FULL)),
-                        ),
-                    )
-                )
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad sample record ({exc})") from None
-    return out

@@ -154,6 +154,37 @@ class TestFitEval:
         err = capsys.readouterr().err
         assert "label_noise_angle" in err and "label_noise_zoom" in err
 
+    @pytest.mark.parametrize("doc", ["{}", "[1, 2]", '{"kind": "ols_linear", "config": 7}', "not json"])
+    def test_malformed_model_file_is_data_error(self, tmp_path, scene_file, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc + "\n")
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(GOOD_RECORD) + "\n")
+        assert run(["synth", "--records", str(records), "--model", str(bad), "--out", str(tmp_path)]) == 3
+        assert f"data error: {bad}: " in capsys.readouterr().err
+        assert run(["eval", "--scene", str(scene_file), "--policy", str(bad), "--out", str(tmp_path)]) == 3
+        assert f"data error: {bad}: " in capsys.readouterr().err
+
+    def test_eval_reads_the_model_file_once(self, tmp_path, scene_file, monkeypatch):
+        assert run(["fit", "--scene", str(scene_file), "--kind", "ols", "--out", str(tmp_path), "--quiet"]) == 0
+        model = str(tmp_path / "model.json")
+        opened = []
+        real_open = open
+        monkeypatch.setattr("builtins.open", lambda f, *a, **kw: opened.append(str(f)) or real_open(f, *a, **kw))
+        assert run(["eval", "--scene", str(scene_file), "--policy", model, "--out", str(tmp_path), "--quiet"]) == 0
+        assert opened.count(model) == 1
+
+    @pytest.mark.parametrize("key", ["label_noise_angle", "label_noise_zoom"])
+    def test_negative_label_noise_key_is_config_error(self, tmp_path, scene_file, capsys, key):
+        cfg = tmp_path / "run.ini"
+        noise = {"label_noise_angle": 2, "label_noise_zoom": 20, key: -2}
+        cfg.write_text("[selftrain]\n" + "".join(f"{k} = {v}\n" for k, v in noise.items()))
+        assert run([
+            "--config", str(cfg), "eval", "--scene", str(scene_file), "--policy", "noisy-oracle",
+            "--out", str(tmp_path),
+        ]) == 3
+        assert f"[selftrain] {key}: must be >= 0" in capsys.readouterr().err
+
     def test_missing_scene_is_data_error(self, tmp_path):
         assert run(["eval", "--scene", str(tmp_path / "nope.jsonl"), "--policy", "oracle"]) == 3
 
@@ -191,8 +222,10 @@ class TestBadInputRows:
             ({"id": "b", "bbox": [100, 100, float("nan"), 180]}, "bbox numbers must be finite"),
             ({"id": "b", "image_w": float("inf")}, "bad grounding record"),
             ({}, "duplicate id 'a' (first on line 1)"),
+            ({"id": "b", "image_w": 640.9, "image_h": 480}, "image_w must be an integer, got 640.9"),
+            ({"id": "b", "image_h": True}, "image_h must be an integer, got True"),
         ],
-        ids=["nan-bbox", "inf-image-size", "duplicate-id"],
+        ids=["nan-bbox", "inf-image-size", "duplicate-id", "fractional-image-size", "bool-image-size"],
     )
     def test_synth_rejects_bad_record(self, tmp_path, scene_file, capsys, second, reason):
         assert run(["fit", "--scene", str(scene_file), "--kind", "ols", "--out", str(tmp_path), "--quiet"]) == 0
@@ -246,6 +279,15 @@ class TestIterate:
         assert exc.value.code == 2
         assert "--thresholds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--label-noise-angle", "--label-noise-zoom"])
+    @pytest.mark.parametrize("value", ["-3", "nan", "inf"])
+    def test_bad_label_noise_flag_is_usage_error(self, tmp_path, scene_file, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["iterate", "--scene", str(scene_file), flag, value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "round_report.jsonl").exists()
+
     def test_empty_filter_exit_code(self, tmp_path, scene_file):
         code = run([
             "iterate", "--scene", str(scene_file), "--rounds", "1",
@@ -264,6 +306,21 @@ class TestGrpoTrain:
         assert (tmp_path / "policy.json").exists()
         log = [json.loads(l) for l in (tmp_path / "train_log.jsonl").read_text().splitlines()]
         assert [r["step"] for r in log] == [0, 1, 2]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_non_positive_steps_flag_is_usage_error(self, tmp_path, scene_file, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["grpo-train", "--scene", str(scene_file), "--steps", value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_steps_key_is_config_error(self, tmp_path, scene_file, capsys, value):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[grpo]\nsteps = {value}\n")
+        assert run(["--config", str(cfg), "grpo-train", "--scene", str(scene_file), "--out", str(tmp_path)]) == 3
+        assert "[grpo] steps: must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "policy.json").exists()
 
     def test_policy_checkpoint_usable_by_eval(self, tmp_path, scene_file):
         run([

@@ -317,12 +317,6 @@ class TestSelfTrainingTrend:
 
 
 class TestSampleFiles:
-    def test_round_trip(self, tmp_path, dataset):
-        path = tmp_path / "samples.jsonl"
-        st.write_samples(path, dataset[:20])
-        loaded = st.read_samples(path)
-        assert loaded == dataset[:20]
-
     def test_round_report_file(self, tmp_path, dataset):
         cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,), seed=2)
         factory = st.regressor_policy_factory(
