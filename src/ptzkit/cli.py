@@ -89,13 +89,23 @@ def _thresholds_flag(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _steps_flag(text: str) -> int:
+def _positive_int_flag(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _fraction_flag(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1), got {text!r}")
     return value
 
 
@@ -454,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iterate", parents=[globals_parent], help="multi-round IoU-filtered self-training")
     p.add_argument("--scene", required=True)
-    p.add_argument("--rounds", type=int, default=None)
+    p.add_argument("--rounds", type=_positive_int_flag, default=None)
     p.add_argument(
         "--thresholds", type=_thresholds_flag, default=None,
         help="per-round IoU thresholds in [0, 1], comma separated",
@@ -463,13 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-replace-bbox", dest="replace_bbox", action="store_false")
     p.add_argument("--label-noise-angle", type=_sigma_flag, default=None, help="sigma in degrees")
     p.add_argument("--label-noise-zoom", type=_sigma_flag, default=None, help="sigma in zoom units")
-    p.add_argument("--split", type=float, default=None, help="held-out test fraction")
+    p.add_argument("--split", type=_fraction_flag, default=None, help="held-out test fraction")
     p.add_argument("--report", default="round_report.jsonl")
     p.set_defaults(func=cmd_iterate)
 
     p = sub.add_parser("grpo-train", parents=[globals_parent], help="train the toy policy with GRPO")
     p.add_argument("--scene", required=True)
-    p.add_argument("--steps", type=_steps_flag, default=None)
+    p.add_argument("--steps", type=_positive_int_flag, default=None)
     p.add_argument("--policy-file", default="policy.json")
     p.add_argument("--report", default="train_log.jsonl")
     p.set_defaults(func=cmd_grpo_train)

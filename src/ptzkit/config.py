@@ -1,9 +1,12 @@
 """Run configuration: INI-style file with sections, strict key validation.
 
 Every command-line flag overrides its config key; unknown sections or keys
-are rejected so a typo cannot silently fall back to a default.  Float keys
-must be finite, ``[codec] vocab_path`` must exist, ``[grpo] steps`` must be
-positive and the ``[selftrain]`` label noise sigmas non-negative at load time.
+are rejected so a typo cannot silently fall back to a default, and a file
+configparser cannot parse (a repeated key, a key before any section header)
+is a config error naming the file.  Float keys must be finite, ``[codec]
+vocab_path`` must exist, ``[grpo] steps`` and ``[selftrain] rounds`` must be
+positive, ``[selftrain] split`` in (0, 1) and the ``[selftrain]`` label noise
+sigmas non-negative at load time.
 """
 
 from __future__ import annotations
@@ -143,7 +146,10 @@ def _coerce(raw: str, target_type: type, where: str):
 def load_config(path) -> RunConfig:
     """Parse and validate a config file; unknown sections/keys are errors."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a repeated key, a key before any [section]
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     cfg = RunConfig()
@@ -167,6 +173,10 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"[codec] vocab_path: path does not exist: {cfg.codec.vocab_path}")
     if cfg.grpo.steps <= 0:
         raise ConfigError(f"[grpo] steps: must be positive, got {cfg.grpo.steps}")
+    if cfg.selftrain.rounds <= 0:
+        raise ConfigError(f"[selftrain] rounds: must be positive, got {cfg.selftrain.rounds}")
+    if not 0.0 < cfg.selftrain.split < 1.0:
+        raise ConfigError(f"[selftrain] split: must be in (0, 1), got {cfg.selftrain.split}")
     for key in ("label_noise_angle", "label_noise_zoom"):
         if getattr(cfg.selftrain, key) < 0:
             raise ConfigError(f"[selftrain] {key}: must be >= 0, got {getattr(cfg.selftrain, key)}")

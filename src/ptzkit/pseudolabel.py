@@ -135,8 +135,9 @@ def isotropic_crop(b: BBoxPx, image_w: float, image_h: float) -> tuple[BBoxPx, f
     """Smallest frame-aspect window containing the bbox, and the resulting w2.
 
     The window is centered on the bbox center, then translated just enough to
-    stay inside the frame.  w2 is the bbox area over the window area: the
-    area ratio the target would have after zooming onto the window.
+    stay inside the frame, which it never leaves.  w2 is the bbox area over
+    the window area: the area ratio the target would have after zooming onto
+    the window.
     """
     if b.is_empty():
         raise ValueError("cannot crop around an empty bbox")
@@ -144,11 +145,11 @@ def isotropic_crop(b: BBoxPx, image_w: float, image_h: float) -> tuple[BBoxPx, f
     win_w = max(b.width, b.height * aspect)
     win_h = win_w / aspect
     cx, cy = b.center()
-    x0 = cx - win_w / 2.0
-    y0 = cy - win_h / 2.0
-    x0 = min(max(x0, 0.0), image_w - win_w)
-    y0 = min(max(y0, 0.0), image_h - win_h)
-    window = BBoxPx(x0, y0, x0 + win_w, y0 + win_h)
+    # a bbox of the frame's full height can round the window an ulp past the
+    # frame; clamping its edges into the frame keeps w2 >= w1
+    x0 = max(min(cx - win_w / 2.0, image_w - win_w), 0.0)
+    y0 = max(min(cy - win_h / 2.0, image_h - win_h), 0.0)
+    window = BBoxPx(x0, y0, min(x0 + win_w, image_w), min(y0 + win_h, image_h))
     return window, b.area() / window.area()
 
 

@@ -163,6 +163,21 @@ class TestIoU:
     def test_empty_is_zero(self):
         assert iou(BBoxPx.empty(), BBoxPx(0, 0, 10, 10)) == 0.0
 
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(hst.data())
+    def test_symmetric_and_in_unit_interval(self, data):
+        coord = hst.floats(-1e4, 1e4, allow_nan=False)
+        visibility = hst.sampled_from([cam.VISIBILITY_FULL, cam.VISIBILITY_CLIPPED, cam.VISIBILITY_OUT])
+        boxes = []
+        for _ in range(2):
+            x0, x1 = sorted(data.draw(hst.tuples(coord, coord)))
+            y0, y1 = sorted(data.draw(hst.tuples(coord, coord)))
+            boxes.append(BBoxPx(x0, y0, x1, y1, data.draw(visibility)))
+        a, b = boxes
+        assert iou(a, b) == iou(b, a)
+        assert 0.0 <= iou(a, b) <= 1.0
+        assert iou(a, a) == (0.0 if a.is_empty() or a.area() == 0.0 else 1.0)
+
 
 class TestAreaRatio:
     def test_full_frame(self):

@@ -288,6 +288,25 @@ class TestIterate:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "round_report.jsonl").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--rounds", "-1"), ("--rounds", "0"), ("--rounds", "two"),
+        ("--split", "1.5"), ("--split", "0"), ("--split", "1"), ("--split", "nan"),
+    ])
+    def test_bad_rounds_or_split_flag_is_usage_error(self, tmp_path, scene_file, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["iterate", "--scene", str(scene_file), flag, value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "round_report.jsonl").exists()
+
+    @pytest.mark.parametrize("key,value", [("rounds", "0"), ("rounds", "-1"), ("split", "1.5"), ("split", "0")])
+    def test_bad_rounds_or_split_key_is_config_error(self, tmp_path, scene_file, capsys, key, value):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[selftrain]\n{key} = {value}\n")
+        assert run(["--config", str(cfg), "iterate", "--scene", str(scene_file), "--out", str(tmp_path)]) == 3
+        assert f"config error: [selftrain] {key}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "round_report.jsonl").exists()
+
     def test_empty_filter_exit_code(self, tmp_path, scene_file):
         code = run([
             "iterate", "--scene", str(scene_file), "--rounds", "1",
@@ -367,6 +386,19 @@ class TestConfig:
             cfg.write_text(f"[{section}]\n{key} = {value}\n")
             assert run(["--config", str(cfg), "scene-gen", "--count", "1", "--out", str(tmp_path)]) == 3
             assert f"[{section}] {key}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[selftrain]\nlabel_noise_zoom = 1\nlabel_noise_zoom = 2\n",  # repeated key
+        "seed = 3\n[run]\nseed = 4\n",  # key before any section header
+        "[run]\nseed = 3\n[run]\nseed = 4\n",  # repeated section
+    ], ids=["repeated-key", "key-before-section", "repeated-section"])
+    def test_unparsable_file_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        assert run(["--config", str(cfg), "scene-gen", "--count", "1", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(cfg) in err
+        assert not (tmp_path / "scene.jsonl").exists()
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -287,6 +287,58 @@ def random_actions(n, seed, limit=999):
 BATCH_VOCABS = {"default": TokenVocab.default(), "levels2-base7": TokenVocab.default(levels=2, base_id=7)}
 
 
+def draw_token_row(data, vocab, width):
+    """Arbitrary ids around the vocabulary's range, or a canonical row with a
+    few ids substituted, deleted or inserted."""
+    some_id = st.integers(vocab.base_id - 1, vocab.base_id + len(vocab))
+    if data.draw(st.booleans()):
+        return data.draw(st.lists(some_id, max_size=width))
+    limit = vocab.max_value
+    action = ActionDelta(
+        data.draw(st.integers(-limit, limit)),
+        data.draw(st.integers(-limit, limit)),
+        data.draw(st.integers(0, limit)),
+    )
+    row = list(encode_action(action, vocab).ids)
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(row) - 1))
+        edit = data.draw(st.sampled_from(["substitute", "delete", "insert"]))
+        if edit == "substitute":
+            row[at] = data.draw(some_id)
+        elif edit == "delete" and len(row) > 1:
+            del row[at]
+        elif edit == "insert" and len(row) < width:
+            row.insert(at, data.draw(some_id))
+    return row
+
+
+class TestDecodeProperties:
+    @settings(derandomize=True, max_examples=1500, deadline=None)
+    @given(st.sampled_from(sorted(BATCH_VOCABS)), st.data())
+    def test_strict_acceptance_implies_lenient_with_same_value(self, name, data):
+        vocab = BATCH_VOCABS[name]
+        row = draw_token_row(data, vocab, 6 + 9 * vocab.levels)
+        try:
+            strict = decode(row, vocab, strict=True)
+        except CodecError:
+            return
+        assert decode(row, vocab, strict=False) == strict
+
+    @settings(derandomize=True, max_examples=1500, deadline=None)
+    @given(st.sampled_from(sorted(BATCH_VOCABS)), st.data())
+    def test_lenient_decode_raises_only_codec_error(self, name, data):
+        vocab = BATCH_VOCABS[name]
+        if data.draw(st.booleans()):
+            row = draw_token_row(data, vocab, 2 * (6 + 9 * vocab.levels))
+        else:
+            row = data.draw(st.lists(st.integers(-(2**70), 2**70), max_size=12))
+        try:
+            action = decode(row, vocab, strict=False)
+        except CodecError:
+            return
+        assert isinstance(action, ActionDelta)
+
+
 class TestBatchCodec:
     @pytest.mark.parametrize("name", sorted(BATCH_VOCABS))
     def test_encode_batch_matches_encode_action(self, name):
@@ -341,27 +393,7 @@ class TestBatchCodec:
     def test_decode_batch_accepts_exactly_what_strict_decode_accepts(self, name, data):
         vocab = BATCH_VOCABS[name]
         width = 6 + 9 * vocab.levels
-        some_id = st.integers(vocab.base_id - 1, vocab.base_id + len(vocab))
-        if data.draw(st.booleans()):
-            row = data.draw(st.lists(some_id, max_size=width))
-        else:
-            # a canonical row with a few ids substituted, deleted or inserted
-            limit = vocab.max_value
-            action = ActionDelta(
-                data.draw(st.integers(-limit, limit)),
-                data.draw(st.integers(-limit, limit)),
-                data.draw(st.integers(0, limit)),
-            )
-            row = list(encode_action(action, vocab).ids)
-            for _ in range(data.draw(st.integers(0, 3))):
-                at = data.draw(st.integers(0, len(row) - 1))
-                edit = data.draw(st.sampled_from(["substitute", "delete", "insert"]))
-                if edit == "substitute":
-                    row[at] = data.draw(some_id)
-                elif edit == "delete" and len(row) > 1:
-                    del row[at]
-                elif edit == "insert" and len(row) < width:
-                    row.insert(at, data.draw(some_id))
+        row = draw_token_row(data, vocab, width)
         try:
             expected = decode(row, vocab, strict=True).as_tuple()
         except CodecError:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as hst
 
 from ptzkit import camera as cam
 from ptzkit import codec
@@ -83,6 +85,24 @@ class TestIsotropicCrop:
             assert window.y_min >= -1e-9 and window.y_max <= h_img + 1e-9
             # w2 is never below w1
             assert w2 >= b.area() / (w_img * h_img) - 1e-12
+
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        hst.integers(1, 4000), hst.integers(1, 4000),
+        *[hst.one_of(hst.sampled_from([0.0, 1.0]), hst.floats(0.0, 1.0)) for _ in range(4)],
+    )
+    @example(399, 386, 0.0, 1.0, 0.0, 1.0)  # the full frame: its window once left it by an ulp
+    def test_window_stays_in_frame_and_w2_at_least_w1(self, w_img, h_img, a, b, c, d):
+        x0, x1 = sorted((a * w_img, b * w_img))
+        y0, y1 = sorted((c * h_img, d * h_img))
+        box = BBoxPx(x0, y0, x1, y1)
+        assume(box.area() > 0.0)
+        window, w2 = pl.isotropic_crop(box, w_img, h_img)
+        assert 0.0 <= window.x_min <= window.x_max <= w_img
+        assert 0.0 <= window.y_min <= window.y_max <= h_img
+        w1 = box.area() / (w_img * h_img)
+        assert w2 >= w1  # else zoom_label rejects the record
 
 
 class TestZoomLabel:
