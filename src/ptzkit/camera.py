@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ptzkit import jsonl
-from ptzkit.codec import ActionDelta
+from ptzkit.codec import ActionDelta, round_half_away_batch
 
 VISIBILITY_FULL = "full"
 VISIBILITY_CLIPPED = "clipped"
@@ -322,8 +322,8 @@ def oracle_actions(
     # one 3-vector dot per row, as the scalar code rounds it
     ok = np.array([float(di @ fi) > 0.0 for di, fi in zip(d, forward)], dtype=bool)
     actions = np.zeros((len(targets), 3), dtype=np.int64)
-    actions[:, 0] = [round_half_away(x) for x in wrap_angles(azimuth - pan).tolist()]
-    actions[:, 1] = [round_half_away(x) for x in (np.clip(elevation, -90.0, 90.0) - tilt).tolist()]
+    actions[:, 0] = round_half_away_batch(wrap_angles(azimuth - pan))
+    actions[:, 1] = round_half_away_batch(np.clip(elevation, -90.0, 90.0) - tilt)
     centered = apply_action_batch(pan, tilt, zoom, actions, zoom_max)
     hull, behind = _hull_batch(*centered, k, target_corners(targets))
     ok &= ~behind

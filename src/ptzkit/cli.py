@@ -287,7 +287,6 @@ def cmd_grpo_train(args, cfg: RunConfig) -> int:
     tasks = st.grpo_tasks_from_samples(samples)
     g = cfg.grpo
     grpo_cfg = rw.GRPOConfig(
-        clip_eps=g.clip_eps,
         kl_weight=g.kl_weight,
         group_size=g.group_size,
         learning_rate=g.learning_rate,

@@ -22,7 +22,8 @@ additionally tolerates arbitrary magnitude order, missing dimension markers
 covers the kind of near-miss sequences a sampling policy emits.
 
 ``encode_batch`` and ``decode_batch`` are the array forms of ``encode_action``
-and strict ``decode``, for many actions at once.
+and strict ``decode``, for many actions at once.  ``round_actions`` is the one
+rule that turns real-valued predictions into codec-range integer actions.
 """
 
 from __future__ import annotations
@@ -44,6 +45,29 @@ KIND_END = "end"
 
 AXIS_PAN, AXIS_TILT, AXIS_ZOOM = 0, 1, 2
 _AXIS_NAMES = ("pan", "tilt", "zoom")
+
+
+def round_half_away_batch(x) -> np.ndarray:
+    """Elementwise ``camera.round_half_away`` as float64: nearest integer, ties
+    away from zero, by the same ``floor(x + 0.5)`` / ``ceil(x - 0.5)`` doubles."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+
+
+def round_actions(values) -> np.ndarray:
+    """int64[n, 3] codec-range actions from real-valued (pan, tilt, zoom) rows.
+
+    Every value is rounded half away from zero; pan and tilt are then clamped
+    to +/-MAX_ACTION_VALUE and zoom to [0, MAX_ACTION_VALUE] (zoom in only).
+    A NaN or an infinity raises ``ValueError`` naming its row.
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(-1, 3)
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"predicted action {values[row].tolist()} in row {row} is not finite")
+    lim = MAX_ACTION_VALUE
+    return np.clip(round_half_away_batch(values), [-lim, -lim, 0], lim).astype(np.int64)
 
 
 class CodecError(ValueError):
@@ -231,14 +255,6 @@ class TokenVocab:
 
 
 @dataclass(frozen=True)
-class TokenSeq:
-    """A token-id sequence plus whether it is in canonical form."""
-
-    ids: tuple[int, ...]
-    canonical: bool = True
-
-
-@dataclass(frozen=True)
 class TokenLengthStats:
     """Mean per-action token cost under the two discretizations."""
 
@@ -298,8 +314,8 @@ def _magnitude_ids(value: int, vocab: TokenVocab) -> list[int]:
     return ids
 
 
-def encode_action(action: ActionDelta, vocab: TokenVocab) -> TokenSeq:
-    """Canonical token sequence for an action."""
+def encode_action(action: ActionDelta, vocab: TokenVocab) -> tuple[int, ...]:
+    """Canonical token-id sequence for an action."""
     for name, value in zip(_AXIS_NAMES, action.as_tuple()):
         if abs(value) > vocab.max_value:
             raise CodecRangeError(
@@ -317,10 +333,10 @@ def encode_action(action: ActionDelta, vocab: TokenVocab) -> TokenSeq:
     if action.zoom_units != 0:
         ids.extend(_magnitude_ids(action.zoom_units, vocab))
     ids.append(vocab.end_id)
-    return TokenSeq(tuple(ids), canonical=True)
+    return tuple(ids)
 
 
-def decode(seq: TokenSeq | Iterable[int], vocab: TokenVocab, strict: bool = True) -> ActionDelta:
+def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> ActionDelta:
     """Reconstruct the action by summing signed magnitude contributions.
 
     Strict mode accepts exactly the canonical grammar.  Lenient mode tolerates
@@ -328,7 +344,7 @@ def decode(seq: TokenSeq | Iterable[int], vocab: TokenVocab, strict: bool = True
     it still rejects unknown tokens, duplicate markers, signs on zoom, a
     missing end token, and out-of-range values.
     """
-    ids = tuple(seq.ids if isinstance(seq, TokenSeq) else seq)
+    ids = tuple(seq)
     if not ids:
         raise CodecError("empty token sequence")
     tokens = [vocab.token(i) for i in ids]
@@ -411,26 +427,12 @@ def decode(seq: TokenSeq | Iterable[int], vocab: TokenVocab, strict: bool = True
     return ActionDelta(values[0], values[1], values[2])
 
 
-def is_canonical(seq: TokenSeq | Iterable[int], vocab: TokenVocab) -> bool:
-    try:
-        decode(seq, vocab, strict=True)
-    except CodecError:
-        return False
-    return True
-
-
-def seq_to_str(seq: TokenSeq | Iterable[int], vocab: TokenVocab) -> str:
-    ids = seq.ids if isinstance(seq, TokenSeq) else tuple(seq)
+def seq_to_str(ids: Iterable[int], vocab: TokenVocab) -> str:
     return " ".join(vocab.token(i).symbol for i in ids)
 
 
 def ids_from_str(text: str, vocab: TokenVocab) -> tuple[int, ...]:
     return tuple(vocab.token_for_symbol(sym).token_id for sym in text.split())
-
-
-def seq_from_str(text: str, vocab: TokenVocab) -> TokenSeq:
-    ids = ids_from_str(text, vocab)
-    return TokenSeq(ids, canonical=is_canonical(ids, vocab))
 
 
 def _digit_token_ids(vocab: TokenVocab) -> np.ndarray:

@@ -69,7 +69,6 @@ class RewardSection:
 
 @dataclass
 class GrpoSection:
-    clip_eps: float = 0.2
     kl_weight: float = 0.04
     group_size: int = 8
     learning_rate: float = 4.0

@@ -129,7 +129,11 @@ def _split_block(xt, y_pad, idx, sizes, min_leaf: int):
     feat = np.argmin(best, axis=0)  # first minimum: lowest feature
     best_sse = best[feat, rows]
     k_cut = cut[feat, rows] + min_leaf
-    threshold = (xs[feat, rows, k_cut - 1] + xs[feat, rows, k_cut]) / 2.0
+    below, above = xs[feat, rows, k_cut - 1], xs[feat, rows, k_cut]
+    # the midpoint of neighbouring doubles can round onto the upper one,
+    # which would send every sample left; the lower value splits them as cut
+    threshold = (below + above) / 2.0
+    threshold = np.where(threshold == above, below, threshold)
     found = best_sse < np.inf
     return np.where(found, feat, -1), np.where(found, threshold, 0.0), best_sse
 
@@ -139,10 +143,11 @@ def best_split(x, y, idx, min_leaf: int):
 
     Returns (feature, threshold, sse) with sse the summed child squared error,
     or (-1, 0.0, inf) when no valid split exists.  Candidate thresholds are
-    midpoints between consecutive distinct sorted values; children must keep
-    at least ``min_leaf`` samples.  Ties keep the lowest feature index and
-    then the lowest threshold.  This is one node of the level-wise search
-    that fits the forests.
+    midpoints between consecutive distinct sorted values, or the lower value
+    where the midpoint rounds onto the upper one; children must keep at least
+    ``min_leaf`` samples.  Ties keep the lowest feature index and then the
+    lowest threshold.  This is one node of the level-wise search that fits
+    the forests.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -194,8 +199,7 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, boots: list[np.ndarray], cfg: For
         weak = ~(parent_sse - sse[cand] > 1e-12 * np.maximum(1.0, np.abs(parent_sse)))
         feature[cand[weak]] = -1
         threshold[cand[weak]] = 0.0
-        with np.errstate(invalid="ignore"):  # an empty node's mean is NaN, as np.mean's
-            value = np.where(feature < 0, total / sizes, 0.0)
+        value = np.where(feature < 0, total / sizes, 0.0)
         split = feature >= 0
         n_split = int(np.count_nonzero(split))
         first_child = np.full(n_nodes, -1, dtype=np.int64)

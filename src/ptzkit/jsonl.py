@@ -72,10 +72,11 @@ def write(path, records) -> None:
 
 
 def finite(values, what: str) -> list[float]:
-    """``values`` as floats; a NaN or an infinity raises ``ValueError``."""
+    """``values`` as floats; a NaN or an infinity raises ``ValueError`` naming the first."""
     out = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{what} must be finite, got {out}")
+    for i, v in enumerate(out):
+        if not math.isfinite(v):
+            raise ValueError(f"{what} must be finite, got {v} at position {i}")
     return out
 
 

@@ -116,7 +116,10 @@ class RegressorModel:
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.kind == "ols_linear":
-            return x @ self.ols_coef.T + self.ols_intercept
+            # finite coefficients can still overflow; the inf or NaN that
+            # results is rejected where the prediction is rounded
+            with np.errstate(over="ignore", invalid="ignore"):
+                return x @ self.ols_coef.T + self.ols_intercept
         out = np.empty((x.shape[0], 3))
         for j, name in enumerate(HEAD_NAMES):
             out[:, j] = self.forests[name].predict(x)
@@ -270,27 +273,22 @@ def generate(
         bbox_post = _bbox_in_crop_frame(record.bbox, window, record.image_w, record.image_h)
         pending.append((record.id, template.format(phrase=record.phrase), bbox_post, w1, w2))
     pred = model.predict_batch(x[: len(pending)])
-
-    labels: list[PseudoLabel] = []
-    limit = codec.MAX_ACTION_VALUE
-    for (record_id, instruction, bbox_post, w1, w2), row in zip(pending, pred):
-        pan = max(-limit, min(limit, round_half_away(float(row[0]))))
-        tilt = max(-limit, min(limit, round_half_away(float(row[1]))))
-        if zoom_source == "geometry":
-            zoom = zoom_label(w1, w2)
-        else:
-            zoom = round_half_away(float(row[2]))
-        zoom = max(0, min(limit, zoom))
-        labels.append(
-            PseudoLabel(
-                record_id=record_id,
-                instruction=instruction,
-                action=ActionDelta(pan, tilt, zoom),
-                gt_bbox_post=bbox_post,
-                w1=w1,
-                w2=w2,
-            )
+    if zoom_source == "geometry":
+        # already an integer, which the rounding keeps
+        pred[:, 2] = [zoom_label(w1, w2) for *_, w1, w2 in pending]
+    labels = [
+        PseudoLabel(
+            record_id=record_id,
+            instruction=instruction,
+            action=ActionDelta(*action),
+            gt_bbox_post=bbox_post,
+            w1=w1,
+            w2=w2,
         )
+        for (record_id, instruction, bbox_post, w1, w2), action in zip(
+            pending, codec.round_actions(pred).tolist()
+        )
+    ]
     return labels, skipped
 
 
@@ -403,13 +401,19 @@ def save_model(path, model: RegressorModel) -> None:
 
 
 def model_from_dict(doc: dict) -> RegressorModel:
+    """A model as ``save_model`` writes it; a NaN or an infinite coefficient,
+    intercept, tree threshold or leaf value raises ``ValueError``."""
     cfg = RegressorConfig(kind=doc["kind"], **doc["config"])
     model = RegressorModel(config=cfg, train_r2=dict(doc.get("train_r2", {})))
+    heads = doc["heads"]
     if cfg.kind == "ols_linear":
-        model.ols_coef = np.array([doc["heads"][n]["coef"] for n in HEAD_NAMES])
-        model.ols_intercept = np.array([doc["heads"][n]["intercept"] for n in HEAD_NAMES])
+        model.ols_coef = np.array([jsonl.finite(heads[n]["coef"], f"{n} coef") for n in HEAD_NAMES])
+        model.ols_intercept = np.array(jsonl.finite([heads[n]["intercept"] for n in HEAD_NAMES], "intercepts"))
     else:
-        model.forests = {n: RandomForest.from_dict(doc["heads"][n]) for n in HEAD_NAMES}
+        for n in HEAD_NAMES:
+            for i, tree in enumerate(heads[n]["trees"]):
+                jsonl.finite(tree["threshold"] + tree["value"], f"{n} tree {i} thresholds and values")
+        model.forests = {n: RandomForest.from_dict(heads[n]) for n in HEAD_NAMES}
     return model
 
 

@@ -32,12 +32,11 @@ from ptzkit.camera import (
     TargetSpec,
     apply_action_batch,
     bbox_arrays,
-    bbox_row,
     iou_batch,
     project_batch,
     target_corners,
 )
-from ptzkit.codec import ActionDelta
+from ptzkit.codec import MAX_ACTION_VALUE, ActionDelta
 
 HEADS = ("pan", "tilt", "zoom")
 
@@ -212,9 +211,11 @@ class ToyPolicy:
     def __init__(self, bins: dict[str, np.ndarray], weights: dict[str, np.ndarray]):
         self.bins = {h: np.asarray(bins[h], dtype=np.int64) for h in HEADS}
         self.weights = {h: np.asarray(weights[h], dtype=np.float64) for h in HEADS}
-        for h in HEADS:
+        for h, low in zip(HEADS, (-MAX_ACTION_VALUE, -MAX_ACTION_VALUE, 0)):
             if self.weights[h].shape[0] != self.bins[h].shape[0]:
                 raise ValueError(f"{h} weight rows must match bin count")
+            if np.any(self.bins[h] < low) or np.any(self.bins[h] > MAX_ACTION_VALUE):
+                raise ValueError(f"{h} bins must lie in [{low}, {MAX_ACTION_VALUE}]")
         self.n_features = self.weights[HEADS[0]].shape[1] - 1
 
     @classmethod
@@ -252,24 +253,6 @@ class ToyPolicy:
         idx = draw_bins(self.log_probs(features), rng.random((1, len(HEADS))))
         return tuple(idx[0].tolist()), ActionDelta(*self.actions_of(idx)[0].tolist())
 
-    def greedy(self, features: np.ndarray) -> ActionDelta:
-        lp = self.log_probs(features)
-        return ActionDelta(
-            int(self.bins["pan"][int(np.argmax(lp["pan"]))]),
-            int(self.bins["tilt"][int(np.argmax(lp["tilt"]))]),
-            int(self.bins["zoom"][int(np.argmax(lp["zoom"]))]),
-        )
-
-    def kl_to(self, ref: "ToyPolicy", features: np.ndarray) -> float:
-        """Analytic KL(self || ref) at this prompt, summed over heads."""
-        lp = self.log_probs(features)
-        lp_ref = ref.log_probs(features)
-        total = 0.0
-        for h in HEADS:
-            p = np.exp(lp[h])
-            total += float(np.sum(p * (lp[h] - lp_ref[h])))
-        return total
-
     def to_dict(self) -> dict:
         return {
             "bins": {h: self.bins[h].tolist() for h in HEADS},
@@ -278,10 +261,12 @@ class ToyPolicy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyPolicy":
-        return cls(
-            {h: np.asarray(d["bins"][h]) for h in HEADS},
-            {h: np.asarray(d["weights"][h]) for h in HEADS},
-        )
+        """A policy as ``to_dict`` writes it; a NaN or an infinite weight raises ``ValueError``."""
+        weights = {}
+        for h in HEADS:
+            weights[h] = np.asarray(d["weights"][h], dtype=np.float64)
+            jsonl.finite(weights[h].ravel().tolist(), f"{h} weights")
+        return cls({h: np.asarray(d["bins"][h]) for h in HEADS}, weights)
 
 
 def save_policy(path, policy: ToyPolicy, seed: int | None = None) -> None:
@@ -293,18 +278,11 @@ def save_policy(path, policy: ToyPolicy, seed: int | None = None) -> None:
         fh.write("\n")
 
 
-def load_policy(path) -> ToyPolicy:
-    return jsonl.load(path, ToyPolicy.from_dict, "policy checkpoint")
-
-
 @dataclass(frozen=True)
 class Rollout:
     action: ActionDelta
     bins: tuple[int, int, int]
-    pred_bbox: BBoxPx
-    logp_cur: float
-    logp_old: float
-    logp_ref: float
+    logp_old: float  # of ``bins`` under the policy that sampled them
     reward: float
     advantage: float
 
@@ -370,23 +348,10 @@ def build_rollout_group(
     )
     rewards = reward_totals(terms).tolist()
     advantages = group_advantages(rewards, cfg.std_guard)
-    logp_cur = cur_lp["pan"][idx[:, 0]] + cur_lp["tilt"][idx[:, 1]] + cur_lp["zoom"][idx[:, 2]]
-    logp_ref = ref_lp["pan"][idx[:, 0]] + ref_lp["tilt"][idx[:, 1]] + ref_lp["zoom"][idx[:, 2]]
+    logp = cur_lp["pan"][idx[:, 0]] + cur_lp["tilt"][idx[:, 1]] + cur_lp["zoom"][idx[:, 2]]
     rollouts = [
-        Rollout(
-            action=ActionDelta(*a),
-            bins=tuple(b),
-            pred_bbox=bbox_row(box, code),
-            logp_cur=lc,
-            logp_old=lc,  # sampling is on-policy
-            logp_ref=lr,
-            reward=r,
-            advantage=adv,
-        )
-        for a, b, box, code, lc, lr, r, adv in zip(
-            actions.tolist(), idx.tolist(), boxes, codes, logp_cur.tolist(), logp_ref.tolist(),
-            rewards, advantages,
-        )
+        Rollout(action=ActionDelta(*a), bins=tuple(b), logp_old=lp, reward=r, advantage=adv)
+        for a, b, lp, r, adv in zip(actions.tolist(), idx.tolist(), logp.tolist(), rewards, advantages)
     ]
     return RolloutGroup(
         prompt_id=task.prompt_id,
@@ -409,18 +374,6 @@ def _group_kl(cur_lp: dict[str, np.ndarray], ref_lp: dict[str, np.ndarray]) -> f
 def _clipped_term(s: float, advantage: float, clip_eps: float) -> float:
     clipped = min(max(s, 1.0 - clip_eps), 1.0 + clip_eps)
     return min(s * advantage, clipped * advantage)
-
-
-def grpo_objective(group: RolloutGroup, cfg: GRPOConfig) -> float:
-    """Clipped surrogate minus the KL penalty, averaged over the group."""
-    total = 0.0
-    for r in group.rollouts:
-        if not (math.isfinite(r.logp_cur) and math.isfinite(r.logp_old)):
-            raise ValueError("non-finite log-probabilities in rollout group")
-        s = math.exp(r.logp_cur - r.logp_old)
-        total += _clipped_term(s, r.advantage, cfg.clip_eps)
-    kl = _group_kl(group.cur_log_probs, group.ref_log_probs)
-    return total / len(group.rollouts) - cfg.kl_weight * kl
 
 
 def objective_under_policy(policy: ToyPolicy, groups: Sequence[RolloutGroup], cfg: GRPOConfig) -> float:

@@ -37,12 +37,11 @@ from ptzkit.camera import (
     oracle_actions,
     project,  # noqa: F401  (perfbench checks its tracer restores selftrain.project)
     project_batch,
-    round_half_away,
     target_corners,
 )
-from ptzkit.codec import MAX_ACTION_VALUE, ActionDelta
+from ptzkit.codec import ActionDelta, round_actions
 from ptzkit.pseudolabel import FeatureVec, RegressorConfig, RegressorModel
-from ptzkit.rewards import GrpoTask, ToyPolicy
+from ptzkit.rewards import HEADS, GrpoTask, ToyPolicy
 
 DEFAULT_FILL_RATIO = 0.30
 
@@ -132,8 +131,9 @@ class IterationConfig:
 
 
 class PolicyAdapter(Protocol):
-    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
-        """One action per sample, in order; each depends only on its own sample."""
+    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
+        """int64[n, 3] (pan, tilt, zoom) rows, one per sample in order; each
+        depends only on its own sample."""
         ...
 
 
@@ -145,35 +145,22 @@ def _start_poses(samples: Sequence[SampleTuple]) -> tuple[np.ndarray, np.ndarray
     )
 
 
-def _oracle_batch(
-    samples: Sequence[SampleTuple], k: CameraIntrinsics, fill_ratio: float
-) -> list[ActionDelta]:
+def _oracle_batch(samples: Sequence[SampleTuple], k: CameraIntrinsics, fill_ratio: float) -> np.ndarray:
     actions, ok = oracle_actions(*_start_poses(samples), k, [s.target for s in samples], fill_ratio)
     if not ok.all():
         raise ValueError("target out of front hemisphere")
-    return [ActionDelta(*row) for row in actions.tolist()]
+    return actions
 
 
 def _simulate_bboxes(
-    samples: Sequence[SampleTuple], actions: Sequence[ActionDelta], k: CameraIntrinsics
+    samples: Sequence[SampleTuple], actions: np.ndarray, k: CameraIntrinsics
 ) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Each sample's post-action box and visibility code, from one projection of
     the batch, with its IoU against the sample's ground-truth box."""
-    moves = np.array([a.as_tuple() for a in actions], dtype=np.int64).reshape(len(actions), 3)
-    pose = apply_action_batch(*_start_poses(samples), moves)
+    pose = apply_action_batch(*_start_poses(samples), actions)
     boxes, codes = project_batch(*pose, k, target_corners([s.target for s in samples]))
     overlaps = iou_batch(boxes, codes, *bbox_arrays([s.gt_bbox_post for s in samples]))
     return overlaps.tolist(), boxes, codes
-
-
-def _rounded_action(pan: float, tilt: float, zoom: float) -> ActionDelta:
-    """Round half away from zero, then clamp to the codec range (zoom in only)."""
-    lim = MAX_ACTION_VALUE
-    return ActionDelta(
-        max(-lim, min(lim, round_half_away(pan))),
-        max(-lim, min(lim, round_half_away(tilt))),
-        max(0, min(lim, round_half_away(zoom))),
-    )
 
 
 @dataclass(frozen=True)
@@ -181,7 +168,7 @@ class OraclePolicy:
     k: CameraIntrinsics
     fill_ratio: float = DEFAULT_FILL_RATIO
 
-    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
+    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
         return _oracle_batch(samples, self.k, self.fill_ratio)
 
 
@@ -202,29 +189,22 @@ class NoisyOraclePolicy:
     seed: int = 0
     fill_ratio: float = DEFAULT_FILL_RATIO
 
-    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
+    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
         sigma = [self.sigma_pan, self.sigma_tilt, self.sigma_zoom]
-        out = []
-        for s, exact in zip(samples, _oracle_batch(samples, self.k, self.fill_ratio)):
-            noise = _sample_rng(self.seed, s.id).normal(0.0, sigma)
-            out.append(
-                _rounded_action(
-                    exact.pan_deg + noise[0], exact.tilt_deg + noise[1], exact.zoom_units + noise[2]
-                )
-            )
-        return out
+        noise = np.array([_sample_rng(self.seed, s.id).normal(0.0, sigma) for s in samples]).reshape(-1, 3)
+        return round_actions(_oracle_batch(samples, self.k, self.fill_ratio) + noise)
 
 
 @dataclass(frozen=True)
 class RegressorPolicy:
     model: RegressorModel
 
-    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
+    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
         if not samples:
-            return []
+            return np.zeros((0, 3), dtype=np.int64)
         include_zoom = self.model.config.use_zoom_feature
         x = np.stack([s.features.as_array(include_zoom) for s in samples])
-        return [_rounded_action(*row.tolist()) for row in self.model.predict_batch(x)]
+        return round_actions(self.model.predict_batch(x))
 
 
 @dataclass(frozen=True)
@@ -233,16 +213,20 @@ class ToyPolicyAdapter:
 
     policy: ToyPolicy
 
-    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
-        return [self.policy.greedy(s.features.as_array(False)) for s in samples]
+    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
+        if not samples:
+            return np.zeros((0, 3), dtype=np.int64)
+        log_probs = [self.policy.log_probs(s.features.as_array(False)) for s in samples]
+        idx = np.stack([np.argmax(np.stack([lp[h] for lp in log_probs]), axis=1) for h in HEADS], axis=1)
+        return self.policy.actions_of(idx)
 
 
 @dataclass(frozen=True)
 class ConstantPolicy:
     action: ActionDelta
 
-    def actions(self, samples: Sequence[SampleTuple]) -> list[ActionDelta]:
-        return [self.action] * len(samples)
+    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
+        return np.tile(np.array(self.action.as_tuple(), dtype=np.int64), (len(samples), 1))
 
 
 def make_samples(
@@ -297,7 +281,7 @@ def make_samples(
 
 def relabel(dataset: Sequence[SampleTuple], policy: PolicyAdapter) -> list[SampleTuple]:
     """Replace every working action label with the policy's action."""
-    return [replace(s, gt_action=a) for s, a in zip(dataset, policy.actions(dataset))]
+    return [replace(s, gt_action=ActionDelta(*a)) for s, a in zip(dataset, policy.actions(dataset).tolist())]
 
 
 def completion(post_bbox: BBoxPx, k: CameraIntrinsics, cfg: CompletionConfig = CompletionConfig()) -> bool:
@@ -325,7 +309,7 @@ def evaluate(
         raise ValueError("empty test set")
     actions = policy.actions(testset)
     overlaps, boxes, codes = _simulate_bboxes(testset, actions, k)
-    taken = np.array([a.as_tuple() for a in actions], dtype=np.float64)
+    taken = actions.astype(np.float64)
     wanted = np.array([s.gt_action.as_tuple() for s in testset], dtype=np.float64)
     abs_err = np.abs(taken - wanted).sum(axis=0)  # integer-valued: exact in any order
     iou_sum = 0.0
@@ -364,14 +348,14 @@ def run_round(
     refined: list[SampleTuple] = []
     iou_all = 0.0
     iou_kept = 0.0
-    for i, (s, action, overlap) in enumerate(zip(dataset, actions, overlaps)):
+    for i, (s, overlap) in enumerate(zip(dataset, overlaps)):
         iou_all += overlap
         if overlap > threshold:
             iou_kept += overlap
             refined.append(
                 replace(
                     s,
-                    gt_action=action,
+                    gt_action=ActionDelta(*actions[i].tolist()),
                     gt_bbox_post=s.gt_bbox_post if replace_bbox else bbox_row(boxes[i], codes[i]),
                 )
             )

@@ -42,7 +42,7 @@ def test_01_codec_round_trip_exhaustive_or_sampled():
     for i in range(0, 20000, 97):
         a = ActionDelta(int(pan[i]), int(tilt[i]), int(zoom[i]))
         seq = codec.encode_action(a, vocab)
-        assert tuple(tokens[i, : lengths[i]]) == seq.ids
+        assert tuple(tokens[i, : lengths[i]]) == seq
         assert codec.decode(seq, vocab) == a
 
     n = 10**6
@@ -163,10 +163,7 @@ def _fd_policy_and_groups():
             b = tuple(int(rng.integers(0, 5)) for _ in range(3))
             lp = float(sum(cur_lp[h][b[j]] for j, h in enumerate(rw.HEADS)))
             rollouts.append(
-                rw.Rollout(
-                    ActionDelta(0, 0, 0), b, BBoxPx(0, 0, 1, 1),
-                    lp, lp - float(rng.normal(0, 0.3)), 0.0, rewards[i], advantages[i],
-                )
+                rw.Rollout(ActionDelta(0, 0, 0), b, lp - float(rng.normal(0, 0.3)), rewards[i], advantages[i])
             )
         groups.append(rw.RolloutGroup(f"g{g}", feats, rollouts, cur_lp, ref_lp))
     return policy, groups, cfg
@@ -208,8 +205,8 @@ def test_06_grpo_gradient_and_clipping():
         "clip",
         feats,
         [
-            rw.Rollout(ActionDelta(0, 0, 0), (0, 1, 2), BBoxPx(0, 0, 1, 1), lp_a, lp_a - shift, 0.0, 1.0, advantages[0]),
-            rw.Rollout(ActionDelta(0, 0, 0), (3, 2, 1), BBoxPx(0, 0, 1, 1), lp_b, lp_b + shift, 0.0, -1.0, advantages[1]),
+            rw.Rollout(ActionDelta(0, 0, 0), (0, 1, 2), lp_a - shift, 1.0, advantages[0]),
+            rw.Rollout(ActionDelta(0, 0, 0), (3, 2, 1), lp_b + shift, -1.0, advantages[1]),
         ],
         lp,
         lp,

@@ -257,6 +257,87 @@ class TestBadInputRows:
         assert f"{pairs}:5: " in err and "features must be finite" in err
 
 
+CORNER_TARGET = {
+    "id": "a", "azimuth": 20.0, "elevation": -10.0, "distance": 2.0, "width": 0.4, "height": 0.4, "phrase": "red mug",
+}
+CORNER_RECORD = {"id": "a", "image_w": 640, "image_h": 480, "bbox": [600, 460, 640, 480], "phrase": "red mug"}
+
+
+def set_at(doc, path, value):
+    """Set the entry of nested dicts and lists that ``path`` names."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+class TestNonFiniteModel:
+    """Non-finite model numbers and out-of-range policy bins are rejected when
+    the file is read, and an overflowing prediction when it is rounded to an
+    action."""
+
+    def write_inputs(self, tmp_path):
+        scene = tmp_path / "corner_scene.jsonl"
+        scene.write_text(json.dumps(CORNER_TARGET) + "\n")
+        records = tmp_path / "corner_records.jsonl"
+        records.write_text(json.dumps(CORNER_RECORD) + "\n")
+        return scene, records
+
+    def fitted(self, tmp_path, scene_file, kind):
+        cfg = tmp_path / "small.ini"
+        cfg.write_text("[pseudolabel]\nn_trees = 2\n")
+        assert run([
+            "--config", str(cfg), "fit", "--scene", str(scene_file), "--kind", kind,
+            "--out", str(tmp_path), "--quiet",
+        ]) == 0
+        return json.loads((tmp_path / "model.json").read_text())
+
+    @pytest.mark.parametrize("kind, path, value, reason", [
+        ("ols", ["pan", "coef", 1], float("nan"), "pan coef must be finite"),
+        ("ols", ["zoom", "intercept"], float("inf"), "intercepts must be finite"),
+        ("rf", ["tilt", "trees", 1, "threshold", 0], float("nan"), "tilt tree 1 thresholds and values must be finite"),
+        ("rf", ["pan", "trees", 0, "value", -1], float("-inf"), "pan tree 0 thresholds and values must be finite"),
+    ], ids=["ols-nan-coef", "ols-inf-intercept", "rf-nan-threshold", "rf-inf-value"])
+    def test_non_finite_model_number_names_the_file(self, tmp_path, scene_file, capsys, kind, path, value, reason):
+        doc = self.fitted(tmp_path, scene_file, kind)
+        set_at(doc["heads"], path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc) + "\n")
+        scene, records = self.write_inputs(tmp_path)
+        assert run(["eval", "--scene", str(scene), "--policy", str(bad), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {bad}: " in err and reason in err
+        assert run(["synth", "--records", str(records), "--model", str(bad), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {bad}: " in err and reason in err
+
+    @pytest.mark.parametrize("path, value, reason", [
+        (["weights", "zoom", 2, 1], float("nan"), "zoom weights must be finite"),
+        (["bins", "pan", -1], 1000, "pan bins must lie in [-999, 999]"),
+    ], ids=["nan-weight", "out-of-range-bin"])
+    def test_bad_policy_checkpoint_names_the_file(self, tmp_path, scene_file, capsys, path, value, reason):
+        assert run(["grpo-train", "--scene", str(scene_file), "--steps", "1", "--out", str(tmp_path), "--quiet"]) == 0
+        doc = json.loads((tmp_path / "policy.json").read_text())
+        set_at(doc, path, value)
+        bad = tmp_path / "bad_policy.json"
+        bad.write_text(json.dumps(doc) + "\n")
+        assert run(["eval", "--scene", str(scene_file), "--policy", str(bad), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {bad}: " in err and reason in err
+
+    def test_overflowing_prediction_is_data_error(self, tmp_path, scene_file, capsys):
+        doc = self.fitted(tmp_path, scene_file, "ols")
+        doc["heads"]["pan"] = {"coef": [1e308, 1e308, 1e308], "intercept": 1e308}
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc) + "\n")
+        scene, records = self.write_inputs(tmp_path)
+        assert run(["eval", "--scene", str(scene), "--policy", str(big), "--out", str(tmp_path)]) == 3
+        assert "is not finite" in capsys.readouterr().err
+        assert run(["synth", "--records", str(records), "--model", str(big), "--out", str(tmp_path)]) == 3
+        assert "is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "eval.json").exists() and not (tmp_path / "labels.jsonl").exists()
+
+
 class TestIterate:
     def test_report_and_refined_files(self, tmp_path, scene_file, capsys):
         assert run([
@@ -366,7 +447,8 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
-        # [camera] zoom_max and the [io] input paths were once read and then ignored
+        # [camera] zoom_max, the [io] input paths and [grpo] clip_eps were once
+        # read and then took no effect
         for section, key, value in [
             ("run", "sneed", "9"),
             ("camera", "zoom_max", "100"),
@@ -374,6 +456,7 @@ class TestConfig:
             ("io", "records", str(cfg)),
             ("io", "model", str(cfg)),
             ("io", "policy", str(cfg)),
+            ("grpo", "clip_eps", "0.2"),
         ]:
             cfg.write_text(f"[{section}]\n{key} = {value}\n")
             assert run(["--config", str(cfg), "scene-gen", "--count", "1", "--out", str(tmp_path)]) == 3

@@ -4,21 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptzkit import codec
+from ptzkit.camera import round_half_away
 from ptzkit.codec import (
     ActionDelta,
     CanonicalFormError,
     CodecError,
     CodecRangeError,
-    TokenSeq,
     TokenVocab,
     decode,
     decode_batch,
     encode_batch,
     encode_action,
     encode_digit,
+    ids_from_str,
     mean_token_length,
     minimal_token_count,
-    seq_from_str,
     seq_to_str,
 )
 
@@ -138,7 +138,7 @@ class TestEncodeAction:
     def test_all_zero(self, vocab):
         seq = encode_action(ActionDelta(0, 0, 0), vocab)
         assert seq_to_str(seq, vocab) == "<PAN> <TILT> <ZOOM> <END>"
-        assert seq.canonical
+        assert decode(seq, vocab, strict=True) == ActionDelta(0, 0, 0)
 
     def test_spec_example(self, vocab):
         seq = encode_action(ActionDelta(23, -8, 0), vocab)
@@ -165,7 +165,7 @@ class TestEncodeAction:
                 int(rng.integers(0, 1000)),
             )
             seq = encode_action(a, vocab)
-            values = [vocab.token(i) for i in seq.ids]
+            values = [vocab.token(i) for i in seq]
             prev = None
             for t in values:
                 if t.kind == codec.KIND_MAG:
@@ -178,7 +178,7 @@ class TestEncodeAction:
 
 class TestDecode:
     def test_all_zero(self, vocab):
-        seq = seq_from_str("<PAN> <TILT> <ZOOM> <END>", vocab)
+        seq = ids_from_str("<PAN> <TILT> <ZOOM> <END>", vocab)
         assert decode(seq, vocab) == ActionDelta(0, 0, 0)
 
     def test_round_trip_random(self, vocab):
@@ -203,16 +203,15 @@ class TestDecode:
 
     def test_lenient_accepts_any_magnitude_order(self, vocab):
         text = "<PAN> <+> <1> <20> <2> <TILT> <ZOOM> <END>"
-        seq = seq_from_str(text, vocab)
-        assert not seq.canonical
+        seq = ids_from_str(text, vocab)
         assert decode(seq, vocab, strict=False) == ActionDelta(23, 0, 0)
         with pytest.raises(CanonicalFormError):
             decode(seq, vocab, strict=True)
 
     def test_lenient_accepts_missing_markers_and_dangling_sign(self, vocab):
-        seq = seq_from_str("<TILT> <-> <5> <END>", vocab)
+        seq = ids_from_str("<TILT> <-> <5> <END>", vocab)
         assert decode(seq, vocab, strict=False) == ActionDelta(0, -5, 0)
-        dangling = seq_from_str("<PAN> <+> <TILT> <ZOOM> <END>", vocab)
+        dangling = ids_from_str("<PAN> <+> <TILT> <ZOOM> <END>", vocab)
         assert decode(dangling, vocab, strict=False) == ActionDelta(0, 0, 0)
         with pytest.raises(CanonicalFormError, match="sign without magnitudes"):
             decode(dangling, vocab, strict=True)
@@ -229,7 +228,7 @@ class TestDecode:
 
     def test_zoom_sign_rejected_both_modes(self, vocab):
         text = "<PAN> <TILT> <ZOOM> <-> <100> <END>"
-        seq = seq_from_str(text, vocab)
+        seq = ids_from_str(text, vocab)
         for strict in (True, False):
             with pytest.raises(CodecError, match="zoom"):
                 decode(seq, vocab, strict=strict)
@@ -247,10 +246,10 @@ class TestDecode:
         with pytest.raises(CodecError, match="unknown token"):
             decode([999], vocab)
         with pytest.raises(CodecError, match="unknown token"):
-            seq_from_str("<PAN> <BOGUS> <END>", vocab)
+            ids_from_str("<PAN> <BOGUS> <END>", vocab)
 
     def test_strict_requires_canonical_marker_order(self, vocab):
-        seq = seq_from_str("<TILT> <PAN> <ZOOM> <END>", vocab)
+        seq = ids_from_str("<TILT> <PAN> <ZOOM> <END>", vocab)
         with pytest.raises(CanonicalFormError):
             decode(seq, vocab, strict=True)
         assert decode(seq, vocab, strict=False) == ActionDelta(0, 0, 0)
@@ -265,7 +264,7 @@ class TestCanonicity:
                 int(rng.integers(-999, 1000)),
                 int(rng.integers(0, 1000)),
             )
-            assert codec.is_canonical(encode_action(a, vocab), vocab)
+            assert decode(encode_action(a, vocab), vocab, strict=True) == a
 
     def test_exhaustive_small_block_round_trip(self, vocab):
         for pan in range(-20, 21):
@@ -273,6 +272,41 @@ class TestCanonicity:
                 for zoom in (0, 1, 29, 100, 999):
                     a = ActionDelta(pan, tilt, zoom)
                     assert decode(encode_action(a, vocab), vocab) == a
+
+
+def reference_round_action(pan, tilt, zoom):
+    """Row by row: round half away from zero, then clamp to the codec range."""
+    lim = codec.MAX_ACTION_VALUE
+    return [
+        max(-lim, min(lim, round_half_away(pan))),
+        max(-lim, min(lim, round_half_away(tilt))),
+        max(0, min(lim, round_half_away(zoom))),
+    ]
+
+
+ROUNDING_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1500.0, 1500.0),
+    st.integers(-1100, 1100).map(lambda k: k + 0.5),  # ties, in and beyond the range
+    st.sampled_from([0.0, -0.0, 0.49999999999999994, -0.5, 999.5, -999.5, 2.0**53 + 2, -(2.0**53) - 2, 1e300]),
+)
+
+
+class TestRoundActions:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(ROUNDING_VALUES, ROUNDING_VALUES, ROUNDING_VALUES), max_size=12))
+    def test_rows_equal_scalar_round_and_clamp(self, rows):
+        got = codec.round_actions(np.array(rows, dtype=np.float64).reshape(-1, 3))
+        assert got.dtype == np.int64 and got.shape == (len(rows), 3)
+        assert got.tolist() == [reference_round_action(*row) for row in rows]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_raises(self, value, column):
+        rows = np.zeros((3, 3))
+        rows[1, column] = value
+        with pytest.raises(ValueError, match="row 1 is not finite"):
+            codec.round_actions(rows)
 
 
 def random_actions(n, seed, limit=999):
@@ -299,7 +333,7 @@ def draw_token_row(data, vocab, width):
         data.draw(st.integers(-limit, limit)),
         data.draw(st.integers(0, limit)),
     )
-    row = list(encode_action(action, vocab).ids)
+    row = list(encode_action(action, vocab))
     for _ in range(data.draw(st.integers(0, 3))):
         at = data.draw(st.integers(0, len(row) - 1))
         edit = data.draw(st.sampled_from(["substitute", "delete", "insert"]))
@@ -348,7 +382,7 @@ class TestBatchCodec:
         assert tokens.shape == (2000, 6 + 9 * vocab.levels)
         for i in range(pan.shape[0]):
             ref = encode_action(ActionDelta(int(pan[i]), int(tilt[i]), int(zoom[i])), vocab)
-            assert tuple(tokens[i, : lengths[i]]) == ref.ids
+            assert tuple(tokens[i, : lengths[i]]) == ref
             assert np.all(tokens[i, lengths[i] :] == -1)
 
     @pytest.mark.parametrize("name", sorted(BATCH_VOCABS))
@@ -377,8 +411,8 @@ class TestBatchCodec:
             encode_batch(np.array([0, pan]), np.array([0, tilt]), np.array([0, zoom]), vocab)
 
     def test_decode_batch_ignores_padding_and_flags_bad_rows(self, vocab):
-        good = list(encode_action(ActionDelta(23, -8, 0), vocab).ids)
-        unsorted = seq_from_str("<PAN> <+> <1> <20> <2> <TILT> <ZOOM> <END>", vocab).ids
+        good = list(encode_action(ActionDelta(23, -8, 0), vocab))
+        unsorted = ids_from_str("<PAN> <+> <1> <20> <2> <TILT> <ZOOM> <END>", vocab)
         width = 6 + 9 * vocab.levels
         tokens = np.full((3, width), 999)
         tokens[0, : len(good)] = good

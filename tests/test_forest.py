@@ -96,6 +96,8 @@ def reference_best_split(x, y, idx, min_leaf):
             best_f = f
             k = int(ks[j])
             best_thr = (xs[k - 1] + xs[k]) / 2.0
+            if best_thr == xs[k]:  # the midpoint rounded onto the upper value
+                best_thr = xs[k - 1]
     return best_f, best_thr, best_sse
 
 
@@ -176,9 +178,6 @@ def make_data(seed, n_rows, n_features, x_kind, y_kind, const_feature):
     return x, y
 
 
-# A midpoint between neighbouring doubles can round onto the upper one, so
-# every sample goes left and the empty right leaf's np.mean warns.
-@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
     seed=hst.integers(0, 2**16),
@@ -214,6 +213,18 @@ def test_fit_matches_reference_builder(
     for a, b in zip(got.trees, want.trees):
         for name in ("feature", "threshold", "left", "right", "value"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_midpoint_rounding_onto_upper_value_leaves_no_empty_leaf():
+    # (1 + eps + 1 + 2 eps) / 2 rounds to 1 + 2 eps; split there, every sample
+    # went left, and the empty right leaf predicted NaN: [0.5, 0.5, nan]
+    eps = np.finfo(np.float64).eps
+    y = np.array([0.0, 1.0] * 5)
+    x = np.where(y == 0.0, 1.0 + eps, 1.0 + 2 * eps)[:, None]
+    cfg = ForestConfig(n_trees=1, max_depth=2, min_samples_leaf=1)
+    model = RandomForest.fit(x, y, cfg, np.random.SeedSequence(3))
+    assert model.predict(np.array([[1.0 + eps], [1.0 + 2 * eps], [5.0]])).tolist() == [0.0, 1.0, 1.0]
+    assert model.trees[0].threshold[0] == 1.0 + eps
 
 
 def test_wide_nodes_split_over_several_blocks(monkeypatch):

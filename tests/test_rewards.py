@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -158,10 +159,7 @@ def synthetic_group(policy, rng, cfg, ref=None, ratio_noise=0.3):
             rw.Rollout(
                 action=ActionDelta(0, 0, 0),
                 bins=bins_idx,
-                pred_bbox=BBoxPx(0, 0, 1, 1),
-                logp_cur=lp,
                 logp_old=lp - float(rng.normal(0, ratio_noise)),
-                logp_ref=float(sum(ref_lp[h][bins_idx[j]] for j, h in enumerate(rw.HEADS))),
                 reward=rewards[i],
                 advantage=advantages[i],
             )
@@ -179,11 +177,9 @@ class TestObjective:
         rollouts = []
         for i, b in enumerate([(0, 0, 0), (1, 1, 1)]):
             s = float(sum(lp[h][b[j]] for j, h in enumerate(rw.HEADS)))
-            rollouts.append(
-                rw.Rollout(ActionDelta(0, 0, 0), b, BBoxPx(0, 0, 1, 1), s, s, s, [0.3, -0.3][i], advantages[i])
-            )
+            rollouts.append(rw.Rollout(ActionDelta(0, 0, 0), b, s, [0.3, -0.3][i], advantages[i]))
         group = rw.RolloutGroup("q", feats, rollouts, lp, lp)
-        assert rw.grpo_objective(group, rw.GRPOConfig()) == pytest.approx(0.0, abs=1e-12)
+        assert rw.objective_under_policy(policy, [group], rw.GRPOConfig()) == pytest.approx(0.0, abs=1e-12)
 
     def test_clip_arithmetic(self):
         assert rw._clipped_term(1.5, 1.0, 0.2) == pytest.approx(1.2)
@@ -197,12 +193,12 @@ class TestObjective:
         lp = policy.log_probs(feats)
         advantages = rw.group_advantages([1.0, -1.0])
         rollouts = [
-            rw.Rollout(ActionDelta(0, 0, 0), (0, 0, 0), BBoxPx(0, 0, 1, 1), float("nan"), 0.0, 0.0, 1.0, advantages[0]),
-            rw.Rollout(ActionDelta(0, 0, 0), (1, 1, 1), BBoxPx(0, 0, 1, 1), 0.0, 0.0, 0.0, -1.0, advantages[1]),
+            rw.Rollout(ActionDelta(0, 0, 0), (0, 0, 0), float("nan"), 1.0, advantages[0]),
+            rw.Rollout(ActionDelta(0, 0, 0), (1, 1, 1), 0.0, -1.0, advantages[1]),
         ]
         group = rw.RolloutGroup("q", feats, rollouts, lp, lp)
         with pytest.raises(ValueError, match="non-finite"):
-            rw.grpo_objective(group, rw.GRPOConfig())
+            rw.grpo_step(policy, [group], rw.GRPOConfig())
 
 
 class TestGradient:
@@ -245,16 +241,14 @@ class TestGradient:
         shift = math.log(2.0)  # s = 2 for positive-advantage, s = 0.5 for negative
         rollouts = [
             rw.Rollout(
-                ActionDelta(0, 0, 0), (0, 1, 2), BBoxPx(0, 0, 1, 1),
-                float(sum(lp[h][b] for h, b in zip(rw.HEADS, (0, 1, 2)))),
+                ActionDelta(0, 0, 0), (0, 1, 2),
                 float(sum(lp[h][b] for h, b in zip(rw.HEADS, (0, 1, 2)))) - shift,
-                0.0, 1.0, advantages[0],
+                1.0, advantages[0],
             ),
             rw.Rollout(
-                ActionDelta(0, 0, 0), (3, 2, 1), BBoxPx(0, 0, 1, 1),
-                float(sum(lp[h][b] for h, b in zip(rw.HEADS, (3, 2, 1)))),
+                ActionDelta(0, 0, 0), (3, 2, 1),
                 float(sum(lp[h][b] for h, b in zip(rw.HEADS, (3, 2, 1)))) + shift,
-                0.0, -1.0, advantages[1],
+                -1.0, advantages[1],
             ),
         ]
         group = rw.RolloutGroup("q", feats, rollouts, lp, lp)
@@ -342,7 +336,8 @@ class TestKL:
     def test_self_kl_zero(self):
         policy = small_policy(seed=2)
         feats = np.array([0.1, 0.3, -0.4])
-        assert policy.kl_to(policy, feats) == pytest.approx(0.0, abs=1e-12)
+        lp = policy.log_probs(feats)
+        assert rw._group_kl(lp, lp) == pytest.approx(0.0, abs=1e-12)
 
     def test_non_negative(self):
         rng = np.random.default_rng(10)
@@ -350,7 +345,7 @@ class TestKL:
             a = small_policy(seed=int(rng.integers(0, 1000)))
             b = small_policy(seed=int(rng.integers(0, 1000)))
             feats = rng.normal(0, 1, 3)
-            assert a.kl_to(b, feats) >= -1e-12
+            assert rw._group_kl(a.log_probs(feats), b.log_probs(feats)) >= -1e-12
 
 
 class TestGrpoStep:
@@ -406,7 +401,7 @@ class TestTraining:
         policy = small_policy(seed=7)
         path = tmp_path / "policy.json"
         rw.save_policy(path, policy, seed=42)
-        loaded = rw.load_policy(path)
+        loaded = rw.ToyPolicy.from_dict(json.loads(path.read_text()))
         feats = np.array([0.3, -0.2, 0.1])
         for head in rw.HEADS:
             assert np.allclose(loaded.log_probs(feats)[head], policy.log_probs(feats)[head])
@@ -418,7 +413,6 @@ class TestTraining:
         )
         path = tmp_path / "log.jsonl"
         rw.write_training_log(path, history)
-        import json
 
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["step"] for r in rows] == [0, 1, 2]
@@ -442,7 +436,6 @@ class TestTraining:
         assert all(h.reward_std > 0.0 for h in history)  # the tasks differ from each other
         path = tmp_path / "log.jsonl"
         rw.write_training_log(path, history)
-        import json
 
         assert [json.loads(line)["zero_signal_fraction"] for line in path.read_text().splitlines()] == [1.0, 1.0]
 
@@ -453,7 +446,7 @@ class TestTraining:
         groups = [synthetic_group(policy, rng, cfg) for _ in range(4)]
         flat = groups[1]
         flat.rollouts = [
-            rw.Rollout(r.action, r.bins, r.pred_bbox, r.logp_cur, r.logp_old, r.logp_ref, 0.25, 0.0)
+            rw.Rollout(r.action, r.bins, r.logp_old, 0.25, 0.0)
             for r in flat.rollouts
         ]
         _, stats = rw.grpo_step(policy, groups, cfg)
@@ -462,11 +455,10 @@ class TestTraining:
         assert stats.reward_std == float(np.std(rewards))
 
 
-def _reference_rollouts(policy, ref_policy, task, k, cfg, reward_cfg, rng):
+def _reference_rollouts(policy, task, k, cfg, reward_cfg, rng):
     """The rollout loop one rollout at a time: ``rng.choice`` per head, then
     ``apply_action``, ``project`` and ``composite_reward``."""
     cur_lp = policy.log_probs(task.features)
-    ref_lp = ref_policy.log_probs(task.features)
     sampled, rewards = [], []
     for _ in range(cfg.group_size):
         idx = []
@@ -477,16 +469,11 @@ def _reference_rollouts(policy, ref_policy, task, k, cfg, reward_cfg, rng):
         action = ActionDelta(*(int(policy.bins[h][i]) for h, i in zip(rw.HEADS, idx)))
         box = cam.project(cam.apply_action(task.camera, action), k, task.target)
         rewards.append(rw.composite_reward(action, task.gt_action, box, task.gt_bbox, reward_cfg).total)
-        sampled.append((tuple(idx), action, box))
+        sampled.append((tuple(idx), action))
     advantages = rw.group_advantages(rewards, cfg.std_guard)
     return [
-        (
-            bins, action, box,
-            float(sum(cur_lp[h][bins[j]] for j, h in enumerate(rw.HEADS))),
-            float(sum(ref_lp[h][bins[j]] for j, h in enumerate(rw.HEADS))),
-            reward, float(adv),
-        )
-        for (bins, action, box), reward, adv in zip(sampled, rewards, advantages)
+        (bins, action, float(sum(cur_lp[h][bins[j]] for j, h in enumerate(rw.HEADS))), reward, float(adv))
+        for (bins, action), reward, adv in zip(sampled, rewards, advantages)
     ]
 
 
@@ -509,13 +496,9 @@ class TestBatchedRollouts:
         loop_rng = np.random.default_rng(seed)
         for task in tasks:
             group = rw.build_rollout_group(policy, ref, task, K, cfg, CFG, batched_rng)
-            expected = _reference_rollouts(policy, ref, task, K, cfg, CFG, loop_rng)
-            got = [
-                (r.bins, r.action, r.pred_bbox, r.logp_cur, r.logp_ref, r.reward, float(r.advantage))
-                for r in group.rollouts
-            ]
+            expected = _reference_rollouts(policy, task, K, cfg, CFG, loop_rng)
+            got = [(r.bins, r.action, r.logp_old, r.reward, float(r.advantage)) for r in group.rollouts]
             assert got == expected
-            assert all(r.logp_old == r.logp_cur for r in group.rollouts)
         # both consumed the same number of draws
         assert batched_rng.random() == loop_rng.random()
 

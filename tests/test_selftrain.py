@@ -10,6 +10,7 @@ from ptzkit.camera import BBoxPx, CameraIntrinsics, CameraState
 from ptzkit.codec import ActionDelta
 from ptzkit.forest import RandomForest
 from ptzkit.pseudolabel import RegressorConfig
+from ptzkit.rewards import HEADS, ToyPolicy
 
 K = CameraIntrinsics(1280, 720, 60.0)
 
@@ -63,7 +64,7 @@ class TestPolicies:
 
     def test_noisy_oracle_deterministic_and_order_independent(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3)
-        assert noisy.actions([dataset[0]]) == noisy.actions([dataset[0]])
+        assert np.array_equal(noisy.actions([dataset[0]]), noisy.actions([dataset[0]]))
         labels_fwd = st.relabel(dataset, noisy)
         labels_rev = list(reversed(st.relabel(list(reversed(dataset)), noisy)))
         assert labels_fwd == labels_rev
@@ -71,7 +72,7 @@ class TestPolicies:
     def test_noisy_oracle_seed_matters(self, dataset):
         a = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3).actions([dataset[0]])[0]
         b = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=4).actions([dataset[0]])[0]
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_noise_magnitude(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3)
@@ -124,12 +125,28 @@ class TestBatchActions:
         order = data.draw(hst.permutations(range(len(idx))))
         samples = [dataset[i] for i in idx]
         batch = policy.actions(samples)
-        assert batch == [policy.actions([s])[0] for s in samples]
-        assert policy.actions([samples[j] for j in order]) == [batch[j] for j in order]
+        assert batch.dtype == np.int64
+        assert np.array_equal(batch, np.concatenate([policy.actions([s]) for s in samples]))
+        assert np.array_equal(policy.actions([samples[j] for j in order]), batch[list(order)])
+
+    @pytest.mark.parametrize("scale", [0.0, 2.0])  # 0: every head ties, argmax takes the first bin
+    def test_toy_policy_batch_is_per_row_argmax(self, dataset, scale):
+        policy = ToyPolicy.init(3)
+        rng = np.random.default_rng(5)
+        for h in HEADS:
+            policy.weights[h] += rng.normal(0, scale, policy.weights[h].shape)
+        want = []
+        for s in dataset:
+            lp = policy.log_probs(s.features.as_array(False))
+            want.append([int(policy.bins[h][int(np.argmax(lp[h]))]) for h in HEADS])
+        got = st.ToyPolicyAdapter(policy).actions(dataset)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert len({tuple(row) for row in want}) > (1 if scale else 0)
 
     def test_empty_batch(self, batch_policies):
         for policy in batch_policies.values():
-            assert policy.actions([]) == []
+            assert policy.actions([]).shape == (0, 3)
 
     def test_one_forest_call_per_head(self, batch_policies, dataset, monkeypatch):
         calls = []
@@ -181,13 +198,13 @@ class TestRunRound:
         # unbiased noise: the IoU-filtered subset has lower action MAE
         data = make_dataset(1800)
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=7)
-        predictions = {s.id: a for s, a in zip(data, noisy.actions(data))}
+        predictions = dict(zip([s.id for s in data], noisy.actions(data)))
         refined, diag = st.run_round(data, noisy, K, 0.7, True)
         assert 0.01 < diag.kept_fraction < 0.95
 
         def mae(samples):
             errs = [
-                np.abs(np.array(predictions[s.id].as_tuple()) - np.array(s.gt_action.as_tuple()))
+                np.abs(predictions[s.id] - np.array(s.gt_action.as_tuple()))
                 for s in samples
             ]
             return np.mean(errs, axis=0)
@@ -209,7 +226,7 @@ class TestRunRound:
         noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=9)
         refined, _ = st.run_round(dataset, noisy, K, 0.0, True)
         for s in refined:
-            assert s.gt_action == noisy.actions([s])[0]
+            assert s.gt_action.as_tuple() == tuple(noisy.actions([s])[0].tolist())
 
     def test_idempotent(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 3.0, 3.0, 15.0, seed=10)
