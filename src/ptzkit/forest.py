@@ -302,9 +302,12 @@ class RandomForest:
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
         acc = np.zeros(x.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict(x)
-        return acc / len(self.trees)
+        # finite leaves can still overflow in the sum; the inf that results
+        # is rejected where the prediction is rounded
+        with np.errstate(over="ignore"):
+            for tree in self.trees:
+                acc += tree.predict(x)
+            return acc / len(self.trees)
 
     def to_dict(self) -> dict:
         return {

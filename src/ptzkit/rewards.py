@@ -148,13 +148,17 @@ def composite_reward(
     return RewardBreakdown(*terms[0].tolist())
 
 
+def row_advantages(rewards: np.ndarray, std_guard: float = 1e-8) -> np.ndarray:
+    """Group-normalized advantages of each row (the last axis is one group):
+    (r - mean) / (population std + guard)."""
+    return (rewards - rewards.mean(axis=-1, keepdims=True)) / (rewards.std(axis=-1, keepdims=True) + std_guard)
+
+
 def group_advantages(rewards: Sequence[float], std_guard: float = 1e-8) -> list[float]:
-    """Group-normalized advantages: (r - mean) / (population std + guard)."""
+    """``row_advantages`` of one group."""
     if len(rewards) < 2:
         raise ValueError("advantage normalization needs at least 2 rewards")
-    r = np.asarray(rewards, dtype=np.float64)
-    std = float(r.std())
-    return list((r - r.mean()) / (std + std_guard))
+    return list(row_advantages(np.asarray(rewards, dtype=np.float64), std_guard))
 
 
 @dataclass(frozen=True)
@@ -183,20 +187,22 @@ def default_bins() -> dict[str, np.ndarray]:
 
 
 def draw_bins(log_probs: dict[str, np.ndarray], uniforms: np.ndarray) -> np.ndarray:
-    """int64[n, 3] bin indices drawn by inverse CDF from one prompt's per-head ``log_probs``.
+    """int64[..., n, 3] bin indices drawn by inverse CDF from per-head ``log_probs``.
 
-    ``uniforms`` is float64[n, 3] from ``rng.random``, one per rollout and
-    head in that order.  ``Generator.choice(len(p), p=p)`` reads one
+    ``log_probs[h]`` is float64[..., n_bins], one row per prompt, and
+    ``uniforms`` is float64[..., n, 3] from ``rng.random``, one per rollout
+    and head in that order.  ``Generator.choice(len(p), p=p)`` reads one
     ``random()`` and returns ``searchsorted(cumsum(p) / cdf[-1], u,
-    side="right")``, so the draws equal one ``choice`` call per head and rollout.
+    side="right")``, which is the count of CDF entries ``<= u`` as the CDF
+    never decreases; so the draws equal one ``choice`` call per head and rollout.
     """
     idx = np.empty(uniforms.shape, dtype=np.int64)
     for j, h in enumerate(HEADS):
         p = np.exp(log_probs[h])
-        p = p / p.sum()
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        idx[:, j] = cdf.searchsorted(uniforms[:, j], side="right")
+        p = p / p.sum(axis=-1, keepdims=True)
+        cdf = p.cumsum(axis=-1)
+        cdf /= cdf[..., -1:]
+        idx[..., j] = (cdf[..., None, :] <= uniforms[..., j, None]).sum(axis=-1)
     return idx
 
 
@@ -245,9 +251,14 @@ class ToyPolicy:
             out[h] = z - math.log(np.exp(z).sum())
         return out
 
+    def log_prob_rows(self, features: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-head float64[T, n_bins] ``log_probs`` of each row of ``features``, one prompt at a time."""
+        lps = [self.log_probs(f) for f in features]
+        return {h: np.stack([lp[h] for lp in lps]) for h in HEADS}
+
     def actions_of(self, idx: np.ndarray) -> np.ndarray:
-        """int64[n, 3] (pan, tilt, zoom) actions of bin-index rows."""
-        return np.stack([self.bins[h][idx[:, j]] for j, h in enumerate(HEADS)], axis=1)
+        """int64[..., 3] (pan, tilt, zoom) actions of bin-index rows."""
+        return np.stack([self.bins[h][idx[..., j]] for j, h in enumerate(HEADS)], axis=-1)
 
     def sample(self, features: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ActionDelta]:
         idx = draw_bins(self.log_probs(features), rng.random((1, len(HEADS))))
@@ -261,12 +272,14 @@ class ToyPolicy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyPolicy":
-        """A policy as ``to_dict`` writes it; a NaN or an infinite weight raises ``ValueError``."""
-        weights = {}
+        """A policy as ``to_dict`` writes it; a NaN or an infinite weight or a
+        fractional bin raises ``ValueError``."""
+        bins, weights = {}, {}
         for h in HEADS:
+            bins[h] = np.array([jsonl.integer(b, f"{h} bins") for b in d["bins"][h]], dtype=np.int64)
             weights[h] = np.asarray(d["weights"][h], dtype=np.float64)
             jsonl.finite(weights[h].ravel().tolist(), f"{h} weights")
-        return cls({h: np.asarray(d["bins"][h]) for h in HEADS}, weights)
+        return cls(bins, weights)
 
 
 def save_policy(path, policy: ToyPolicy, seed: int | None = None) -> None:
@@ -278,29 +291,33 @@ def save_policy(path, policy: ToyPolicy, seed: int | None = None) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class Rollout:
-    action: ActionDelta
-    bins: tuple[int, int, int]
-    logp_old: float  # of ``bins`` under the policy that sampled them
-    reward: float
-    advantage: float
-
-
 @dataclass
-class RolloutGroup:
-    """One prompt's sampled outcomes plus the categorical context for the KL term."""
+class RolloutBatch:
+    """T prompts' groups of n sampled rollouts each, as [T, n] arrays.
 
-    prompt_id: str
-    features: np.ndarray
-    rollouts: list[Rollout]
+    ``cur_log_probs`` and ``ref_log_probs`` hold each prompt's per-head
+    log-probabilities, float64[T, n_bins]: under the policy that sampled the
+    batch, which is the one ``grpo_step`` steps, and under the frozen
+    reference of the KL term.
+    """
+
+    features: np.ndarray  # float64[T, n_features]
+    bins: np.ndarray  # int64[T, n, 3] bin indices per head
+    actions: np.ndarray  # int64[T, n, 3] (pan, tilt, zoom) of ``bins``
+    logp_old: np.ndarray  # float64[T, n], of ``bins`` under the policy that sampled them
+    rewards: np.ndarray  # float64[T, n]
+    advantages: np.ndarray  # float64[T, n]
     cur_log_probs: dict[str, np.ndarray]
     ref_log_probs: dict[str, np.ndarray]
-    gt_action: ActionDelta | None = None
+    gt_actions: np.ndarray | None = None  # int64[T, 3]
 
     def __post_init__(self):
-        if len(self.rollouts) < 2:
+        t, n = self.rewards.shape
+        if n < 2:
             raise ValueError("a rollout group needs at least 2 outcomes")
+        shapes = (self.bins.shape, self.logp_old.shape, self.features.shape[0])
+        if shapes != ((t, n, len(HEADS)), (t, n), t):
+            raise ValueError("rollout batch arrays disagree on their [T, n] shape")
 
 
 @dataclass(frozen=True)
@@ -319,6 +336,82 @@ class GrpoTask:
         object.__setattr__(self, "corners", target_corners([self.target])[0])
 
 
+@dataclass(frozen=True)
+class _TaskRows:
+    """T tasks' scoring inputs, gathered once: each task's row repeated for its n rollouts."""
+
+    features: np.ndarray  # float64[T, n_features]
+    pose: tuple[np.ndarray, np.ndarray, np.ndarray]  # float64[T*n] start pan, tilt, zoom
+    corners: np.ndarray  # float64[T*n, 4, 3]
+    gt_actions: np.ndarray  # int64[T, 3]
+    gt_rows: np.ndarray  # int64[T*n, 3]
+    gt_boxes: np.ndarray  # float64[T*n, 4]
+    gt_codes: np.ndarray  # int8[T*n]
+
+    @classmethod
+    def of(cls, tasks: Sequence[GrpoTask], n: int) -> "_TaskRows":
+        gt_actions = np.array([t.gt_action.as_tuple() for t in tasks], dtype=np.int64)
+        gt_boxes, gt_codes = bbox_arrays([t.gt_bbox for t in tasks])
+        return cls(
+            features=np.stack([np.asarray(t.features, dtype=np.float64) for t in tasks]),
+            pose=tuple(
+                np.repeat(np.array([getattr(t.camera, a) for t in tasks], dtype=np.float64), n)
+                for a in ("pan", "tilt", "zoom_units")
+            ),
+            corners=np.repeat(np.stack([t.corners for t in tasks]), n, axis=0),
+            gt_actions=gt_actions,
+            gt_rows=np.repeat(gt_actions, n, axis=0),
+            gt_boxes=np.repeat(gt_boxes, n, axis=0),
+            gt_codes=np.repeat(gt_codes, n),
+        )
+
+
+def _taken_log_probs(log_probs: dict[str, np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """float64[T, n] log-probability of each rollout's bins: pan, tilt and zoom added in that order."""
+    pan, tilt, zoom = (np.take_along_axis(log_probs[h], idx[..., j], axis=-1) for j, h in enumerate(HEADS))
+    return pan + tilt + zoom
+
+
+def _sample_batch(
+    policy: ToyPolicy,
+    ref_log_probs: dict[str, np.ndarray],
+    rows: _TaskRows,
+    k: CameraIntrinsics,
+    cfg: GRPOConfig,
+    reward_cfg: RewardConfig,
+    rng: np.random.Generator,
+) -> RolloutBatch:
+    """Sample every task's group on-policy and score all T*n rollouts in one pass.
+
+    One ``rng.random`` call draws every bin (the same stream as one call of
+    n*3 per task, in task order), one ``apply_action_batch`` and one
+    ``project_batch`` call move and project every rollout, and the reward is
+    scored over the T*n rows.  Each array row is computed on its own (a sum
+    along the last axis rounds each row as the 1-D sum of that row does), so
+    the draws, rewards, advantages and log-probabilities are those of
+    sampling, applying, projecting and scoring one rollout at a time.
+    """
+    cur_lp = policy.log_prob_rows(rows.features)
+    t, n = rows.features.shape[0], cfg.group_size
+    idx = draw_bins(cur_lp, rng.random(t * n * len(HEADS)).reshape(t, n, len(HEADS)))
+    actions = policy.actions_of(idx)
+    flat = actions.reshape(t * n, len(HEADS))
+    boxes, codes = project_batch(*apply_action_batch(*rows.pose, flat), k, rows.corners)
+    terms = reward_terms(flat, rows.gt_rows, boxes, codes, rows.gt_boxes, rows.gt_codes, reward_cfg)
+    rewards = reward_totals(terms).reshape(t, n)
+    return RolloutBatch(
+        features=rows.features,
+        bins=idx,
+        actions=actions,
+        logp_old=_taken_log_probs(cur_lp, idx),
+        rewards=rewards,
+        advantages=row_advantages(rewards, cfg.std_guard),
+        cur_log_probs=cur_lp,
+        ref_log_probs=ref_log_probs,
+        gt_actions=rows.gt_actions,
+    )
+
+
 def build_rollout_group(
     policy: ToyPolicy,
     ref_policy: ToyPolicy,
@@ -327,40 +420,10 @@ def build_rollout_group(
     cfg: GRPOConfig,
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
-) -> RolloutGroup:
-    """Sample a group on-policy and score every rollout through the simulator at once.
-
-    One ``rng.random`` call draws all bins, one ``project_batch`` projects
-    every post-action view and the reward is scored over arrays.  The draws,
-    rewards and log-probabilities are those of sampling, applying, projecting
-    and scoring one rollout at a time.
-    """
-    cur_lp = policy.log_probs(task.features)
-    ref_lp = ref_policy.log_probs(task.features)
-    n = cfg.group_size
-    idx = draw_bins(cur_lp, rng.random(n * len(HEADS)).reshape(n, len(HEADS)))
-    actions = policy.actions_of(idx)
-    cam = task.camera
-    pose = apply_action_batch(np.full(n, cam.pan), np.full(n, cam.tilt), np.full(n, cam.zoom_units), actions)
-    boxes, codes = project_batch(*pose, k, task.corners[None])
-    terms = reward_terms(
-        actions, task.gt_action.as_tuple(), boxes, codes, *bbox_arrays([task.gt_bbox]), reward_cfg
-    )
-    rewards = reward_totals(terms).tolist()
-    advantages = group_advantages(rewards, cfg.std_guard)
-    logp = cur_lp["pan"][idx[:, 0]] + cur_lp["tilt"][idx[:, 1]] + cur_lp["zoom"][idx[:, 2]]
-    rollouts = [
-        Rollout(action=ActionDelta(*a), bins=tuple(b), logp_old=lp, reward=r, advantage=adv)
-        for a, b, lp, r, adv in zip(actions.tolist(), idx.tolist(), logp.tolist(), rewards, advantages)
-    ]
-    return RolloutGroup(
-        prompt_id=task.prompt_id,
-        features=np.asarray(task.features, dtype=np.float64),
-        rollouts=rollouts,
-        cur_log_probs=cur_lp,
-        ref_log_probs=ref_lp,
-        gt_action=task.gt_action,
-    )
+) -> RolloutBatch:
+    """One prompt's group, sampled on-policy and scored: a one-task batch of ``grpo_train``'s sampler."""
+    rows = _TaskRows.of([task], cfg.group_size)
+    return _sample_batch(policy, ref_policy.log_prob_rows(rows.features), rows, k, cfg, reward_cfg, rng)
 
 
 def _group_kl(cur_lp: dict[str, np.ndarray], ref_lp: dict[str, np.ndarray]) -> float:
@@ -376,23 +439,25 @@ def _clipped_term(s: float, advantage: float, clip_eps: float) -> float:
     return min(s * advantage, clipped * advantage)
 
 
-def objective_under_policy(policy: ToyPolicy, groups: Sequence[RolloutGroup], cfg: GRPOConfig) -> float:
+def objective_under_policy(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConfig) -> float:
     """The batch objective with current log-probabilities recomputed from ``policy``.
 
     Behavior (old) and reference log-probabilities stay as stored, so this is
     the function of the policy parameters whose gradient ``grpo_step`` takes.
     """
+    t, n = batch.rewards.shape
     total = 0.0
-    for group in groups:
-        cur_lp = policy.log_probs(group.features)
+    for i in range(t):
+        cur_lp = policy.log_probs(batch.features[i])
         g = 0.0
-        for r in group.rollouts:
-            lp = float(sum(cur_lp[h][r.bins[j]] for j, h in enumerate(HEADS)))
-            s = math.exp(lp - r.logp_old)
-            g += _clipped_term(s, r.advantage, cfg.clip_eps)
-        kl = _group_kl(cur_lp, group.ref_log_probs)
-        total += g / len(group.rollouts) - cfg.kl_weight * kl
-    return total / len(groups)
+        for b, logp_old, advantage in zip(
+            batch.bins[i].tolist(), batch.logp_old[i].tolist(), batch.advantages[i].tolist()
+        ):
+            lp = float(sum(cur_lp[h][b[j]] for j, h in enumerate(HEADS)))
+            g += _clipped_term(math.exp(lp - logp_old), advantage, cfg.clip_eps)
+        kl = _group_kl(cur_lp, {h: batch.ref_log_probs[h][i] for h in HEADS})
+        total += g / n - cfg.kl_weight * kl
+    return total / t
 
 
 @dataclass(frozen=True)
@@ -407,87 +472,103 @@ class StepStats:
     zero_signal_fraction: float  # share of groups whose rewards are all equal
 
 
-def grpo_step(
-    policy: ToyPolicy, groups: Sequence[RolloutGroup], cfg: GRPOConfig
-) -> tuple[ToyPolicy, StepStats]:
+_SUM_BLOCK = 64  # gradient rows stacked per reduction; bounds the stack at ~125 KB for 61 bins
+
+
+def _running_sum(dz: np.ndarray, phi: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The sum of the rows ``scale[i] * outer(dz[i], phi[i])``, added one at a
+    time in row order onto zeros.
+
+    A reduction along the first axis of stacked rows adds them in exactly
+    that order, so each block of rows is stacked under the running sum and
+    reduced; blocks keep the stack, and the peak memory, small.
+    """
+    total = np.zeros((dz.shape[1], phi.shape[1]))
+    for lo in range(0, dz.shape[0], _SUM_BLOCK):
+        hi = min(lo + _SUM_BLOCK, dz.shape[0])
+        stack = np.empty((1 + hi - lo,) + total.shape)
+        stack[0] = total
+        np.multiply(dz[lo:hi, :, None], phi[lo:hi, None, :], out=stack[1:])
+        stack[1:] *= scale[lo:hi, None, None]
+        total = np.add.reduce(stack, axis=0)
+    return total
+
+
+def grpo_step(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConfig) -> tuple[ToyPolicy, StepStats]:
     """One ascent step on the batch objective via the analytic gradient.
 
-    Each group's surrogate terms enter the gradient as one stack of outer
-    products, reduced along its first axis onto the running gradient: row by
-    row, in rollout order, as adding them one at a time would.  A group whose
-    rewards are all equal has zero advantages and adds no surrogate gradient;
-    ``zero_signal_fraction`` counts such groups.
+    The current log-probabilities are ``batch.cur_log_probs``, which must be
+    ``policy``'s.  Per head, the gradient rows are put in prompt order: a
+    prompt's live surrogate terms in rollout order, then its KL term scaled
+    by the negated KL weight.  ``_running_sum`` adds them one at a time in
+    that order, as a running ``+=``/``-=`` loop over prompts and rollouts
+    would.  A group whose rewards are all equal has zero advantages and adds
+    no surrogate row; ``zero_signal_fraction`` counts such groups.
     """
-    grads = {h: np.zeros_like(policy.weights[h]) for h in HEADS}
-    n_groups = len(groups)
-    n_rollouts = 0
-    n_clipped = 0
-    n_zero_signal = 0
-    reward_sum = 0.0
-    all_rewards: list[float] = []
-    kl_sum = 0.0
-    abs_err = np.zeros(3)
-    n_err = 0
-    for group in groups:
-        phi = policy._phi(group.features)
-        cur_lp = policy.log_probs(group.features)
-        probs = {h: np.exp(cur_lp[h]) for h in HEADS}
-        n = len(group.rollouts)
-        n_rollouts += n
-        rewards = [r.reward for r in group.rollouts]
-        for reward in rewards:
-            reward_sum += reward
-        all_rewards.extend(rewards)
-        n_zero_signal += min(rewards) == max(rewards)
-        bins = np.array([r.bins for r in group.rollouts], dtype=np.int64)
-        logp_old = np.array([r.logp_old for r in group.rollouts])
-        advantage = np.array([r.advantage for r in group.rollouts], dtype=np.float64)
-        lp = cur_lp["pan"][bins[:, 0]] + cur_lp["tilt"][bins[:, 1]] + cur_lp["zoom"][bins[:, 2]]
-        if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(logp_old))):
-            raise ValueError("non-finite log-probabilities in rollout group")
-        s = np.array([math.exp(x) for x in (lp - logp_old).tolist()])
-        clipped = ((advantage > 0) & (s > 1.0 + cfg.clip_eps)) | (
-            (advantage < 0) & (s < 1.0 - cfg.clip_eps)
-        )
-        n_clipped += int(clipped.sum())
-        coef = s * advantage / (n * n_groups)
-        live = ~clipped & (coef != 0.0)
-        if live.any():
-            coef = coef[live]
-            rows = np.arange(coef.shape[0])
-            for j, h in enumerate(HEADS):
-                dz = -probs[h][None, :] * coef[:, None]
-                dz[rows, bins[live, j]] += coef
-                terms = dz[:, :, None] * phi[None, None, :]
-                grads[h] = np.add.reduce(np.concatenate([grads[h][None], terms]), axis=0)
-        if group.gt_action is not None:
-            taken = np.array([r.action.as_tuple() for r in group.rollouts], dtype=np.float64)
-            # integer-valued, so the sum is exact in any order
-            abs_err += np.abs(taken - np.array(group.gt_action.as_tuple(), dtype=np.float64)).sum(axis=0)
-            n_err += n
-        kl = 0.0
-        for h in HEADS:
-            diff = cur_lp[h] - group.ref_log_probs[h]
-            kl_h = float(np.sum(probs[h] * diff))
-            kl += kl_h
-            if cfg.kl_weight > 0.0:
-                dz = probs[h] * (diff - kl_h)
-                grads[h] -= (cfg.kl_weight / n_groups) * np.outer(dz, phi)
-        kl_sum += kl
+    t, n = batch.rewards.shape
+    lp = _taken_log_probs(batch.cur_log_probs, batch.bins)
+    if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(batch.logp_old))):
+        raise ValueError("non-finite log-probabilities in rollout batch")
+    if batch.features.shape[1] != policy.n_features:
+        raise ValueError(f"expected {policy.n_features} features, got {batch.features.shape[1]}")
+    phi = np.hstack([batch.features, np.ones((t, 1))])
+    s = np.array([math.exp(x) for x in (lp - batch.logp_old).ravel().tolist()]).reshape(t, n)
+    advantage = batch.advantages
+    clipped = ((advantage > 0) & (s > 1.0 + cfg.clip_eps)) | ((advantage < 0) & (s < 1.0 - cfg.clip_eps))
+    coef = s * advantage / (n * t)
+    live = ~clipped & (coef != 0.0)
+    task, rollout = np.nonzero(live)  # by prompt, then rollout
+    coef = coef[live]
+    live_rows = np.arange(task.shape[0])
+    # the gradient rows in summation order: each prompt's live rows, then its KL row
+    with_kl = cfg.kl_weight > 0.0
+    live_at = live_rows + (task if with_kl else 0)
+    kl_at = np.cumsum(live.sum(axis=1)) + np.arange(t)
+    n_rows = task.shape[0] + (t if with_kl else 0)
+    row_task = np.empty(n_rows, dtype=np.int64)
+    row_task[live_at] = task
+    row_scale = np.ones(n_rows)
+    if with_kl:
+        row_task[kl_at] = np.arange(t)
+        row_scale[kl_at] = -(cfg.kl_weight / t)  # (-c) * x has the bits of -(c * x)
+    kl = 0.0
+    grads = {}
+    for j, h in enumerate(HEADS):
+        probs = np.exp(batch.cur_log_probs[h])
+        diff = batch.cur_log_probs[h] - batch.ref_log_probs[h]
+        kl_h = np.sum(probs * diff, axis=1)
+        kl = kl + kl_h
+        dz = np.empty((n_rows, probs.shape[1]))
+        live_dz = -probs[task] * coef[:, None]
+        live_dz[live_rows, batch.bins[task, rollout, j]] += coef
+        dz[live_at] = live_dz
+        if with_kl:
+            dz[kl_at] = probs * (diff - kl_h[:, None])
+        grads[h] = _running_sum(dz, phi[row_task], row_scale)
     new_weights = {h: policy.weights[h] + cfg.learning_rate * grads[h] for h in HEADS}
     if any(not np.all(np.isfinite(w)) for w in new_weights.values()):
         raise ValueError("non-finite gradient step")
     new_policy = ToyPolicy({h: policy.bins[h] for h in HEADS}, new_weights)
-    mae = abs_err / n_err if n_err else np.full(3, float("nan"))
+    if batch.gt_actions is not None:
+        # integer-valued, so the sum is exact in any order
+        taken = batch.actions.reshape(t * n, len(HEADS)).astype(np.float64)
+        mae = np.abs(taken - np.repeat(batch.gt_actions, n, axis=0)).sum(axis=0) / (t * n)
+    else:
+        mae = np.full(3, float("nan"))
+    reward_sum = kl_sum = 0.0
+    for r in batch.rewards.ravel().tolist():
+        reward_sum += r
+    for x in kl.tolist():
+        kl_sum += x
     stats = StepStats(
-        mean_reward=reward_sum / n_rollouts,
-        mean_kl=kl_sum / n_groups,
-        clip_fraction=n_clipped / n_rollouts,
+        mean_reward=reward_sum / (t * n),
+        mean_kl=kl_sum / t,
+        clip_fraction=int(clipped.sum()) / (t * n),
         mae_pan=float(mae[0]),
         mae_tilt=float(mae[1]),
         mae_zoom=float(mae[2]),
-        reward_std=float(np.std(all_rewards)),
-        zero_signal_fraction=n_zero_signal / n_groups,
+        reward_std=float(np.std(batch.rewards.ravel())),
+        zero_signal_fraction=int((batch.rewards.min(axis=1) == batch.rewards.max(axis=1)).sum()) / t,
     )
     return new_policy, stats
 
@@ -501,17 +582,20 @@ def grpo_train(
     steps: int,
     seed: int = 0,
 ) -> tuple[ToyPolicy, list[StepStats]]:
-    """On-policy training loop: sample groups for every task, take one step."""
+    """On-policy training loop: each step samples every task's group in one batch, then takes one step.
+
+    The reference policy is the starting one, so its log-probabilities are
+    computed once.
+    """
     if not tasks:
         raise ValueError("no tasks to train on")
-    ref = policy.clone()
+    rows = _TaskRows.of(tasks, cfg.group_size)
+    ref_lp = policy.log_prob_rows(rows.features)
     rng = np.random.default_rng(seed)
     history = []
     for _ in range(steps):
-        groups = [
-            build_rollout_group(policy, ref, task, k, cfg, reward_cfg, rng) for task in tasks
-        ]
-        policy, stats = grpo_step(policy, groups, cfg)
+        batch = _sample_batch(policy, ref_lp, rows, k, cfg, reward_cfg, rng)
+        policy, stats = grpo_step(policy, batch, cfg)
         history.append(stats)
     return policy, history
 

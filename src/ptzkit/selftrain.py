@@ -216,8 +216,8 @@ class ToyPolicyAdapter:
     def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
         if not samples:
             return np.zeros((0, 3), dtype=np.int64)
-        log_probs = [self.policy.log_probs(s.features.as_array(False)) for s in samples]
-        idx = np.stack([np.argmax(np.stack([lp[h] for lp in log_probs]), axis=1) for h in HEADS], axis=1)
+        log_probs = self.policy.log_prob_rows(np.stack([s.features.as_array(False) for s in samples]))
+        idx = np.stack([np.argmax(log_probs[h], axis=1) for h in HEADS], axis=1)
         return self.policy.actions_of(idx)
 
 

@@ -151,7 +151,7 @@ def _fd_policy_and_groups():
         policy.weights[head] += rng.normal(0, 0.3, policy.weights[head].shape)
     cfg = rw.GRPOConfig(group_size=4, kl_weight=0.05)
     ref = rw.ToyPolicy.init(3, bins)
-    groups = []
+    rows = []
     for g in range(3):
         feats = rng.normal(0, 1, 3)
         cur_lp = policy.log_probs(feats)
@@ -162,11 +162,26 @@ def _fd_policy_and_groups():
         for i in range(cfg.group_size):
             b = tuple(int(rng.integers(0, 5)) for _ in range(3))
             lp = float(sum(cur_lp[h][b[j]] for j, h in enumerate(rw.HEADS)))
-            rollouts.append(
-                rw.Rollout(ActionDelta(0, 0, 0), b, lp - float(rng.normal(0, 0.3)), rewards[i], advantages[i])
-            )
-        groups.append(rw.RolloutGroup(f"g{g}", feats, rollouts, cur_lp, ref_lp))
-    return policy, groups, cfg
+            rollouts.append((b, lp - float(rng.normal(0, 0.3)), rewards[i], advantages[i]))
+        rows.append((feats, rollouts, cur_lp, ref_lp))
+    return policy, _batch(rows), cfg
+
+
+def _batch(rows):
+    """A ``RolloutBatch`` of hand-built groups: (features, [(bins, logp_old, reward, advantage)],
+    current log-probs, reference log-probs) each, stacked in order."""
+    groups = [rollouts for _, rollouts, _, _ in rows]
+    bins, logp_old, rewards, advantages = (np.array([[r[i] for r in g] for g in groups]) for i in range(4))
+    return rw.RolloutBatch(
+        features=np.stack([feats for feats, _, _, _ in rows]),
+        bins=bins.astype(np.int64),
+        actions=np.zeros_like(bins, dtype=np.int64),
+        logp_old=logp_old,
+        rewards=rewards,
+        advantages=advantages,
+        cur_log_probs={h: np.stack([cur[h] for _, _, cur, _ in rows]) for h in rw.HEADS},
+        ref_log_probs={h: np.stack([ref[h] for _, _, _, ref in rows]) for h in rw.HEADS},
+    )
 
 
 def test_06_grpo_gradient_and_clipping():
@@ -201,18 +216,14 @@ def test_06_grpo_gradient_and_clipping():
     shift = math.log(2.0)
     lp_a = float(sum(lp[h][b] for h, b in zip(rw.HEADS, (0, 1, 2))))
     lp_b = float(sum(lp[h][b] for h, b in zip(rw.HEADS, (3, 2, 1))))
-    group = rw.RolloutGroup(
-        "clip",
+    group = _batch([(
         feats,
-        [
-            rw.Rollout(ActionDelta(0, 0, 0), (0, 1, 2), lp_a - shift, 1.0, advantages[0]),
-            rw.Rollout(ActionDelta(0, 0, 0), (3, 2, 1), lp_b + shift, -1.0, advantages[1]),
-        ],
+        [((0, 1, 2), lp_a - shift, 1.0, advantages[0]), ((3, 2, 1), lp_b + shift, -1.0, advantages[1])],
         lp,
         lp,
-    )
+    )])
     beta0 = rw.GRPOConfig(group_size=2, kl_weight=0.0, learning_rate=1.0)
-    stepped, stats = rw.grpo_step(policy, [group], beta0)
+    stepped, stats = rw.grpo_step(policy, group, beta0)
     for head in rw.HEADS:
         assert np.array_equal(stepped.weights[head], policy.weights[head])
     assert stats.clip_fraction == 1.0

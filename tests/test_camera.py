@@ -72,6 +72,28 @@ class TestApplyAction:
         state = apply_action(CameraState(0, 0, 990), ActionDelta(0, 0, 50), zoom_max=2000.0)
         assert state.zoom_units == 1040.0
 
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(hst.floats(allow_nan=False, allow_infinity=False))
+    @example(-180.0)
+    @example(-180.00000000000003)
+    @example(1.7976931348623157e308)
+    def test_wrap_angle_range(self, deg):
+        assert -180.0 < wrap_angle(deg) <= 180.0
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(
+        hst.floats(-180.0, 180.0), hst.floats(-90.0, 90.0), hst.floats(0.0, 2000.0),
+        hst.integers(-999, 999), hst.integers(-999, 999), hst.integers(0, 999),
+        hst.floats(0.0, 2000.0),
+    )
+    def test_clamps_for_any_in_range_action(self, pan, tilt, zoom, dpan, dtilt, dzoom, zoom_max):
+        state = apply_action(CameraState(pan, tilt, zoom), ActionDelta(dpan, dtilt, dzoom), zoom_max=zoom_max)
+        start = CameraState(pan, tilt, zoom)
+        assert -180.0 < state.pan <= 180.0
+        assert state.tilt == min(90.0, max(-90.0, start.tilt + dtilt))
+        assert state.zoom_units == min(zoom_max, max(0.0, start.zoom_units + dzoom))
+        assert -90.0 <= state.tilt <= 90.0 and 0.0 <= state.zoom_units <= zoom_max
+
     def test_input_untouched(self):
         state = CameraState(1, 2, 3)
         apply_action(state, ActionDelta(5, 5, 5))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -314,7 +315,8 @@ class TestNonFiniteModel:
     @pytest.mark.parametrize("path, value, reason", [
         (["weights", "zoom", 2, 1], float("nan"), "zoom weights must be finite"),
         (["bins", "pan", -1], 1000, "pan bins must lie in [-999, 999]"),
-    ], ids=["nan-weight", "out-of-range-bin"])
+        (["bins", "pan", 0], -29.7, "pan bins must be an integer, got -29.7"),
+    ], ids=["nan-weight", "out-of-range-bin", "fractional-bin"])
     def test_bad_policy_checkpoint_names_the_file(self, tmp_path, scene_file, capsys, path, value, reason):
         assert run(["grpo-train", "--scene", str(scene_file), "--steps", "1", "--out", str(tmp_path), "--quiet"]) == 0
         doc = json.loads((tmp_path / "policy.json").read_text())
@@ -336,6 +338,22 @@ class TestNonFiniteModel:
         assert run(["synth", "--records", str(records), "--model", str(big), "--out", str(tmp_path)]) == 3
         assert "is not finite" in capsys.readouterr().err
         assert not (tmp_path / "eval.json").exists() and not (tmp_path / "labels.jsonl").exists()
+
+    def test_overflowing_forest_sum_is_one_data_error(self, tmp_path, scene_file, capsys):
+        # finite leaves whose sum over the trees overflows: rejected once, where
+        # the prediction is rounded, with no numpy warning on the way
+        doc = self.fitted(tmp_path, scene_file, "rf")
+        for tree in doc["heads"]["pan"]["trees"]:
+            tree["value"] = [1.5e308] * len(tree["value"])
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc) + "\n")
+        scene, _ = self.write_inputs(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["eval", "--scene", str(scene), "--policy", str(big), "--out", str(tmp_path)]) == 3
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert "is not finite" in err and "RuntimeWarning" not in err
 
 
 class TestIterate:

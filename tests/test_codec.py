@@ -266,6 +266,13 @@ class TestCanonicity:
             )
             assert decode(encode_action(a, vocab), vocab, strict=True) == a
 
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(st.integers(-999, 999), st.integers(-999, 999), st.integers(0, 999))
+    def test_round_trip_over_whole_range(self, pan, tilt, zoom):
+        vocab = TokenVocab.default()
+        a = ActionDelta(pan, tilt, zoom)
+        assert decode(encode_action(a, vocab), vocab, strict=True) == a
+
     def test_exhaustive_small_block_round_trip(self, vocab):
         for pan in range(-20, 21):
             for tilt in (-99, -7, 0, 7, 99):

@@ -143,6 +143,62 @@ def small_policy(seed=0, scale=0.3):
     return policy
 
 
+@dataclasses.dataclass
+class Rollout:
+    """One hand-built rollout of a test group."""
+
+    action: ActionDelta
+    bins: tuple[int, int, int]
+    logp_old: float
+    reward: float
+    advantage: float
+
+
+@dataclasses.dataclass
+class Group:
+    """One prompt's hand-built rollouts plus its log-probabilities, as tests write them."""
+
+    prompt_id: str
+    features: np.ndarray
+    rollouts: list[Rollout]
+    cur_log_probs: dict[str, np.ndarray]
+    ref_log_probs: dict[str, np.ndarray]
+    gt_action: ActionDelta | None = None
+
+
+def batch_of(groups):
+    """The ``RolloutBatch`` of hand-built groups, their rows stacked in order."""
+    rows = [g.rollouts for g in groups]
+    gt = [g.gt_action for g in groups]
+    return rw.RolloutBatch(
+        features=np.stack([np.asarray(g.features, dtype=np.float64) for g in groups]),
+        bins=np.array([[r.bins for r in rs] for rs in rows], dtype=np.int64),
+        actions=np.array([[r.action.as_tuple() for r in rs] for rs in rows], dtype=np.int64),
+        logp_old=np.array([[r.logp_old for r in rs] for rs in rows], dtype=np.float64),
+        rewards=np.array([[r.reward for r in rs] for rs in rows], dtype=np.float64),
+        advantages=np.array([[r.advantage for r in rs] for rs in rows], dtype=np.float64),
+        cur_log_probs={h: np.stack([g.cur_log_probs[h] for g in groups]) for h in rw.HEADS},
+        ref_log_probs={h: np.stack([g.ref_log_probs[h] for g in groups]) for h in rw.HEADS},
+        gt_actions=None if None in gt else np.array([a.as_tuple() for a in gt], dtype=np.int64),
+    )
+
+
+def group_of(batch):
+    """The one group of a one-prompt ``RolloutBatch``, in hand-built form."""
+    rollouts = [
+        Rollout(ActionDelta(*a), tuple(b), lp, r, adv)
+        for a, b, lp, r, adv in zip(
+            batch.actions[0].tolist(), batch.bins[0].tolist(), batch.logp_old[0].tolist(),
+            batch.rewards[0].tolist(), batch.advantages[0].tolist(),
+        )
+    ]
+    gt = None if batch.gt_actions is None else ActionDelta(*batch.gt_actions[0].tolist())
+    return Group(
+        "q", batch.features[0], rollouts,
+        {h: batch.cur_log_probs[h][0] for h in rw.HEADS}, {h: batch.ref_log_probs[h][0] for h in rw.HEADS}, gt,
+    )
+
+
 def synthetic_group(policy, rng, cfg, ref=None, ratio_noise=0.3):
     """A rollout group with stored behavior log-probs offset to vary s_i."""
     feats = rng.normal(0, 1, 3)
@@ -156,7 +212,7 @@ def synthetic_group(policy, rng, cfg, ref=None, ratio_noise=0.3):
         bins_idx = tuple(int(rng.integers(0, policy.bins[h].shape[0])) for h in rw.HEADS)
         lp = float(sum(cur_lp[h][bins_idx[j]] for j, h in enumerate(rw.HEADS)))
         rollouts.append(
-            rw.Rollout(
+            Rollout(
                 action=ActionDelta(0, 0, 0),
                 bins=bins_idx,
                 logp_old=lp - float(rng.normal(0, ratio_noise)),
@@ -164,7 +220,7 @@ def synthetic_group(policy, rng, cfg, ref=None, ratio_noise=0.3):
                 advantage=advantages[i],
             )
         )
-    return rw.RolloutGroup("q", feats, rollouts, cur_lp, ref_lp)
+    return Group("q", feats, rollouts, cur_lp, ref_lp)
 
 
 class TestObjective:
@@ -177,9 +233,10 @@ class TestObjective:
         rollouts = []
         for i, b in enumerate([(0, 0, 0), (1, 1, 1)]):
             s = float(sum(lp[h][b[j]] for j, h in enumerate(rw.HEADS)))
-            rollouts.append(rw.Rollout(ActionDelta(0, 0, 0), b, s, [0.3, -0.3][i], advantages[i]))
-        group = rw.RolloutGroup("q", feats, rollouts, lp, lp)
-        assert rw.objective_under_policy(policy, [group], rw.GRPOConfig()) == pytest.approx(0.0, abs=1e-12)
+            rollouts.append(Rollout(ActionDelta(0, 0, 0), b, s, [0.3, -0.3][i], advantages[i]))
+        group = Group("q", feats, rollouts, lp, lp)
+        objective = rw.objective_under_policy(policy, batch_of([group]), rw.GRPOConfig())
+        assert objective == pytest.approx(0.0, abs=1e-12)
 
     def test_clip_arithmetic(self):
         assert rw._clipped_term(1.5, 1.0, 0.2) == pytest.approx(1.2)
@@ -193,12 +250,12 @@ class TestObjective:
         lp = policy.log_probs(feats)
         advantages = rw.group_advantages([1.0, -1.0])
         rollouts = [
-            rw.Rollout(ActionDelta(0, 0, 0), (0, 0, 0), float("nan"), 1.0, advantages[0]),
-            rw.Rollout(ActionDelta(0, 0, 0), (1, 1, 1), 0.0, -1.0, advantages[1]),
+            Rollout(ActionDelta(0, 0, 0), (0, 0, 0), float("nan"), 1.0, advantages[0]),
+            Rollout(ActionDelta(0, 0, 0), (1, 1, 1), 0.0, -1.0, advantages[1]),
         ]
-        group = rw.RolloutGroup("q", feats, rollouts, lp, lp)
+        group = Group("q", feats, rollouts, lp, lp)
         with pytest.raises(ValueError, match="non-finite"):
-            rw.grpo_step(policy, [group], rw.GRPOConfig())
+            rw.grpo_step(policy, batch_of([group]), rw.GRPOConfig())
 
 
 class TestGradient:
@@ -209,7 +266,7 @@ class TestGradient:
         ref = small_policy(seed=9, scale=0.2)
         groups = [synthetic_group(policy, rng, cfg, ref=ref) for _ in range(3)]
         stepped, _ = rw.grpo_step(
-            policy, groups, rw.GRPOConfig(group_size=4, kl_weight=0.05, learning_rate=1.0)
+            policy, batch_of(groups), rw.GRPOConfig(group_size=4, kl_weight=0.05, learning_rate=1.0)
         )
         h = 1e-5
         max_rel = 0.0
@@ -222,8 +279,8 @@ class TestGradient:
                     minus = policy.clone()
                     minus.weights[head][r, c] -= h
                     fd = (
-                        rw.objective_under_policy(plus, groups, cfg)
-                        - rw.objective_under_policy(minus, groups, cfg)
+                        rw.objective_under_policy(plus, batch_of(groups), cfg)
+                        - rw.objective_under_policy(minus, batch_of(groups), cfg)
                     ) / (2 * h)
                     an = analytic[r, c]
                     if abs(fd) > 1e-9 or abs(an) > 1e-9:
@@ -240,19 +297,19 @@ class TestGradient:
         advantages = rw.group_advantages([1.0, -1.0])
         shift = math.log(2.0)  # s = 2 for positive-advantage, s = 0.5 for negative
         rollouts = [
-            rw.Rollout(
+            Rollout(
                 ActionDelta(0, 0, 0), (0, 1, 2),
                 float(sum(lp[h][b] for h, b in zip(rw.HEADS, (0, 1, 2)))) - shift,
                 1.0, advantages[0],
             ),
-            rw.Rollout(
+            Rollout(
                 ActionDelta(0, 0, 0), (3, 2, 1),
                 float(sum(lp[h][b] for h, b in zip(rw.HEADS, (3, 2, 1)))) + shift,
                 -1.0, advantages[1],
             ),
         ]
-        group = rw.RolloutGroup("q", feats, rollouts, lp, lp)
-        stepped, stats = rw.grpo_step(policy, [group], cfg)
+        group = Group("q", feats, rollouts, lp, lp)
+        stepped, stats = rw.grpo_step(policy, batch_of([group]), cfg)
         for head in rw.HEADS:
             assert np.array_equal(stepped.weights[head], policy.weights[head])
         assert stats.clip_fraction == 1.0
@@ -262,8 +319,8 @@ class TestGradient:
         plus.weights["pan"][0, 0] += h
         minus = policy.clone()
         minus.weights["pan"][0, 0] -= h
-        assert rw.objective_under_policy(plus, [group], cfg) == pytest.approx(
-            rw.objective_under_policy(minus, [group], cfg), abs=1e-12
+        assert rw.objective_under_policy(plus, batch_of([group]), cfg) == pytest.approx(
+            rw.objective_under_policy(minus, batch_of([group]), cfg), abs=1e-12
         )
 
 
@@ -309,7 +366,7 @@ class TestStepMatchesLoop:
         cfg = rw.GRPOConfig(group_size=6, kl_weight=0.05, learning_rate=0.7)
         rng = np.random.default_rng(seed + 100)
         groups = [synthetic_group(policy, rng, cfg, ref=small_policy(seed=seed + 1)) for _ in range(5)]
-        stepped, stats = rw.grpo_step(policy, groups, cfg)
+        stepped, stats = rw.grpo_step(policy, batch_of(groups), cfg)
         weights, mean_reward, clip_fraction = _reference_step(policy, groups, cfg)
         assert 0.0 < clip_fraction < 1.0
         for h in rw.HEADS:
@@ -324,8 +381,10 @@ class TestStepMatchesLoop:
             policy.weights[h] += wrng.normal(0, 0.5, policy.weights[h].shape)
         cfg = rw.GRPOConfig()
         rng = np.random.default_rng(6)
-        groups = [rw.build_rollout_group(policy, rw.ToyPolicy.init(3), t, K, cfg, CFG, rng) for t in tasks]
-        stepped, stats = rw.grpo_step(policy, groups, cfg)
+        groups = [
+            group_of(rw.build_rollout_group(policy, rw.ToyPolicy.init(3), t, K, cfg, CFG, rng)) for t in tasks
+        ]
+        stepped, stats = rw.grpo_step(policy, batch_of(groups), cfg)
         weights, mean_reward, _ = _reference_step(policy, groups, cfg)
         for h in rw.HEADS:
             assert np.array_equal(stepped.weights[h], weights[h])
@@ -358,7 +417,7 @@ class TestGrpoStep:
         policy = small_policy(seed=1)
         cfg = rw.GRPOConfig(group_size=4, learning_rate=0.0)
         groups = self.make_groups(policy, cfg)
-        stepped, _ = rw.grpo_step(policy, groups, cfg)
+        stepped, _ = rw.grpo_step(policy, batch_of(groups), cfg)
         for head in rw.HEADS:
             assert np.array_equal(stepped.weights[head], policy.weights[head])
 
@@ -366,9 +425,9 @@ class TestGrpoStep:
         policy = small_policy(seed=4)
         cfg = rw.GRPOConfig(group_size=6, learning_rate=0.5, kl_weight=0.01)
         groups = self.make_groups(policy, cfg, seed=8)
-        before = rw.objective_under_policy(policy, groups, cfg)
-        stepped, _ = rw.grpo_step(policy, groups, cfg)
-        after = rw.objective_under_policy(stepped, groups, cfg)
+        before = rw.objective_under_policy(policy, batch_of(groups), cfg)
+        stepped, _ = rw.grpo_step(policy, batch_of(groups), cfg)
+        after = rw.objective_under_policy(stepped, batch_of(groups), cfg)
         assert after > before
 
 
@@ -446,10 +505,10 @@ class TestTraining:
         groups = [synthetic_group(policy, rng, cfg) for _ in range(4)]
         flat = groups[1]
         flat.rollouts = [
-            rw.Rollout(r.action, r.bins, r.logp_old, 0.25, 0.0)
+            Rollout(r.action, r.bins, r.logp_old, 0.25, 0.0)
             for r in flat.rollouts
         ]
-        _, stats = rw.grpo_step(policy, groups, cfg)
+        _, stats = rw.grpo_step(policy, batch_of(groups), cfg)
         assert stats.zero_signal_fraction == 0.25
         rewards = [r.reward for g in groups for r in g.rollouts]
         assert stats.reward_std == float(np.std(rewards))
@@ -495,7 +554,7 @@ class TestBatchedRollouts:
         batched_rng = np.random.default_rng(seed)
         loop_rng = np.random.default_rng(seed)
         for task in tasks:
-            group = rw.build_rollout_group(policy, ref, task, K, cfg, CFG, batched_rng)
+            group = group_of(rw.build_rollout_group(policy, ref, task, K, cfg, CFG, batched_rng))
             expected = _reference_rollouts(policy, task, K, cfg, CFG, loop_rng)
             got = [(r.bins, r.action, r.logp_old, r.reward, float(r.advantage)) for r in group.rollouts]
             assert got == expected
@@ -515,3 +574,132 @@ class TestBatchedRollouts:
                 expected.append(int(b.choice(p.shape[0], p=p / p.sum())))
             assert bins == tuple(expected)
             assert action.as_tuple() == tuple(int(policy.bins[h][i]) for h, i in zip(rw.HEADS, expected))
+
+
+# --- the per-group training loop, kept as the reference the step-wide batch
+# is checked against bit for bit ----------------------------------------------
+
+
+def _reference_group(policy, ref_policy, task, k, cfg, reward_cfg, rng):
+    """One prompt's group: one ``rng.random`` draw of n*3, one projection and one reward pass."""
+    cur_lp = policy.log_probs(task.features)
+    ref_lp = ref_policy.log_probs(task.features)
+    n = cfg.group_size
+    uniforms = rng.random(n * len(rw.HEADS)).reshape(n, len(rw.HEADS))
+    idx = np.empty(uniforms.shape, dtype=np.int64)
+    for j, h in enumerate(rw.HEADS):
+        p = np.exp(cur_lp[h])
+        p = p / p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        idx[:, j] = cdf.searchsorted(uniforms[:, j], side="right")
+    actions = np.stack([policy.bins[h][idx[:, j]] for j, h in enumerate(rw.HEADS)], axis=1)
+    c = task.camera
+    pose = cam.apply_action_batch(np.full(n, c.pan), np.full(n, c.tilt), np.full(n, c.zoom_units), actions)
+    boxes, codes = cam.project_batch(*pose, k, task.corners[None])
+    terms = rw.reward_terms(
+        actions, task.gt_action.as_tuple(), boxes, codes, *cam.bbox_arrays([task.gt_bbox]), reward_cfg
+    )
+    rewards = rw.reward_totals(terms).tolist()
+    r = np.asarray(rewards, dtype=np.float64)
+    advantages = list((r - r.mean()) / (float(r.std()) + cfg.std_guard))
+    logp = cur_lp["pan"][idx[:, 0]] + cur_lp["tilt"][idx[:, 1]] + cur_lp["zoom"][idx[:, 2]]
+    rollouts = [
+        Rollout(action=ActionDelta(*a), bins=tuple(b), logp_old=lp, reward=r, advantage=adv)
+        for a, b, lp, r, adv in zip(actions.tolist(), idx.tolist(), logp.tolist(), rewards, advantages)
+    ]
+    features = np.asarray(task.features, dtype=np.float64)
+    return Group(task.prompt_id, features, rollouts, cur_lp, ref_lp, task.gt_action)
+
+
+def _reference_group_step(policy, groups, cfg):
+    """A step over a list of groups: each group's live terms reduced onto a running gradient."""
+    grads = {h: np.zeros_like(policy.weights[h]) for h in rw.HEADS}
+    n_groups = len(groups)
+    n_rollouts = n_clipped = n_zero_signal = n_err = 0
+    reward_sum = kl_sum = 0.0
+    all_rewards = []
+    abs_err = np.zeros(3)
+    for group in groups:
+        phi = policy._phi(group.features)
+        cur_lp = policy.log_probs(group.features)
+        probs = {h: np.exp(cur_lp[h]) for h in rw.HEADS}
+        n = len(group.rollouts)
+        n_rollouts += n
+        rewards = [r.reward for r in group.rollouts]
+        for reward in rewards:
+            reward_sum += reward
+        all_rewards.extend(rewards)
+        n_zero_signal += min(rewards) == max(rewards)
+        bins = np.array([r.bins for r in group.rollouts], dtype=np.int64)
+        logp_old = np.array([r.logp_old for r in group.rollouts])
+        advantage = np.array([r.advantage for r in group.rollouts], dtype=np.float64)
+        lp = cur_lp["pan"][bins[:, 0]] + cur_lp["tilt"][bins[:, 1]] + cur_lp["zoom"][bins[:, 2]]
+        s = np.array([math.exp(x) for x in (lp - logp_old).tolist()])
+        clipped = ((advantage > 0) & (s > 1.0 + cfg.clip_eps)) | ((advantage < 0) & (s < 1.0 - cfg.clip_eps))
+        n_clipped += int(clipped.sum())
+        coef = s * advantage / (n * n_groups)
+        live = ~clipped & (coef != 0.0)
+        if live.any():
+            coef = coef[live]
+            rows = np.arange(coef.shape[0])
+            for j, h in enumerate(rw.HEADS):
+                dz = -probs[h][None, :] * coef[:, None]
+                dz[rows, bins[live, j]] += coef
+                terms = dz[:, :, None] * phi[None, None, :]
+                grads[h] = np.add.reduce(np.concatenate([grads[h][None], terms]), axis=0)
+        taken = np.array([r.action.as_tuple() for r in group.rollouts], dtype=np.float64)
+        abs_err += np.abs(taken - np.array(group.gt_action.as_tuple(), dtype=np.float64)).sum(axis=0)
+        n_err += n
+        kl = 0.0
+        for h in rw.HEADS:
+            diff = cur_lp[h] - group.ref_log_probs[h]
+            kl_h = float(np.sum(probs[h] * diff))
+            kl += kl_h
+            if cfg.kl_weight > 0.0:
+                grads[h] -= (cfg.kl_weight / n_groups) * np.outer(probs[h] * (diff - kl_h), phi)
+        kl_sum += kl
+    weights = {h: policy.weights[h] + cfg.learning_rate * grads[h] for h in rw.HEADS}
+    mae = abs_err / n_err
+    stats = rw.StepStats(
+        mean_reward=reward_sum / n_rollouts,
+        mean_kl=kl_sum / n_groups,
+        clip_fraction=n_clipped / n_rollouts,
+        mae_pan=float(mae[0]),
+        mae_tilt=float(mae[1]),
+        mae_zoom=float(mae[2]),
+        reward_std=float(np.std(all_rewards)),
+        zero_signal_fraction=n_zero_signal / n_groups,
+    )
+    return rw.ToyPolicy(policy.bins, weights), stats
+
+
+def _reference_train(policy, tasks, k, cfg, reward_cfg, steps, seed):
+    ref = policy.clone()
+    rng = np.random.default_rng(seed)
+    history = []
+    for _ in range(steps):
+        groups = [_reference_group(policy, ref, task, k, cfg, reward_cfg, rng) for task in tasks]
+        policy, stats = _reference_group_step(policy, groups, cfg)
+        history.append(stats)
+    return policy, history
+
+
+class TestStepWideTraining:
+    """``grpo_train`` samples and steps over the whole step's batch; its
+    weights and step statistics equal the per-group loop's bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("group_size", [2, 8])
+    @pytest.mark.parametrize("kl_weight", [0.0, 0.04])
+    def test_matches_per_group_loop(self, seed, group_size, kl_weight):
+        tasks = TestTraining().make_tasks(n=9, seed=seed + 60)
+        # one task starts near the pan seam with zoom already in, so pans wrap and zoom clamps
+        tasks.append(dataclasses.replace(tasks[0], camera=cam.CameraState(179.37, 3.5, 980.25)))
+        cfg = rw.GRPOConfig(group_size=group_size, kl_weight=kl_weight)
+        got_policy, got = rw.grpo_train(rw.ToyPolicy.init(3), tasks, K, cfg, CFG, steps=25, seed=seed)
+        want_policy, want = _reference_train(rw.ToyPolicy.init(3), tasks, K, cfg, CFG, steps=25, seed=seed)
+        for h in rw.HEADS:
+            assert got_policy.weights[h].tobytes() == want_policy.weights[h].tobytes()
+        assert [dataclasses.astuple(x) for x in got] == [dataclasses.astuple(x) for x in want]
+        assert any(x.mean_kl > 0.0 for x in got)
