@@ -24,7 +24,7 @@ VISIBILITY_FULL = "full"
 VISIBILITY_CLIPPED = "clipped"
 VISIBILITY_OUT = "out_of_view"
 
-DEFAULT_ZOOM_MAX = 999.0
+ZOOM_MAX = 999.0  # the zoom limit of every pose
 
 
 def wrap_angles(deg: np.ndarray) -> np.ndarray:
@@ -171,9 +171,8 @@ def apply_action_batch(
     tilt: np.ndarray,
     zoom: np.ndarray,
     actions: np.ndarray,
-    zoom_max: float = DEFAULT_ZOOM_MAX,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New (pan, tilt, zoom) arrays: pan wraps, tilt clamps to +/-90, zoom to [0, zoom_max].
+    """New (pan, tilt, zoom) arrays: pan wraps, tilt clamps to +/-90, zoom to [0, ZOOM_MAX].
 
     Pan wraps twice, as the one-state update always has (once in the update,
     once in ``CameraState``).  No input tried makes the second wrap change a
@@ -183,7 +182,7 @@ def apply_action_batch(
     return (
         wrap_angles(wrap_angles(pan + actions[:, 0])),
         np.clip(tilt + actions[:, 1], -90.0, 90.0),
-        np.clip(zoom + actions[:, 2], 0.0, zoom_max),
+        np.clip(zoom + actions[:, 2], 0.0, ZOOM_MAX),
     )
 
 
@@ -305,7 +304,6 @@ def oracle_actions(
     k: CameraIntrinsics,
     targets: Sequence[TargetSpec],
     fill_ratio: float,
-    zoom_max: float = DEFAULT_ZOOM_MAX,
 ) -> tuple[np.ndarray, np.ndarray]:
     """int64[n, 3] ground-truth actions from each pose to its target, and a bool[n] mask
     of the rows that have one.
@@ -324,7 +322,7 @@ def oracle_actions(
     actions = np.zeros((len(targets), 3), dtype=np.int64)
     actions[:, 0] = round_half_away_batch(wrap_angles(azimuth - pan))
     actions[:, 1] = round_half_away_batch(np.clip(elevation, -90.0, 90.0) - tilt)
-    centered = apply_action_batch(pan, tilt, zoom, actions, zoom_max)
+    centered = apply_action_batch(pan, tilt, zoom, actions)
     hull, behind = _hull_batch(*centered, k, target_corners(targets))
     ok &= ~behind
     x0, y0, x1, y1 = hull.T
@@ -333,7 +331,7 @@ def oracle_actions(
     for i in np.flatnonzero(ok).tolist():
         r = float(ratio[i])
         d_zoom = 0 if r <= 0.0 else round_half_away(50.0 * math.log2(fill_ratio / r))
-        budget = int(math.floor(zoom_max - float(zoom[i])))
+        budget = int(math.floor(ZOOM_MAX - float(zoom[i])))
         actions[i, 2] = max(0, min(d_zoom, budget))
     actions[~ok] = 0
     return actions, ok
@@ -359,9 +357,9 @@ def _pose(state: CameraState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array([state.pan]), np.array([state.tilt]), np.array([state.zoom_units])
 
 
-def apply_action(state: CameraState, action: ActionDelta, zoom_max: float = DEFAULT_ZOOM_MAX) -> CameraState:
-    """New camera state: pan wraps, tilt clamps to +/-90, zoom clamps to [0, zoom_max]."""
-    pan, tilt, zoom = apply_action_batch(*_pose(state), np.array([action.as_tuple()]), zoom_max)
+def apply_action(state: CameraState, action: ActionDelta) -> CameraState:
+    """New camera state: pan wraps, tilt clamps to +/-90, zoom clamps to [0, ZOOM_MAX]."""
+    pan, tilt, zoom = apply_action_batch(*_pose(state), np.array([action.as_tuple()]))
     return CameraState(pan[0], tilt[0], zoom[0])
 
 
@@ -388,7 +386,6 @@ def oracle_action(
     k: CameraIntrinsics,
     target: TargetSpec,
     fill_ratio: float,
-    zoom_max: float = DEFAULT_ZOOM_MAX,
 ) -> ActionDelta:
     """Ground-truth integer action that centers the target and zooms to ``fill_ratio``.
 
@@ -398,7 +395,7 @@ def oracle_action(
     zoom]: the model zooms in only, so a target already larger than the fill
     ratio gets a zero zoom delta.
     """
-    actions, ok = oracle_actions(*_pose(state), k, [target], fill_ratio, zoom_max)
+    actions, ok = oracle_actions(*_pose(state), k, [target], fill_ratio)
     if not ok[0]:
         raise ValueError("target out of front hemisphere")
     return ActionDelta(*actions[0].tolist())

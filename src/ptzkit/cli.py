@@ -244,10 +244,8 @@ def cmd_iterate(args, cfg: RunConfig) -> int:
         iou_thresholds=thresholds,
         replace_bbox=replace_bbox,
         refit_each_round=s.refit_each_round,
-        test_fraction=args.split if args.split is not None else s.split,
-        seed=seed,
     )
-    train, test = st.split_dataset(samples, iter_cfg.test_fraction, seed)
+    train, test = st.split_dataset(samples, args.split if args.split is not None else s.split, seed)
     noise_angle = args.label_noise_angle if args.label_noise_angle is not None else s.label_noise_angle
     noise_zoom = args.label_noise_zoom if args.label_noise_zoom is not None else s.label_noise_zoom
     if noise_angle > 0 or noise_zoom > 0:
@@ -265,10 +263,7 @@ def cmd_iterate(args, cfg: RunConfig) -> int:
         labels = [st.sample_to_pseudolabel(x, k) for x in refined]
         _write_atomic(path, lambda p: pl.write_pseudo_labels(p, labels, vocab))
 
-    reports = st.iterate(
-        train, iter_cfg, factory, k, testset=test,
-        completion_cfg=completion_cfg, on_round=dump_round,
-    )
+    reports = st.iterate(train, test, iter_cfg, factory, k, completion_cfg, on_round=dump_round)
     report_path = out_dir / args.report
     _write_atomic(report_path, lambda p: st.write_round_reports(p, reports))
     final = reports[-1].metrics
@@ -284,7 +279,6 @@ def cmd_grpo_train(args, cfg: RunConfig) -> int:
     seed = _seed(args, cfg)
     out_dir = _out_dir(args, cfg)
     samples, _, k = _scene_samples(args, cfg, seed)
-    tasks = st.grpo_tasks_from_samples(samples)
     g = cfg.grpo
     grpo_cfg = rw.GRPOConfig(
         kl_weight=g.kl_weight,
@@ -300,14 +294,14 @@ def cmd_grpo_train(args, cfg: RunConfig) -> int:
     )
     steps = args.steps if args.steps is not None else g.steps
     policy = rw.ToyPolicy.init(n_features=3)
-    policy, history = rw.grpo_train(policy, tasks, k, grpo_cfg, reward_cfg, steps, seed)
+    policy, history = rw.grpo_train(policy, samples, k, grpo_cfg, reward_cfg, steps, seed)
     policy_path = out_dir / args.policy_file
     log_path = out_dir / args.report
     _write_atomic(policy_path, lambda p: rw.save_policy(p, policy, seed=seed))
     _write_atomic(log_path, lambda p: rw.write_training_log(p, history))
     _say(
         args,
-        f"grpo-train: {steps} steps on {len(tasks)} prompts, "
+        f"grpo-train: {steps} steps on {len(samples)} prompts, "
         f"mean reward {history[0].mean_reward:.3f} -> {history[-1].mean_reward:.3f}, "
         f"checkpoint {policy_path}",
     )

@@ -240,6 +240,7 @@ class TokenVocab:
 
     @classmethod
     def load(cls, path) -> "TokenVocab":
+        """A table as ``save`` writes it; a bad line or table raises ``CodecError`` naming the file."""
         tokens = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -250,8 +251,14 @@ class TokenVocab:
                 if len(parts) != 4:
                     raise CodecError(f"{path}:{lineno}: expected 4 tab-separated fields")
                 token_id, symbol, kind, value = parts
-                tokens.append(Token(int(token_id), symbol, kind, int(value)))
-        return cls(tokens)
+                try:
+                    tokens.append(Token(int(token_id), symbol, kind, int(value)))
+                except ValueError:
+                    raise CodecError(f"{path}:{lineno}: id and value must be integers") from None
+        try:
+            return cls(tokens)
+        except CodecError as exc:
+            raise CodecError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ are rejected so a typo cannot silently fall back to a default, and a file
 configparser cannot parse (a repeated key, a key before any section header)
 is a config error naming the file.  Float keys must be finite, ``[codec]
 vocab_path`` must exist, ``[grpo] steps`` and ``[selftrain] rounds`` must be
-positive, ``[selftrain] split`` in (0, 1) and the ``[selftrain]`` label noise
-sigmas non-negative at load time.
+positive, ``[selftrain] split`` in (0, 1), ``completion_center_frac`` and the
+label noise sigmas non-negative and ``completion_min_area`` in [0, 1] at load
+time.
 """
 
 from __future__ import annotations
@@ -176,6 +177,9 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"[selftrain] rounds: must be positive, got {cfg.selftrain.rounds}")
     if not 0.0 < cfg.selftrain.split < 1.0:
         raise ConfigError(f"[selftrain] split: must be in (0, 1), got {cfg.selftrain.split}")
-    for key in ("label_noise_angle", "label_noise_zoom"):
+    for key in ("completion_center_frac", "label_noise_angle", "label_noise_zoom"):
         if getattr(cfg.selftrain, key) < 0:
             raise ConfigError(f"[selftrain] {key}: must be >= 0, got {getattr(cfg.selftrain, key)}")
+    if not 0.0 <= cfg.selftrain.completion_min_area <= 1.0:
+        area = cfg.selftrain.completion_min_area
+        raise ConfigError(f"[selftrain] completion_min_area: must be in [0, 1], got {area}")

@@ -24,7 +24,7 @@ from ptzkit.forest import ForestConfig, RandomForest
 
 HEAD_NAMES = ("pan", "tilt", "zoom")
 
-DEFAULT_TEMPLATES = (
+TEMPLATES = (  # one per sample, drawn from the seeded stream
     "What is the {phrase}?",
     "Look at the {phrase}.",
     "Zoom in on the {phrase}.",
@@ -218,13 +218,12 @@ def fit(
     return model
 
 
-def features_for_record(record: GroundingRecord, include_zoom: bool) -> tuple[FeatureVec, BBoxPx, float, float]:
-    """(features, crop window, w1, w2) for one usable record."""
-    x_norm, y_norm = normalize_center(record.bbox, record.image_w, record.image_h)
-    w1 = record_w1(record)
-    window, w2 = isotropic_crop(record.bbox, record.image_w, record.image_h)
-    zoom_feat = 0.5 * math.log2(w2 / w1) if include_zoom else None
-    return FeatureVec(x_norm, y_norm, w1, zoom_feat), window, w1, w2
+def features_for_record(b: BBoxPx, image_w: int, image_h: int) -> tuple[FeatureVec, BBoxPx, float, float]:
+    """(features, crop window, w1, w2) of a non-empty box in a frame of the given size."""
+    x_norm, y_norm = normalize_center(b, image_w, image_h)
+    w1 = b.area() / (image_w * image_h)
+    window, w2 = isotropic_crop(b, image_w, image_h)
+    return FeatureVec(x_norm, y_norm, w1, 0.5 * math.log2(w2 / w1)), window, w1, w2
 
 
 def _bbox_in_crop_frame(b: BBoxPx, window: BBoxPx, image_w: float, image_h: float) -> BBoxPx:
@@ -240,7 +239,6 @@ def _bbox_in_crop_frame(b: BBoxPx, window: BBoxPx, image_w: float, image_h: floa
 def generate(
     records: Sequence[GroundingRecord],
     model: RegressorModel,
-    templates: Sequence[str] = DEFAULT_TEMPLATES,
     seed: int = 0,
     zoom_source: str = "geometry",
 ) -> tuple[list[PseudoLabel], list[tuple[str, str]]]:
@@ -254,8 +252,6 @@ def generate(
     """
     if zoom_source not in ("geometry", "model"):
         raise ValueError(f"unknown zoom_source {zoom_source!r}")
-    if not templates:
-        raise ValueError("need at least one instruction template")
     rng = np.random.default_rng(seed)
     include_zoom = model.config.use_zoom_feature
     x = np.empty((len(records), 4 if include_zoom else 3), dtype=np.float64)
@@ -263,12 +259,12 @@ def generate(
     pending: list[tuple[str, str, BBoxPx, float, float]] = []
     skipped: list[tuple[str, str]] = []
     for record in sorted(records, key=lambda r: r.id):
-        template = templates[int(rng.integers(0, len(templates)))]
+        template = TEMPLATES[int(rng.integers(0, len(TEMPLATES)))]
         problem = record.geometry_problem()
         if problem is not None:
             skipped.append((record.id, problem))
             continue
-        feats, window, w1, w2 = features_for_record(record, include_zoom)
+        feats, window, w1, w2 = features_for_record(record.bbox, record.image_w, record.image_h)
         x[len(pending)] = feats.as_array(include_zoom)
         bbox_post = _bbox_in_crop_frame(record.bbox, window, record.image_w, record.image_h)
         pending.append((record.id, template.format(phrase=record.phrase), bbox_post, w1, w2))

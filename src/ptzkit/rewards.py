@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from ptzkit import jsonl
 from ptzkit.camera import (
     BBoxPx,
     CameraIntrinsics,
-    CameraState,
-    TargetSpec,
     apply_action_batch,
     bbox_arrays,
     iou_batch,
@@ -37,6 +35,9 @@ from ptzkit.camera import (
     target_corners,
 )
 from ptzkit.codec import MAX_ACTION_VALUE, ActionDelta
+
+if TYPE_CHECKING:  # selftrain imports this module
+    from ptzkit.selftrain import SampleTuple
 
 HEADS = ("pan", "tilt", "zoom")
 
@@ -321,24 +322,8 @@ class RolloutBatch:
 
 
 @dataclass(frozen=True)
-class GrpoTask:
-    """A prompt for the toy loop: features plus the scene needed to score rollouts."""
-
-    prompt_id: str
-    features: np.ndarray
-    camera: CameraState
-    target: TargetSpec
-    gt_action: ActionDelta
-    gt_bbox: BBoxPx
-    corners: np.ndarray = field(init=False, repr=False, compare=False)  # of ``target``
-
-    def __post_init__(self):
-        object.__setattr__(self, "corners", target_corners([self.target])[0])
-
-
-@dataclass(frozen=True)
 class _TaskRows:
-    """T tasks' scoring inputs, gathered once: each task's row repeated for its n rollouts."""
+    """T samples' scoring inputs, gathered once: each sample's row repeated for its n rollouts."""
 
     features: np.ndarray  # float64[T, n_features]
     pose: tuple[np.ndarray, np.ndarray, np.ndarray]  # float64[T*n] start pan, tilt, zoom
@@ -349,16 +334,16 @@ class _TaskRows:
     gt_codes: np.ndarray  # int8[T*n]
 
     @classmethod
-    def of(cls, tasks: Sequence[GrpoTask], n: int) -> "_TaskRows":
-        gt_actions = np.array([t.gt_action.as_tuple() for t in tasks], dtype=np.int64)
-        gt_boxes, gt_codes = bbox_arrays([t.gt_bbox for t in tasks])
+    def of(cls, samples: Sequence[SampleTuple], n: int) -> "_TaskRows":
+        gt_actions = np.array([s.gt_action.as_tuple() for s in samples], dtype=np.int64)
+        gt_boxes, gt_codes = bbox_arrays([s.gt_bbox_post for s in samples])
         return cls(
-            features=np.stack([np.asarray(t.features, dtype=np.float64) for t in tasks]),
+            features=np.stack([s.features.as_array(False) for s in samples]),
             pose=tuple(
-                np.repeat(np.array([getattr(t.camera, a) for t in tasks], dtype=np.float64), n)
+                np.repeat(np.array([getattr(s.camera_init, a) for s in samples], dtype=np.float64), n)
                 for a in ("pan", "tilt", "zoom_units")
             ),
-            corners=np.repeat(np.stack([t.corners for t in tasks]), n, axis=0),
+            corners=np.repeat(target_corners([s.target for s in samples]), n, axis=0),
             gt_actions=gt_actions,
             gt_rows=np.repeat(gt_actions, n, axis=0),
             gt_boxes=np.repeat(gt_boxes, n, axis=0),
@@ -381,10 +366,10 @@ def _sample_batch(
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
 ) -> RolloutBatch:
-    """Sample every task's group on-policy and score all T*n rollouts in one pass.
+    """Sample every prompt's group on-policy and score all T*n rollouts in one pass.
 
     One ``rng.random`` call draws every bin (the same stream as one call of
-    n*3 per task, in task order), one ``apply_action_batch`` and one
+    n*3 per prompt, in prompt order), one ``apply_action_batch`` and one
     ``project_batch`` call move and project every rollout, and the reward is
     scored over the T*n rows.  Each array row is computed on its own (a sum
     along the last axis rounds each row as the 1-D sum of that row does), so
@@ -415,14 +400,14 @@ def _sample_batch(
 def build_rollout_group(
     policy: ToyPolicy,
     ref_policy: ToyPolicy,
-    task: GrpoTask,
+    sample: SampleTuple,
     k: CameraIntrinsics,
     cfg: GRPOConfig,
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
 ) -> RolloutBatch:
-    """One prompt's group, sampled on-policy and scored: a one-task batch of ``grpo_train``'s sampler."""
-    rows = _TaskRows.of([task], cfg.group_size)
+    """One prompt's group, sampled on-policy and scored: a one-sample batch of ``grpo_train``'s sampler."""
+    rows = _TaskRows.of([sample], cfg.group_size)
     return _sample_batch(policy, ref_policy.log_prob_rows(rows.features), rows, k, cfg, reward_cfg, rng)
 
 
@@ -575,21 +560,22 @@ def grpo_step(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConfig) -> tuple[
 
 def grpo_train(
     policy: ToyPolicy,
-    tasks: Sequence[GrpoTask],
+    samples: Sequence[SampleTuple],
     k: CameraIntrinsics,
     cfg: GRPOConfig,
     reward_cfg: RewardConfig,
     steps: int,
     seed: int = 0,
 ) -> tuple[ToyPolicy, list[StepStats]]:
-    """On-policy training loop: each step samples every task's group in one batch, then takes one step.
+    """On-policy training loop: each step samples every prompt's group in one batch, then takes one step.
 
+    Each sample of ``make_samples`` is a prompt, scored from its start pose against its oracle action and box.
     The reference policy is the starting one, so its log-probabilities are
     computed once.
     """
-    if not tasks:
-        raise ValueError("no tasks to train on")
-    rows = _TaskRows.of(tasks, cfg.group_size)
+    if not samples:
+        raise ValueError("no samples to train on")
+    rows = _TaskRows.of(samples, cfg.group_size)
     ref_lp = policy.log_prob_rows(rows.features)
     rng = np.random.default_rng(seed)
     history = []

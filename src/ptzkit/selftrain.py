@@ -13,7 +13,6 @@ policy, so the loop runs end to end on synthetic scenes.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
@@ -41,7 +40,7 @@ from ptzkit.camera import (
 )
 from ptzkit.codec import ActionDelta, round_actions
 from ptzkit.pseudolabel import FeatureVec, RegressorConfig, RegressorModel
-from ptzkit.rewards import HEADS, GrpoTask, ToyPolicy
+from ptzkit.rewards import HEADS, ToyPolicy
 
 DEFAULT_FILL_RATIO = 0.30
 
@@ -61,7 +60,6 @@ class EmptyFilterError(RuntimeError):
 class CompletionConfig:
     center_frac: float = 0.1
     min_area_ratio: float = 0.25
-    require_full_visibility: bool = True
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,6 @@ class IterationConfig:
     iou_thresholds: tuple[float, ...] = (0.7, 0.95)
     replace_bbox: bool = True
     refit_each_round: bool = True
-    test_fraction: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -122,8 +118,6 @@ class IterationConfig:
             raise ValueError("IoU thresholds must lie in [0, 1]")
         if len(self.iou_thresholds) < self.rounds - 1:
             raise ValueError("need at least rounds - 1 IoU thresholds")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
 
     def threshold_for_round(self, round_idx: int) -> float:
         # rounds beyond the list reuse its last threshold
@@ -234,13 +228,13 @@ def make_samples(
     k: CameraIntrinsics,
     camera_init: CameraState = CameraState(),
     fill_ratio: float = DEFAULT_FILL_RATIO,
-    templates: Sequence[str] = pl.DEFAULT_TEMPLATES,
     seed: int = 0,
 ) -> tuple[list[SampleTuple], list[tuple[str, str]]]:
     """Oracle-labeled samples for every target fully visible from the start pose.
 
     The start views, the oracle actions and the post-action views of the
-    whole scene are each computed in one batch call.
+    whole scene are each computed in one batch call; a sample's features are
+    those ``pseudolabel.generate`` takes from a record with its start box.
     """
     rng = np.random.default_rng(seed)
     samples: list[SampleTuple] = []
@@ -253,23 +247,19 @@ def make_samples(
     gt_actions, has_oracle = oracle_actions(*pose, k, targets, fill_ratio)
     post_boxes, post_codes = project_batch(*apply_action_batch(*pose, gt_actions), k, corners)
     for i, (target_id, target) in enumerate(scene):
-        template = templates[int(rng.integers(0, len(templates)))]
+        template = pl.TEMPLATES[int(rng.integers(0, len(pl.TEMPLATES)))]
         if start_codes[i] != CODE_FULL:
             skipped.append((target_id, f"initial view is {VISIBILITY_CODES[start_codes[i]]}"))
             continue
-        bbox0 = bbox_row(start_boxes[i], start_codes[i])
-        x_norm, y_norm = pl.normalize_center(bbox0, k.image_w, k.image_h)
-        w1 = area_ratio(bbox0, k)
-        _, w2_crop = pl.isotropic_crop(bbox0, k.image_w, k.image_h)
-        zoom_feat = 0.5 * math.log2(w2_crop / w1)
         if not has_oracle[i]:
             skipped.append((target_id, "target out of front hemisphere"))
             continue
+        features, *_ = pl.features_for_record(bbox_row(start_boxes[i], CODE_FULL), k.image_w, k.image_h)
         samples.append(
             SampleTuple(
                 id=target_id,
                 instruction=template.format(phrase=target.phrase),
-                features=FeatureVec(x_norm, y_norm, w1, zoom_feat),
+                features=features,
                 camera_init=camera_init,
                 target=target,
                 gt_action=ActionDelta(*gt_actions[i].tolist()),
@@ -286,9 +276,7 @@ def relabel(dataset: Sequence[SampleTuple], policy: PolicyAdapter) -> list[Sampl
 
 def completion(post_bbox: BBoxPx, k: CameraIntrinsics, cfg: CompletionConfig = CompletionConfig()) -> bool:
     """Centered-and-magnified predicate on the post-action view."""
-    if post_bbox.is_empty():
-        return False
-    if cfg.require_full_visibility and post_bbox.visibility != VISIBILITY_FULL:
+    if post_bbox.visibility != VISIBILITY_FULL or post_bbox.is_empty():
         return False
     cx, cy = post_bbox.center()
     dx = cx - k.image_w / 2.0
@@ -386,6 +374,9 @@ def regressor_policy_factory(cfg: RegressorConfig) -> PolicyFactory:
 def split_dataset(
     dataset: Sequence[SampleTuple], test_fraction: float, seed: int
 ) -> tuple[list[SampleTuple], list[SampleTuple]]:
+    """(train, test), each in the dataset's order: a seeded ``test_fraction`` (at least one) is held out."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset))
     n_test = max(1, int(round(len(dataset) * test_fraction)))
@@ -396,30 +387,26 @@ def split_dataset(
 
 
 def iterate(
-    dataset: Sequence[SampleTuple],
+    train: Sequence[SampleTuple],
+    test: Sequence[SampleTuple],
     cfg: IterationConfig,
     policy_factory: PolicyFactory,
     k: CameraIntrinsics,
-    testset: Sequence[SampleTuple] | None = None,
     completion_cfg: CompletionConfig = CompletionConfig(),
     on_round: Callable[[int, Sequence[SampleTuple]], None] | None = None,
 ) -> list[RoundReport]:
     """Fit, then repeat (predict, filter, relabel, refit), scoring every round.
 
-    Round 0 is the baseline fit on the raw dataset.  Round r >= 1 filters at
-    the configured threshold (reusing the last one when the list is short),
+    Round 0 is the baseline fit on the training split.  Round r >= 1 filters
+    at the configured threshold (reusing the last one when the list is short),
     refits on the survivors when ``refit_each_round`` is on, and evaluates on
     the held-out split.  An empty post-filter set aborts the run.  ``on_round``
     receives each round's refined dataset, e.g. to write it out.
     """
-    if testset is None:
-        train, testset = split_dataset(dataset, cfg.test_fraction, cfg.seed)
-    else:
-        train = list(dataset)
-    if not train or not testset:
+    if not train or not test:
         raise ValueError("empty train or test split")
     policy = policy_factory(train, 0)
-    reports = [RoundReport(0, None, evaluate(policy, testset, k, completion_cfg))]
+    reports = [RoundReport(0, None, evaluate(policy, test, k, completion_cfg))]
     current = train
     for round_idx in range(1, cfg.rounds + 1):
         threshold = cfg.threshold_for_round(round_idx)
@@ -440,25 +427,11 @@ def iterate(
             RoundReport(
                 round_idx,
                 threshold,
-                evaluate(policy, testset, k, completion_cfg),
+                evaluate(policy, test, k, completion_cfg),
                 diag,
             )
         )
     return reports
-
-
-def grpo_tasks_from_samples(samples: Sequence[SampleTuple]) -> list[GrpoTask]:
-    return [
-        GrpoTask(
-            prompt_id=s.id,
-            features=s.features.as_array(False),
-            camera=s.camera_init,
-            target=s.target,
-            gt_action=s.gt_action,
-            gt_bbox=s.gt_bbox_post,
-        )
-        for s in samples
-    ]
 
 
 # --- file formats ----------------------------------------------------------

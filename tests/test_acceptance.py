@@ -237,7 +237,7 @@ def test_07_grpo_optimization_smoke():
     rng = np.random.default_rng(707)
     scene = cam.sample_targets(65, rng)
     samples, _ = st.make_samples(scene, K, seed=4)
-    tasks = st.grpo_tasks_from_samples(samples[:50])
+    tasks = samples[:50]
     assert len(tasks) == 50
     cfg = rw.GRPOConfig(learning_rate=4.0)
     policy, history = rw.grpo_train(rw.ToyPolicy.init(3), tasks, K, cfg, rw.RewardConfig(), steps=200, seed=9)
@@ -274,10 +274,10 @@ def test_08_self_training_trend():
     factory = st.regressor_policy_factory(
         pl.RegressorConfig(kind="random_forest", seed=9, max_depth=10, min_samples_leaf=4),
     )
-    cfg_on = st.IterationConfig(rounds=2, iou_thresholds=(0.7, 0.95), replace_bbox=True, seed=3)
-    cfg_off = st.IterationConfig(rounds=2, iou_thresholds=(0.7, 0.95), replace_bbox=False, seed=3)
-    reports_on = st.iterate(train_noisy, cfg_on, factory, K, testset=test)
-    reports_off = st.iterate(train_noisy, cfg_off, factory, K, testset=test)
+    cfg_on = st.IterationConfig(rounds=2, iou_thresholds=(0.7, 0.95), replace_bbox=True)
+    cfg_off = st.IterationConfig(rounds=2, iou_thresholds=(0.7, 0.95), replace_bbox=False)
+    reports_on = st.iterate(train_noisy, test, cfg_on, factory, K)
+    reports_off = st.iterate(train_noisy, test, cfg_off, factory, K)
     ious = [r.metrics.mean_iou for r in reports_on]
     assert all(b >= a for a, b in zip(ious, ious[1:])), f"IoU trajectory decreased: {ious}"
     assert ious[-1] >= ious[0] + 0.1

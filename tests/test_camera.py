@@ -69,8 +69,6 @@ class TestApplyAction:
 
     def test_zoom_clamps(self):
         assert apply_action(CameraState(0, 0, 990), ActionDelta(0, 0, 50)).zoom_units == 999.0
-        state = apply_action(CameraState(0, 0, 990), ActionDelta(0, 0, 50), zoom_max=2000.0)
-        assert state.zoom_units == 1040.0
 
     @settings(derandomize=True, max_examples=1000, deadline=None)
     @given(hst.floats(allow_nan=False, allow_infinity=False))
@@ -84,15 +82,14 @@ class TestApplyAction:
     @given(
         hst.floats(-180.0, 180.0), hst.floats(-90.0, 90.0), hst.floats(0.0, 2000.0),
         hst.integers(-999, 999), hst.integers(-999, 999), hst.integers(0, 999),
-        hst.floats(0.0, 2000.0),
     )
-    def test_clamps_for_any_in_range_action(self, pan, tilt, zoom, dpan, dtilt, dzoom, zoom_max):
-        state = apply_action(CameraState(pan, tilt, zoom), ActionDelta(dpan, dtilt, dzoom), zoom_max=zoom_max)
+    def test_clamps_for_any_in_range_action(self, pan, tilt, zoom, dpan, dtilt, dzoom):
+        state = apply_action(CameraState(pan, tilt, zoom), ActionDelta(dpan, dtilt, dzoom))
         start = CameraState(pan, tilt, zoom)
         assert -180.0 < state.pan <= 180.0
         assert state.tilt == min(90.0, max(-90.0, start.tilt + dtilt))
-        assert state.zoom_units == min(zoom_max, max(0.0, start.zoom_units + dzoom))
-        assert -90.0 <= state.tilt <= 90.0 and 0.0 <= state.zoom_units <= zoom_max
+        assert state.zoom_units == min(cam.ZOOM_MAX, max(0.0, start.zoom_units + dzoom))
+        assert -90.0 <= state.tilt <= 90.0 and 0.0 <= state.zoom_units <= cam.ZOOM_MAX
 
     def test_input_untouched(self):
         state = CameraState(1, 2, 3)
@@ -247,7 +244,7 @@ class TestOracleAction:
     def test_zoom_budget_respected(self):
         t = TargetSpec(0.0, 0.0, 2.0, 0.4, 0.4)
         state = CameraState(0, 0, 990.0)
-        action = oracle_action(state, K, t, 0.30, zoom_max=999.0)
+        action = oracle_action(state, K, t, 0.30)
         assert action.zoom_units <= 9
 
     def test_rejects_rear_target(self):
@@ -345,7 +342,7 @@ _ROW = hst.tuples(
     hst.floats(0.0, 998.0),  # start zoom
     hst.integers(-200, 200),  # pan delta: crosses +/-180
     hst.integers(-120, 120),  # tilt delta: reaches the +/-90 clamp
-    hst.integers(0, 999),  # zoom delta: reaches the zoom_max clamp
+    hst.integers(0, 999),  # zoom delta: reaches the ZOOM_MAX clamp
     hst.floats(-200.0, 200.0),  # target azimuth minus start pan: in view, clipped, out, behind
     hst.floats(-60.0, 60.0),  # target elevation minus start tilt
     hst.floats(0.2, 8.0),  # distance
@@ -371,7 +368,7 @@ def _reference_apply(state, action):
     """The scalar pose update, wrapping pan in the update and again in the state."""
     pan = _reference_wrap(_reference_wrap(state.pan + action.pan_deg))
     tilt = min(max(state.tilt + action.tilt_deg, -90.0), 90.0)
-    zoom = min(max(state.zoom_units + action.zoom_units, 0.0), cam.DEFAULT_ZOOM_MAX)
+    zoom = min(max(state.zoom_units + action.zoom_units, 0.0), cam.ZOOM_MAX)
     return pan, tilt, zoom
 
 
@@ -432,7 +429,7 @@ def _reference_oracle(pan, tilt, zoom, k, target, fill_ratio):
     x0, y0, x1, y1 = hull
     ratio = max((x1 - x0) * (y1 - y0), 0.0) / (k.image_w * k.image_h)
     d_zoom = 0 if ratio <= 0.0 else round_half_away(50.0 * math.log2(fill_ratio / ratio))
-    return d_pan, d_tilt, max(0, min(d_zoom, int(math.floor(cam.DEFAULT_ZOOM_MAX - zoom))))
+    return d_pan, d_tilt, max(0, min(d_zoom, int(math.floor(cam.ZOOM_MAX - zoom))))
 
 
 class TestBatchForms:

@@ -56,6 +56,33 @@ class TestEncodeDecode:
         out = capsys.readouterr().out.strip()
         assert out == "<PAN> <+> <5> <2> <TILT> <ZOOM> <END>"
 
+    @pytest.mark.parametrize("line", ["x\t<PAN>\tdim\t0", "0\t<PAN>\tdim\t1.5"], ids=["id", "value"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_non_integer_vocab_field_names_file_and_line(self, tmp_path, capsys, line, via_config):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(line + "\n")
+        if via_config:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[codec]\nvocab_path = {path}\n")
+            argv = ["--config", str(cfg), "encode", "--pan", "7", "--tilt", "0", "--zoom", "0"]
+        else:
+            argv = ["encode", "--pan", "7", "--tilt", "0", "--zoom", "0", "--vocab", str(path)]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:1: id and value must be integers" in err
+        assert "invalid literal" not in err
+
+    def test_bad_vocab_table_names_the_file(self, tmp_path, capsys):
+        from ptzkit.codec import TokenVocab
+
+        path = tmp_path / "vocab.tsv"
+        TokenVocab.default().save(path)
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].replace(lines[-1].split("\t")[0], "99", 1)  # the end token's id leaves a gap
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["encode", "--pan", "7", "--tilt", "0", "--zoom", "0", "--vocab", str(path)]) == 3
+        assert f"{path}: token ids must be contiguous" in capsys.readouterr().err
+
 
 class TestSceneGen:
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -185,6 +212,24 @@ class TestFitEval:
             "--out", str(tmp_path),
         ]) == 3
         assert f"[selftrain] {key}: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("completion_center_frac", -0.1, "must be >= 0"),
+            ("completion_min_area", 5, "must be in [0, 1]"),
+            ("completion_min_area", -0.5, "must be in [0, 1]"),
+        ],
+    )
+    def test_impossible_completion_key_is_config_error(self, tmp_path, capsys, key, value, rule):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[selftrain]\n{key} = {value}\n")
+        # the scene is never read: the config is rejected first
+        assert run([
+            "--config", str(cfg), "eval", "--scene", str(tmp_path / "nope.jsonl"), "--policy", "oracle",
+            "--out", str(tmp_path),
+        ]) == 3
+        assert f"config error: [selftrain] {key}: {rule}" in capsys.readouterr().err
 
     def test_missing_scene_is_data_error(self, tmp_path):
         assert run(["eval", "--scene", str(tmp_path / "nope.jsonl"), "--policy", "oracle"]) == 3

@@ -346,7 +346,7 @@ class TestGenerate:
         assert calls == [len(records)]
         assert skipped == [("r0005x", "empty bbox")]
         for lab, rec in zip(labels, sorted(records, key=lambda r: r.id)):
-            x = pl.features_for_record(rec, False)[0].as_array(False)
+            x = pl.features_for_record(rec.bbox, rec.image_w, rec.image_h)[0].as_array(False)
             pan, tilt, zoom = real_predict(model, x[None, :])[0]
             expected = (round_half_away(pan), round_half_away(tilt), max(0, round_half_away(zoom)))
             assert lab.action.as_tuple() == expected

@@ -436,7 +436,7 @@ class TestTraining:
         rng = np.random.default_rng(seed)
         scene = cam.sample_targets(n + 8, rng)
         samples, _ = st.make_samples(scene, K, seed=5)
-        return st.grpo_tasks_from_samples(samples[:n])
+        return samples[:n]
 
     def test_reward_improves(self):
         tasks = self.make_tasks()
@@ -517,7 +517,7 @@ class TestTraining:
 def _reference_rollouts(policy, task, k, cfg, reward_cfg, rng):
     """The rollout loop one rollout at a time: ``rng.choice`` per head, then
     ``apply_action``, ``project`` and ``composite_reward``."""
-    cur_lp = policy.log_probs(task.features)
+    cur_lp = policy.log_probs(task.features.as_array(False))
     sampled, rewards = [], []
     for _ in range(cfg.group_size):
         idx = []
@@ -526,8 +526,8 @@ def _reference_rollouts(policy, task, k, cfg, reward_cfg, rng):
             p = p / p.sum()
             idx.append(int(rng.choice(p.shape[0], p=p)))
         action = ActionDelta(*(int(policy.bins[h][i]) for h, i in zip(rw.HEADS, idx)))
-        box = cam.project(cam.apply_action(task.camera, action), k, task.target)
-        rewards.append(rw.composite_reward(action, task.gt_action, box, task.gt_bbox, reward_cfg).total)
+        box = cam.project(cam.apply_action(task.camera_init, action), k, task.target)
+        rewards.append(rw.composite_reward(action, task.gt_action, box, task.gt_bbox_post, reward_cfg).total)
         sampled.append((tuple(idx), action))
     advantages = rw.group_advantages(rewards, cfg.std_guard)
     return [
@@ -544,7 +544,7 @@ class TestBatchedRollouts:
     def test_matches_one_at_a_time_loop(self, seed):
         tasks = TestTraining().make_tasks(n=6, seed=seed + 40)
         # one task starts near the pan seam with zoom already in, so pans wrap and zoom clamps
-        tasks.append(dataclasses.replace(tasks[0], camera=cam.CameraState(179.37, 3.5, 980.25)))
+        tasks.append(dataclasses.replace(tasks[0], camera_init=cam.CameraState(179.37, 3.5, 980.25)))
         policy = rw.ToyPolicy.init(3)
         wrng = np.random.default_rng(seed)
         for h in rw.HEADS:
@@ -582,8 +582,8 @@ class TestBatchedRollouts:
 
 def _reference_group(policy, ref_policy, task, k, cfg, reward_cfg, rng):
     """One prompt's group: one ``rng.random`` draw of n*3, one projection and one reward pass."""
-    cur_lp = policy.log_probs(task.features)
-    ref_lp = ref_policy.log_probs(task.features)
+    cur_lp = policy.log_probs(task.features.as_array(False))
+    ref_lp = ref_policy.log_probs(task.features.as_array(False))
     n = cfg.group_size
     uniforms = rng.random(n * len(rw.HEADS)).reshape(n, len(rw.HEADS))
     idx = np.empty(uniforms.shape, dtype=np.int64)
@@ -594,11 +594,11 @@ def _reference_group(policy, ref_policy, task, k, cfg, reward_cfg, rng):
         cdf /= cdf[-1]
         idx[:, j] = cdf.searchsorted(uniforms[:, j], side="right")
     actions = np.stack([policy.bins[h][idx[:, j]] for j, h in enumerate(rw.HEADS)], axis=1)
-    c = task.camera
+    c = task.camera_init
     pose = cam.apply_action_batch(np.full(n, c.pan), np.full(n, c.tilt), np.full(n, c.zoom_units), actions)
-    boxes, codes = cam.project_batch(*pose, k, task.corners[None])
+    boxes, codes = cam.project_batch(*pose, k, cam.target_corners([task.target]))
     terms = rw.reward_terms(
-        actions, task.gt_action.as_tuple(), boxes, codes, *cam.bbox_arrays([task.gt_bbox]), reward_cfg
+        actions, task.gt_action.as_tuple(), boxes, codes, *cam.bbox_arrays([task.gt_bbox_post]), reward_cfg
     )
     rewards = rw.reward_totals(terms).tolist()
     r = np.asarray(rewards, dtype=np.float64)
@@ -608,8 +608,8 @@ def _reference_group(policy, ref_policy, task, k, cfg, reward_cfg, rng):
         Rollout(action=ActionDelta(*a), bins=tuple(b), logp_old=lp, reward=r, advantage=adv)
         for a, b, lp, r, adv in zip(actions.tolist(), idx.tolist(), logp.tolist(), rewards, advantages)
     ]
-    features = np.asarray(task.features, dtype=np.float64)
-    return Group(task.prompt_id, features, rollouts, cur_lp, ref_lp, task.gt_action)
+    features = task.features.as_array(False)
+    return Group(task.id, features, rollouts, cur_lp, ref_lp, task.gt_action)
 
 
 def _reference_group_step(policy, groups, cfg):
@@ -695,7 +695,7 @@ class TestStepWideTraining:
     def test_matches_per_group_loop(self, seed, group_size, kl_weight):
         tasks = TestTraining().make_tasks(n=9, seed=seed + 60)
         # one task starts near the pan seam with zoom already in, so pans wrap and zoom clamps
-        tasks.append(dataclasses.replace(tasks[0], camera=cam.CameraState(179.37, 3.5, 980.25)))
+        tasks.append(dataclasses.replace(tasks[0], camera_init=cam.CameraState(179.37, 3.5, 980.25)))
         cfg = rw.GRPOConfig(group_size=group_size, kl_weight=kl_weight)
         got_policy, got = rw.grpo_train(rw.ToyPolicy.init(3), tasks, K, cfg, CFG, steps=25, seed=seed)
         want_policy, want = _reference_train(rw.ToyPolicy.init(3), tasks, K, cfg, CFG, steps=25, seed=seed)

@@ -44,8 +44,6 @@ class TestCompletion:
     def test_clipped_rejected_by_default(self):
         box = BBoxPx(0, 0, 1280, 700, cam.VISIBILITY_CLIPPED)
         assert not st.completion(box, K)
-        relaxed = st.CompletionConfig(require_full_visibility=False)
-        assert st.completion(box, K, relaxed)
 
 
 class TestPolicies:
@@ -240,6 +238,21 @@ class TestRunRound:
             st.run_round([], st.OraclePolicy(K), K, 0.5, True)
 
 
+class TestSplitDataset:
+    def test_partitions_in_order(self, dataset):
+        train, test = st.split_dataset(dataset, 0.2, seed=1)
+        assert len(test) == round(0.2 * len(dataset))
+        test_ids = {s.id for s in test}
+        assert not test_ids & {s.id for s in train}
+        assert test == [s for s in dataset if s.id in test_ids]
+        assert train == [s for s in dataset if s.id not in test_ids]
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_rejects_fraction_outside_open_unit_interval(self, dataset, fraction):
+        with pytest.raises(ValueError, match=r"test_fraction must be in \(0, 1\)"):
+            st.split_dataset(dataset, fraction, seed=1)
+
+
 class TestIterate:
     def factory(self):
         return st.regressor_policy_factory(
@@ -248,35 +261,35 @@ class TestIterate:
 
     def test_single_round_threshold_zero_equals_fit_eval(self, dataset):
         train, test = st.split_dataset(dataset, 0.2, seed=1)
-        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.0,), seed=1)
-        reports = st.iterate(train, cfg, self.factory(), K, testset=test)
+        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.0,))
+        reports = st.iterate(train, test, cfg, self.factory(), K)
         direct = st.evaluate(self.factory()(train, 0), test, K)
         assert reports[0].metrics == direct
         assert len(reports) == 2
 
     def test_round_zero_is_baseline(self, dataset):
-        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,), seed=2)
-        reports = st.iterate(dataset, cfg, self.factory(), K)
+        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,))
+        reports = st.iterate(*st.split_dataset(dataset, 0.1, seed=2), cfg, self.factory(), K)
         assert reports[0].threshold is None
         assert reports[0].kept_fraction == 1.0
         assert reports[1].threshold == 0.5
 
     def test_empty_filter_aborts_with_context(self, dataset):
-        cfg = st.IterationConfig(rounds=1, iou_thresholds=(1.0,), seed=3)
+        cfg = st.IterationConfig(rounds=1, iou_thresholds=(1.0,))
 
         def bad_factory(samples, round_idx):
             return st.ConstantPolicy(ActionDelta(0, 0, 0))
 
         with pytest.raises(st.EmptyFilterError) as err:
-            st.iterate(dataset, cfg, bad_factory, K)
+            st.iterate(*st.split_dataset(dataset, 0.1, seed=3), cfg, bad_factory, K)
         assert err.value.round_idx == 1
         assert err.value.threshold == 1.0
         assert "round 1" in str(err.value)
 
     def test_deterministic(self, dataset):
-        cfg = st.IterationConfig(rounds=2, iou_thresholds=(0.5, 0.7), seed=5)
-        r1 = st.iterate(dataset, cfg, self.factory(), K)
-        r2 = st.iterate(dataset, cfg, self.factory(), K)
+        cfg = st.IterationConfig(rounds=2, iou_thresholds=(0.5, 0.7))
+        r1 = st.iterate(*st.split_dataset(dataset, 0.1, seed=5), cfg, self.factory(), K)
+        r2 = st.iterate(*st.split_dataset(dataset, 0.1, seed=5), cfg, self.factory(), K)
         assert r1 == r2
 
     def test_refit_failure_names_the_round(self, dataset):
@@ -284,17 +297,17 @@ class TestIterate:
         starving = st.regressor_policy_factory(
             RegressorConfig(kind="random_forest", seed=3, min_samples_leaf=1000)
         )
-        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,), seed=5, refit_each_round=True)
+        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,), refit_each_round=True)
         noisy_factory = lambda samples, r: (
             st.NoisyOraclePolicy(K, 3.0, 3.0, 15.0, seed=6)
             if r == 0
             else starving(samples, r)
         )
         with pytest.raises(ValueError, match="kept only .* refit failed"):
-            st.iterate(dataset, cfg, noisy_factory, K)
+            st.iterate(*st.split_dataset(dataset, 0.1, seed=5), cfg, noisy_factory, K)
 
     def test_threshold_reuse_beyond_list(self):
-        cfg = st.IterationConfig(rounds=3, iou_thresholds=(0.3, 0.5), seed=1)
+        cfg = st.IterationConfig(rounds=3, iou_thresholds=(0.3, 0.5))
         assert cfg.threshold_for_round(1) == 0.3
         assert cfg.threshold_for_round(2) == 0.5
         assert cfg.threshold_for_round(3) == 0.5
@@ -309,10 +322,10 @@ class TestIterate:
 
     def test_on_round_callback(self, dataset):
         seen = {}
-        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.2,), seed=4)
+        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.2,))
         noisy_factory = lambda samples, r: st.NoisyOraclePolicy(K, 2.0, 2.0, 10.0, seed=6)
         st.iterate(
-            dataset, cfg, noisy_factory, K,
+            *st.split_dataset(dataset, 0.1, seed=4), cfg, noisy_factory, K,
             on_round=lambda r, samples: seen.setdefault(r, len(samples)),
         )
         assert 1 in seen and seen[1] > 0
@@ -328,18 +341,18 @@ class TestSelfTrainingTrend:
         factory = st.regressor_policy_factory(
             RegressorConfig(kind="random_forest", seed=7, max_depth=10, min_samples_leaf=4)
         )
-        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.7,), seed=4)
-        reports = st.iterate(train_noisy, cfg, factory, K, testset=test)
+        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.7,))
+        reports = st.iterate(train_noisy, test, cfg, factory, K)
         assert reports[1].metrics.mean_iou > reports[0].metrics.mean_iou
 
 
 class TestSampleFiles:
     def test_round_report_file(self, tmp_path, dataset):
-        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,), seed=2)
+        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,))
         factory = st.regressor_policy_factory(
             RegressorConfig(kind="random_forest", seed=3, n_trees=10)
         )
-        reports = st.iterate(dataset, cfg, factory, K)
+        reports = st.iterate(*st.split_dataset(dataset, 0.1, seed=2), cfg, factory, K)
         path = tmp_path / "report.jsonl"
         st.write_round_reports(path, reports)
         import json
