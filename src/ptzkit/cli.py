@@ -23,7 +23,16 @@ from ptzkit import codec, jsonl
 from ptzkit import pseudolabel as pl
 from ptzkit import rewards as rw
 from ptzkit import selftrain as st
-from ptzkit.config import ConfigError, RunConfig, load_config, parse_thresholds
+from ptzkit.config import (
+    ConfigError,
+    RunConfig,
+    grpo_config,
+    intrinsics,
+    load_config,
+    parse_thresholds,
+    regressor_config,
+    reward_config,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,11 +56,6 @@ def _vocab(args, cfg: RunConfig) -> codec.TokenVocab:
     if path:
         return codec.TokenVocab.load(path)
     return codec.TokenVocab.default(levels=cfg.codec.levels)
-
-
-def _intrinsics(cfg: RunConfig) -> cam.CameraIntrinsics:
-    s = cfg.intrinsics
-    return cam.CameraIntrinsics(s.image_w, s.image_h, s.hfov_base)
 
 
 def _camera(cfg: RunConfig) -> cam.CameraState:
@@ -119,21 +123,9 @@ def _sigma_flag(text: str) -> float:
     return value
 
 
-def _regressor_config(cfg: RunConfig, kind: str | None, seed: int) -> pl.RegressorConfig:
-    p = cfg.pseudolabel
-    return pl.RegressorConfig(
-        kind=kind or p.kind,
-        n_trees=p.n_trees,
-        max_depth=p.max_depth,
-        min_samples_leaf=p.min_samples_leaf,
-        seed=seed,
-        use_zoom_feature=p.use_zoom_feature,
-    )
-
-
 def _scene_samples(args, cfg: RunConfig, seed: int):
     scene = cam.read_scene(args.scene)
-    k = _intrinsics(cfg)
+    k = intrinsics(cfg)
     samples, skipped = st.make_samples(
         scene, k, _camera(cfg), cfg.pseudolabel.fill_ratio, seed=seed
     )
@@ -219,15 +211,15 @@ def cmd_fit(args, cfg: RunConfig) -> int:
         print("fit error: provide exactly one of --pairs or --scene", file=sys.stderr)
         return EXIT_USAGE
     if args.pairs:
-        pairs = pl.read_feature_action_pairs(args.pairs)
+        x, actions = pl.read_feature_action_pairs(args.pairs)
     else:
         samples, _, _ = _scene_samples(args, cfg, seed)
-        pairs = [(s.features, s.gt_action) for s in samples]
-    model = pl.fit(pairs, _regressor_config(cfg, args.kind, seed))
+        x, actions = samples.features, samples.actions
+    model = pl.fit(x, actions, regressor_config(cfg, args.kind, seed))
     out = _out_dir(args, cfg) / args.model_file
     _write_atomic(out, lambda p: pl.save_model(p, model))
     r2 = " ".join(f"{h}={model.train_r2[h]:.4f}" for h in pl.HEAD_NAMES)
-    _say(args, f"fit {model.kind} on {len(pairs)} samples: R2 {r2} -> {out}")
+    _say(args, f"fit {model.kind} on {len(x)} samples: R2 {r2} -> {out}")
     return EXIT_OK
 
 
@@ -250,18 +242,17 @@ def cmd_iterate(args, cfg: RunConfig) -> int:
     noise_zoom = args.label_noise_zoom if args.label_noise_zoom is not None else s.label_noise_zoom
     if noise_angle > 0 or noise_zoom > 0:
         noisy = st.NoisyOraclePolicy(
-            k, noise_angle, noise_angle, noise_zoom, seed=seed + 1,
+            k, noise_angle, noise_zoom, seed=seed + 1,
             fill_ratio=cfg.pseudolabel.fill_ratio,
         )
         train = st.relabel(train, noisy)
-    factory = st.regressor_policy_factory(_regressor_config(cfg, None, seed))
+    factory = st.regressor_policy_factory(regressor_config(cfg, seed=seed))
     completion_cfg = st.CompletionConfig(s.completion_center_frac, s.completion_min_area)
     vocab = _vocab(args, cfg)
 
     def dump_round(round_idx: int, refined) -> None:
         path = out_dir / f"round{round_idx}_refined.jsonl"
-        labels = [st.sample_to_pseudolabel(x, k) for x in refined]
-        _write_atomic(path, lambda p: pl.write_pseudo_labels(p, labels, vocab))
+        _write_atomic(path, lambda p: pl.write_pseudo_labels(p, st.pseudolabels(refined, k), vocab))
 
     reports = st.iterate(train, test, iter_cfg, factory, k, completion_cfg, on_round=dump_round)
     report_path = out_dir / args.report
@@ -279,22 +270,9 @@ def cmd_grpo_train(args, cfg: RunConfig) -> int:
     seed = _seed(args, cfg)
     out_dir = _out_dir(args, cfg)
     samples, _, k = _scene_samples(args, cfg, seed)
-    g = cfg.grpo
-    grpo_cfg = rw.GRPOConfig(
-        kl_weight=g.kl_weight,
-        group_size=g.group_size,
-        learning_rate=g.learning_rate,
-        std_guard=g.std_guard,
-    )
-    reward_cfg = rw.RewardConfig(
-        angle_tol=cfg.reward.angle_tol,
-        angle_penalty_span=cfg.reward.angle_penalty_span,
-        zoom_band=cfg.reward.zoom_band,
-        zoom_penalty_span=cfg.reward.zoom_penalty_span,
-    )
-    steps = args.steps if args.steps is not None else g.steps
+    steps = args.steps if args.steps is not None else cfg.grpo.steps
     policy = rw.ToyPolicy.init(n_features=3)
-    policy, history = rw.grpo_train(policy, samples, k, grpo_cfg, reward_cfg, steps, seed)
+    policy, history = rw.grpo_train(policy, samples, k, grpo_config(cfg), reward_config(cfg), steps, seed)
     policy_path = out_dir / args.policy_file
     log_path = out_dir / args.report
     _write_atomic(policy_path, lambda p: rw.save_policy(p, policy, seed=seed))
@@ -320,7 +298,6 @@ def _load_policy_adapter(spec: str, k: cam.CameraIntrinsics, cfg: RunConfig, see
             )
         return st.NoisyOraclePolicy(
             k,
-            s.label_noise_angle,
             s.label_noise_angle,
             s.label_noise_zoom,
             seed=seed,

@@ -4,18 +4,26 @@ Every command-line flag overrides its config key; unknown sections or keys
 are rejected so a typo cannot silently fall back to a default, and a file
 configparser cannot parse (a repeated key, a key before any section header)
 is a config error naming the file.  Float keys must be finite, ``[codec]
-vocab_path`` must exist, ``[grpo] steps`` and ``[selftrain] rounds`` must be
+vocab_path`` must exist, ``[camera] tilt`` lie in [-90, 90] and ``zoom`` in
+[0, ``camera.ZOOM_MAX``], ``[grpo] steps`` and ``[selftrain] rounds`` must be
 positive, ``[selftrain] split`` in (0, 1), ``completion_center_frac`` and the
 label noise sigmas non-negative and ``completion_min_area`` in [0, 1] at load
-time.
+time.  The ``[intrinsics]``, ``[codec] levels``, ``[pseudolabel]``,
+``[reward]`` and ``[grpo]`` keys are checked at load time too, by building
+the library objects they configure, whose own checks hold the ranges.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+from ptzkit.camera import ZOOM_MAX, CameraIntrinsics
+from ptzkit.codec import TokenVocab
+from ptzkit.pseudolabel import RegressorConfig
+from ptzkit.rewards import GRPOConfig, RewardConfig
 
 
 class ConfigError(ValueError):
@@ -168,9 +176,54 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
+def intrinsics(cfg: RunConfig) -> CameraIntrinsics:
+    s = cfg.intrinsics
+    return CameraIntrinsics(s.image_w, s.image_h, s.hfov_base)
+
+
+def regressor_config(cfg: RunConfig, kind: str | None = None, seed: int = 0) -> RegressorConfig:
+    """The ``[pseudolabel]`` regressor, with ``kind`` (when given) in place of its key."""
+    p = cfg.pseudolabel
+    return RegressorConfig(
+        kind=kind or p.kind,
+        n_trees=p.n_trees,
+        max_depth=p.max_depth,
+        min_samples_leaf=p.min_samples_leaf,
+        seed=seed,
+        use_zoom_feature=p.use_zoom_feature,
+    )
+
+
+def reward_config(cfg: RunConfig) -> RewardConfig:
+    return RewardConfig(**asdict(cfg.reward))
+
+
+def grpo_config(cfg: RunConfig) -> GRPOConfig:
+    g = cfg.grpo
+    return GRPOConfig(
+        kl_weight=g.kl_weight, group_size=g.group_size, learning_rate=g.learning_rate, std_guard=g.std_guard
+    )
+
+
 def validate(cfg: RunConfig) -> None:
     if cfg.codec.vocab_path and not Path(cfg.codec.vocab_path).exists():
         raise ConfigError(f"[codec] vocab_path: path does not exist: {cfg.codec.vocab_path}")
+    if not -90.0 <= cfg.camera.tilt <= 90.0:
+        raise ConfigError(f"[camera] tilt: must be in [-90, 90], got {cfg.camera.tilt}")
+    if not 0.0 <= cfg.camera.zoom <= ZOOM_MAX:
+        raise ConfigError(f"[camera] zoom: must be in [0, {ZOOM_MAX:g}], got {cfg.camera.zoom}")
+    builders = {
+        "intrinsics": lambda: intrinsics(cfg),
+        "codec": lambda: TokenVocab.default(levels=cfg.codec.levels),
+        "pseudolabel": lambda: regressor_config(cfg).forest,
+        "reward": lambda: reward_config(cfg),
+        "grpo": lambda: grpo_config(cfg),
+    }
+    for section, build in builders.items():
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
     if cfg.grpo.steps <= 0:
         raise ConfigError(f"[grpo] steps: must be positive, got {cfg.grpo.steps}")
     if cfg.selftrain.rounds <= 0:

@@ -58,24 +58,6 @@ class GroundingRecord:
 
 
 @dataclass(frozen=True)
-class FeatureVec:
-    """Regression features: normalized bbox center, pre-crop area ratio, and
-    optionally the log2 area gain of the isotropic crop."""
-
-    x_norm: float
-    y_norm: float
-    w1: float
-    zoom_feat: float | None = None
-
-    def as_array(self, include_zoom: bool) -> np.ndarray:
-        if include_zoom:
-            if self.zoom_feat is None:
-                raise FitError("feature vector lacks the zoom feature")
-            return np.array([self.x_norm, self.y_norm, self.w1, self.zoom_feat])
-        return np.array([self.x_norm, self.y_norm, self.w1])
-
-
-@dataclass(frozen=True)
 class PseudoLabel:
     record_id: str
     instruction: str
@@ -97,6 +79,10 @@ class RegressorConfig:
     def __post_init__(self):
         if self.kind not in ("random_forest", "ols_linear"):
             raise ValueError(f"unknown regressor kind {self.kind!r}")
+
+    @property
+    def forest(self) -> ForestConfig:
+        return ForestConfig(n_trees=self.n_trees, max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf)
 
 
 @dataclass
@@ -180,14 +166,24 @@ def select_smallest(records: Sequence[GroundingRecord], k: int) -> list[Groundin
     return sorted(records, key=lambda r: (record_w1(r), r.id))[:k]
 
 
-def fit(
-    samples: Sequence[tuple[FeatureVec, ActionDelta]], cfg: RegressorConfig
-) -> RegressorModel:
-    """Fit the per-head regressor and report training R^2 per head."""
-    if not samples:
+def feature_columns(x: np.ndarray, use_zoom_feature: bool) -> np.ndarray:
+    """The columns of feature rows (x_norm, y_norm, w1[, zoom_feat]) that a
+    regressor reads: the first three, and zoom_feat when ``use_zoom_feature``
+    is on."""
+    width = 4 if use_zoom_feature else 3
+    if x.shape[1] < width:
+        raise FitError("feature rows lack the zoom feature")
+    # a contiguous copy: a strided view could take another matmul path in OLS, and other bits
+    return np.ascontiguousarray(x[:, :width])
+
+
+def fit(x: np.ndarray, actions: np.ndarray, cfg: RegressorConfig) -> RegressorModel:
+    """Fit the per-head regressor on feature rows and their int64[n, 3] actions,
+    and report training R^2 per head."""
+    if len(x) == 0:
         raise FitError("no training samples")
-    x = np.stack([f.as_array(cfg.use_zoom_feature) for f, _ in samples])
-    y = np.array([a.as_tuple() for _, a in samples], dtype=np.float64)
+    x = feature_columns(x, cfg.use_zoom_feature)
+    y = np.asarray(actions, dtype=np.float64)
     model = RegressorModel(config=cfg)
     if cfg.kind == "ols_linear":
         if x.shape[0] < 2:
@@ -199,14 +195,9 @@ def fit(
         model.ols_coef = coef[:-1].T.copy()
         model.ols_intercept = coef[-1].copy()
     else:
-        forest_cfg = ForestConfig(
-            n_trees=cfg.n_trees,
-            max_depth=cfg.max_depth,
-            min_samples_leaf=cfg.min_samples_leaf,
-        )
         root = np.random.SeedSequence(cfg.seed)
         for name, head_seq in zip(HEAD_NAMES, root.spawn(3)):
-            model.forests[name] = RandomForest.fit(x, y[:, HEAD_NAMES.index(name)], forest_cfg, head_seq)
+            model.forests[name] = RandomForest.fit(x, y[:, HEAD_NAMES.index(name)], cfg.forest, head_seq)
     pred = model.predict_batch(x)
     for j, name in enumerate(HEAD_NAMES):
         ss_res = float(np.sum((y[:, j] - pred[:, j]) ** 2))
@@ -218,12 +209,13 @@ def fit(
     return model
 
 
-def features_for_record(b: BBoxPx, image_w: int, image_h: int) -> tuple[FeatureVec, BBoxPx, float, float]:
-    """(features, crop window, w1, w2) of a non-empty box in a frame of the given size."""
+def features_for_record(b: BBoxPx, image_w: int, image_h: int) -> tuple[tuple[float, ...], BBoxPx, float]:
+    """(features, crop window, w2) of a non-empty box in a frame of the given size; the features
+    are (x_norm, y_norm, w1, zoom_feat), zoom_feat the log2 area gain of the isotropic crop."""
     x_norm, y_norm = normalize_center(b, image_w, image_h)
     w1 = b.area() / (image_w * image_h)
     window, w2 = isotropic_crop(b, image_w, image_h)
-    return FeatureVec(x_norm, y_norm, w1, 0.5 * math.log2(w2 / w1)), window, w1, w2
+    return (x_norm, y_norm, w1, 0.5 * math.log2(w2 / w1)), window, w2
 
 
 def _bbox_in_crop_frame(b: BBoxPx, window: BBoxPx, image_w: float, image_h: float) -> BBoxPx:
@@ -253,8 +245,7 @@ def generate(
     if zoom_source not in ("geometry", "model"):
         raise ValueError(f"unknown zoom_source {zoom_source!r}")
     rng = np.random.default_rng(seed)
-    include_zoom = model.config.use_zoom_feature
-    x = np.empty((len(records), 4 if include_zoom else 3), dtype=np.float64)
+    x = np.empty((len(records), 4), dtype=np.float64)
     # per usable record, in x's row order: (id, instruction, bbox_post, w1, w2)
     pending: list[tuple[str, str, BBoxPx, float, float]] = []
     skipped: list[tuple[str, str]] = []
@@ -264,11 +255,11 @@ def generate(
         if problem is not None:
             skipped.append((record.id, problem))
             continue
-        feats, window, w1, w2 = features_for_record(record.bbox, record.image_w, record.image_h)
-        x[len(pending)] = feats.as_array(include_zoom)
+        features, window, w2 = features_for_record(record.bbox, record.image_w, record.image_h)
+        x[len(pending)] = features
         bbox_post = _bbox_in_crop_frame(record.bbox, window, record.image_w, record.image_h)
-        pending.append((record.id, template.format(phrase=record.phrase), bbox_post, w1, w2))
-    pred = model.predict_batch(x[: len(pending)])
+        pending.append((record.id, template.format(phrase=record.phrase), bbox_post, features[2], w2))
+    pred = model.predict_batch(feature_columns(x[: len(pending)], model.config.use_zoom_feature))
     if zoom_source == "geometry":
         # already an integer, which the rounding keeps
         pred[:, 2] = [zoom_label(w1, w2) for *_, w1, w2 in pending]
@@ -352,19 +343,25 @@ def read_pseudo_labels(path, vocab: codec.TokenVocab) -> list[PseudoLabel]:
     return jsonl.read(path, lambda rec: _pseudo_label(rec, vocab), "pseudo-label record")
 
 
-def _training_pair(rec: dict) -> tuple[FeatureVec, ActionDelta]:
+def _training_pair(rec: dict) -> tuple[list[float], tuple[int, int, int]]:
     f, a = rec["features"], rec["action"]
     names = ["x_norm", "y_norm", "w1"]
     if "zoom_feat" in f and f["zoom_feat"] is not None:
         names.append("zoom_feat")
     features = jsonl.finite([f[name] for name in names], "features")
-    return FeatureVec(*features), ActionDelta(a["pan"], a["tilt"], a["zoom"])
+    return features, ActionDelta(a["pan"], a["tilt"], a["zoom"]).as_tuple()
 
 
-def read_feature_action_pairs(path) -> list[tuple[FeatureVec, ActionDelta]]:
+def read_feature_action_pairs(path) -> tuple[np.ndarray, np.ndarray]:
     """Training pairs, one JSON object per line: {features: {...}, action: {...}},
-    under the ``ptzkit.jsonl`` rules."""
-    return jsonl.read(path, _training_pair, "training pair")
+    under the ``ptzkit.jsonl`` rules, as feature rows and int64[n, 3] actions.
+
+    The rows hold (x_norm, y_norm, w1), and zoom_feat too when every pair has it.
+    """
+    pairs = jsonl.read(path, _training_pair, "training pair")
+    width = 4 if pairs and all(len(f) == 4 for f, _ in pairs) else 3
+    x = np.array([f[:width] for f, _ in pairs], dtype=np.float64).reshape(len(pairs), width)
+    return x, np.array([a for _, a in pairs], dtype=np.int64).reshape(len(pairs), 3)
 
 
 def save_model(path, model: RegressorModel) -> None:

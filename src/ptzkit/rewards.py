@@ -32,12 +32,12 @@ from ptzkit.camera import (
     bbox_arrays,
     iou_batch,
     project_batch,
-    target_corners,
 )
 from ptzkit.codec import MAX_ACTION_VALUE, ActionDelta
+from ptzkit.pseudolabel import feature_columns
 
 if TYPE_CHECKING:  # selftrain imports this module
-    from ptzkit.selftrain import SampleTuple
+    from ptzkit.selftrain import SampleSet
 
 HEADS = ("pan", "tilt", "zoom")
 
@@ -321,36 +321,6 @@ class RolloutBatch:
             raise ValueError("rollout batch arrays disagree on their [T, n] shape")
 
 
-@dataclass(frozen=True)
-class _TaskRows:
-    """T samples' scoring inputs, gathered once: each sample's row repeated for its n rollouts."""
-
-    features: np.ndarray  # float64[T, n_features]
-    pose: tuple[np.ndarray, np.ndarray, np.ndarray]  # float64[T*n] start pan, tilt, zoom
-    corners: np.ndarray  # float64[T*n, 4, 3]
-    gt_actions: np.ndarray  # int64[T, 3]
-    gt_rows: np.ndarray  # int64[T*n, 3]
-    gt_boxes: np.ndarray  # float64[T*n, 4]
-    gt_codes: np.ndarray  # int8[T*n]
-
-    @classmethod
-    def of(cls, samples: Sequence[SampleTuple], n: int) -> "_TaskRows":
-        gt_actions = np.array([s.gt_action.as_tuple() for s in samples], dtype=np.int64)
-        gt_boxes, gt_codes = bbox_arrays([s.gt_bbox_post for s in samples])
-        return cls(
-            features=np.stack([s.features.as_array(False) for s in samples]),
-            pose=tuple(
-                np.repeat(np.array([getattr(s.camera_init, a) for s in samples], dtype=np.float64), n)
-                for a in ("pan", "tilt", "zoom_units")
-            ),
-            corners=np.repeat(target_corners([s.target for s in samples]), n, axis=0),
-            gt_actions=gt_actions,
-            gt_rows=np.repeat(gt_actions, n, axis=0),
-            gt_boxes=np.repeat(gt_boxes, n, axis=0),
-            gt_codes=np.repeat(gt_codes, n),
-        )
-
-
 def _taken_log_probs(log_probs: dict[str, np.ndarray], idx: np.ndarray) -> np.ndarray:
     """float64[T, n] log-probability of each rollout's bins: pan, tilt and zoom added in that order."""
     pan, tilt, zoom = (np.take_along_axis(log_probs[h], idx[..., j], axis=-1) for j, h in enumerate(HEADS))
@@ -360,13 +330,17 @@ def _taken_log_probs(log_probs: dict[str, np.ndarray], idx: np.ndarray) -> np.nd
 def _sample_batch(
     policy: ToyPolicy,
     ref_log_probs: dict[str, np.ndarray],
-    rows: _TaskRows,
+    samples: SampleSet,
+    rows: SampleSet,
     k: CameraIntrinsics,
     cfg: GRPOConfig,
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
 ) -> RolloutBatch:
     """Sample every prompt's group on-policy and score all T*n rollouts in one pass.
+
+    The T prompts are ``samples``; ``rows`` holds each of them repeated for
+    its n rollouts.
 
     One ``rng.random`` call draws every bin (the same stream as one call of
     n*3 per prompt, in prompt order), one ``apply_action_batch`` and one
@@ -376,16 +350,17 @@ def _sample_batch(
     the draws, rewards, advantages and log-probabilities are those of
     sampling, applying, projecting and scoring one rollout at a time.
     """
-    cur_lp = policy.log_prob_rows(rows.features)
-    t, n = rows.features.shape[0], cfg.group_size
+    features = feature_columns(samples.features, False)
+    cur_lp = policy.log_prob_rows(features)
+    t, n = len(samples), cfg.group_size
     idx = draw_bins(cur_lp, rng.random(t * n * len(HEADS)).reshape(t, n, len(HEADS)))
     actions = policy.actions_of(idx)
     flat = actions.reshape(t * n, len(HEADS))
-    boxes, codes = project_batch(*apply_action_batch(*rows.pose, flat), k, rows.corners)
-    terms = reward_terms(flat, rows.gt_rows, boxes, codes, rows.gt_boxes, rows.gt_codes, reward_cfg)
+    boxes, codes = project_batch(*apply_action_batch(*rows.pose.T, flat), k, rows.corners)
+    terms = reward_terms(flat, rows.actions, boxes, codes, rows.boxes, rows.codes, reward_cfg)
     rewards = reward_totals(terms).reshape(t, n)
     return RolloutBatch(
-        features=rows.features,
+        features=features,
         bins=idx,
         actions=actions,
         logp_old=_taken_log_probs(cur_lp, idx),
@@ -393,22 +368,24 @@ def _sample_batch(
         advantages=row_advantages(rewards, cfg.std_guard),
         cur_log_probs=cur_lp,
         ref_log_probs=ref_log_probs,
-        gt_actions=rows.gt_actions,
+        gt_actions=samples.actions,
     )
 
 
 def build_rollout_group(
     policy: ToyPolicy,
     ref_policy: ToyPolicy,
-    sample: SampleTuple,
+    sample: SampleSet,
     k: CameraIntrinsics,
     cfg: GRPOConfig,
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
 ) -> RolloutBatch:
-    """One prompt's group, sampled on-policy and scored: a one-sample batch of ``grpo_train``'s sampler."""
-    rows = _TaskRows.of([sample], cfg.group_size)
-    return _sample_batch(policy, ref_policy.log_prob_rows(rows.features), rows, k, cfg, reward_cfg, rng)
+    """One prompt's group, sampled on-policy and scored: a one-sample batch of
+    ``grpo_train``'s sampler.  ``sample`` is a one-row ``SampleSet``."""
+    ref_lp = ref_policy.log_prob_rows(feature_columns(sample.features, False))
+    rows = sample[np.zeros(cfg.group_size, dtype=np.int64)]
+    return _sample_batch(policy, ref_lp, sample, rows, k, cfg, reward_cfg, rng)
 
 
 def _group_kl(cur_lp: dict[str, np.ndarray], ref_lp: dict[str, np.ndarray]) -> float:
@@ -560,7 +537,7 @@ def grpo_step(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConfig) -> tuple[
 
 def grpo_train(
     policy: ToyPolicy,
-    samples: Sequence[SampleTuple],
+    samples: SampleSet,
     k: CameraIntrinsics,
     cfg: GRPOConfig,
     reward_cfg: RewardConfig,
@@ -569,18 +546,19 @@ def grpo_train(
 ) -> tuple[ToyPolicy, list[StepStats]]:
     """On-policy training loop: each step samples every prompt's group in one batch, then takes one step.
 
-    Each sample of ``make_samples`` is a prompt, scored from its start pose against its oracle action and box.
-    The reference policy is the starting one, so its log-probabilities are
-    computed once.
+    Each sample of ``make_samples`` is a prompt, scored from its start pose
+    against its action label and box.  The rollout rows (each sample repeated
+    for its group) are gathered once per run.  The reference policy is the
+    starting one, so its log-probabilities are computed once.
     """
     if not samples:
         raise ValueError("no samples to train on")
-    rows = _TaskRows.of(samples, cfg.group_size)
-    ref_lp = policy.log_prob_rows(rows.features)
+    rows = samples[np.repeat(np.arange(len(samples)), cfg.group_size)]
+    ref_lp = policy.log_prob_rows(feature_columns(samples.features, False))
     rng = np.random.default_rng(seed)
     history = []
     for _ in range(steps):
-        batch = _sample_batch(policy, ref_lp, rows, k, cfg, reward_cfg, rng)
+        batch = _sample_batch(policy, ref_lp, samples, rows, k, cfg, reward_cfg, rng)
         policy, stats = grpo_step(policy, batch, cfg)
         history.append(stats)
     return policy, history

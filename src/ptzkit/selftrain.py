@@ -13,7 +13,7 @@ policy, so the loop runs end to end on synthetic scenes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ from ptzkit.camera import (
     VISIBILITY_FULL,
     apply_action_batch,
     area_ratio,
-    bbox_arrays,
     bbox_row,
     iou_batch,
     oracle_actions,
@@ -39,7 +38,7 @@ from ptzkit.camera import (
     target_corners,
 )
 from ptzkit.codec import ActionDelta, round_actions
-from ptzkit.pseudolabel import FeatureVec, RegressorConfig, RegressorModel
+from ptzkit.pseudolabel import RegressorConfig, RegressorModel
 from ptzkit.rewards import HEADS, ToyPolicy
 
 DEFAULT_FILL_RATIO = 0.30
@@ -62,15 +61,34 @@ class CompletionConfig:
     min_area_ratio: float = 0.25
 
 
-@dataclass(frozen=True)
-class SampleTuple:
-    id: str
-    instruction: str
-    features: FeatureVec
-    camera_init: CameraState
-    target: TargetSpec
-    gt_action: ActionDelta
-    gt_bbox_post: BBoxPx
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """Samples as row-aligned arrays: row i of every field belongs to sample i.
+
+    ``actions`` are the working labels and ``boxes``/``codes`` the
+    supervision boxes, as ``camera.project_batch`` returns them.
+    """
+
+    ids: np.ndarray  # object[n] str
+    instructions: np.ndarray  # object[n] str
+    targets: np.ndarray  # object[n] TargetSpec
+    features: np.ndarray  # float64[n, 4] (x_norm, y_norm, w1, zoom_feat) of the start box
+    pose: np.ndarray  # float64[n, 3] start (pan, tilt, zoom)
+    corners: np.ndarray  # float64[n, 4, 3] ``target_corners`` of ``targets``
+    actions: np.ndarray  # int64[n, 3] (pan, tilt, zoom)
+    boxes: np.ndarray  # float64[n, 4]
+    codes: np.ndarray  # int8[n] visibility codes of ``boxes``
+
+    def __post_init__(self):
+        if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
+            raise ValueError("sample fields disagree on the number of rows")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows) -> "SampleSet":
+        """The samples at ``rows`` (a slice, a bool mask or row indices), in that order."""
+        return SampleSet(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -125,36 +143,26 @@ class IterationConfig:
 
 
 class PolicyAdapter(Protocol):
-    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
+    def actions(self, samples: SampleSet) -> np.ndarray:
         """int64[n, 3] (pan, tilt, zoom) rows, one per sample in order; each
         depends only on its own sample."""
         ...
 
 
-def _start_poses(samples: Sequence[SampleTuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.array([s.camera_init.pan for s in samples], dtype=np.float64),
-        np.array([s.camera_init.tilt for s in samples], dtype=np.float64),
-        np.array([s.camera_init.zoom_units for s in samples], dtype=np.float64),
-    )
-
-
-def _oracle_batch(samples: Sequence[SampleTuple], k: CameraIntrinsics, fill_ratio: float) -> np.ndarray:
-    actions, ok = oracle_actions(*_start_poses(samples), k, [s.target for s in samples], fill_ratio)
+def _oracle_batch(samples: SampleSet, k: CameraIntrinsics, fill_ratio: float) -> np.ndarray:
+    actions, ok = oracle_actions(*samples.pose.T, k, samples.targets, fill_ratio)
     if not ok.all():
         raise ValueError("target out of front hemisphere")
     return actions
 
 
 def _simulate_bboxes(
-    samples: Sequence[SampleTuple], actions: np.ndarray, k: CameraIntrinsics
-) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Each sample's post-action box and visibility code, from one projection of
-    the batch, with its IoU against the sample's ground-truth box."""
-    pose = apply_action_batch(*_start_poses(samples), actions)
-    boxes, codes = project_batch(*pose, k, target_corners([s.target for s in samples]))
-    overlaps = iou_batch(boxes, codes, *bbox_arrays([s.gt_bbox_post for s in samples]))
-    return overlaps.tolist(), boxes, codes
+    samples: SampleSet, actions: np.ndarray, k: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sample's IoU against its supervision box, with its post-action box
+    and visibility code, from one projection of the batch."""
+    boxes, codes = project_batch(*apply_action_batch(*samples.pose.T, actions), k, samples.corners)
+    return iou_batch(boxes, codes, samples.boxes, samples.codes), boxes, codes
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,7 @@ class OraclePolicy:
     k: CameraIntrinsics
     fill_ratio: float = DEFAULT_FILL_RATIO
 
-    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
+    def actions(self, samples: SampleSet) -> np.ndarray:
         return _oracle_batch(samples, self.k, self.fill_ratio)
 
 
@@ -177,15 +185,14 @@ class NoisyOraclePolicy:
     """Oracle action plus Gaussian noise, rounded back to integers."""
 
     k: CameraIntrinsics
-    sigma_pan: float = 5.0
-    sigma_tilt: float = 5.0
+    sigma_angle: float = 5.0  # pan and tilt
     sigma_zoom: float = 30.0
     seed: int = 0
     fill_ratio: float = DEFAULT_FILL_RATIO
 
-    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
-        sigma = [self.sigma_pan, self.sigma_tilt, self.sigma_zoom]
-        noise = np.array([_sample_rng(self.seed, s.id).normal(0.0, sigma) for s in samples]).reshape(-1, 3)
+    def actions(self, samples: SampleSet) -> np.ndarray:
+        sigma = [self.sigma_angle, self.sigma_angle, self.sigma_zoom]
+        noise = np.array([_sample_rng(self.seed, i).normal(0.0, sigma) for i in samples.ids]).reshape(-1, 3)
         return round_actions(_oracle_batch(samples, self.k, self.fill_ratio) + noise)
 
 
@@ -193,11 +200,10 @@ class NoisyOraclePolicy:
 class RegressorPolicy:
     model: RegressorModel
 
-    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
+    def actions(self, samples: SampleSet) -> np.ndarray:
         if not samples:
             return np.zeros((0, 3), dtype=np.int64)
-        include_zoom = self.model.config.use_zoom_feature
-        x = np.stack([s.features.as_array(include_zoom) for s in samples])
+        x = pl.feature_columns(samples.features, self.model.config.use_zoom_feature)
         return round_actions(self.model.predict_batch(x))
 
 
@@ -207,10 +213,10 @@ class ToyPolicyAdapter:
 
     policy: ToyPolicy
 
-    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
+    def actions(self, samples: SampleSet) -> np.ndarray:
         if not samples:
             return np.zeros((0, 3), dtype=np.int64)
-        log_probs = self.policy.log_prob_rows(np.stack([s.features.as_array(False) for s in samples]))
+        log_probs = self.policy.log_prob_rows(pl.feature_columns(samples.features, False))
         idx = np.stack([np.argmax(log_probs[h], axis=1) for h in HEADS], axis=1)
         return self.policy.actions_of(idx)
 
@@ -219,7 +225,7 @@ class ToyPolicyAdapter:
 class ConstantPolicy:
     action: ActionDelta
 
-    def actions(self, samples: Sequence[SampleTuple]) -> np.ndarray:
+    def actions(self, samples: SampleSet) -> np.ndarray:
         return np.tile(np.array(self.action.as_tuple(), dtype=np.int64), (len(samples), 1))
 
 
@@ -229,23 +235,27 @@ def make_samples(
     camera_init: CameraState = CameraState(),
     fill_ratio: float = DEFAULT_FILL_RATIO,
     seed: int = 0,
-) -> tuple[list[SampleTuple], list[tuple[str, str]]]:
+) -> tuple[SampleSet, list[tuple[str, str]]]:
     """Oracle-labeled samples for every target fully visible from the start pose.
 
-    The start views, the oracle actions and the post-action views of the
-    whole scene are each computed in one batch call; a sample's features are
-    those ``pseudolabel.generate`` takes from a record with its start box.
+    The corners, the start views, the oracle actions and the post-action views
+    of the whole scene are each computed in one batch call; a sample's
+    features are those ``pseudolabel.generate`` takes from a record with its
+    start box.  One instruction template is drawn per scene target, skipped
+    targets included.
     """
     rng = np.random.default_rng(seed)
-    samples: list[SampleTuple] = []
-    skipped: list[tuple[str, str]] = []
-    targets = [t for _, t in scene]
-    n = len(targets)
-    pose = (np.full(n, camera_init.pan), np.full(n, camera_init.tilt), np.full(n, camera_init.zoom_units))
+    n = len(scene)
+    targets = np.array([t for _, t in scene], dtype=object)
+    pose = np.tile(np.array([camera_init.pan, camera_init.tilt, camera_init.zoom_units]), (n, 1))
     corners = target_corners(targets)
-    start_boxes, start_codes = project_batch(*pose, k, corners)
-    gt_actions, has_oracle = oracle_actions(*pose, k, targets, fill_ratio)
-    post_boxes, post_codes = project_batch(*apply_action_batch(*pose, gt_actions), k, corners)
+    start_boxes, start_codes = project_batch(*pose.T, k, corners)
+    actions, has_oracle = oracle_actions(*pose.T, k, targets, fill_ratio)
+    boxes, codes = project_batch(*apply_action_batch(*pose.T, actions), k, corners)
+    usable = (start_codes == CODE_FULL) & has_oracle
+    instructions = np.empty(n, dtype=object)
+    features = np.zeros((n, 4))
+    skipped: list[tuple[str, str]] = []
     for i, (target_id, target) in enumerate(scene):
         template = pl.TEMPLATES[int(rng.integers(0, len(pl.TEMPLATES)))]
         if start_codes[i] != CODE_FULL:
@@ -254,24 +264,16 @@ def make_samples(
         if not has_oracle[i]:
             skipped.append((target_id, "target out of front hemisphere"))
             continue
-        features, *_ = pl.features_for_record(bbox_row(start_boxes[i], CODE_FULL), k.image_w, k.image_h)
-        samples.append(
-            SampleTuple(
-                id=target_id,
-                instruction=template.format(phrase=target.phrase),
-                features=features,
-                camera_init=camera_init,
-                target=target,
-                gt_action=ActionDelta(*gt_actions[i].tolist()),
-                gt_bbox_post=bbox_row(post_boxes[i], post_codes[i]),
-            )
-        )
-    return samples, skipped
+        instructions[i] = template.format(phrase=target.phrase)
+        features[i], _, _ = pl.features_for_record(bbox_row(start_boxes[i], CODE_FULL), k.image_w, k.image_h)
+    ids = np.array([target_id for target_id, _ in scene], dtype=object)
+    samples = SampleSet(ids, instructions, targets, features, pose, corners, actions, boxes, codes)
+    return samples[usable], skipped
 
 
-def relabel(dataset: Sequence[SampleTuple], policy: PolicyAdapter) -> list[SampleTuple]:
+def relabel(dataset: SampleSet, policy: PolicyAdapter) -> SampleSet:
     """Replace every working action label with the policy's action."""
-    return [replace(s, gt_action=ActionDelta(*a)) for s, a in zip(dataset, policy.actions(dataset).tolist())]
+    return replace(dataset, actions=policy.actions(dataset))
 
 
 def completion(post_bbox: BBoxPx, k: CameraIntrinsics, cfg: CompletionConfig = CompletionConfig()) -> bool:
@@ -288,7 +290,7 @@ def completion(post_bbox: BBoxPx, k: CameraIntrinsics, cfg: CompletionConfig = C
 
 def evaluate(
     policy: PolicyAdapter,
-    testset: Sequence[SampleTuple],
+    testset: SampleSet,
     k: CameraIntrinsics,
     completion_cfg: CompletionConfig = CompletionConfig(),
 ) -> MetricsReport:
@@ -298,10 +300,10 @@ def evaluate(
     actions = policy.actions(testset)
     overlaps, boxes, codes = _simulate_bboxes(testset, actions, k)
     taken = actions.astype(np.float64)
-    wanted = np.array([s.gt_action.as_tuple() for s in testset], dtype=np.float64)
+    wanted = testset.actions.astype(np.float64)
     abs_err = np.abs(taken - wanted).sum(axis=0)  # integer-valued: exact in any order
     iou_sum = 0.0
-    for overlap in overlaps:  # in order, one addition at a time, as the mean has always been taken
+    for overlap in overlaps.tolist():  # in order, one addition at a time, as the mean has always been taken
         iou_sum += overlap
     completed = sum(completion(bbox_row(b, c), k, completion_cfg) for b, c in zip(boxes, codes))
     n = len(testset)
@@ -316,12 +318,12 @@ def evaluate(
 
 
 def run_round(
-    dataset: Sequence[SampleTuple],
+    dataset: SampleSet,
     policy: PolicyAdapter,
     k: CameraIntrinsics,
     threshold: float,
     replace_bbox: bool = True,
-) -> tuple[list[SampleTuple], RoundDiagnostics]:
+) -> tuple[SampleSet, RoundDiagnostics]:
     """One filter round: keep samples whose simulated bbox beats the threshold.
 
     The policy chooses every action in one batch call and each action is
@@ -333,20 +335,16 @@ def run_round(
         raise ValueError("empty dataset")
     actions = policy.actions(dataset)
     overlaps, boxes, codes = _simulate_bboxes(dataset, actions, k)
-    refined: list[SampleTuple] = []
+    keep = overlaps > threshold
     iou_all = 0.0
     iou_kept = 0.0
-    for i, (s, overlap) in enumerate(zip(dataset, overlaps)):
+    for overlap, kept in zip(overlaps.tolist(), keep.tolist()):  # in order, one addition at a time
         iou_all += overlap
-        if overlap > threshold:
+        if kept:
             iou_kept += overlap
-            refined.append(
-                replace(
-                    s,
-                    gt_action=ActionDelta(*actions[i].tolist()),
-                    gt_bbox_post=s.gt_bbox_post if replace_bbox else bbox_row(boxes[i], codes[i]),
-                )
-            )
+    if not replace_bbox:
+        dataset = replace(dataset, boxes=boxes, codes=codes)
+    refined = replace(dataset, actions=actions)[keep]
     n, n_kept = len(dataset), len(refined)
     return refined, RoundDiagnostics(
         n_total=n,
@@ -357,43 +355,39 @@ def run_round(
     )
 
 
-PolicyFactory = Callable[[Sequence[SampleTuple], int], PolicyAdapter]
+PolicyFactory = Callable[[SampleSet, int], PolicyAdapter]
 
 
 def regressor_policy_factory(cfg: RegressorConfig) -> PolicyFactory:
     """Refit operation: a fresh regressor on the round's dataset, seeded per round."""
 
-    def factory(samples: Sequence[SampleTuple], round_idx: int) -> RegressorPolicy:
+    def factory(samples: SampleSet, round_idx: int) -> RegressorPolicy:
         round_cfg = replace(cfg, seed=cfg.seed + round_idx)
-        model = pl.fit([(s.features, s.gt_action) for s in samples], round_cfg)
-        return RegressorPolicy(model)
+        return RegressorPolicy(pl.fit(samples.features, samples.actions, round_cfg))
 
     return factory
 
 
-def split_dataset(
-    dataset: Sequence[SampleTuple], test_fraction: float, seed: int
-) -> tuple[list[SampleTuple], list[SampleTuple]]:
+def split_dataset(dataset: SampleSet, test_fraction: float, seed: int) -> tuple[SampleSet, SampleSet]:
     """(train, test), each in the dataset's order: a seeded ``test_fraction`` (at least one) is held out."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset))
     n_test = max(1, int(round(len(dataset) * test_fraction)))
-    test_idx = set(order[:n_test].tolist())
-    train = [s for i, s in enumerate(dataset) if i not in test_idx]
-    test = [s for i, s in enumerate(dataset) if i in test_idx]
-    return train, test
+    is_test = np.zeros(len(dataset), dtype=bool)
+    is_test[order[:n_test]] = True
+    return dataset[~is_test], dataset[is_test]
 
 
 def iterate(
-    train: Sequence[SampleTuple],
-    test: Sequence[SampleTuple],
+    train: SampleSet,
+    test: SampleSet,
     cfg: IterationConfig,
     policy_factory: PolicyFactory,
     k: CameraIntrinsics,
     completion_cfg: CompletionConfig = CompletionConfig(),
-    on_round: Callable[[int, Sequence[SampleTuple]], None] | None = None,
+    on_round: Callable[[int, SampleSet], None] | None = None,
 ) -> list[RoundReport]:
     """Fit, then repeat (predict, filter, relabel, refit), scoring every round.
 
@@ -463,12 +457,12 @@ def write_round_reports(path, reports: Sequence[RoundReport]) -> None:
     jsonl.write(path, (_report_row(r) for r in reports))
 
 
-def sample_to_pseudolabel(s: SampleTuple, k: CameraIntrinsics) -> pl.PseudoLabel:
-    return pl.PseudoLabel(
-        record_id=s.id,
-        instruction=s.instruction,
-        action=s.gt_action,
-        gt_bbox_post=s.gt_bbox_post,
-        w1=s.features.w1,
-        w2=area_ratio(s.gt_bbox_post, k),
-    )
+def pseudolabels(samples: SampleSet, k: CameraIntrinsics) -> list[pl.PseudoLabel]:
+    """The samples as pseudo-labels: each one's working action and supervision
+    box, with its start-view area ratio w1 and the box's area ratio w2."""
+    boxes = [bbox_row(b, c) for b, c in zip(samples.boxes, samples.codes.tolist())]
+    w1s = samples.features[:, 2].tolist()
+    return [
+        pl.PseudoLabel(i, text, ActionDelta(*a), b, w1, area_ratio(b, k))
+        for i, text, a, b, w1 in zip(samples.ids, samples.instructions, samples.actions.tolist(), boxes, w1s)
+    ]

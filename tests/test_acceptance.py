@@ -269,7 +269,7 @@ def test_08_self_training_trend():
     )
     samples, _ = st.make_samples(scene, K, fill_ratio=0.30, seed=7)
     train, test = st.split_dataset(samples, 0.1, seed=5)
-    noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=11, fill_ratio=0.30)
+    noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=11, fill_ratio=0.30)
     train_noisy = st.relabel(train, noisy)
     factory = st.regressor_policy_factory(
         pl.RegressorConfig(kind="random_forest", seed=9, max_depth=10, min_samples_leaf=4),
@@ -295,12 +295,13 @@ def test_09_regressor_fidelity():
     rng = np.random.default_rng(909)
     weights = np.array([[20.0, -10.0, 0.0], [10.0, 20.0, 0.0], [0.0, 0.0, 900.0]])
     bias = np.array([2.0, -1.0, 30.0])
-    pairs = []
+    rows, actions = [], []
     for _ in range(100):
         x = np.array([rng.integers(-10, 11) / 10, rng.integers(-10, 11) / 10, rng.integers(1, 50) / 100])
         y = weights @ x + bias
-        pairs.append((pl.FeatureVec(x[0], x[1], x[2]), ActionDelta(int(round(y[0])), int(round(y[1])), int(round(y[2])))))
-    ols = pl.fit(pairs, pl.RegressorConfig(kind="ols_linear"))
+        rows.append(x)
+        actions.append(ActionDelta(int(round(y[0])), int(round(y[1])), int(round(y[2]))).as_tuple())
+    ols = pl.fit(np.array(rows), np.array(actions), pl.RegressorConfig(kind="ols_linear"))
     for head in pl.HEAD_NAMES:
         assert ols.train_r2[head] >= 1.0 - 1e-9
 
@@ -308,13 +309,12 @@ def test_09_regressor_fidelity():
     scene = cam.sample_targets(400, np.random.default_rng(910))
     samples, _ = st.make_samples(scene, K, seed=2)
     assert len(samples) >= 300
-    oracle_pairs = [(s.features, s.gt_action) for s in samples]
     cfg = pl.RegressorConfig(kind="random_forest", seed=5)
-    rf = pl.fit(oracle_pairs, cfg)
+    rf = pl.fit(samples.features, samples.actions, cfg)
     for head in pl.HEAD_NAMES:
         assert rf.train_r2[head] >= 0.95
-    rf2 = pl.fit(oracle_pairs, cfg)
-    x = np.stack([f.as_array(False) for f, _ in oracle_pairs])
+    rf2 = pl.fit(samples.features, samples.actions, cfg)
+    x = samples.features[:, :3]
     assert np.array_equal(rf.predict_batch(x), rf2.predict_batch(x))
     r2 = ", ".join(f"{h}={rf.train_r2[h]:.3f}" for h in pl.HEAD_NAMES)
     report(9, f"OLS R2 deficit < 1e-9; RF on {len(samples)} oracle samples R2 [{r2}] >= 0.95, bit-deterministic")

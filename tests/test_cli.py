@@ -1,9 +1,14 @@
+import configparser
 import json
+import re
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from ptzkit.cli import main
+from ptzkit.config import RunConfig, load_config
 
 
 def run(args):
@@ -545,6 +550,71 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(cfg) in err
         assert not (tmp_path / "scene.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("tilt", "95", "must be in [-90, 90]"),
+            ("tilt", "-90.5", "must be in [-90, 90]"),
+            ("zoom", "1200", "must be in [0, 999]"),
+            ("zoom", "-1", "must be in [0, 999]"),
+        ],
+    )
+    def test_impossible_start_pose_is_config_error(self, tmp_path, scene_file, capsys, key, value, rule):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[camera]\n{key} = {value}\n")
+        for command in (["eval", "--policy", "oracle"], ["grpo-train", "--steps", "1"]):
+            assert run(["--config", str(cfg), *command, "--scene", str(scene_file), "--out", str(tmp_path)]) == 3
+            assert f"config error: [camera] {key}: {rule}" in capsys.readouterr().err
+
+    def test_start_pose_limits_load(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        for tilt, zoom in (("-90", "0"), ("90", "999")):
+            cfg.write_text(f"[camera]\ntilt = {tilt}\nzoom = {zoom}\n")
+            loaded = load_config(cfg).camera
+            assert (loaded.tilt, loaded.zoom) == (float(tilt), float(zoom))
+
+    @pytest.mark.parametrize(
+        "section, key, value, reason",
+        [
+            ("pseudolabel", "kind", "foo", "unknown regressor kind 'foo'"),
+            ("pseudolabel", "n_trees", "0", "forest hyperparameters must be positive"),
+            ("pseudolabel", "max_depth", "0", "forest hyperparameters must be positive"),
+            ("pseudolabel", "min_samples_leaf", "0", "forest hyperparameters must be positive"),
+            ("grpo", "group_size", "1", "group_size must be at least 2"),
+            ("grpo", "kl_weight", "-0.5", "kl_weight must be non-negative"),
+            ("reward", "angle_tol", "0", "all reward spans must be positive"),
+            ("reward", "zoom_band", "-5", "all reward spans must be positive"),
+            ("codec", "levels", "7", "levels must be in [1, 3]"),
+            ("intrinsics", "image_w", "0", "image dimensions must be positive"),
+            ("intrinsics", "hfov_base", "180", "hfov_base must be in (0, 180) degrees"),
+        ],
+    )
+    def test_library_checked_key_is_config_error_at_load(self, tmp_path, capsys, section, key, value, reason):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        # rejected before any input is read: the scene does not exist
+        scene = str(tmp_path / "nope.jsonl")
+        for command in (["eval", "--policy", "oracle"], ["grpo-train"], ["iterate"], ["fit", "--kind", "ols"]):
+            assert run(["--config", str(cfg), *command, "--scene", scene, "--out", str(tmp_path)]) == 3
+            assert f"config error: [{section}] {reason}" in capsys.readouterr().err
+
+    def test_readme_config_block_loads_and_lists_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        load_config(path)
+        parser = configparser.ConfigParser()
+        parser.read_string(block)
+        listed = {(name, key) for name in parser.sections() for key in parser[name]}
+        defaults = RunConfig()
+        every = {
+            (section.name, key.name)
+            for section in fields(defaults)
+            for key in fields(getattr(defaults, section.name))
+        }
+        assert listed == every
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "run.ini"

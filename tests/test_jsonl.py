@@ -57,7 +57,7 @@ FORMATS = {
     "training-pairs": Format(
         {"features": {"x_norm": 0.1, "y_norm": -0.2, "w1": 0.05}, "action": {"pan": 2, "tilt": 1, "zoom": 10}},
         {"features": {"x_norm": math.nan, "y_norm": -0.2, "w1": 0.05}},
-        pl.read_feature_action_pairs,
+        lambda f: pl.read_feature_action_pairs(f)[0],  # the feature rows
         lambda f, out: ["fit", "--pairs", f, "--kind", "ols", "--out", out],
     ),
     "report": Format(
@@ -87,8 +87,9 @@ CASES = [
 @pytest.fixture
 def out(tmp_path):
     rng = np.random.default_rng(0)
-    pairs = [(pl.FeatureVec(*rng.uniform(0.01, 0.5, 3)), ActionDelta(i, -i, 10 * i)) for i in range(8)]
-    pl.save_model(tmp_path / "model.json", pl.fit(pairs, pl.RegressorConfig(kind="ols_linear")))
+    x = np.array([rng.uniform(0.01, 0.5, 3) for _ in range(8)])
+    actions = np.array([ActionDelta(i, -i, 10 * i).as_tuple() for i in range(8)])
+    pl.save_model(tmp_path / "model.json", pl.fit(x, actions, pl.RegressorConfig(kind="ols_linear")))
     return tmp_path
 
 

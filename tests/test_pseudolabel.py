@@ -156,7 +156,7 @@ def exact_linear_pairs(n=80, seed=3):
     rng = np.random.default_rng(seed)
     weights = np.array([[20.0, -10.0, 0.0], [10.0, 20.0, 0.0], [0.0, 0.0, 900.0]])
     bias = np.array([2.0, -1.0, 30.0])
-    pairs = []
+    rows, actions = [], []
     for _ in range(n):
         x = np.array(
             [rng.integers(-10, 11) / 10, rng.integers(-10, 11) / 10, rng.integers(1, 50) / 100]
@@ -164,68 +164,61 @@ def exact_linear_pairs(n=80, seed=3):
         y = weights @ x + bias
         action = ActionDelta(int(round(y[0])), int(round(y[1])), int(round(y[2])))
         assert np.allclose(y, action.as_tuple())
-        pairs.append((pl.FeatureVec(x[0], x[1], x[2]), action))
-    return pairs
+        rows.append(x)
+        actions.append(action.as_tuple())
+    return np.array(rows), np.array(actions, dtype=np.int64)
 
 
 class TestOLS:
     def test_exact_recovery(self):
-        pairs = exact_linear_pairs()
-        model = pl.fit(pairs, pl.RegressorConfig(kind="ols_linear"))
+        model = pl.fit(*exact_linear_pairs(), pl.RegressorConfig(kind="ols_linear"))
         for head in pl.HEAD_NAMES:
             assert model.train_r2[head] >= 1.0 - 1e-9
 
     def test_normal_equations_residual(self):
-        pairs = exact_linear_pairs()
-        model = pl.fit(pairs, pl.RegressorConfig(kind="ols_linear"))
-        x = np.stack([f.as_array(False) for f, _ in pairs])
-        y = np.array([a.as_tuple() for _, a in pairs], dtype=float)
+        x, actions = exact_linear_pairs()
+        model = pl.fit(x, actions, pl.RegressorConfig(kind="ols_linear"))
+        y = actions.astype(float)
         design = np.hstack([x, np.ones((x.shape[0], 1))])
         resid = y - design @ np.vstack([model.ols_coef.T, model.ols_intercept])
         grad = design.T @ resid
         assert np.max(np.abs(grad)) / max(1.0, np.max(np.abs(design.T @ y))) < 1e-8
 
     def test_interpolates_training_point(self):
-        pairs = exact_linear_pairs()
-        model = pl.fit(pairs, pl.RegressorConfig(kind="ols_linear"))
-        f, a = pairs[0]
-        pred = model.predict_batch(f.as_array(False)[None, :])[0]
-        assert np.allclose(pred, a.as_tuple(), atol=1e-6)
+        x, actions = exact_linear_pairs()
+        model = pl.fit(x, actions, pl.RegressorConfig(kind="ols_linear"))
+        pred = model.predict_batch(x[:1])[0]
+        assert np.allclose(pred, actions[0], atol=1e-6)
 
     def test_degenerate_design_rejected(self):
-        f = pl.FeatureVec(0.5, 0.5, 0.1)
+        x = np.tile([0.5, 0.5, 0.1], (10, 1))
         with pytest.raises(pl.FitError, match="degenerate"):
-            pl.fit([(f, ActionDelta(1, 0, 0))] * 10, pl.RegressorConfig(kind="ols_linear"))
+            pl.fit(x, np.tile([1, 0, 0], (10, 1)), pl.RegressorConfig(kind="ols_linear"))
 
     def test_too_few_samples(self):
         with pytest.raises(pl.FitError):
-            pl.fit([], pl.RegressorConfig(kind="ols_linear"))
+            pl.fit(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64), pl.RegressorConfig(kind="ols_linear"))
 
 
 class TestRandomForest:
     def test_constant_target(self):
         rng = np.random.default_rng(0)
-        pairs = [
-            (pl.FeatureVec(*rng.uniform(-1, 1, 2), rng.uniform(0.01, 0.5)), ActionDelta(4, 4, 40))
-            for _ in range(40)
-        ]
-        model = pl.fit(pairs, pl.RegressorConfig(kind="random_forest", n_trees=10))
-        pred = model.predict_batch(pairs[0][0].as_array(False)[None, :])[0]
+        x = np.array([[*rng.uniform(-1, 1, 2), rng.uniform(0.01, 0.5)] for _ in range(40)])
+        model = pl.fit(x, np.tile([4, 4, 40], (40, 1)), pl.RegressorConfig(kind="random_forest", n_trees=10))
+        pred = model.predict_batch(x[:1])[0]
         assert np.allclose(pred, [4, 4, 40])
 
     def test_bit_deterministic_under_seed(self):
-        pairs = exact_linear_pairs(n=100, seed=6)
+        x, actions = exact_linear_pairs(n=100, seed=6)
         cfg = pl.RegressorConfig(kind="random_forest", seed=123, n_trees=20)
-        m1 = pl.fit(pairs, cfg)
-        m2 = pl.fit(pairs, cfg)
-        x = np.stack([f.as_array(False) for f, _ in pairs])
+        m1 = pl.fit(x, actions, cfg)
+        m2 = pl.fit(x, actions, cfg)
         assert np.array_equal(m1.predict_batch(x), m2.predict_batch(x))
 
     def test_seed_changes_model(self):
-        pairs = exact_linear_pairs(n=100, seed=6)
-        m1 = pl.fit(pairs, pl.RegressorConfig(kind="random_forest", seed=1, n_trees=20))
-        m2 = pl.fit(pairs, pl.RegressorConfig(kind="random_forest", seed=2, n_trees=20))
-        x = np.stack([f.as_array(False) for f, _ in pairs])
+        x, actions = exact_linear_pairs(n=100, seed=6)
+        m1 = pl.fit(x, actions, pl.RegressorConfig(kind="random_forest", seed=1, n_trees=20))
+        m2 = pl.fit(x, actions, pl.RegressorConfig(kind="random_forest", seed=2, n_trees=20))
         assert not np.array_equal(m1.predict_batch(x), m2.predict_batch(x))
 
     def test_oracle_samples_fit_well(self):
@@ -233,28 +226,28 @@ class TestRandomForest:
         scene = cam.sample_targets(400, rng)
         samples, _ = st.make_samples(scene, K, seed=2)
         assert len(samples) >= 300
-        pairs = [(s.features, s.gt_action) for s in samples]
-        model = pl.fit(pairs, pl.RegressorConfig(kind="random_forest", seed=5))
+        model = pl.fit(samples.features, samples.actions, pl.RegressorConfig(kind="random_forest", seed=5))
         for head in pl.HEAD_NAMES:
             assert model.train_r2[head] >= 0.95
 
     def test_too_few_samples(self):
-        pairs = exact_linear_pairs()[:4]
+        x, actions = exact_linear_pairs()
         with pytest.raises(ValueError):
-            pl.fit(pairs, pl.RegressorConfig(kind="random_forest", min_samples_leaf=5))
+            pl.fit(x[:4], actions[:4], pl.RegressorConfig(kind="random_forest", min_samples_leaf=5))
 
     def test_optional_zoom_feature(self):
         rng = np.random.default_rng(33)
         scene = cam.sample_targets(300, rng)
         samples, _ = st.make_samples(scene, K, seed=2)
-        pairs = [(s.features, s.gt_action) for s in samples]
         cfg = pl.RegressorConfig(kind="random_forest", seed=5, use_zoom_feature=True)
-        model = pl.fit(pairs, cfg)
+        model = pl.fit(samples.features, samples.actions, cfg)
         assert model.train_r2["zoom"] >= 0.95
-        # a model expecting the extra feature rejects bare feature vectors
-        bare = replace(samples[0], features=pl.FeatureVec(0.1, 0.1, 0.05))
+        # a model expecting the extra feature rejects bare feature rows
+        bare = replace(samples[:2], features=samples.features[:2, :3])
         with pytest.raises(pl.FitError, match="zoom feature"):
-            st.RegressorPolicy(model).actions([samples[1], bare])
+            st.RegressorPolicy(model).actions(bare)
+        with pytest.raises(pl.FitError, match="zoom feature"):
+            pl.fit(bare.features, bare.actions, cfg)
 
 
 class TestGenerate:
@@ -277,22 +270,13 @@ class TestGenerate:
         rng = np.random.default_rng(31)
         scene = cam.sample_targets(500, rng)
         samples, _ = st.make_samples(scene, K, seed=2)
-        return pl.fit(
-            [(s.features, s.gt_action) for s in samples],
-            pl.RegressorConfig(kind="random_forest", seed=5),
-        )
+        return pl.fit(samples.features, samples.actions, pl.RegressorConfig(kind="random_forest", seed=5))
 
     def test_centered_bbox_identity_model(self):
         # a regressor fitted on exactly-zero angle labels predicts zero angles
         rng = np.random.default_rng(44)
-        pairs = [
-            (
-                pl.FeatureVec(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), w1),
-                ActionDelta(0, 0, 50),
-            )
-            for w1 in np.linspace(0.01, 0.2, 30)
-        ]
-        model = pl.fit(pairs, pl.RegressorConfig(kind="ols_linear"))
+        x = np.array([[float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), w1] for w1 in np.linspace(0.01, 0.2, 30)])
+        model = pl.fit(x, np.tile([0, 0, 50], (30, 1)), pl.RegressorConfig(kind="ols_linear"))
         b = BBoxPx(600, 330, 680, 390)
         record = pl.GroundingRecord("c", 1280, 720, b, "thing")
         labels, skipped = pl.generate([record], model)
@@ -346,7 +330,7 @@ class TestGenerate:
         assert calls == [len(records)]
         assert skipped == [("r0005x", "empty bbox")]
         for lab, rec in zip(labels, sorted(records, key=lambda r: r.id)):
-            x = pl.features_for_record(rec.bbox, rec.image_w, rec.image_h)[0].as_array(False)
+            x = np.array(pl.features_for_record(rec.bbox, rec.image_w, rec.image_h)[0][:3])
             pan, tilt, zoom = real_predict(model, x[None, :])[0]
             expected = (round_half_away(pan), round_half_away(tilt), max(0, round_half_away(zoom)))
             assert lab.action.as_tuple() == expected
@@ -414,13 +398,12 @@ class TestFiles:
         assert len(calls) == len(labels)
 
     def test_model_file_round_trip(self, tmp_path):
-        pairs = exact_linear_pairs()
+        x, actions = exact_linear_pairs()
         for kind in ("ols_linear", "random_forest"):
-            model = pl.fit(pairs, pl.RegressorConfig(kind=kind, n_trees=5, seed=2))
+            model = pl.fit(x, actions, pl.RegressorConfig(kind=kind, n_trees=5, seed=2))
             path = tmp_path / f"{kind}.json"
             pl.save_model(path, model)
             loaded = pl.load_model(path)
-            x = np.stack([f.as_array(False) for f, _ in pairs])
             assert np.allclose(model.predict_batch(x), loaded.predict_batch(x))
             doc = json.loads(path.read_text())
             assert doc["kind"] == kind

@@ -15,6 +15,20 @@ K = CameraIntrinsics(1280, 720, 60.0)
 CFG = rw.RewardConfig()
 
 
+def with_seam_task(tasks):
+    """The tasks plus a copy of the first that starts near the pan seam with
+    zoom already in, so pans wrap and zoom clamps."""
+    seam = dataclasses.replace(tasks[:1], pose=np.array([[179.37, 3.5, 980.25]]))
+    return st.SampleSet(
+        *(np.concatenate([getattr(tasks, f.name), getattr(seam, f.name)]) for f in dataclasses.fields(st.SampleSet))
+    )
+
+
+def one_by_one(tasks):
+    """Each task as a one-row ``SampleSet``, in order."""
+    return [tasks[i : i + 1] for i in range(len(tasks))]
+
+
 class TestAngleReward:
     def test_zero_error(self):
         assert rw.angle_reward(10.0, 10.0, CFG) == 1.0
@@ -382,7 +396,8 @@ class TestStepMatchesLoop:
         cfg = rw.GRPOConfig()
         rng = np.random.default_rng(6)
         groups = [
-            group_of(rw.build_rollout_group(policy, rw.ToyPolicy.init(3), t, K, cfg, CFG, rng)) for t in tasks
+            group_of(rw.build_rollout_group(policy, rw.ToyPolicy.init(3), t, K, cfg, CFG, rng))
+            for t in one_by_one(tasks)
         ]
         stepped, stats = rw.grpo_step(policy, batch_of(groups), cfg)
         weights, mean_reward, _ = _reference_step(policy, groups, cfg)
@@ -517,7 +532,9 @@ class TestTraining:
 def _reference_rollouts(policy, task, k, cfg, reward_cfg, rng):
     """The rollout loop one rollout at a time: ``rng.choice`` per head, then
     ``apply_action``, ``project`` and ``composite_reward``."""
-    cur_lp = policy.log_probs(task.features.as_array(False))
+    cur_lp = policy.log_probs(task.features[0, :3])
+    gt_action = ActionDelta(*task.actions[0].tolist())
+    gt_bbox = cam.bbox_row(task.boxes[0], task.codes[0])
     sampled, rewards = [], []
     for _ in range(cfg.group_size):
         idx = []
@@ -526,8 +543,8 @@ def _reference_rollouts(policy, task, k, cfg, reward_cfg, rng):
             p = p / p.sum()
             idx.append(int(rng.choice(p.shape[0], p=p)))
         action = ActionDelta(*(int(policy.bins[h][i]) for h, i in zip(rw.HEADS, idx)))
-        box = cam.project(cam.apply_action(task.camera_init, action), k, task.target)
-        rewards.append(rw.composite_reward(action, task.gt_action, box, task.gt_bbox_post, reward_cfg).total)
+        box = cam.project(cam.apply_action(cam.CameraState(*task.pose[0]), action), k, task.targets[0])
+        rewards.append(rw.composite_reward(action, gt_action, box, gt_bbox, reward_cfg).total)
         sampled.append((tuple(idx), action))
     advantages = rw.group_advantages(rewards, cfg.std_guard)
     return [
@@ -542,9 +559,7 @@ class TestBatchedRollouts:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     def test_matches_one_at_a_time_loop(self, seed):
-        tasks = TestTraining().make_tasks(n=6, seed=seed + 40)
-        # one task starts near the pan seam with zoom already in, so pans wrap and zoom clamps
-        tasks.append(dataclasses.replace(tasks[0], camera_init=cam.CameraState(179.37, 3.5, 980.25)))
+        tasks = with_seam_task(TestTraining().make_tasks(n=6, seed=seed + 40))
         policy = rw.ToyPolicy.init(3)
         wrng = np.random.default_rng(seed)
         for h in rw.HEADS:
@@ -553,7 +568,7 @@ class TestBatchedRollouts:
         cfg = rw.GRPOConfig(group_size=6)
         batched_rng = np.random.default_rng(seed)
         loop_rng = np.random.default_rng(seed)
-        for task in tasks:
+        for task in one_by_one(tasks):
             group = group_of(rw.build_rollout_group(policy, ref, task, K, cfg, CFG, batched_rng))
             expected = _reference_rollouts(policy, task, K, cfg, CFG, loop_rng)
             got = [(r.bins, r.action, r.logp_old, r.reward, float(r.advantage)) for r in group.rollouts]
@@ -582,8 +597,9 @@ class TestBatchedRollouts:
 
 def _reference_group(policy, ref_policy, task, k, cfg, reward_cfg, rng):
     """One prompt's group: one ``rng.random`` draw of n*3, one projection and one reward pass."""
-    cur_lp = policy.log_probs(task.features.as_array(False))
-    ref_lp = ref_policy.log_probs(task.features.as_array(False))
+    features = task.features[0, :3]
+    cur_lp = policy.log_probs(features)
+    ref_lp = ref_policy.log_probs(features)
     n = cfg.group_size
     uniforms = rng.random(n * len(rw.HEADS)).reshape(n, len(rw.HEADS))
     idx = np.empty(uniforms.shape, dtype=np.int64)
@@ -594,12 +610,10 @@ def _reference_group(policy, ref_policy, task, k, cfg, reward_cfg, rng):
         cdf /= cdf[-1]
         idx[:, j] = cdf.searchsorted(uniforms[:, j], side="right")
     actions = np.stack([policy.bins[h][idx[:, j]] for j, h in enumerate(rw.HEADS)], axis=1)
-    c = task.camera_init
-    pose = cam.apply_action_batch(np.full(n, c.pan), np.full(n, c.tilt), np.full(n, c.zoom_units), actions)
-    boxes, codes = cam.project_batch(*pose, k, cam.target_corners([task.target]))
-    terms = rw.reward_terms(
-        actions, task.gt_action.as_tuple(), boxes, codes, *cam.bbox_arrays([task.gt_bbox_post]), reward_cfg
-    )
+    pan, tilt, zoom = task.pose[0].tolist()
+    pose = cam.apply_action_batch(np.full(n, pan), np.full(n, tilt), np.full(n, zoom), actions)
+    boxes, codes = cam.project_batch(*pose, k, cam.target_corners(task.targets))
+    terms = rw.reward_terms(actions, task.actions[0], boxes, codes, task.boxes, task.codes, reward_cfg)
     rewards = rw.reward_totals(terms).tolist()
     r = np.asarray(rewards, dtype=np.float64)
     advantages = list((r - r.mean()) / (float(r.std()) + cfg.std_guard))
@@ -608,8 +622,7 @@ def _reference_group(policy, ref_policy, task, k, cfg, reward_cfg, rng):
         Rollout(action=ActionDelta(*a), bins=tuple(b), logp_old=lp, reward=r, advantage=adv)
         for a, b, lp, r, adv in zip(actions.tolist(), idx.tolist(), logp.tolist(), rewards, advantages)
     ]
-    features = task.features.as_array(False)
-    return Group(task.id, features, rollouts, cur_lp, ref_lp, task.gt_action)
+    return Group(task.ids[0], features, rollouts, cur_lp, ref_lp, ActionDelta(*task.actions[0].tolist()))
 
 
 def _reference_group_step(policy, groups, cfg):
@@ -679,7 +692,7 @@ def _reference_train(policy, tasks, k, cfg, reward_cfg, steps, seed):
     rng = np.random.default_rng(seed)
     history = []
     for _ in range(steps):
-        groups = [_reference_group(policy, ref, task, k, cfg, reward_cfg, rng) for task in tasks]
+        groups = [_reference_group(policy, ref, task, k, cfg, reward_cfg, rng) for task in one_by_one(tasks)]
         policy, stats = _reference_group_step(policy, groups, cfg)
         history.append(stats)
     return policy, history
@@ -693,9 +706,7 @@ class TestStepWideTraining:
     @pytest.mark.parametrize("group_size", [2, 8])
     @pytest.mark.parametrize("kl_weight", [0.0, 0.04])
     def test_matches_per_group_loop(self, seed, group_size, kl_weight):
-        tasks = TestTraining().make_tasks(n=9, seed=seed + 60)
-        # one task starts near the pan seam with zoom already in, so pans wrap and zoom clamps
-        tasks.append(dataclasses.replace(tasks[0], camera_init=cam.CameraState(179.37, 3.5, 980.25)))
+        tasks = with_seam_task(TestTraining().make_tasks(n=9, seed=seed + 60))
         cfg = rw.GRPOConfig(group_size=group_size, kl_weight=kl_weight)
         got_policy, got = rw.grpo_train(rw.ToyPolicy.init(3), tasks, K, cfg, CFG, steps=25, seed=seed)
         want_policy, want = _reference_train(rw.ToyPolicy.init(3), tasks, K, cfg, CFG, steps=25, seed=seed)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,18 @@ def make_dataset(n, scene_seed=1, sample_seed=2):
 @pytest.fixture(scope="module")
 def dataset():
     return make_dataset(260)
+
+
+def assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for f in dataclasses.fields(st.SampleSet):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+def rows_with_ids(dataset, ids):
+    """A mask of the dataset rows whose id is in ``ids``."""
+    ids = set(ids)
+    return np.array([i in ids for i in dataset.ids], dtype=bool)
 
 
 class TestCompletion:
@@ -56,24 +70,24 @@ class TestPolicies:
         assert metrics.completion_rate == 1.0
 
     def test_constant_zero_policy_fails_completion(self, dataset):
-        off_center = [s for s in dataset if abs(s.target.azimuth) > 5]
+        off_center = dataset[np.array([abs(t.azimuth) > 5 for t in dataset.targets])]
         metrics = st.evaluate(st.ConstantPolicy(ActionDelta(0, 0, 0)), off_center, K)
         assert metrics.completion_rate == 0.0
 
     def test_noisy_oracle_deterministic_and_order_independent(self, dataset):
-        noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3)
-        assert np.array_equal(noisy.actions([dataset[0]]), noisy.actions([dataset[0]]))
+        noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=3)
+        assert np.array_equal(noisy.actions(dataset[:1]), noisy.actions(dataset[:1]))
         labels_fwd = st.relabel(dataset, noisy)
-        labels_rev = list(reversed(st.relabel(list(reversed(dataset)), noisy)))
-        assert labels_fwd == labels_rev
+        labels_rev = st.relabel(dataset[::-1], noisy)[::-1]
+        assert_same_samples(labels_fwd, labels_rev)
 
     def test_noisy_oracle_seed_matters(self, dataset):
-        a = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3).actions([dataset[0]])[0]
-        b = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=4).actions([dataset[0]])[0]
+        a = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=3).actions(dataset[:1])[0]
+        b = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=4).actions(dataset[:1])[0]
         assert not np.array_equal(a, b)
 
     def test_noise_magnitude(self, dataset):
-        noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3)
+        noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=3)
         metrics = st.evaluate(noisy, dataset, K)
         # mean absolute error of N(0, sigma) is sigma * sqrt(2/pi) ~ 0.8 sigma
         assert 2.5 < metrics.mae_theta1 < 5.5
@@ -81,35 +95,29 @@ class TestPolicies:
         assert 18.0 < metrics.mae_zoom < 32.0
 
     def test_regressor_policy(self, dataset):
-        model = pl.fit(
-            [(s.features, s.gt_action) for s in dataset],
-            RegressorConfig(kind="random_forest", seed=1),
-        )
+        model = pl.fit(dataset.features, dataset.actions, RegressorConfig(kind="random_forest", seed=1))
         metrics = st.evaluate(st.RegressorPolicy(model), dataset, K)
         assert metrics.mean_iou > 0.8
 
     def test_mae_against_own_labels_is_zero(self, dataset):
-        noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=21)
+        noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=21)
         relabeled = st.relabel(dataset, noisy)
         metrics = st.evaluate(noisy, relabeled, K)
         assert metrics.mae_theta1 == 0.0
         assert metrics.mae_theta2 == 0.0
         assert metrics.mae_zoom == 0.0
 
-    def test_evaluate_empty(self):
+    def test_evaluate_empty(self, dataset):
         with pytest.raises(ValueError):
-            st.evaluate(st.OraclePolicy(K), [], K)
+            st.evaluate(st.OraclePolicy(K), dataset[:0], K)
 
 
 @pytest.fixture(scope="module")
 def batch_policies(dataset):
-    model = pl.fit(
-        [(s.features, s.gt_action) for s in dataset],
-        RegressorConfig(kind="random_forest", seed=4, n_trees=5),
-    )
+    model = pl.fit(dataset.features, dataset.actions, RegressorConfig(kind="random_forest", seed=4, n_trees=5))
     return {
         "regressor": st.RegressorPolicy(model),
-        "noisy-oracle": st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=12),
+        "noisy-oracle": st.NoisyOraclePolicy(K, 5.0, 30.0, seed=12),
     }
 
 
@@ -121,11 +129,11 @@ class TestBatchActions:
         policy = batch_policies[name]
         idx = data.draw(hst.lists(hst.integers(0, len(dataset) - 1), min_size=1, max_size=30))
         order = data.draw(hst.permutations(range(len(idx))))
-        samples = [dataset[i] for i in idx]
+        samples = dataset[idx]
         batch = policy.actions(samples)
         assert batch.dtype == np.int64
-        assert np.array_equal(batch, np.concatenate([policy.actions([s]) for s in samples]))
-        assert np.array_equal(policy.actions([samples[j] for j in order]), batch[list(order)])
+        assert np.array_equal(batch, np.concatenate([policy.actions(samples[j : j + 1]) for j in range(len(idx))]))
+        assert np.array_equal(policy.actions(samples[list(order)]), batch[list(order)])
 
     @pytest.mark.parametrize("scale", [0.0, 2.0])  # 0: every head ties, argmax takes the first bin
     def test_toy_policy_batch_is_per_row_argmax(self, dataset, scale):
@@ -134,17 +142,17 @@ class TestBatchActions:
         for h in HEADS:
             policy.weights[h] += rng.normal(0, scale, policy.weights[h].shape)
         want = []
-        for s in dataset:
-            lp = policy.log_probs(s.features.as_array(False))
+        for f in dataset.features[:, :3]:
+            lp = policy.log_probs(f)
             want.append([int(policy.bins[h][int(np.argmax(lp[h]))]) for h in HEADS])
         got = st.ToyPolicyAdapter(policy).actions(dataset)
         assert got.dtype == np.int64
         assert got.tolist() == want
         assert len({tuple(row) for row in want}) > (1 if scale else 0)
 
-    def test_empty_batch(self, batch_policies):
+    def test_empty_batch(self, batch_policies, dataset):
         for policy in batch_policies.values():
-            assert policy.actions([]).shape == (0, 3)
+            assert policy.actions(dataset[:0]).shape == (0, 3)
 
     def test_one_forest_call_per_head(self, batch_policies, dataset, monkeypatch):
         calls = []
@@ -164,7 +172,7 @@ class TestBatchActions:
         monkeypatch.setattr(
             st, "project_batch", lambda *a: rows.append(len(a[0])) or cam.project_batch(*a)
         )
-        noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3)
+        noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=3)
         st.relabel(dataset, noisy)
         assert rows == []
         # the counter is live: a filter round projects every sample once
@@ -180,72 +188,63 @@ class TestRunRound:
         assert len(refined) == len(dataset)
 
     def test_threshold_zero_keeps_overlapping(self, dataset):
-        noisy = st.NoisyOraclePolicy(K, 2.0, 2.0, 10.0, seed=5)
+        noisy = st.NoisyOraclePolicy(K, 2.0, 10.0, seed=5)
         refined, diag = st.run_round(dataset, noisy, K, 0.0, True)
         assert diag.kept_fraction == 1.0
 
     def test_monotone_in_threshold(self, dataset):
-        noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=6)
+        noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=6)
         kept_ids = {}
         for threshold in (0.3, 0.7, 0.95):
             refined, _ = st.run_round(dataset, noisy, K, threshold, True)
-            kept_ids[threshold] = {s.id for s in refined}
+            kept_ids[threshold] = set(refined.ids)
         assert kept_ids[0.95] <= kept_ids[0.7] <= kept_ids[0.3]
 
     def test_selection_effect_on_mae(self):
         # unbiased noise: the IoU-filtered subset has lower action MAE
         data = make_dataset(1800)
-        noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=7)
-        predictions = dict(zip([s.id for s in data], noisy.actions(data)))
+        noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=7)
+        errs = np.abs(noisy.actions(data) - data.actions)
         refined, diag = st.run_round(data, noisy, K, 0.7, True)
         assert 0.01 < diag.kept_fraction < 0.95
-
-        def mae(samples):
-            errs = [
-                np.abs(predictions[s.id] - np.array(s.gt_action.as_tuple()))
-                for s in samples
-            ]
-            return np.mean(errs, axis=0)
-
-        kept_ids = {s.id for s in refined}
-        mae_all = mae(data)
-        mae_kept = mae([s for s in data if s.id in kept_ids])
+        mae_all = np.mean(errs, axis=0)
+        mae_kept = np.mean(errs[rows_with_ids(data, refined.ids)], axis=0)
         assert np.all(mae_kept < mae_all)
 
     def test_replace_bbox_flag(self, dataset):
-        noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=8)
+        noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=8)
         kept_on, _ = st.run_round(dataset, noisy, K, 0.5, True)
         kept_off, _ = st.run_round(dataset, noisy, K, 0.5, False)
-        originals = {s.id: s for s in dataset}
-        assert all(s.gt_bbox_post == originals[s.id].gt_bbox_post for s in kept_on)
-        assert any(s.gt_bbox_post != originals[s.id].gt_bbox_post for s in kept_off)
+        on, off = rows_with_ids(dataset, kept_on.ids), rows_with_ids(dataset, kept_off.ids)
+        assert np.array_equal(kept_on.boxes, dataset.boxes[on]) and np.array_equal(kept_on.codes, dataset.codes[on])
+        assert not np.array_equal(kept_off.boxes, dataset.boxes[off])
 
     def test_labels_become_predictions(self, dataset):
-        noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=9)
+        noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=9)
         refined, _ = st.run_round(dataset, noisy, K, 0.0, True)
-        for s in refined:
-            assert s.gt_action.as_tuple() == tuple(noisy.actions([s])[0].tolist())
+        for j in range(len(refined)):
+            assert refined.actions[j].tolist() == noisy.actions(refined[j : j + 1])[0].tolist()
 
     def test_idempotent(self, dataset):
-        noisy = st.NoisyOraclePolicy(K, 3.0, 3.0, 15.0, seed=10)
+        noisy = st.NoisyOraclePolicy(K, 3.0, 15.0, seed=10)
         once, _ = st.run_round(dataset, noisy, K, 0.0, False)
         twice, diag = st.run_round(once, noisy, K, 0.0, False)
-        assert twice == once
+        assert_same_samples(twice, once)
         assert diag.kept_fraction == 1.0
 
-    def test_empty_dataset(self):
+    def test_empty_dataset(self, dataset):
         with pytest.raises(ValueError):
-            st.run_round([], st.OraclePolicy(K), K, 0.5, True)
+            st.run_round(dataset[:0], st.OraclePolicy(K), K, 0.5, True)
 
 
 class TestSplitDataset:
     def test_partitions_in_order(self, dataset):
         train, test = st.split_dataset(dataset, 0.2, seed=1)
         assert len(test) == round(0.2 * len(dataset))
-        test_ids = {s.id for s in test}
-        assert not test_ids & {s.id for s in train}
-        assert test == [s for s in dataset if s.id in test_ids]
-        assert train == [s for s in dataset if s.id not in test_ids]
+        test_ids = set(test.ids)
+        assert not test_ids & set(train.ids)
+        assert_same_samples(test, dataset[rows_with_ids(dataset, test_ids)])
+        assert_same_samples(train, dataset[~rows_with_ids(dataset, test_ids)])
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_rejects_fraction_outside_open_unit_interval(self, dataset, fraction):
@@ -299,7 +298,7 @@ class TestIterate:
         )
         cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,), refit_each_round=True)
         noisy_factory = lambda samples, r: (
-            st.NoisyOraclePolicy(K, 3.0, 3.0, 15.0, seed=6)
+            st.NoisyOraclePolicy(K, 3.0, 15.0, seed=6)
             if r == 0
             else starving(samples, r)
         )
@@ -323,7 +322,7 @@ class TestIterate:
     def test_on_round_callback(self, dataset):
         seen = {}
         cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.2,))
-        noisy_factory = lambda samples, r: st.NoisyOraclePolicy(K, 2.0, 2.0, 10.0, seed=6)
+        noisy_factory = lambda samples, r: st.NoisyOraclePolicy(K, 2.0, 10.0, seed=6)
         st.iterate(
             *st.split_dataset(dataset, 0.1, seed=4), cfg, noisy_factory, K,
             on_round=lambda r, samples: seen.setdefault(r, len(samples)),
@@ -336,7 +335,7 @@ class TestSelfTrainingTrend:
         # the acceptance criterion runs the full-size version of this
         data = make_dataset(700)
         train, test = st.split_dataset(data, 0.15, seed=2)
-        noisy = st.NoisyOraclePolicy(K, 5.0, 5.0, 30.0, seed=3)
+        noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=3)
         train_noisy = st.relabel(train, noisy)
         factory = st.regressor_policy_factory(
             RegressorConfig(kind="random_forest", seed=7, max_depth=10, min_samples_leaf=4)
@@ -373,8 +372,35 @@ class TestSampleFiles:
         assert rows[1]["mean_iou_kept"] == diag.mean_iou_kept > 0.5
 
     def test_pseudolabel_conversion(self, dataset):
-        s = dataset[0]
-        lab = st.sample_to_pseudolabel(s, K)
-        assert lab.record_id == s.id
-        assert lab.action == s.gt_action
+        (lab,) = st.pseudolabels(dataset[:1], K)
+        assert lab.record_id == dataset.ids[0]
+        assert lab.action == ActionDelta(*dataset.actions[0].tolist())
         assert lab.w2 >= lab.w1
+
+
+class TestSampleSet:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=hst.data())
+    def test_rows_are_the_parent_rows_in_order(self, dataset, data):
+        n = len(dataset)
+        if data.draw(hst.booleans(), label="by mask"):
+            rows = np.array(data.draw(hst.lists(hst.booleans(), min_size=n, max_size=n)), dtype=bool)
+            order = np.flatnonzero(rows).tolist()
+        else:  # indices, repeats allowed
+            order = data.draw(hst.lists(hst.integers(0, n - 1), max_size=40))
+            rows = np.array(order, dtype=np.int64)
+        got = dataset[rows]
+        assert len(got) == len(order)
+        for f in dataclasses.fields(st.SampleSet):
+            parent, child = getattr(dataset, f.name), getattr(got, f.name)
+            assert child.dtype == parent.dtype and child.shape == (len(order),) + parent.shape[1:]
+            for j, i in enumerate(order):
+                if parent.dtype == object:
+                    assert child[j] is parent[i]
+                else:
+                    assert child[j].tobytes() == parent[i].tobytes()
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(st.SampleSet)])
+    def test_fields_of_unequal_length_rejected(self, dataset, name):
+        with pytest.raises(ValueError, match="disagree on the number of rows"):
+            dataclasses.replace(dataset, **{name: getattr(dataset, name)[:-1]})
