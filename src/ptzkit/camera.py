@@ -245,7 +245,8 @@ def _hull_batch(
     right, up, forward = _camera_basis(pan, tilt)
     z = np.matmul(corners, forward[:, :, None])[:, :, 0]
     behind = np.any(z <= 1e-9, axis=1)
-    f = np.array([k.focal_px(zu) for zu in zoom.tolist()])[:, None]
+    zooms, row_zoom = np.unique(zoom, return_inverse=True)
+    f = np.array([k.focal_px(zu) for zu in zooms.tolist()])[row_zoom][:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = k.image_w / 2.0 + f * np.matmul(corners, right[:, :, None])[:, :, 0] / z
         v = k.image_h / 2.0 - f * np.matmul(corners, up[:, :, None])[:, :, 0] / z

@@ -225,18 +225,24 @@ def cmd_fit(args, cfg: RunConfig) -> int:
 
 def cmd_iterate(args, cfg: RunConfig) -> int:
     seed = _seed(args, cfg)
-    out_dir = _out_dir(args, cfg)
-    samples, _, k = _scene_samples(args, cfg, seed)
     s = cfg.selftrain
     rounds = args.rounds if args.rounds is not None else s.rounds
     thresholds = args.thresholds if args.thresholds is not None else s.threshold_list()
     replace_bbox = s.replace_bbox if args.replace_bbox is None else args.replace_bbox
-    iter_cfg = st.IterationConfig(
-        rounds=rounds,
-        iou_thresholds=thresholds,
-        replace_bbox=replace_bbox,
-        refit_each_round=s.refit_each_round,
-    )
+    try:
+        iter_cfg = st.IterationConfig(
+            rounds=rounds,
+            iou_thresholds=thresholds,
+            replace_bbox=replace_bbox,
+            refit_each_round=s.refit_each_round,
+        )
+    except ValueError as exc:  # the keys agree (checked at load), so a flag is involved
+        rounds_from = "--rounds" if args.rounds is not None else "[selftrain] rounds"
+        thresholds_from = "--thresholds" if args.thresholds is not None else "[selftrain] thresholds"
+        print(f"iterate error: {rounds_from} {rounds} with {thresholds_from}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    out_dir = _out_dir(args, cfg)
+    samples, _, k = _scene_samples(args, cfg, seed)
     train, test = st.split_dataset(samples, args.split if args.split is not None else s.split, seed)
     noise_angle = args.label_noise_angle if args.label_noise_angle is not None else s.label_noise_angle
     noise_zoom = args.label_noise_zoom if args.label_noise_zoom is not None else s.label_noise_zoom
@@ -421,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[globals_parent], help="grounding records + model -> pseudo-labels")
     p.add_argument("--records", required=True, help="grounding records (JSONL)")
     p.add_argument("--model", required=True, help="fitted regressor (JSON)")
-    p.add_argument("--zoom-source", choices=("geometry", "model"), default=None)
+    p.add_argument("--zoom-source", choices=pl.ZOOM_SOURCES, default=None)
     p.add_argument("--labels-file", default="labels.jsonl")
     p.set_defaults(func=cmd_synth)
 

@@ -22,8 +22,11 @@ additionally tolerates arbitrary magnitude order, missing dimension markers
 covers the kind of near-miss sequences a sampling policy emits.
 
 ``encode_batch`` and ``decode_batch`` are the array forms of ``encode_action``
-and strict ``decode``, for many actions at once.  ``round_actions`` is the one
-rule that turns real-valued predictions into codec-range integer actions.
+and strict ``decode``, for many actions at once; the pseudo-label files are
+written and read through them.  The scalar forms serve the command line's
+``encode`` and ``decode`` and are the reference the tests hold the batch forms
+to.  ``round_actions`` is the one rule that turns real-valued predictions into
+codec-range integer actions.
 """
 
 from __future__ import annotations
@@ -138,7 +141,8 @@ class Token:
 class TokenVocab:
     """Ordered action-token table: dimension markers, signs, magnitudes, end.
 
-    Token ids are contiguous from a configurable base offset.  Magnitude
+    Token ids are contiguous from a configurable base offset, and ``tokens``
+    holds the table in id order whatever order it was given in.  Magnitude
     values must be exactly {1, 2, 5} x 10**level for every level below the
     vocabulary's digit-level count.
     """
@@ -146,7 +150,7 @@ class TokenVocab:
     def __init__(self, tokens: Sequence[Token]):
         if not tokens:
             raise CodecError("empty vocabulary")
-        self.tokens = tuple(tokens)
+        self.tokens = tuple(sorted(tokens, key=lambda t: t.token_id))  # tokens[i] has id base_id + i
         ids = [t.token_id for t in self.tokens]
         base = min(ids)
         if sorted(ids) != list(range(base, base + len(ids))):
@@ -187,6 +191,9 @@ class TokenVocab:
             raise CodecError("magnitude values must be {1,2,5} x 10**level for each level")
         self.levels = levels
         self.max_value = 10**levels - 1
+        # the longest sequence ``encode_action`` writes: three markers, two
+        # signs and the end, and at most three magnitudes per digit and axis
+        self.max_sequence_length = 6 + 9 * levels
 
     @classmethod
     def default(cls, levels: int = DEFAULT_LEVELS, base_id: int = 0) -> "TokenVocab":
@@ -455,7 +462,7 @@ def _digit_token_ids(vocab: TokenVocab) -> np.ndarray:
 def encode_batch(pan, tilt, zoom, vocab: TokenVocab) -> tuple[np.ndarray, np.ndarray]:
     """Canonical token ids for a batch of actions, row ``i`` as ``encode_action``.
 
-    Returns ``(tokens, lengths)``: ``tokens`` is int64[n, 6 + 9 * levels]
+    Returns ``(tokens, lengths)``: ``tokens`` is int64[n, max_sequence_length]
     padded with -1, and ``tokens[i, :lengths[i]]`` is the sequence of action i.
     Raises ``CodecRangeError`` naming the first row that ``encode_action``
     would reject for its range.
@@ -473,7 +480,7 @@ def encode_batch(pan, tilt, zoom, vocab: TokenVocab) -> tuple[np.ndarray, np.nda
             raise CodecRangeError(f"{name} value {v[row]} in row {row} outside [{low}, {limit}]")
 
     n = columns[0].shape[0]
-    tokens = np.full((n, 6 + 9 * vocab.levels), -1, dtype=np.int64)
+    tokens = np.full((n, vocab.max_sequence_length), -1, dtype=np.int64)
     lengths = np.zeros(n, dtype=np.int64)
 
     def emit(ids, present):

@@ -6,11 +6,13 @@ configparser cannot parse (a repeated key, a key before any section header)
 is a config error naming the file.  Float keys must be finite, ``[codec]
 vocab_path`` must exist, ``[camera] tilt`` lie in [-90, 90] and ``zoom`` in
 [0, ``camera.ZOOM_MAX``], ``[grpo] steps`` and ``[selftrain] rounds`` must be
-positive, ``[selftrain] split`` in (0, 1), ``completion_center_frac`` and the
-label noise sigmas non-negative and ``completion_min_area`` in [0, 1] at load
-time.  The ``[intrinsics]``, ``[codec] levels``, ``[pseudolabel]``,
-``[reward]`` and ``[grpo]`` keys are checked at load time too, by building
-the library objects they configure, whose own checks hold the ranges.
+positive, ``[selftrain] thresholds`` at least ``rounds - 1`` IoU thresholds
+in [0, 1], ``split`` in (0, 1), ``completion_center_frac`` and the label
+noise sigmas non-negative, ``completion_min_area`` in [0, 1], ``[pseudolabel]
+fill_ratio`` in (0, 1) and ``zoom_source`` one of ``pseudolabel.ZOOM_SOURCES``
+at load time.  The ``[intrinsics]``, ``[codec] levels``, ``[pseudolabel]``
+regressor, ``[reward]`` and ``[grpo]`` keys are checked at load time too, by
+building the library objects they configure, whose own checks hold the ranges.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from ptzkit.camera import ZOOM_MAX, CameraIntrinsics
 from ptzkit.codec import TokenVocab
-from ptzkit.pseudolabel import RegressorConfig
+from ptzkit.pseudolabel import ZOOM_SOURCES, RegressorConfig
 from ptzkit.rewards import GRPOConfig, RewardConfig
 
 
@@ -212,6 +214,10 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"[camera] tilt: must be in [-90, 90], got {cfg.camera.tilt}")
     if not 0.0 <= cfg.camera.zoom <= ZOOM_MAX:
         raise ConfigError(f"[camera] zoom: must be in [0, {ZOOM_MAX:g}], got {cfg.camera.zoom}")
+    if not 0.0 < cfg.pseudolabel.fill_ratio < 1.0:
+        raise ConfigError(f"[pseudolabel] fill_ratio: must be in (0, 1), got {cfg.pseudolabel.fill_ratio}")
+    if cfg.pseudolabel.zoom_source not in ZOOM_SOURCES:
+        raise ConfigError(f"[pseudolabel] zoom_source: must be geometry or model, got {cfg.pseudolabel.zoom_source!r}")
     builders = {
         "intrinsics": lambda: intrinsics(cfg),
         "codec": lambda: TokenVocab.default(levels=cfg.codec.levels),
@@ -228,6 +234,12 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"[grpo] steps: must be positive, got {cfg.grpo.steps}")
     if cfg.selftrain.rounds <= 0:
         raise ConfigError(f"[selftrain] rounds: must be positive, got {cfg.selftrain.rounds}")
+    thresholds = cfg.selftrain.threshold_list()
+    if len(thresholds) < cfg.selftrain.rounds - 1:
+        raise ConfigError(
+            f"[selftrain] thresholds: rounds = {cfg.selftrain.rounds} needs at least rounds - 1 IoU thresholds, "
+            f"got {len(thresholds)}"
+        )
     if not 0.0 < cfg.selftrain.split < 1.0:
         raise ConfigError(f"[selftrain] split: must be in (0, 1), got {cfg.selftrain.split}")
     for key in ("completion_center_frac", "label_noise_angle", "label_noise_zoom"):

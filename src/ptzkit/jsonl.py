@@ -3,13 +3,16 @@
 A file holds one UTF-8 JSON object per line; blank lines are skipped.  Each
 format supplies a row parser (dict -> value) that may raise ``KeyError``,
 ``IndexError``, ``TypeError``, ``ValueError`` or ``OverflowError``; ``read``
-turns any of them into a ``ValueError`` naming ``path:line``.  Where a row has
-an ``id``, the id must be unique in the file.  Row parsers check numbers with
-``finite`` and ``integer``; each format's row builder feeds ``write``.
+turns any of them into a ``ValueError`` naming ``path:line``, and
+``row_error`` gives the same error for a check made on all rows at once.
+Where a row has an ``id``, the id must be unique in the file.  Row parsers
+check numbers with ``finite`` and ``integer``; each format's row builder
+feeds ``write``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -51,6 +54,15 @@ def read(path, parse_row, what: str) -> list:
             except _ROW_ERRORS as exc:
                 raise ValueError(f"{path}:{lineno}: {_reason(exc)} (bad {what})") from None
     return out
+
+
+def row_error(path, row: int, reason: str, what: str) -> ValueError:
+    """The error ``read`` raises for a bad row, for row ``row`` (counted from 0)
+    of what ``read`` returned; the file is read again to find its line."""
+    with open(path, "rb") as fh:
+        lines = (lineno for lineno, line in enumerate(fh, 1) if line.strip())
+        lineno = next(itertools.islice(lines, row, None))
+    return ValueError(f"{path}:{lineno}: {reason} (bad {what})")
 
 
 def load(path, parse_doc, what: str):

@@ -4,16 +4,18 @@ A grounding record is (image size, bbox, phrase).  The bbox center normalized
 to (-1, 1) models the pan/tilt relationship; the bbox-to-frame area ratio
 before (w1) and after (w2) an isotropic crop models zoom.  A regressor (OLS
 or random forest) fitted on oracle samples maps those features to actions,
-and ``generate`` turns whole record files into (instruction, action) training
-tuples, token strings included.
+and ``generate`` turns whole record files into one ``LabelSet`` of
+(instruction, action) training rows, which the label files hold with the
+action's token string.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +25,10 @@ from ptzkit.codec import ActionDelta
 from ptzkit.forest import ForestConfig, RandomForest
 
 HEAD_NAMES = ("pan", "tilt", "zoom")
+ZOOM_SOURCES = ("geometry", "model")
+# Rows per ``encode_batch``/``decode_batch`` call when a label file is written
+# or read: the decoder's temporaries grow with the rows of one call.
+CODEC_BLOCK = 1024
 
 TEMPLATES = (  # one per sample, drawn from the seeded stream
     "What is the {phrase}?",
@@ -57,14 +63,23 @@ class GroundingRecord:
         return None
 
 
-@dataclass(frozen=True)
-class PseudoLabel:
-    record_id: str
-    instruction: str
-    action: ActionDelta
-    gt_bbox_post: BBoxPx
-    w1: float
-    w2: float
+@dataclass(frozen=True, eq=False)
+class LabelSet:
+    """Pseudo-labels as row-aligned arrays: row i of every field belongs to label i."""
+
+    ids: np.ndarray  # object[n] str
+    instructions: np.ndarray  # object[n] str
+    actions: np.ndarray  # int64[n, 3] (pan, tilt, zoom)
+    boxes: np.ndarray  # float64[n, 4] the target's box after the action (``bbox_post``)
+    w1: np.ndarray  # float64[n] the target's area ratio before the action
+    w2: np.ndarray  # float64[n] and after it
+
+    def __post_init__(self):
+        if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
+            raise ValueError("label fields disagree on the number of rows")
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -218,14 +233,14 @@ def features_for_record(b: BBoxPx, image_w: int, image_h: int) -> tuple[tuple[fl
     return (x_norm, y_norm, w1, 0.5 * math.log2(w2 / w1)), window, w2
 
 
-def _bbox_in_crop_frame(b: BBoxPx, window: BBoxPx, image_w: float, image_h: float) -> BBoxPx:
+def _bbox_in_crop_frame(b: BBoxPx, window: BBoxPx, image_w: float) -> list[float]:
     scale = image_w / window.width
-    return BBoxPx(
+    return [
         (b.x_min - window.x_min) * scale,
         (b.y_min - window.y_min) * scale,
         (b.x_max - window.x_min) * scale,
         (b.y_max - window.y_min) * scale,
-    )
+    ]
 
 
 def generate(
@@ -233,7 +248,7 @@ def generate(
     model: RegressorModel,
     seed: int = 0,
     zoom_source: str = "geometry",
-) -> tuple[list[PseudoLabel], list[tuple[str, str]]]:
+) -> tuple[LabelSet, list[tuple[str, str]]]:
     """Pseudo-labels for every usable record plus (id, reason) skip diagnostics.
 
     Pan/tilt always come from the regressor.  Zoom comes from the crop
@@ -242,12 +257,15 @@ def generate(
     given the seed; records are processed sorted by id, and the regressor
     predicts every usable record in one batch.
     """
-    if zoom_source not in ("geometry", "model"):
+    if zoom_source not in ZOOM_SOURCES:
         raise ValueError(f"unknown zoom_source {zoom_source!r}")
     rng = np.random.default_rng(seed)
+    # row i of x, boxes and w2 belongs to ids[i]
     x = np.empty((len(records), 4), dtype=np.float64)
-    # per usable record, in x's row order: (id, instruction, bbox_post, w1, w2)
-    pending: list[tuple[str, str, BBoxPx, float, float]] = []
+    boxes = np.empty((len(records), 4), dtype=np.float64)
+    w2 = np.empty(len(records), dtype=np.float64)
+    ids: list[str] = []
+    instructions: list[str] = []
     skipped: list[tuple[str, str]] = []
     for record in sorted(records, key=lambda r: r.id):
         template = TEMPLATES[int(rng.integers(0, len(TEMPLATES)))]
@@ -255,27 +273,25 @@ def generate(
         if problem is not None:
             skipped.append((record.id, problem))
             continue
-        features, window, w2 = features_for_record(record.bbox, record.image_w, record.image_h)
-        x[len(pending)] = features
-        bbox_post = _bbox_in_crop_frame(record.bbox, window, record.image_w, record.image_h)
-        pending.append((record.id, template.format(phrase=record.phrase), bbox_post, features[2], w2))
-    pred = model.predict_batch(feature_columns(x[: len(pending)], model.config.use_zoom_feature))
+        row = len(ids)
+        x[row], window, w2[row] = features_for_record(record.bbox, record.image_w, record.image_h)
+        boxes[row] = _bbox_in_crop_frame(record.bbox, window, record.image_w)
+        ids.append(record.id)
+        instructions.append(template.format(phrase=record.phrase))
+    n = len(ids)
+    x, boxes, w2 = x[:n], boxes[:n], w2[:n]
+    pred = model.predict_batch(feature_columns(x, model.config.use_zoom_feature))
     if zoom_source == "geometry":
         # already an integer, which the rounding keeps
-        pred[:, 2] = [zoom_label(w1, w2) for *_, w1, w2 in pending]
-    labels = [
-        PseudoLabel(
-            record_id=record_id,
-            instruction=instruction,
-            action=ActionDelta(*action),
-            gt_bbox_post=bbox_post,
-            w1=w1,
-            w2=w2,
-        )
-        for (record_id, instruction, bbox_post, w1, w2), action in zip(
-            pending, codec.round_actions(pred).tolist()
-        )
-    ]
+        pred[:, 2] = [zoom_label(a, b) for a, b in zip(x[:, 2].tolist(), w2.tolist())]
+    labels = LabelSet(
+        np.array(ids, dtype=object),
+        np.array(instructions, dtype=object),
+        codec.round_actions(pred),
+        boxes,
+        x[:, 2].copy(),
+        w2,
+    )
     return labels, skipped
 
 
@@ -299,48 +315,82 @@ def read_grounding_records(path) -> list[GroundingRecord]:
     return jsonl.read(path, _grounding_row, "grounding record")
 
 
-def _label_row(lab: PseudoLabel, vocab: codec.TokenVocab) -> dict:
-    return {
-        "id": lab.record_id,
-        "instruction": lab.instruction,
-        "action": {
-            "pan": lab.action.pan_deg,
-            "tilt": lab.action.tilt_deg,
-            "zoom": lab.action.zoom_units,
-        },
-        "tokens": codec.seq_to_str(codec.encode_action(lab.action, vocab), vocab),
-        "bbox_post": lab.gt_bbox_post.as_list(),
-        "w1": lab.w1,
-        "w2": lab.w2,
-    }
+def _label_rows(labels: LabelSet, vocab: codec.TokenVocab) -> Iterator[dict]:
+    symbols = [t.symbol for t in vocab.tokens]
+    for start in range(0, len(labels), CODEC_BLOCK):
+        block = slice(start, start + CODEC_BLOCK)
+        tokens, lengths = codec.encode_batch(*labels.actions[block].T, vocab)
+        for record_id, instruction, (pan, tilt, zoom), ids, length, box, w1, w2 in zip(
+            labels.ids[block],
+            labels.instructions[block],
+            labels.actions[block].tolist(),
+            (tokens - vocab.base_id).tolist(),
+            lengths.tolist(),
+            labels.boxes[block].tolist(),
+            labels.w1[block].tolist(),
+            labels.w2[block].tolist(),
+        ):
+            yield {
+                "id": record_id,
+                "instruction": instruction,
+                "action": {"pan": pan, "tilt": tilt, "zoom": zoom},
+                "tokens": " ".join([symbols[i] for i in ids[:length]]),
+                "bbox_post": box,
+                "w1": w1,
+                "w2": w2,
+            }
 
 
-def write_pseudo_labels(path, labels: Iterable[PseudoLabel], vocab: codec.TokenVocab) -> None:
+def write_pseudo_labels(path, labels: LabelSet, vocab: codec.TokenVocab) -> None:
     """One JSON object per line with the action both structured and tokenized."""
-    jsonl.write(path, (_label_row(lab, vocab) for lab in labels))
+    jsonl.write(path, _label_rows(labels, vocab))
 
 
-def _pseudo_label(rec: dict, vocab: codec.TokenVocab) -> PseudoLabel:
+def _label_fields(rec: dict, vocab: codec.TokenVocab) -> tuple:
+    """The checks one row can make alone; its tokens are decoded with the whole file."""
     a = rec["action"]
-    action = ActionDelta(a["pan"], a["tilt"], a["zoom"])
-    if codec.decode(codec.ids_from_str(rec["tokens"], vocab), vocab) != action:
-        raise ValueError("token string disagrees with structured action")
-    bbox = jsonl.finite([rec["bbox_post"][i] for i in range(4)], "bbox_post numbers")
+    action = ActionDelta(a["pan"], a["tilt"], a["zoom"]).as_tuple()
+    token_ids = codec.ids_from_str(rec["tokens"], vocab)
+    if len(token_ids) > vocab.max_sequence_length:
+        raise ValueError(
+            f"{len(token_ids)} tokens, more than the {vocab.max_sequence_length} of the longest encoding"
+        )
+    box = jsonl.finite([rec["bbox_post"][i] for i in range(4)], "bbox_post numbers")
+    if box[0] > box[2] or box[1] > box[3]:
+        raise ValueError("inverted bbox_post coordinates")
     w1, w2 = jsonl.finite([rec["w1"], rec["w2"]], "w1 and w2")
-    return PseudoLabel(
-        record_id=str(rec["id"]),
-        instruction=str(rec["instruction"]),
-        action=action,
-        gt_bbox_post=BBoxPx(*bbox),
-        w1=w1,
-        w2=w2,
-    )
+    return str(rec["id"]), str(rec["instruction"]), action, box, w1, w2, token_ids
 
 
-def read_pseudo_labels(path, vocab: codec.TokenVocab) -> list[PseudoLabel]:
+def read_pseudo_labels(path, vocab: codec.TokenVocab) -> LabelSet:
     """Labels as ``write_pseudo_labels`` writes them, under the ``ptzkit.jsonl``
-    rules; a token string must decode to the structured action."""
-    return jsonl.read(path, lambda rec: _pseudo_label(rec, vocab), "pseudo-label record")
+    rules; a token string must decode strictly to the structured action and be
+    no longer than the longest encoding."""
+    what = "pseudo-label record"
+    rows = jsonl.read(path, lambda rec: _label_fields(rec, vocab), what)
+    n = len(rows)
+    labels = LabelSet(
+        np.array([r[0] for r in rows], dtype=object),
+        np.array([r[1] for r in rows], dtype=object),
+        np.array([r[2] for r in rows], dtype=np.int64).reshape(n, 3),
+        np.array([r[3] for r in rows], dtype=np.float64).reshape(n, 4),
+        np.array([r[4] for r in rows], dtype=np.float64),
+        np.array([r[5] for r in rows], dtype=np.float64),
+    )
+    width = vocab.max_sequence_length
+    for start in range(0, n, CODEC_BLOCK):
+        token_rows = [r[6] for r in rows[start : start + CODEC_BLOCK]]
+        lengths = np.array([len(ids) for ids in token_rows], dtype=np.int64)
+        tokens = np.full((len(token_rows), width), -1, dtype=np.int64)
+        tokens[np.arange(width) < lengths[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(token_rows), np.int64, int(lengths.sum())
+        )
+        decoded, ok = codec.decode_batch(tokens, lengths, vocab)
+        bad = ~ok | np.any(decoded != labels.actions[start : start + len(token_rows)], axis=1)
+        if bad.any():
+            reason = "token string does not decode strictly to the structured action"
+            raise jsonl.row_error(path, start + int(np.argmax(bad)), reason, what)
+    return labels
 
 
 def _training_pair(rec: dict) -> tuple[list[float], tuple[int, int, int]]:

@@ -22,6 +22,7 @@ from ptzkit import jsonl
 from ptzkit import pseudolabel as pl
 from ptzkit.camera import (
     CODE_FULL,
+    CODE_OUT,
     VISIBILITY_CODES,
     BBoxPx,
     CameraIntrinsics,
@@ -457,12 +458,12 @@ def write_round_reports(path, reports: Sequence[RoundReport]) -> None:
     jsonl.write(path, (_report_row(r) for r in reports))
 
 
-def pseudolabels(samples: SampleSet, k: CameraIntrinsics) -> list[pl.PseudoLabel]:
+def pseudolabels(samples: SampleSet, k: CameraIntrinsics) -> pl.LabelSet:
     """The samples as pseudo-labels: each one's working action and supervision
-    box, with its start-view area ratio w1 and the box's area ratio w2."""
-    boxes = [bbox_row(b, c) for b, c in zip(samples.boxes, samples.codes.tolist())]
-    w1s = samples.features[:, 2].tolist()
-    return [
-        pl.PseudoLabel(i, text, ActionDelta(*a), b, w1, area_ratio(b, k))
-        for i, text, a, b, w1 in zip(samples.ids, samples.instructions, samples.actions.tolist(), boxes, w1s)
-    ]
+    box, with its start-view area ratio w1 and the box's area ratio w2, which
+    is 0 for a box out of view or of no area, as ``camera.area_ratio`` has it."""
+    x0, y0, x1, y1 = samples.boxes.T
+    area = np.maximum(x1 - x0, 0.0) * np.maximum(y1 - y0, 0.0)
+    empty = (samples.codes == CODE_OUT) | (area <= 0.0)
+    w2 = np.where(empty, 0.0, area / (k.image_w * k.image_h))
+    return pl.LabelSet(samples.ids, samples.instructions, samples.actions, samples.boxes, samples.features[:, 2], w2)

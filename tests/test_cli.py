@@ -456,6 +456,24 @@ class TestIterate:
         assert f"config error: [selftrain] {key}: must be" in capsys.readouterr().err
         assert not (tmp_path / "round_report.jsonl").exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--rounds", "3", "--thresholds", "0.7"], "--rounds 3 with --thresholds"),
+        (["--rounds", "4"], "--rounds 4 with [selftrain] thresholds"),
+    ])
+    def test_too_few_thresholds_flag_is_usage_error_before_the_scene(self, tmp_path, capsys, argv, named):
+        scene = tmp_path / "nope.jsonl"  # not read: the flags are rejected first
+        assert run(["iterate", "--scene", str(scene), *argv, "--out", str(tmp_path / "out")]) == 2
+        assert f"iterate error: {named}: need at least rounds - 1 IoU thresholds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_too_few_thresholds_key_is_config_error_at_load(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[selftrain]\nrounds = 3\nthresholds = 0.7\n")
+        scene = str(tmp_path / "nope.jsonl")
+        for command in (["iterate"], ["eval", "--policy", "oracle"]):
+            assert run(["--config", str(cfg), *command, "--scene", scene, "--out", str(tmp_path)]) == 3
+            assert "config error: [selftrain] thresholds: rounds = 3 needs at least" in capsys.readouterr().err
+
     def test_empty_filter_exit_code(self, tmp_path, scene_file):
         code = run([
             "iterate", "--scene", str(scene_file), "--rounds", "1",
@@ -598,6 +616,25 @@ class TestConfig:
         for command in (["eval", "--policy", "oracle"], ["grpo-train"], ["iterate"], ["fit", "--kind", "ols"]):
             assert run(["--config", str(cfg), *command, "--scene", scene, "--out", str(tmp_path)]) == 3
             assert f"config error: [{section}] {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("fill_ratio", "2", "must be in (0, 1), got 2.0"),
+        ("fill_ratio", "0", "must be in (0, 1), got 0.0"),
+        ("fill_ratio", "1", "must be in (0, 1), got 1.0"),
+        ("zoom_source", "foo", "must be geometry or model, got 'foo'"),
+    ])
+    def test_pseudolabel_key_is_config_error_before_any_data(self, tmp_path, capsys, key, value, rule):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[pseudolabel]\n{key} = {value}\n")
+        missing = str(tmp_path / "nope.jsonl")  # no command gets to read it
+        commands = (
+            ["eval", "--policy", "oracle", "--scene", missing], ["grpo-train", "--scene", missing],
+            ["iterate", "--scene", missing], ["fit", "--kind", "ols", "--scene", missing],
+            ["synth", "--records", missing, "--model", missing],
+        )
+        for command in commands:
+            assert run(["--config", str(cfg), *command, "--out", str(tmp_path)]) == 3
+            assert f"config error: [pseudolabel] {key}: {rule}" in capsys.readouterr().err
 
     def test_readme_config_block_loads_and_lists_every_key(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

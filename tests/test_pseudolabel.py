@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -281,8 +281,7 @@ class TestGenerate:
         record = pl.GroundingRecord("c", 1280, 720, b, "thing")
         labels, skipped = pl.generate([record], model)
         assert not skipped
-        assert labels[0].action.pan_deg == 0
-        assert labels[0].action.tilt_deg == 0
+        assert labels.actions[:, :2].tolist() == [[0, 0]]
 
     def test_cardinality_and_skips(self):
         records = self.grounding_records()
@@ -297,25 +296,22 @@ class TestGenerate:
         model = self.oracle_model()
         a, _ = pl.generate(records, model, seed=11)
         b, _ = pl.generate(records, model, seed=11)
-        assert a == b
+        for f in fields(pl.LabelSet):
+            assert getattr(a, f.name).tolist() == getattr(b, f.name).tolist()
 
     def test_w2_never_below_w1(self):
         records = self.grounding_records(n=60, seed=9)
         model = self.oracle_model()
         labels, _ = pl.generate(records, model, seed=1)
-        for lab in labels:
-            assert lab.w2 >= lab.w1 - 1e-12
+        assert np.all(labels.w2 >= labels.w1 - 1e-12)
 
     def test_zoom_sources_differ_only_in_zoom(self):
         records = self.grounding_records(n=20, seed=10)
         model = self.oracle_model()
         geo, _ = pl.generate(records, model, seed=1, zoom_source="geometry")
         mod, _ = pl.generate(records, model, seed=1, zoom_source="model")
-        for g, m in zip(geo, mod):
-            assert (g.action.pan_deg, g.action.tilt_deg) == (m.action.pan_deg, m.action.tilt_deg)
-        assert any(
-            g.action.zoom_units != m.action.zoom_units for g, m in zip(geo, mod)
-        )
+        assert np.array_equal(geo.actions[:, :2], mod.actions[:, :2])
+        assert np.any(geo.actions[:, 2] != mod.actions[:, 2])
 
     def test_one_batch_prediction_matches_rows(self, monkeypatch):
         records = self.grounding_records(n=30, seed=13)
@@ -329,20 +325,62 @@ class TestGenerate:
         labels, skipped = pl.generate(records + [bad], model, seed=3, zoom_source="model")
         assert calls == [len(records)]
         assert skipped == [("r0005x", "empty bbox")]
-        for lab, rec in zip(labels, sorted(records, key=lambda r: r.id)):
+        for action, rec in zip(labels.actions.tolist(), sorted(records, key=lambda r: r.id)):
             x = np.array(pl.features_for_record(rec.bbox, rec.image_w, rec.image_h)[0][:3])
             pan, tilt, zoom = real_predict(model, x[None, :])[0]
-            expected = (round_half_away(pan), round_half_away(tilt), max(0, round_half_away(zoom)))
-            assert lab.action.as_tuple() == expected
-        assert pl.generate([bad], model) == ([], [("r0005x", "empty bbox")])
+            expected = [round_half_away(pan), round_half_away(tilt), max(0, round_half_away(zoom))]
+            assert action == expected
+        none, skipped = pl.generate([bad], model)
+        assert len(none) == 0 and none.actions.shape == (0, 3) and skipped == [("r0005x", "empty bbox")]
 
     def test_actions_round_trip_through_codec(self):
         records = self.grounding_records(n=30, seed=12)
         model = self.oracle_model()
         labels, _ = pl.generate(records, model, seed=2)
         vocab = codec.TokenVocab.default()
-        for lab in labels:
-            assert codec.decode(codec.encode_action(lab.action, vocab), vocab) == lab.action
+        for action in labels.actions.tolist():
+            action = ActionDelta(*action)
+            assert codec.decode(codec.encode_action(action, vocab), vocab) == action
+
+
+ACTIONS = hst.tuples(hst.integers(-999, 999), hst.integers(-999, 999), hst.integers(0, 999))
+FINITE = hst.floats(allow_nan=False, allow_infinity=False)
+
+
+def label_set(actions, boxes, w1, w2, instructions=None) -> pl.LabelSet:
+    n = len(actions)
+    return pl.LabelSet(
+        np.array([f"r{i:05d}" for i in range(n)], dtype=object),
+        np.array(instructions or ["What is the mug?"] * n, dtype=object),
+        np.array(actions, dtype=np.int64).reshape(n, 3),
+        np.array(boxes, dtype=np.float64).reshape(n, 4),
+        np.array(w1, dtype=np.float64),
+        np.array(w2, dtype=np.float64),
+    )
+
+
+def assert_same_labels(got: pl.LabelSet, want: pl.LabelSet):
+    for f in fields(pl.LabelSet):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
+
+
+def scalar_label_lines(labels: pl.LabelSet, vocab: codec.TokenVocab) -> str:
+    """The label file as it was written one label at a time, through ``encode_action``."""
+    lines = []
+    for i in range(len(labels)):
+        action = ActionDelta(*labels.actions[i].tolist())
+        row = {
+            "id": labels.ids[i],
+            "instruction": labels.instructions[i],
+            "action": {"pan": action.pan_deg, "tilt": action.tilt_deg, "zoom": action.zoom_units},
+            "tokens": codec.seq_to_str(codec.encode_action(action, vocab), vocab),
+            "bbox_post": BBoxPx(*labels.boxes[i].tolist()).as_list(),
+            "w1": float(labels.w1[i]),
+            "w2": float(labels.w2[i]),
+        }
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines)
 
 
 class TestFiles:
@@ -372,30 +410,117 @@ class TestFiles:
 
     def test_pseudo_label_file_round_trip(self, tmp_path):
         vocab = codec.TokenVocab.default()
-        labels = [
-            pl.PseudoLabel("a", "What is the mug?", ActionDelta(4, -2, 120), BBoxPx(0, 0, 50, 40), 0.01, 0.2),
-        ]
+        labels = label_set([(4, -2, 120)], [[0.0, 0.0, 50.0, 40.0]], [0.01], [0.2])
         path = tmp_path / "labels.jsonl"
         pl.write_pseudo_labels(path, labels, vocab)
         rec = json.loads(path.read_text().splitlines()[0])
         assert rec["action"] == {"pan": 4, "tilt": -2, "zoom": 120}
         assert rec["tokens"].startswith("<PAN> <+> <2> <2> <TILT>")
-        loaded = pl.read_pseudo_labels(path, vocab)
-        assert loaded == labels
+        assert_same_labels(pl.read_pseudo_labels(path, vocab), labels)
 
     def test_read_decodes_each_label_once(self, tmp_path, monkeypatch):
+        # once, in one decode_batch row per label, CODEC_BLOCK rows a call; the write encodes likewise
         vocab = codec.TokenVocab.default()
-        labels = [
-            pl.PseudoLabel(str(i), "What is the mug?", ActionDelta(i, -i, 10 * i), BBoxPx(0, 0, 50, 40), 0.01, 0.2)
-            for i in range(5)
-        ]
+        n = 2 * pl.CODEC_BLOCK + 1
+        labels = label_set([(i % 1999 - 999, 999 - i % 1999, i % 1000) for i in range(n)],
+                           [[0.0, 0.0, 50.0, 40.0]] * n, [0.01] * n, [0.2] * n)
+        rows = {"encode_batch": [], "decode_batch": []}
+        for name in rows:
+            real = getattr(codec, name)
+            monkeypatch.setattr(codec, name, lambda *a, real=real, name=name: rows[name].append(len(a[0])) or real(*a))
+        for name in ("encode_action", "decode"):
+            monkeypatch.setattr(codec, name, None)  # neither is called
         path = tmp_path / "labels.jsonl"
         pl.write_pseudo_labels(path, labels, vocab)
-        calls = []
-        real_decode = codec.decode
-        monkeypatch.setattr(codec, "decode", lambda *a, **kw: calls.append(1) or real_decode(*a, **kw))
-        assert pl.read_pseudo_labels(path, vocab) == labels
-        assert len(calls) == len(labels)
+        assert_same_labels(pl.read_pseudo_labels(path, vocab), labels)
+        blocks = [pl.CODEC_BLOCK, pl.CODEC_BLOCK, 1]
+        assert rows == {"encode_batch": blocks, "decode_batch": blocks}
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        rows=hst.lists(
+            hst.tuples(
+                hst.one_of(hst.sampled_from([(999, -999, 999), (-999, 999, 0), (0, 0, 0)]), ACTIONS),
+                hst.lists(FINITE, min_size=4, max_size=4),
+                FINITE,
+                FINITE,
+                hst.text(max_size=12),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        n=hst.sampled_from([0, 1, 7, pl.CODEC_BLOCK, pl.CODEC_BLOCK + 1, 2 * pl.CODEC_BLOCK + 3]),
+    )
+    def test_written_bytes_equal_the_scalar_codec_rows(self, tmp_path_factory, rows, n):
+        vocab = codec.TokenVocab.default()
+        cycled = [rows[i % len(rows)] for i in range(n)]
+        boxes = [sorted(b[:2]) + sorted(b[2:]) for _, b, *_ in cycled]
+        boxes = [[b[0], b[2], b[1], b[3]] for b in boxes]  # x0 <= x1 and y0 <= y1
+        labels = label_set([r[0] for r in cycled], boxes, [r[2] for r in cycled], [r[3] for r in cycled],
+                           [r[4] for r in cycled])
+        path = tmp_path_factory.mktemp("labels") / "labels.jsonl"
+        pl.write_pseudo_labels(path, labels, vocab)
+        assert path.read_text() == scalar_label_lines(labels, vocab)
+        assert_same_labels(pl.read_pseudo_labels(path, vocab), labels)
+
+    def test_round_file_of_an_out_of_view_box_equals_the_scalar_rows(self, tmp_path):
+        scene = cam.sample_targets(6, np.random.default_rng(3))
+        samples, _ = st.make_samples(scene, K, seed=1)
+        codes = samples.codes.copy()
+        boxes = samples.boxes.copy()
+        codes[1], boxes[1] = cam.CODE_OUT, 0.0
+        samples = replace(samples, boxes=boxes, codes=codes)
+        labels = st.pseudolabels(samples, K)
+        scalar = [cam.bbox_row(b, c) for b, c in zip(samples.boxes, samples.codes.tolist())]
+        assert labels.w2.tolist() == [cam.area_ratio(b, K) for b in scalar]
+        assert labels.w2[1] == 0.0 and np.all(labels.w2[[0, 2, 3]] > 0.0)
+        assert labels.w1.tolist() == samples.features[:, 2].tolist()
+        vocab = codec.TokenVocab.default()
+        path = tmp_path / "round1_refined.jsonl"
+        pl.write_pseudo_labels(path, labels, vocab)
+        assert path.read_text() == scalar_label_lines(labels, vocab)
+
+    def test_vocab_listed_out_of_id_order(self, tmp_path):
+        default = codec.TokenVocab.default()
+        vocab = codec.TokenVocab(list(reversed(default.tokens)))
+        labels = label_set([(23, -8, 0), (-999, 999, 999)], [[0.0, 0.0, 5.0, 4.0]] * 2, [0.01] * 2, [0.2] * 2)
+        path = tmp_path / "labels.jsonl"
+        pl.write_pseudo_labels(path, labels, vocab)
+        assert path.read_text() == scalar_label_lines(labels, default)
+        assert_same_labels(pl.read_pseudo_labels(path, vocab), labels)
+
+    GOOD_LABEL = {
+        "id": "a", "instruction": "What is the mug?", "action": {"pan": 4, "tilt": -2, "zoom": 120},
+        "tokens": "<PAN> <+> <2> <2> <TILT> <-> <2> <ZOOM> <100> <20> <END>",
+        "bbox_post": [0.0, 0.0, 50.0, 40.0], "w1": 0.01, "w2": 0.2,
+    }
+    TOO_LONG = "<PAN> <+> " + "<1> " * 29 + "<2> <TILT> <ZOOM> <END>"  # 35 tokens, 2 above the widest encoding
+
+    @pytest.mark.parametrize("change", [
+        {"tokens": "<PAN> <+> <2> <2> <TILT> <-> <2> <ZOOM> <100> <30> <END>"},  # unknown symbol
+        {"action": {"pan": 4, "tilt": -2, "zoom": 121}},  # tokens give zoom 120
+        {"tokens": "<PAN> <+> <2> <2> <TILT> <-> <2> <ZOOM> <20> <100> <END>"},  # only lenient decoding accepts it
+        {"tokens": TOO_LONG, "action": {"pan": 31, "tilt": 0, "zoom": 0}},
+        {"action": {"pan": 4.5, "tilt": -2, "zoom": 120}},
+        {"action": {"pan": 4.0, "tilt": -2, "zoom": 120}},
+        {"action": {"pan": True, "tilt": -2, "zoom": 120}},
+        {"action": {"pan": 1000, "tilt": -2, "zoom": 120}},
+        {"action": {"pan": 4, "tilt": -2, "zoom": -120}},
+        {"bbox_post": [50.0, 0.0, 0.0, 40.0]},
+    ], ids=["unknown-symbol", "disagreeing", "lenient-only", "too-long", "fractional", "float", "bool",
+            "out-of-range", "negative-zoom", "inverted-box"])
+    def test_bad_label_row_names_path_and_line(self, tmp_path, change):
+        vocab = codec.TokenVocab.default()
+        good = self.GOOD_LABEL
+        assert codec.decode(codec.ids_from_str(good["tokens"], vocab), vocab) == ActionDelta(4, -2, 120)
+        assert codec.decode(codec.ids_from_str(good["tokens"].replace("<100> <20>", "<20> <100>"), vocab),
+                            vocab, strict=False) == ActionDelta(4, -2, 120)
+        path = tmp_path / "labels.jsonl"
+        # the blank line puts the bad row, row 1, on line 3
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps({**good, "id": "b", **change}) + "\n")
+        with pytest.raises(ValueError) as exc:
+            pl.read_pseudo_labels(path, vocab)
+        assert str(exc.value).startswith(f"{path}:3: ") and str(exc.value).endswith("(bad pseudo-label record)")
 
     def test_model_file_round_trip(self, tmp_path):
         x, actions = exact_linear_pairs()

@@ -372,10 +372,10 @@ class TestSampleFiles:
         assert rows[1]["mean_iou_kept"] == diag.mean_iou_kept > 0.5
 
     def test_pseudolabel_conversion(self, dataset):
-        (lab,) = st.pseudolabels(dataset[:1], K)
-        assert lab.record_id == dataset.ids[0]
-        assert lab.action == ActionDelta(*dataset.actions[0].tolist())
-        assert lab.w2 >= lab.w1
+        labels = st.pseudolabels(dataset[:1], K)
+        assert len(labels) == 1 and labels.ids[0] == dataset.ids[0]
+        assert labels.actions.tolist() == dataset.actions[:1].tolist()
+        assert labels.w2[0] >= labels.w1[0]
 
 
 class TestSampleSet:
