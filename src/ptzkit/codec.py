@@ -14,12 +14,15 @@ Canonical sequence grammar, one action per sequence::
     <PAN> [sign mags] <TILT> [sign mags] <ZOOM> [mags] <END>
 
 Each dimension marker appears exactly once and in that order; magnitudes
-within a dimension are non-increasing; pan/tilt carry a sign token exactly
-when nonzero; a zero-valued dimension is a bare marker; zoom is never signed.
-Strict decoding accepts exactly the canonical sequences.  Lenient decoding
-additionally tolerates arbitrary magnitude order, missing dimension markers
-(read as zero), markers in any order, and signed-but-empty dimensions, which
-covers the kind of near-miss sequences a sampling policy emits.
+within a dimension are non-increasing and as many as the greedy split of the
+dimension's value has; pan/tilt carry a sign token exactly when nonzero; a
+zero-valued dimension is a bare marker; zoom is never signed.  The greedy
+split is the only multiset of that many magnitudes with that sum, so strict
+decoding accepts exactly the sequences ``encode_action`` writes.  Lenient
+decoding additionally tolerates arbitrary magnitude order, non-greedy
+magnitude runs, missing dimension markers (read as zero), markers in any
+order, and signed-but-empty dimensions, which covers the kind of near-miss
+sequences a sampling policy emits.
 
 ``encode_batch`` and ``decode_batch`` are the array forms of ``encode_action``
 and strict ``decode``, for many actions at once; the pseudo-label files are
@@ -353,8 +356,10 @@ def encode_action(action: ActionDelta, vocab: TokenVocab) -> tuple[int, ...]:
 def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> ActionDelta:
     """Reconstruct the action by summing signed magnitude contributions.
 
-    Strict mode accepts exactly the canonical grammar.  Lenient mode tolerates
-    out-of-order magnitudes and markers, missing markers, and dangling signs;
+    Strict mode accepts exactly the canonical grammar: the sequences
+    ``encode_action`` writes.  Lenient mode tolerates out-of-order and
+    non-greedy magnitudes (``<1> <1>`` for ``<2>``), out-of-order and missing
+    markers, and dangling signs;
     it still rejects unknown tokens, duplicate markers, signs on zoom, a
     missing end token, and out-of-range values.
     """
@@ -369,12 +374,12 @@ def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> Action
             raise CodecError("tokens after end token")
 
     totals = {AXIS_PAN: 0, AXIS_TILT: 0, AXIS_ZOOM: 0}
+    counts = {AXIS_PAN: 0, AXIS_TILT: 0, AXIS_ZOOM: 0}
     signs: dict[int, int] = {}
     seen: list[int] = []
     axis = None
     sign_pending = False
     prev_mag = None
-    mags_in_axis = 0
 
     def close_axis():
         if sign_pending and strict:
@@ -396,7 +401,6 @@ def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> Action
             axis = t.value
             sign_pending = False
             prev_mag = None
-            mags_in_axis = 0
         elif t.kind == KIND_SIGN:
             if axis is None:
                 raise CodecError(f"sign token {t.symbol} before any dimension marker")
@@ -404,7 +408,7 @@ def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> Action
                 raise CodecError("zoom carries no sign")
             if axis in signs:
                 raise CodecError(f"duplicate sign in {_AXIS_NAMES[axis]} section")
-            if mags_in_axis > 0:
+            if counts[axis] > 0:
                 raise CodecError(f"sign token {t.symbol} after magnitudes")
             signs[axis] = t.value
             sign_pending = True
@@ -422,7 +426,7 @@ def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> Action
                     )
             totals[axis] += t.value
             prev_mag = t.value
-            mags_in_axis += 1
+            counts[axis] += 1
             sign_pending = False
     if axis is not None:
         close_axis()
@@ -437,6 +441,8 @@ def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> Action
             raise CodecRangeError(
                 f"reconstructed {_AXIS_NAMES[a]} value {v} outside +/-{vocab.max_value}"
             )
+        if strict and counts[a] != _greedy_magnitude_counts(totals[a]):
+            raise CanonicalFormError(f"{_AXIS_NAMES[a]} magnitudes are not the greedy split of {totals[a]}")
         values.append(v)
     return ActionDelta(values[0], values[1], values[2])
 
@@ -552,6 +558,7 @@ def decode_batch(tokens, lengths, vocab: TokenVocab) -> tuple[np.ndarray, np.nda
     sign_ok = (prev_kind == _CODE_DIM) & (section != AXIS_ZOOM) & (next_kind == _CODE_MAG)
     ok &= np.all(~is_sign | sign_ok, axis=1)
     # pan and tilt magnitudes follow their sign; magnitudes are non-increasing
+    # and as many as the greedy split of their sum has
     is_mag = kind == _CODE_MAG
     prev_value = np.hstack([np.zeros((n, 1), dtype=np.int64), value[:, :-1]])
     mag_ok = ((prev_kind != _CODE_DIM) | (section == AXIS_ZOOM)) & (
@@ -563,6 +570,7 @@ def decode_batch(tokens, lengths, vocab: TokenVocab) -> tuple[np.ndarray, np.nda
     for axis in (AXIS_PAN, AXIS_TILT, AXIS_ZOOM):
         in_axis = section == axis
         total = np.sum(np.where(is_mag & in_axis, value, 0), axis=1)
+        ok &= np.sum(is_mag & in_axis, axis=1) == _greedy_magnitude_counts(total)
         sign = np.sum(np.where(is_sign & in_axis, value, 0), axis=1)
         actions[:, axis] = np.where(sign < 0, -total, total)
     ok &= np.all(np.abs(actions) <= min(vocab.max_value, MAX_ACTION_VALUE), axis=1)

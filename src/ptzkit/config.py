@@ -83,7 +83,6 @@ class GrpoSection:
     kl_weight: float = 0.04
     group_size: int = 8
     learning_rate: float = 4.0
-    std_guard: float = 1e-8
     steps: int = 200
 
 
@@ -202,9 +201,7 @@ def reward_config(cfg: RunConfig) -> RewardConfig:
 
 def grpo_config(cfg: RunConfig) -> GRPOConfig:
     g = cfg.grpo
-    return GRPOConfig(
-        kl_weight=g.kl_weight, group_size=g.group_size, learning_rate=g.learning_rate, std_guard=g.std_guard
-    )
+    return GRPOConfig(kl_weight=g.kl_weight, group_size=g.group_size, learning_rate=g.learning_rate)
 
 
 def validate(cfg: RunConfig) -> None:

@@ -149,13 +149,17 @@ def composite_reward(
     return RewardBreakdown(*terms[0].tolist())
 
 
-def row_advantages(rewards: np.ndarray, std_guard: float = 1e-8) -> np.ndarray:
+CLIP_EPS = 0.2  # trust region of the importance ratio
+STD_GUARD = 1e-8  # keeps a group of equal rewards at zero advantage
+
+
+def row_advantages(rewards: np.ndarray, std_guard: float = STD_GUARD) -> np.ndarray:
     """Group-normalized advantages of each row (the last axis is one group):
     (r - mean) / (population std + guard)."""
     return (rewards - rewards.mean(axis=-1, keepdims=True)) / (rewards.std(axis=-1, keepdims=True) + std_guard)
 
 
-def group_advantages(rewards: Sequence[float], std_guard: float = 1e-8) -> list[float]:
+def group_advantages(rewards: Sequence[float], std_guard: float = STD_GUARD) -> list[float]:
     """``row_advantages`` of one group."""
     if len(rewards) < 2:
         raise ValueError("advantage normalization needs at least 2 rewards")
@@ -164,15 +168,11 @@ def group_advantages(rewards: Sequence[float], std_guard: float = 1e-8) -> list[
 
 @dataclass(frozen=True)
 class GRPOConfig:
-    clip_eps: float = 0.2
     kl_weight: float = 0.04
     group_size: int = 8
     learning_rate: float = 4.0  # suits the toy policy's unit reward scale
-    std_guard: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 < self.clip_eps < 1.0:
-            raise ValueError("clip_eps must be in (0, 1)")
         if self.kl_weight < 0.0:
             raise ValueError("kl_weight must be non-negative")
         if self.group_size < 2:
@@ -237,25 +237,28 @@ class ToyPolicy:
             {h: self.weights[h].copy() for h in HEADS},
         )
 
-    def _phi(self, features: np.ndarray) -> np.ndarray:
-        phi = np.append(np.asarray(features, dtype=np.float64), 1.0)
-        if phi.shape[0] != self.n_features + 1:
-            raise ValueError(f"expected {self.n_features} features, got {phi.shape[0] - 1}")
-        return phi
+    def log_prob_rows(self, features: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-head float64[T, n_bins] log-probabilities of each row of ``features``.
 
-    def log_probs(self, features: np.ndarray) -> dict[str, np.ndarray]:
-        phi = self._phi(features)
+        Each row is rounded exactly as a one-row call rounds it: ``einsum``
+        computes every logit the same way whatever T is, where a 2-D matmul
+        would round a T-row product differently from a one-row one.
+        """
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {features.shape[-1]}")
+        phi = np.hstack([features, np.ones((features.shape[0], 1))])
         out = {}
         for h in HEADS:
-            z = self.weights[h] @ phi
-            z = z - z.max()
-            out[h] = z - math.log(np.exp(z).sum())
+            z = np.einsum("tk,bk->tb", phi, self.weights[h])
+            z -= z.max(axis=1, keepdims=True)
+            out[h] = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         return out
 
-    def log_prob_rows(self, features: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-head float64[T, n_bins] ``log_probs`` of each row of ``features``, one prompt at a time."""
-        lps = [self.log_probs(f) for f in features]
-        return {h: np.stack([lp[h] for lp in lps]) for h in HEADS}
+    def log_probs(self, features: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-head float64[n_bins] log-probabilities of one feature vector."""
+        rows = self.log_prob_rows(np.asarray(features, dtype=np.float64)[None, :])
+        return {h: rows[h][0] for h in HEADS}
 
     def actions_of(self, idx: np.ndarray) -> np.ndarray:
         """int64[..., 3] (pan, tilt, zoom) actions of bin-index rows."""
@@ -297,9 +300,9 @@ class RolloutBatch:
     """T prompts' groups of n sampled rollouts each, as [T, n] arrays.
 
     ``cur_log_probs`` and ``ref_log_probs`` hold each prompt's per-head
-    log-probabilities, float64[T, n_bins]: under the policy that sampled the
-    batch, which is the one ``grpo_step`` steps, and under the frozen
-    reference of the KL term.
+    log-probabilities, float64[T, n_bins], as ``ToyPolicy.log_prob_rows``
+    gives them: under the policy that sampled the batch, which is the one
+    ``grpo_step`` steps, and under the frozen reference of the KL term.
     """
 
     features: np.ndarray  # float64[T, n_features]
@@ -346,9 +349,10 @@ def _sample_batch(
     n*3 per prompt, in prompt order), one ``apply_action_batch`` and one
     ``project_batch`` call move and project every rollout, and the reward is
     scored over the T*n rows.  Each array row is computed on its own (a sum
-    along the last axis rounds each row as the 1-D sum of that row does), so
-    the draws, rewards, advantages and log-probabilities are those of
-    sampling, applying, projecting and scoring one rollout at a time.
+    along the last axis rounds each row as the 1-D sum of that row does, and
+    ``log_prob_rows`` rounds each row as a one-row call), so a prompt's
+    draws, rewards, advantages and log-probabilities are those of sampling,
+    applying, projecting and scoring its rollouts one at a time.
     """
     features = feature_columns(samples.features, False)
     cur_lp = policy.log_prob_rows(features)
@@ -365,7 +369,7 @@ def _sample_batch(
         actions=actions,
         logp_old=_taken_log_probs(cur_lp, idx),
         rewards=rewards,
-        advantages=row_advantages(rewards, cfg.std_guard),
+        advantages=row_advantages(rewards),
         cur_log_probs=cur_lp,
         ref_log_probs=ref_log_probs,
         gt_actions=samples.actions,
@@ -416,7 +420,7 @@ def objective_under_policy(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConf
             batch.bins[i].tolist(), batch.logp_old[i].tolist(), batch.advantages[i].tolist()
         ):
             lp = float(sum(cur_lp[h][b[j]] for j, h in enumerate(HEADS)))
-            g += _clipped_term(math.exp(lp - logp_old), advantage, cfg.clip_eps)
+            g += _clipped_term(math.exp(lp - logp_old), advantage, CLIP_EPS)
         kl = _group_kl(cur_lp, {h: batch.ref_log_probs[h][i] for h in HEADS})
         total += g / n - cfg.kl_weight * kl
     return total / t
@@ -434,38 +438,17 @@ class StepStats:
     zero_signal_fraction: float  # share of groups whose rewards are all equal
 
 
-_SUM_BLOCK = 64  # gradient rows stacked per reduction; bounds the stack at ~125 KB for 61 bins
-
-
-def _running_sum(dz: np.ndarray, phi: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The sum of the rows ``scale[i] * outer(dz[i], phi[i])``, added one at a
-    time in row order onto zeros.
-
-    A reduction along the first axis of stacked rows adds them in exactly
-    that order, so each block of rows is stacked under the running sum and
-    reduced; blocks keep the stack, and the peak memory, small.
-    """
-    total = np.zeros((dz.shape[1], phi.shape[1]))
-    for lo in range(0, dz.shape[0], _SUM_BLOCK):
-        hi = min(lo + _SUM_BLOCK, dz.shape[0])
-        stack = np.empty((1 + hi - lo,) + total.shape)
-        stack[0] = total
-        np.multiply(dz[lo:hi, :, None], phi[lo:hi, None, :], out=stack[1:])
-        stack[1:] *= scale[lo:hi, None, None]
-        total = np.add.reduce(stack, axis=0)
-    return total
-
-
 def grpo_step(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConfig) -> tuple[ToyPolicy, StepStats]:
     """One ascent step on the batch objective via the analytic gradient.
 
     The current log-probabilities are ``batch.cur_log_probs``, which must be
-    ``policy``'s.  Per head, the gradient rows are put in prompt order: a
-    prompt's live surrogate terms in rollout order, then its KL term scaled
-    by the negated KL weight.  ``_running_sum`` adds them one at a time in
-    that order, as a running ``+=``/``-=`` loop over prompts and rollouts
-    would.  A group whose rewards are all equal has zero advantages and adds
-    no surrogate row; ``zero_signal_fraction`` counts such groups.
+    ``policy``'s.  Per head, the logit gradient ``dz`` is float64[T, n_bins]:
+    each rollout's unclipped surrogate coefficient added into its taken bin,
+    minus the prompt's probabilities times the sum of its coefficients, minus
+    the KL weight's share of the KL gradient.  The weight gradient is then one
+    product ``dz.T @ phi``.  A group whose rewards are all equal has zero
+    advantages and adds nothing to the surrogate; ``zero_signal_fraction``
+    counts such groups.
     """
     t, n = batch.rewards.shape
     lp = _taken_log_probs(batch.cur_log_probs, batch.bins)
@@ -474,39 +457,23 @@ def grpo_step(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConfig) -> tuple[
     if batch.features.shape[1] != policy.n_features:
         raise ValueError(f"expected {policy.n_features} features, got {batch.features.shape[1]}")
     phi = np.hstack([batch.features, np.ones((t, 1))])
-    s = np.array([math.exp(x) for x in (lp - batch.logp_old).ravel().tolist()]).reshape(t, n)
+    s = np.exp(lp - batch.logp_old)
     advantage = batch.advantages
-    clipped = ((advantage > 0) & (s > 1.0 + cfg.clip_eps)) | ((advantage < 0) & (s < 1.0 - cfg.clip_eps))
-    coef = s * advantage / (n * t)
-    live = ~clipped & (coef != 0.0)
-    task, rollout = np.nonzero(live)  # by prompt, then rollout
-    coef = coef[live]
-    live_rows = np.arange(task.shape[0])
-    # the gradient rows in summation order: each prompt's live rows, then its KL row
-    with_kl = cfg.kl_weight > 0.0
-    live_at = live_rows + (task if with_kl else 0)
-    kl_at = np.cumsum(live.sum(axis=1)) + np.arange(t)
-    n_rows = task.shape[0] + (t if with_kl else 0)
-    row_task = np.empty(n_rows, dtype=np.int64)
-    row_task[live_at] = task
-    row_scale = np.ones(n_rows)
-    if with_kl:
-        row_task[kl_at] = np.arange(t)
-        row_scale[kl_at] = -(cfg.kl_weight / t)  # (-c) * x has the bits of -(c * x)
-    kl = 0.0
+    clipped = ((advantage > 0) & (s > 1.0 + CLIP_EPS)) | ((advantage < 0) & (s < 1.0 - CLIP_EPS))
+    coef = np.where(clipped, 0.0, s * advantage / (n * t))
+    prompt = np.arange(t)[:, None]
+    kl = np.zeros(t)
     grads = {}
     for j, h in enumerate(HEADS):
         probs = np.exp(batch.cur_log_probs[h])
         diff = batch.cur_log_probs[h] - batch.ref_log_probs[h]
         kl_h = np.sum(probs * diff, axis=1)
-        kl = kl + kl_h
-        dz = np.empty((n_rows, probs.shape[1]))
-        live_dz = -probs[task] * coef[:, None]
-        live_dz[live_rows, batch.bins[task, rollout, j]] += coef
-        dz[live_at] = live_dz
-        if with_kl:
-            dz[kl_at] = probs * (diff - kl_h[:, None])
-        grads[h] = _running_sum(dz, phi[row_task], row_scale)
+        kl += kl_h
+        dz = np.zeros_like(probs)
+        np.add.at(dz, (prompt, batch.bins[..., j]), coef)
+        dz -= probs * coef.sum(axis=1, keepdims=True)
+        dz -= (cfg.kl_weight / t) * probs * (diff - kl_h[:, None])
+        grads[h] = dz.T @ phi
     new_weights = {h: policy.weights[h] + cfg.learning_rate * grads[h] for h in HEADS}
     if any(not np.all(np.isfinite(w)) for w in new_weights.values()):
         raise ValueError("non-finite gradient step")
@@ -517,14 +484,9 @@ def grpo_step(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConfig) -> tuple[
         mae = np.abs(taken - np.repeat(batch.gt_actions, n, axis=0)).sum(axis=0) / (t * n)
     else:
         mae = np.full(3, float("nan"))
-    reward_sum = kl_sum = 0.0
-    for r in batch.rewards.ravel().tolist():
-        reward_sum += r
-    for x in kl.tolist():
-        kl_sum += x
     stats = StepStats(
-        mean_reward=reward_sum / (t * n),
-        mean_kl=kl_sum / t,
+        mean_reward=float(batch.rewards.mean()),
+        mean_kl=float(kl.mean()),
         clip_fraction=int(clipped.sum()) / (t * n),
         mae_pan=float(mae[0]),
         mae_tilt=float(mae[1]),

@@ -157,7 +157,7 @@ def _fd_policy_and_groups():
         cur_lp = policy.log_probs(feats)
         ref_lp = ref.log_probs(feats)
         rewards = list(rng.normal(0, 1, cfg.group_size))
-        advantages = rw.group_advantages(rewards, cfg.std_guard)
+        advantages = rw.group_advantages(rewards)
         rollouts = []
         for i in range(cfg.group_size):
             b = tuple(int(rng.integers(0, 5)) for _ in range(3))

@@ -534,7 +534,7 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         # [camera] zoom_max, the [io] input paths and [grpo] clip_eps were once
-        # read and then took no effect
+        # read and then took no effect; [grpo] std_guard only passed its default on
         for section, key, value in [
             ("run", "sneed", "9"),
             ("camera", "zoom_max", "100"),
@@ -543,6 +543,7 @@ class TestConfig:
             ("io", "model", str(cfg)),
             ("io", "policy", str(cfg)),
             ("grpo", "clip_eps", "0.2"),
+            ("grpo", "std_guard", "1e-8"),
         ]:
             cfg.write_text(f"[{section}]\n{key} = {value}\n")
             assert run(["--config", str(cfg), "scene-gen", "--count", "1", "--out", str(tmp_path)]) == 3

@@ -329,11 +329,23 @@ BATCH_VOCABS = {"default": TokenVocab.default(), "levels2-base7": TokenVocab.def
 
 
 def draw_token_row(data, vocab, width):
-    """Arbitrary ids around the vocabulary's range, or a canonical row with a
-    few ids substituted, deleted or inserted."""
+    """Arbitrary ids around the vocabulary's range, a row in canonical layout
+    whose magnitude runs are any non-increasing multisets, greedy or not, or a
+    canonical row with a few ids substituted, deleted or inserted."""
     some_id = st.integers(vocab.base_id - 1, vocab.base_id + len(vocab))
-    if data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from(["arbitrary", "magnitude-runs", "edited"]))
+    if kind == "arbitrary":
         return data.draw(st.lists(some_id, max_size=width))
+    if kind == "magnitude-runs":
+        mags = [t.value for t in vocab.tokens if t.kind == codec.KIND_MAG]
+        row = []
+        for axis in (codec.AXIS_PAN, codec.AXIS_TILT, codec.AXIS_ZOOM):
+            row.append(vocab.dim_id(axis))
+            run = sorted(data.draw(st.lists(st.sampled_from(mags), max_size=6)), reverse=True)
+            if run and axis != codec.AXIS_ZOOM:
+                row.append(vocab.sign_id(data.draw(st.sampled_from([1, -1]))))
+            row.extend(vocab.mag_id(m) for m in run)
+        return row + [vocab.end_id]
     limit = vocab.max_value
     action = ActionDelta(
         data.draw(st.integers(-limit, limit)),
@@ -364,6 +376,38 @@ class TestDecodeProperties:
         except CodecError:
             return
         assert decode(row, vocab, strict=False) == strict
+
+    @settings(derandomize=True, max_examples=1500, deadline=None)
+    @given(st.sampled_from(sorted(BATCH_VOCABS)), st.data())
+    def test_strict_acceptance_is_exactly_re_encoding_to_the_row(self, name, data):
+        vocab = BATCH_VOCABS[name]
+        row = draw_token_row(data, vocab, 6 + 9 * vocab.levels)
+        try:
+            decode(row, vocab, strict=True)
+            accepted = True
+        except CodecError:
+            accepted = False
+        try:
+            canonical = encode_action(decode(row, vocab, strict=False), vocab) == tuple(row)
+        except CodecError:
+            canonical = False
+        assert accepted == canonical
+
+    @pytest.mark.parametrize("text, value", [
+        ("<PAN> <+> <1> <1> <TILT> <ZOOM> <END>", (2, 0, 0)),
+        ("<PAN> <+> " + "<1> " * 40 + "<TILT> <ZOOM> <END>", (40, 0, 0)),
+        ("<PAN> <TILT> <-> <5> <2> <1> <1> <ZOOM> <END>", (0, -9, 0)),
+        ("<PAN> <TILT> <ZOOM> <50> <50> <END>", (0, 0, 100)),
+    ], ids=["pan-2-as-1-1", "pan-40-as-forty-1s", "tilt-9-as-5-2-1-1", "zoom-100-as-50-50"])
+    def test_non_greedy_magnitude_runs_are_lenient_only(self, vocab, text, value):
+        ids = ids_from_str(text, vocab)
+        assert decode(ids, vocab, strict=False).as_tuple() == value
+        with pytest.raises(CanonicalFormError, match="greedy split"):
+            decode(ids, vocab, strict=True)
+        tokens = np.full((1, len(ids)), -1)
+        tokens[0] = ids
+        actions, ok = decode_batch(tokens, np.array([len(ids)]), vocab)
+        assert not ok[0] and actions.tolist() == [[0, 0, 0]]
 
     @settings(derandomize=True, max_examples=1500, deadline=None)
     @given(st.sampled_from(sorted(BATCH_VOCABS)), st.data())

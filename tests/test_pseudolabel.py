@@ -500,6 +500,7 @@ class TestFiles:
         {"tokens": "<PAN> <+> <2> <2> <TILT> <-> <2> <ZOOM> <100> <30> <END>"},  # unknown symbol
         {"action": {"pan": 4, "tilt": -2, "zoom": 121}},  # tokens give zoom 120
         {"tokens": "<PAN> <+> <2> <2> <TILT> <-> <2> <ZOOM> <20> <100> <END>"},  # only lenient decoding accepts it
+        {"tokens": "<PAN> <+> <2> <1> <1> <TILT> <-> <2> <ZOOM> <100> <20> <END>"},  # <1> <1> for <2>: lenient only
         {"tokens": TOO_LONG, "action": {"pan": 31, "tilt": 0, "zoom": 0}},
         {"action": {"pan": 4.5, "tilt": -2, "zoom": 120}},
         {"action": {"pan": 4.0, "tilt": -2, "zoom": 120}},
@@ -507,7 +508,7 @@ class TestFiles:
         {"action": {"pan": 1000, "tilt": -2, "zoom": 120}},
         {"action": {"pan": 4, "tilt": -2, "zoom": -120}},
         {"bbox_post": [50.0, 0.0, 0.0, 40.0]},
-    ], ids=["unknown-symbol", "disagreeing", "lenient-only", "too-long", "fractional", "float", "bool",
+    ], ids=["unknown-symbol", "disagreeing", "lenient-only", "non-greedy", "too-long", "fractional", "float", "bool",
             "out-of-range", "negative-zoom", "inverted-box"])
     def test_bad_label_row_names_path_and_line(self, tmp_path, change):
         vocab = codec.TokenVocab.default()

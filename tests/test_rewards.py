@@ -220,7 +220,7 @@ def synthetic_group(policy, rng, cfg, ref=None, ratio_noise=0.3):
     ref_policy = ref if ref is not None else rw.ToyPolicy.init(3, policy.bins)
     ref_lp = ref_policy.log_probs(feats)
     rewards = list(rng.normal(0, 1, cfg.group_size))
-    advantages = rw.group_advantages(rewards, cfg.std_guard)
+    advantages = rw.group_advantages(rewards)
     rollouts = []
     for i in range(cfg.group_size):
         bins_idx = tuple(int(rng.integers(0, policy.bins[h].shape[0])) for h in rw.HEADS)
@@ -338,6 +338,20 @@ class TestGradient:
         )
 
 
+def assert_weights_close(got, want):
+    """The matrix step adds its gradient terms in another order than the
+    reference loops, so weights may differ in their last bits: by at most
+    1e-12 of the largest weight (or of 1)."""
+    for h in rw.HEADS:
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(want[h]))))
+        assert float(np.max(np.abs(got[h] - want[h]))) <= bound, h
+
+
+def assert_mean_close(got, want):
+    """A mean over the step: 1e-12 of its size (or of 1), as for the weights."""
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def _reference_step(policy, groups, cfg):
     """``grpo_step`` one rollout at a time: each outer product added in turn."""
     grads = {h: np.zeros_like(policy.weights[h]) for h in rw.HEADS}
@@ -345,7 +359,7 @@ def _reference_step(policy, groups, cfg):
     n_rollouts = n_clipped = 0
     reward_sum = 0.0
     for group in groups:
-        phi = policy._phi(group.features)
+        phi = np.append(group.features, 1.0)
         cur_lp = policy.log_probs(group.features)
         probs = {h: np.exp(cur_lp[h]) for h in rw.HEADS}
         n = len(group.rollouts)
@@ -354,7 +368,7 @@ def _reference_step(policy, groups, cfg):
             reward_sum += r.reward
             lp = float(sum(cur_lp[h][r.bins[j]] for j, h in enumerate(rw.HEADS)))
             s = math.exp(lp - r.logp_old)
-            if (r.advantage > 0 and s > 1.0 + cfg.clip_eps) or (r.advantage < 0 and s < 1.0 - cfg.clip_eps):
+            if (r.advantage > 0 and s > 1.0 + rw.CLIP_EPS) or (r.advantage < 0 and s < 1.0 - rw.CLIP_EPS):
                 n_clipped += 1
                 continue
             coef = s * r.advantage / (n * n_groups)
@@ -383,9 +397,9 @@ class TestStepMatchesLoop:
         stepped, stats = rw.grpo_step(policy, batch_of(groups), cfg)
         weights, mean_reward, clip_fraction = _reference_step(policy, groups, cfg)
         assert 0.0 < clip_fraction < 1.0
-        for h in rw.HEADS:
-            assert np.array_equal(stepped.weights[h], weights[h])
-        assert (stats.mean_reward, stats.clip_fraction) == (mean_reward, clip_fraction)
+        assert_weights_close(stepped.weights, weights)
+        assert_mean_close(stats.mean_reward, mean_reward)
+        assert stats.clip_fraction == clip_fraction
 
     def test_sampled_groups(self):
         tasks = TestTraining().make_tasks(n=8)
@@ -401,9 +415,26 @@ class TestStepMatchesLoop:
         ]
         stepped, stats = rw.grpo_step(policy, batch_of(groups), cfg)
         weights, mean_reward, _ = _reference_step(policy, groups, cfg)
+        assert_weights_close(stepped.weights, weights)
+        assert_mean_close(stats.mean_reward, mean_reward)
+
+
+class TestLogProbRows:
+    @pytest.mark.parametrize("t", [1, 2, 7, 64, 1000, 3000])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 5.0])
+    def test_each_row_equals_a_one_row_call(self, t, scale):
+        # a T-row matmul rounds most rows differently from a one-row product;
+        # the one log-probability rule must not
+        policy = rw.ToyPolicy.init(3)
+        rng = np.random.default_rng(t)
         for h in rw.HEADS:
-            assert np.array_equal(stepped.weights[h], weights[h])
-        assert stats.mean_reward == mean_reward
+            policy.weights[h] += rng.normal(0, scale, policy.weights[h].shape)
+        features = rng.normal(0, 1, (t, 3))
+        rows = policy.log_prob_rows(features)
+        one_row = [policy.log_probs(f) for f in features]
+        for h in rw.HEADS:
+            assert rows[h].shape == (t, policy.bins[h].shape[0])
+            assert rows[h].tobytes() == np.stack([lp[h] for lp in one_row]).tobytes()
 
 
 class TestKL:
@@ -546,7 +577,7 @@ def _reference_rollouts(policy, task, k, cfg, reward_cfg, rng):
         box = cam.project(cam.apply_action(cam.CameraState(*task.pose[0]), action), k, task.targets[0])
         rewards.append(rw.composite_reward(action, gt_action, box, gt_bbox, reward_cfg).total)
         sampled.append((tuple(idx), action))
-    advantages = rw.group_advantages(rewards, cfg.std_guard)
+    advantages = rw.group_advantages(rewards)
     return [
         (bins, action, float(sum(cur_lp[h][bins[j]] for j, h in enumerate(rw.HEADS))), reward, float(adv))
         for (bins, action), reward, adv in zip(sampled, rewards, advantages)
@@ -592,7 +623,7 @@ class TestBatchedRollouts:
 
 
 # --- the per-group training loop, kept as the reference the step-wide batch
-# is checked against bit for bit ----------------------------------------------
+# is checked against ---------------------------------------------------------
 
 
 def _reference_group(policy, ref_policy, task, k, cfg, reward_cfg, rng):
@@ -616,7 +647,7 @@ def _reference_group(policy, ref_policy, task, k, cfg, reward_cfg, rng):
     terms = rw.reward_terms(actions, task.actions[0], boxes, codes, task.boxes, task.codes, reward_cfg)
     rewards = rw.reward_totals(terms).tolist()
     r = np.asarray(rewards, dtype=np.float64)
-    advantages = list((r - r.mean()) / (float(r.std()) + cfg.std_guard))
+    advantages = list((r - r.mean()) / (float(r.std()) + rw.STD_GUARD))
     logp = cur_lp["pan"][idx[:, 0]] + cur_lp["tilt"][idx[:, 1]] + cur_lp["zoom"][idx[:, 2]]
     rollouts = [
         Rollout(action=ActionDelta(*a), bins=tuple(b), logp_old=lp, reward=r, advantage=adv)
@@ -634,7 +665,7 @@ def _reference_group_step(policy, groups, cfg):
     all_rewards = []
     abs_err = np.zeros(3)
     for group in groups:
-        phi = policy._phi(group.features)
+        phi = np.append(group.features, 1.0)
         cur_lp = policy.log_probs(group.features)
         probs = {h: np.exp(cur_lp[h]) for h in rw.HEADS}
         n = len(group.rollouts)
@@ -649,7 +680,7 @@ def _reference_group_step(policy, groups, cfg):
         advantage = np.array([r.advantage for r in group.rollouts], dtype=np.float64)
         lp = cur_lp["pan"][bins[:, 0]] + cur_lp["tilt"][bins[:, 1]] + cur_lp["zoom"][bins[:, 2]]
         s = np.array([math.exp(x) for x in (lp - logp_old).tolist()])
-        clipped = ((advantage > 0) & (s > 1.0 + cfg.clip_eps)) | ((advantage < 0) & (s < 1.0 - cfg.clip_eps))
+        clipped = ((advantage > 0) & (s > 1.0 + rw.CLIP_EPS)) | ((advantage < 0) & (s < 1.0 - rw.CLIP_EPS))
         n_clipped += int(clipped.sum())
         coef = s * advantage / (n * n_groups)
         live = ~clipped & (coef != 0.0)
@@ -700,7 +731,8 @@ def _reference_train(policy, tasks, k, cfg, reward_cfg, steps, seed):
 
 class TestStepWideTraining:
     """``grpo_train`` samples and steps over the whole step's batch; its
-    weights and step statistics equal the per-group loop's bit for bit."""
+    weights and mean reward and KL equal the per-group loop's to 1e-12
+    relative, and its counts, reward spread and MAEs equal them exactly."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("group_size", [2, 8])
@@ -710,7 +742,11 @@ class TestStepWideTraining:
         cfg = rw.GRPOConfig(group_size=group_size, kl_weight=kl_weight)
         got_policy, got = rw.grpo_train(rw.ToyPolicy.init(3), tasks, K, cfg, CFG, steps=25, seed=seed)
         want_policy, want = _reference_train(rw.ToyPolicy.init(3), tasks, K, cfg, CFG, steps=25, seed=seed)
-        for h in rw.HEADS:
-            assert got_policy.weights[h].tobytes() == want_policy.weights[h].tobytes()
-        assert [dataclasses.astuple(x) for x in got] == [dataclasses.astuple(x) for x in want]
+        assert_weights_close(got_policy.weights, want_policy.weights)
+        assert len(got) == len(want)
+        exact = ("clip_fraction", "zero_signal_fraction", "reward_std", "mae_pan", "mae_tilt", "mae_zoom")
+        for x, y in zip(got, want):
+            assert_mean_close(x.mean_reward, y.mean_reward)
+            assert_mean_close(x.mean_kl, y.mean_kl)
+            assert [getattr(x, f) for f in exact] == [getattr(y, f) for f in exact]
         assert any(x.mean_kl > 0.0 for x in got)
