@@ -470,11 +470,13 @@ def _scene_row(rec: dict) -> tuple[str, TargetSpec]:
     missing = [f for f in _SCENE_FIELDS if f not in rec]
     if missing:
         raise ValueError(f"missing fields {missing}")
-    try:
-        values = {f: float(rec[f]) for f in _TARGET_NUMBERS}
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"non-numeric field ({exc})") from None
-    return str(rec["id"]), TargetSpec(**values, phrase=str(rec["phrase"]))
+    for f in _TARGET_NUMBERS:
+        if not isinstance(rec[f], (int, float)) or isinstance(rec[f], bool):
+            raise ValueError(f"non-numeric field ({f} must be a JSON number, got {rec[f]!r})")
+    if not isinstance(rec["phrase"], str):
+        raise ValueError(f"phrase must be a string, got {rec['phrase']!r}")
+    values = {f: float(rec[f]) for f in _TARGET_NUMBERS}
+    return str(rec["id"]), TargetSpec(**values, phrase=rec["phrase"])
 
 
 def read_scene(path) -> list[tuple[str, TargetSpec]]:

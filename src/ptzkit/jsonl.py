@@ -6,8 +6,11 @@ format supplies a row parser (dict -> value) that may raise ``KeyError``,
 turns any of them into a ``ValueError`` naming ``path:line``, and
 ``row_error`` gives the same error for a check made on all rows at once.
 Where a row has an ``id``, the id must be unique in the file.  Row parsers
-check numbers with ``finite`` and ``integer``; each format's row builder
-feeds ``write``.
+check numbers with ``finite`` and ``integer``, or only pick fields out of a
+row and leave the checks to ``number_rows``, ``integer_rows`` and
+``string_rows`` over a list of rows (``blocks``), which ``check_rows`` turns
+into the same error.  Numbers are JSON numbers: a string or a bool is not
+one.  Each format's row builder feeds ``write``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from typing import Callable, Iterator
+
+import numpy as np
 
 _ROW_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
@@ -34,10 +40,17 @@ def _reason(exc: Exception) -> str:
     return str(exc)
 
 
-def read(path, parse_row, what: str) -> list:
-    """``parse_row`` of every row of the file at ``path``, in file order."""
-    out = []
+def blocks(path, parse_row, what: str, size: int | None = None) -> Iterator[list]:
+    """``parse_row`` of every row of the file at ``path``, in file order, in
+    lists of ``size`` rows (one list when ``size`` is None).
+
+    A bad row ends the list of the rows before it early, and its error is
+    raised when the next list is asked for: a check that the caller makes
+    over a list names a bad row before it first, as ``read`` would.
+    """
+    block: list = []
     first_line: dict[str, int] = {}
+    error = None
     # bytes, so that a line that is not UTF-8 is rejected with its line number
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -45,15 +58,28 @@ def read(path, parse_row, what: str) -> list:
                 continue
             try:
                 rec = _object(line)
-                out.append(parse_row(rec))
+                row = parse_row(rec)
                 if "id" in rec:
                     key = str(rec["id"])
                     if key in first_line:
                         raise ValueError(f"duplicate id {key!r} (first on line {first_line[key]})")
                     first_line[key] = lineno
             except _ROW_ERRORS as exc:
-                raise ValueError(f"{path}:{lineno}: {_reason(exc)} (bad {what})") from None
-    return out
+                error = ValueError(f"{path}:{lineno}: {_reason(exc)} (bad {what})")
+                break
+            block.append(row)
+            if len(block) == size:
+                yield block
+                block = []
+    if block:
+        yield block
+    if error is not None:
+        raise error
+
+
+def read(path, parse_row, what: str) -> list:
+    """``parse_row`` of every row of the file at ``path``, in file order."""
+    return [row for block in blocks(path, parse_row, what) for row in block]
 
 
 def row_error(path, row: int, reason: str, what: str) -> ValueError:
@@ -63,6 +89,89 @@ def row_error(path, row: int, reason: str, what: str) -> ValueError:
         lines = (lineno for lineno, line in enumerate(fh, 1) if line.strip())
         lineno = next(itertools.islice(lines, row, None))
     return ValueError(f"{path}:{lineno}: {reason} (bad {what})")
+
+
+# A check over a list of rows: the rows it rejects, and why row ``i`` is
+# rejected.  None stands for a check that rejects no row.
+Check = tuple[np.ndarray, Callable[[int], str]]
+
+
+def check_rows(path, what: str, first_row: int, checks: list[Check | None]) -> None:
+    """Raise the error ``read`` raises for the earliest row that a check rejects.
+
+    The checks cover the same list of rows, the first of which is row
+    ``first_row`` of what ``read`` returns, and come in the order a row is
+    checked: a row that two of them reject gets the first one's reason.
+    """
+    found = [(int(np.argmax(c[0])), k) for k, c in enumerate(checks) if c is not None and c[0].any()]
+    if found:
+        row, k = min(found)
+        raise row_error(path, first_row + row, checks[k][1](row), what)
+
+
+def check_each(values: list, problem, out: np.ndarray) -> tuple[np.ndarray, Check]:
+    """The check that ``problem`` (a value -> reason or None) makes of each of
+    ``values``, with each accepted value written to its row of ``out``."""
+    problems = [problem(v) for v in values]
+    bad = np.array([p is not None for p in problems], dtype=bool).reshape(len(values))
+    for i in np.flatnonzero(~bad).tolist():
+        out[i] = values[i]
+    return out, (bad, problems.__getitem__)
+
+
+def number_rows(values: list, width: int, what: str) -> tuple[np.ndarray, Check | None]:
+    """Rows of ``width`` finite JSON numbers, one list per row, as float64[n, width],
+    and the check that rejects any other row; a rejected row reads 0."""
+    n = len(values)
+    if set(map(type, values)) <= {list} and set(map(len, values)) <= {width}:
+        flat = list(itertools.chain.from_iterable(values))
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                out = np.array(flat, dtype=np.float64).reshape(n, width)
+            except OverflowError:  # an int too large for a float
+                pass
+            else:
+                if np.isfinite(out).all():
+                    return out, None
+
+    def problem(row) -> str | None:
+        if type(row) is not list or len(row) != width:
+            return f"expected {width} {what}, got {row!r}"
+        for i, v in enumerate(row):
+            if not is_number(v):
+                return f"{what} must be finite JSON numbers, got {v!r} at position {i}"
+        return None
+
+    return check_each(values, problem, np.zeros((n, width)))
+
+
+def integer_rows(values: list, what: str) -> tuple[np.ndarray, Check | None]:
+    """One number a row, each integral as ``integer`` takes it and within int64,
+    as int64[n], and the check that rejects any other row; a rejected row reads 0."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64).reshape(len(values)), None
+        except OverflowError:
+            pass
+
+    def problem(v) -> str | None:
+        try:
+            v = integer(v, what)
+        except ValueError as exc:
+            return str(exc)
+        return None if -(2**63) <= v < 2**63 else f"{what} {v} does not fit in 64 bits"
+
+    return check_each(values, problem, np.zeros(len(values), dtype=np.int64))
+
+
+def string_rows(values: list, what: str) -> tuple[np.ndarray, Check | None]:
+    """One JSON string a row, as object[n], and the check that rejects any other
+    row; a rejected row reads ``""``."""
+    out = np.full(len(values), "", dtype=object)
+    if set(map(type, values)) <= {str}:
+        out[:] = values
+        return out, None
+    return check_each(values, lambda v: None if type(v) is str else f"{what} must be a string, got {v!r}", out)
 
 
 def load(path, parse_doc, what: str):
@@ -83,13 +192,26 @@ def write(path, records) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def is_number(value) -> bool:
+    """True for a finite JSON number: an int or a float, but not a bool, a
+    string, a NaN, an infinity or an int too large for a float."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def finite(values, what: str) -> list[float]:
-    """``values`` as floats; a NaN or an infinity raises ``ValueError`` naming the first."""
-    out = [float(v) for v in values]
-    for i, v in enumerate(out):
-        if not math.isfinite(v):
-            raise ValueError(f"{what} must be finite, got {v} at position {i}")
-    return out
+    """``values`` as floats; anything but a finite JSON number raises ``ValueError`` naming the first."""
+    values = list(values)
+    for i, v in enumerate(values):
+        if not is_number(v):
+            raise ValueError(f"{what} must be finite JSON numbers, got {v!r} at position {i}")
+    return [float(v) for v in values]
 
 
 def integer(value, what: str) -> int:

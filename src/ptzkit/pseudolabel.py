@@ -1,33 +1,36 @@
 """Pseudo-label synthesis from grounding-style records.
 
-A grounding record is (image size, bbox, phrase).  The bbox center normalized
-to (-1, 1) models the pan/tilt relationship; the bbox-to-frame area ratio
-before (w1) and after (w2) an isotropic crop models zoom.  A regressor (OLS
-or random forest) fitted on oracle samples maps those features to actions,
-and ``generate`` turns whole record files into one ``LabelSet`` of
-(instruction, action) training rows, which the label files hold with the
-action's token string.
+A grounding record is (image size, bbox, phrase), and a record file is read
+into one ``RecordSet`` of row-aligned arrays.  The bbox center normalized to
+(-1, 1) models the pan/tilt relationship; the bbox-to-frame area ratio
+before (w1) and after (w2) an isotropic crop models zoom; ``record_features``
+computes them for a whole batch of boxes.  A regressor (OLS or random
+forest) fitted on oracle samples maps those features to actions, and
+``generate`` turns a ``RecordSet`` into one ``LabelSet`` of (instruction,
+action) training rows, which the label files hold with the action's token
+string.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from ptzkit import codec, jsonl
-from ptzkit.camera import BBoxPx, round_half_away
-from ptzkit.codec import ActionDelta
+from ptzkit.codec import ActionDelta, round_half_away_batch
 from ptzkit.forest import ForestConfig, RandomForest
 
 HEAD_NAMES = ("pan", "tilt", "zoom")
 ZOOM_SOURCES = ("geometry", "model")
 # Rows per ``encode_batch``/``decode_batch`` call when a label file is written
-# or read: the decoder's temporaries grow with the rows of one call.
+# or read, and rows of a record or label file checked and turned into arrays
+# at a time: the decoder's temporaries, and the parsed rows, grow with it.
 CODEC_BLOCK = 1024
 
 TEMPLATES = (  # one per sample, drawn from the seeded stream
@@ -43,24 +46,46 @@ class FitError(ValueError):
     """Regressor fitting failed (degenerate design or too few samples)."""
 
 
-@dataclass(frozen=True)
-class GroundingRecord:
-    id: str
-    image_w: int
-    image_h: int
-    bbox: BBoxPx
-    phrase: str
+@dataclass(frozen=True, eq=False)
+class RecordSet:
+    """Grounding records as row-aligned arrays: row i of every field belongs to record i."""
 
-    def geometry_problem(self) -> str | None:
-        """Reason this record cannot be labeled, or None when it is usable."""
-        if self.image_w <= 0 or self.image_h <= 0:
-            return "non-positive image size"
-        b = self.bbox
-        if b.is_empty():
-            return "empty bbox"
-        if b.x_min < 0 or b.y_min < 0 or b.x_max > self.image_w or b.y_max > self.image_h:
-            return "bbox outside image bounds"
-        return None
+    ids: np.ndarray  # object[n] str
+    image_w: np.ndarray  # int64[n]
+    image_h: np.ndarray  # int64[n]
+    boxes: np.ndarray  # float64[n, 4] (x0, y0, x1, y1) in pixels
+    phrases: np.ndarray  # object[n] str
+
+    def __post_init__(self):
+        if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
+            raise ValueError("record fields disagree on the number of rows")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows) -> "RecordSet":
+        """The records at ``rows`` (a slice, a bool mask or row indices), in that order."""
+        return RecordSet(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+# Why a record cannot be labeled, in the order the conditions are tested.
+SKIP_REASONS = ("non-positive image size", "empty bbox", "bbox outside image bounds")
+
+
+def geometry_problems(records: RecordSet) -> np.ndarray:
+    """int64[n]: per record, the index in ``SKIP_REASONS`` of the first reason it
+    cannot be labeled, or -1 when it is usable.  A bbox is empty when its share
+    of the frame's area is zero."""
+    w, h = records.image_w, records.image_h
+    x0, y0, x1, y1 = records.boxes.T
+    conditions = [(w <= 0) | (h <= 0), _frame_share(records) <= 0.0, (x0 < 0) | (y0 < 0) | (x1 > w) | (y1 > h)]
+    return np.select(conditions, range(len(SKIP_REASONS)), -1)
+
+
+def _frame_share(records: RecordSet) -> np.ndarray:
+    """Each record's box-to-frame area ratio (w1); NaN or inf for a zero-size image."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _box_area(records.boxes) / (records.image_w.astype(np.float64) * records.image_h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,58 +152,78 @@ class RegressorModel:
         return out
 
 
-def normalize_center(b: BBoxPx, image_w: float, image_h: float) -> tuple[float, float]:
-    """Bbox center mapped to (-1, 1) per axis; frame center maps to (0, 0)."""
-    if b.is_empty():
-        raise ValueError("cannot normalize an empty bbox")
-    cx, cy = b.center()
-    return (cx - image_w / 2.0) / (image_w / 2.0), (cy - image_h / 2.0) / (image_h / 2.0)
+def _box_area(boxes: np.ndarray) -> np.ndarray:
+    return np.maximum(boxes[:, 2] - boxes[:, 0], 0.0) * np.maximum(boxes[:, 3] - boxes[:, 1], 0.0)
 
 
-def isotropic_crop(b: BBoxPx, image_w: float, image_h: float) -> tuple[BBoxPx, float]:
-    """Smallest frame-aspect window containing the bbox, and the resulting w2.
+def _log2(x: np.ndarray) -> np.ndarray:
+    # math.log2 row by row: np.log2 differs from it in the last bit on some ratios
+    return np.fromiter(map(math.log2, x.tolist()), np.float64, len(x))
 
-    The window is centered on the bbox center, then translated just enough to
-    stay inside the frame, which it never leaves.  w2 is the bbox area over
-    the window area: the area ratio the target would have after zooming onto
-    the window.
+
+def record_features(boxes, image_w, image_h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(features, crop windows, w2) of boxes, each in a frame of the given size
+    (arrays with a row per box, or one size for all); a box whose share of the
+    frame's area is zero raises ``ValueError``.
+
+    Row i of the float64[n, 4] features is (x_norm, y_norm, w1, zoom_feat): the
+    box center mapped to (-1, 1) per axis (the frame center maps to (0, 0)), the
+    box-to-frame area ratio, and half the log2 area gain of the crop.  The crop
+    window (float64[n, 4]) is the smallest frame-aspect window containing the
+    box, centered on the box, then translated just enough to stay inside the
+    frame, which it never leaves.  w2 (float64[n]) is the box area over the
+    window area: the area ratio the target would have after zooming onto the
+    window.
     """
-    if b.is_empty():
-        raise ValueError("cannot crop around an empty bbox")
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    image_w = np.asarray(image_w, dtype=np.float64)
+    image_h = np.asarray(image_h, dtype=np.float64)
+    area = _box_area(boxes)
+    w1 = area / (image_w * image_h)
+    if np.any(w1 <= 0.0):
+        raise ValueError(f"cannot take the features of an empty box (row {int(np.argmax(w1 <= 0.0))})")
+    x0, y0, x1, y1 = boxes.T
+    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    x_norm = (cx - image_w / 2.0) / (image_w / 2.0)
+    y_norm = (cy - image_h / 2.0) / (image_h / 2.0)
     aspect = image_w / image_h
-    win_w = max(b.width, b.height * aspect)
+    win_w = np.maximum(np.maximum(x1 - x0, 0.0), np.maximum(y1 - y0, 0.0) * aspect)
     win_h = win_w / aspect
-    cx, cy = b.center()
-    # a bbox of the frame's full height can round the window an ulp past the
+    # a box of the frame's full height can round the window an ulp past the
     # frame; clamping its edges into the frame keeps w2 >= w1
-    x0 = max(min(cx - win_w / 2.0, image_w - win_w), 0.0)
-    y0 = max(min(cy - win_h / 2.0, image_h - win_h), 0.0)
-    window = BBoxPx(x0, y0, min(x0 + win_w, image_w), min(y0 + win_h, image_h))
-    return window, b.area() / window.area()
+    wx0 = np.maximum(np.minimum(cx - win_w / 2.0, image_w - win_w), 0.0)
+    wy0 = np.maximum(np.minimum(cy - win_h / 2.0, image_h - win_h), 0.0)
+    windows = np.stack([wx0, wy0, np.minimum(wx0 + win_w, image_w), np.minimum(wy0 + win_h, image_h)], axis=1)
+    w2 = area / _box_area(windows)
+    features = np.stack([x_norm, y_norm, w1, 0.5 * _log2(w2 / w1)], axis=1)
+    return features, windows, w2
 
 
-def zoom_label(w1: float, w2: float) -> int:
-    """Integer zoom units lifting the area ratio from w1 to w2.
+def zoom_labels(w1, w2) -> np.ndarray:
+    """int64 zoom units lifting each area ratio from w1 to w2.
 
     Area scales with the square of linear magnification, so the linear gain
-    is sqrt(w2 / w1) and the label is round(50 * log2(w2 / w1)).
+    is sqrt(w2 / w1) and the label is round(50 * log2(w2 / w1)), half away
+    from zero.
     """
-    if w1 <= 0.0:
+    w1 = np.asarray(w1, dtype=np.float64).reshape(-1)
+    w2 = np.asarray(w2, dtype=np.float64).reshape(-1)
+    if np.any(w1 <= 0.0):
         raise ValueError("w1 must be positive")
-    if w2 < w1:
-        raise ValueError(f"w2 ({w2}) must be >= w1 ({w1})")
-    return round_half_away(50.0 * math.log2(w2 / w1))
+    shrink = w2 < w1
+    if shrink.any():
+        i = int(np.argmax(shrink))
+        raise ValueError(f"w2 ({w2[i]}) must be >= w1 ({w1[i]})")
+    return round_half_away_batch(50.0 * _log2(w2 / w1)).astype(np.int64)
 
 
-def record_w1(record: GroundingRecord) -> float:
-    return record.bbox.area() / (record.image_w * record.image_h)
-
-
-def select_smallest(records: Sequence[GroundingRecord], k: int) -> list[GroundingRecord]:
+def select_smallest(records: RecordSet, k: int) -> RecordSet:
     """The k records with the smallest area ratios; ties break by id."""
     if k < 0 or k > len(records):
         raise ValueError(f"k={k} outside [0, {len(records)}]")
-    return sorted(records, key=lambda r: (record_w1(r), r.id))[:k]
+    by_id = np.argsort(records.ids, kind="stable")
+    # a record of a zero-size image sorts last, and is skipped if selected
+    return records[by_id[np.argsort(_frame_share(records)[by_id], kind="stable")[:k]]]
 
 
 def feature_columns(x: np.ndarray, use_zoom_feature: bool) -> np.ndarray:
@@ -224,27 +269,8 @@ def fit(x: np.ndarray, actions: np.ndarray, cfg: RegressorConfig) -> RegressorMo
     return model
 
 
-def features_for_record(b: BBoxPx, image_w: int, image_h: int) -> tuple[tuple[float, ...], BBoxPx, float]:
-    """(features, crop window, w2) of a non-empty box in a frame of the given size; the features
-    are (x_norm, y_norm, w1, zoom_feat), zoom_feat the log2 area gain of the isotropic crop."""
-    x_norm, y_norm = normalize_center(b, image_w, image_h)
-    w1 = b.area() / (image_w * image_h)
-    window, w2 = isotropic_crop(b, image_w, image_h)
-    return (x_norm, y_norm, w1, 0.5 * math.log2(w2 / w1)), window, w2
-
-
-def _bbox_in_crop_frame(b: BBoxPx, window: BBoxPx, image_w: float) -> list[float]:
-    scale = image_w / window.width
-    return [
-        (b.x_min - window.x_min) * scale,
-        (b.y_min - window.y_min) * scale,
-        (b.x_max - window.x_min) * scale,
-        (b.y_max - window.y_min) * scale,
-    ]
-
-
 def generate(
-    records: Sequence[GroundingRecord],
+    records: RecordSet,
     model: RegressorModel,
     seed: int = 0,
     zoom_source: str = "geometry",
@@ -254,41 +280,31 @@ def generate(
     Pan/tilt always come from the regressor.  Zoom comes from the crop
     geometry (``zoom_source="geometry"``) or from the regressor's zoom head
     (``"model"``).  Output order and instruction choice are deterministic
-    given the seed; records are processed sorted by id, and the regressor
-    predicts every usable record in one batch.
+    given the seed: records are taken sorted by id, one template is drawn
+    for each, skipped records included, and the regressor predicts every
+    usable record in one batch.
     """
     if zoom_source not in ZOOM_SOURCES:
         raise ValueError(f"unknown zoom_source {zoom_source!r}")
     rng = np.random.default_rng(seed)
-    # row i of x, boxes and w2 belongs to ids[i]
-    x = np.empty((len(records), 4), dtype=np.float64)
-    boxes = np.empty((len(records), 4), dtype=np.float64)
-    w2 = np.empty(len(records), dtype=np.float64)
-    ids: list[str] = []
-    instructions: list[str] = []
-    skipped: list[tuple[str, str]] = []
-    for record in sorted(records, key=lambda r: r.id):
-        template = TEMPLATES[int(rng.integers(0, len(TEMPLATES)))]
-        problem = record.geometry_problem()
-        if problem is not None:
-            skipped.append((record.id, problem))
-            continue
-        row = len(ids)
-        x[row], window, w2[row] = features_for_record(record.bbox, record.image_w, record.image_h)
-        boxes[row] = _bbox_in_crop_frame(record.bbox, window, record.image_w)
-        ids.append(record.id)
-        instructions.append(template.format(phrase=record.phrase))
-    n = len(ids)
-    x, boxes, w2 = x[:n], boxes[:n], w2[:n]
+    records = records[np.argsort(records.ids, kind="stable")]
+    templates = rng.integers(0, len(TEMPLATES), size=len(records))
+    problems = geometry_problems(records)
+    skipped = [(records.ids[i], SKIP_REASONS[problems[i]]) for i in np.flatnonzero(problems >= 0).tolist()]
+    usable = problems < 0
+    records, templates = records[usable], templates[usable]
+    x, windows, w2 = record_features(records.boxes, records.image_w, records.image_h)
     pred = model.predict_batch(feature_columns(x, model.config.use_zoom_feature))
     if zoom_source == "geometry":
-        # already an integer, which the rounding keeps
-        pred[:, 2] = [zoom_label(a, b) for a, b in zip(x[:, 2].tolist(), w2.tolist())]
+        pred[:, 2] = zoom_labels(x[:, 2], w2)  # integers, which the rounding keeps
+    # the box in the frame of its crop window, scaled to the image width
+    scale = records.image_w / np.maximum(windows[:, 2] - windows[:, 0], 0.0)
+    instructions = [TEMPLATES[t].format(phrase=p) for t, p in zip(templates.tolist(), records.phrases)]
     labels = LabelSet(
-        np.array(ids, dtype=object),
-        np.array(instructions, dtype=object),
+        records.ids,
+        np.array(instructions, dtype=object).reshape(len(records)),
         codec.round_actions(pred),
-        boxes,
+        (records.boxes - windows[:, [0, 1, 0, 1]]) * scale[:, None],
         x[:, 2].copy(),
         w2,
     )
@@ -298,21 +314,48 @@ def generate(
 # --- file formats ----------------------------------------------------------
 
 
-def _grounding_row(rec: dict) -> GroundingRecord:
-    bbox = jsonl.finite([rec["bbox"][i] for i in range(4)], "bbox numbers")
-    return GroundingRecord(
-        id=str(rec["id"]),
-        image_w=jsonl.integer(rec["image_w"], "image_w"),
-        image_h=jsonl.integer(rec["image_h"], "image_h"),
-        bbox=BBoxPx(*bbox),
-        phrase=str(rec["phrase"]),
-    )
+def _grounding_row(rec: dict) -> tuple:
+    return rec["id"], rec["image_w"], rec["image_h"], rec["bbox"], rec["phrase"]
 
 
-def read_grounding_records(path) -> list[GroundingRecord]:
-    """One JSON object per line: {id, image_w, image_h, bbox:[...], phrase},
-    under the ``ptzkit.jsonl`` rules; image sizes are integers."""
-    return jsonl.read(path, _grounding_row, "grounding record")
+def _string_ids(ids: list) -> np.ndarray:
+    out = np.empty(len(ids), dtype=object)
+    out[:] = list(map(str, ids))
+    return out
+
+
+def _record_set(rows: list, path, what: str, first_row: int) -> RecordSet:
+    """The records of a list of rows, checked over the whole list."""
+    ids, image_w, image_h, boxes, phrases = map(list, zip(*rows)) if rows else ([],) * 5
+    boxes, box_check = jsonl.number_rows(boxes, 4, "bbox numbers")
+    image_w, w_check = jsonl.integer_rows(image_w, "image_w")
+    image_h, h_check = jsonl.integer_rows(image_h, "image_h")
+    inverted = (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
+    phrases, phrase_check = jsonl.string_rows(phrases, "phrase")
+    checks = [box_check, w_check, h_check, (inverted, lambda row: "inverted bbox coordinates"), phrase_check]
+    jsonl.check_rows(path, what, first_row, checks)
+    return RecordSet(_string_ids(ids), image_w, image_h, boxes, phrases)
+
+
+def _read_sets(path, parse_row, what: str, to_set):
+    """``to_set(rows, path, what, first_row)`` of each block of ``CODEC_BLOCK``
+    rows of the file, joined into one set; a bad file is rejected naming its
+    earliest bad line."""
+    parts, first_row = [], 0
+    for rows in jsonl.blocks(path, parse_row, what, CODEC_BLOCK):
+        parts.append(to_set(rows, path, what, first_row))
+        first_row += len(rows)
+    if not parts:
+        return to_set([], path, what, 0)
+    kind = type(parts[0])
+    return kind(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(kind)))
+
+
+def read_grounding_records(path) -> RecordSet:
+    """One JSON object per line: {id, image_w, image_h, bbox:[x0,y0,x1,y1], phrase},
+    under the ``ptzkit.jsonl`` rules; image sizes are integers, the bbox is four
+    numbers and not inverted, and the phrase is a string."""
+    return _read_sets(path, _grounding_row, "grounding record", _record_set)
 
 
 def _label_rows(labels: LabelSet, vocab: codec.TokenVocab) -> Iterator[dict]:
@@ -346,51 +389,95 @@ def write_pseudo_labels(path, labels: LabelSet, vocab: codec.TokenVocab) -> None
     jsonl.write(path, _label_rows(labels, vocab))
 
 
-def _label_fields(rec: dict, vocab: codec.TokenVocab) -> tuple:
-    """The checks one row can make alone; its tokens are decoded with the whole file."""
+def _label_row(rec: dict) -> tuple:
     a = rec["action"]
-    action = ActionDelta(a["pan"], a["tilt"], a["zoom"]).as_tuple()
-    token_ids = codec.ids_from_str(rec["tokens"], vocab)
-    if len(token_ids) > vocab.max_sequence_length:
-        raise ValueError(
-            f"{len(token_ids)} tokens, more than the {vocab.max_sequence_length} of the longest encoding"
-        )
-    box = jsonl.finite([rec["bbox_post"][i] for i in range(4)], "bbox_post numbers")
-    if box[0] > box[2] or box[1] > box[3]:
-        raise ValueError("inverted bbox_post coordinates")
-    w1, w2 = jsonl.finite([rec["w1"], rec["w2"]], "w1 and w2")
-    return str(rec["id"]), str(rec["instruction"]), action, box, w1, w2, token_ids
+    action = (a["pan"], a["tilt"], a["zoom"])
+    return action, rec["tokens"], rec["bbox_post"], [rec["w1"], rec["w2"]], rec["id"], rec["instruction"]
+
+
+def _action_problem(action: tuple) -> str | None:
+    for name, v in zip(HEAD_NAMES, action):
+        if type(v) is not int:
+            return f"{name} must be an integer, got {v!r}"
+    lim = codec.MAX_ACTION_VALUE
+    for name, v, lo in zip(HEAD_NAMES, action, (-lim, -lim, 0)):
+        if not lo <= v <= lim:
+            return f"{name} {v} outside [{lo}, {lim}]"
+    return None
+
+
+def _action_rows(actions: list) -> tuple[np.ndarray, jsonl.Check | None]:
+    """(pan, tilt, zoom) integers in the codec's range, as int64[n, 3], and the
+    check that rejects any other row; a rejected row reads 0."""
+    n, lim = len(actions), codec.MAX_ACTION_VALUE
+    if set(map(type, itertools.chain.from_iterable(actions))) <= {int}:
+        try:
+            out = np.array(actions, dtype=np.int64).reshape(n, 3)
+        except OverflowError:
+            pass
+        else:
+            if np.all((out >= [-lim, -lim, 0]) & (out <= lim)):
+                return out, None
+    return jsonl.check_each(actions, _action_problem, np.zeros((n, 3), dtype=np.int64))
+
+
+def _token_rows(texts: np.ndarray, vocab: codec.TokenVocab) -> tuple[np.ndarray, np.ndarray, jsonl.Check]:
+    """The token strings as ids, int64[n, max_sequence_length] padded with -1 and
+    cut at that width, with their full lengths, and the check that rejects a
+    string with a symbol the vocabulary lacks."""
+    unknown = vocab.base_id + len(vocab)  # an id decode_batch does not know
+    id_of = {t.symbol: t.token_id for t in vocab.tokens}
+    symbols = list(map(str.split, texts))
+    lengths = np.fromiter(map(len, symbols), np.int64, len(symbols))
+    flat = list(itertools.chain.from_iterable(symbols))
+    ids = np.fromiter(map(id_of.get, flat, itertools.repeat(unknown)), np.int64, len(flat))
+    row_of = np.repeat(np.arange(len(symbols)), lengths)
+    bad = np.zeros(len(symbols), dtype=bool)
+    bad[row_of[ids == unknown]] = True
+
+    def reason(row: int) -> str:
+        return f"unknown token {next(s for s in symbols[row] if s not in id_of)!r}"
+
+    width = vocab.max_sequence_length
+    position = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    tokens = np.full((len(symbols), width), -1, dtype=np.int64)
+    tokens[np.arange(width) < np.minimum(lengths, width)[:, None]] = ids[position < width]
+    return tokens, lengths, (bad, reason)
+
+
+def _label_set(vocab: codec.TokenVocab, rows: list, path, what: str, first_row: int) -> LabelSet:
+    """The labels of a list of rows, checked over the whole list."""
+    actions, texts, boxes, ratios, ids, instructions = map(list, zip(*rows)) if rows else ([],) * 6
+    actions, action_check = _action_rows(actions)
+    texts, text_check = jsonl.string_rows(texts, "tokens")
+    tokens, lengths, unknown_check = _token_rows(texts, vocab)
+    width = vocab.max_sequence_length
+    too_long = lengths > width
+    boxes, box_check = jsonl.number_rows(boxes, 4, "bbox_post numbers")
+    inverted = (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
+    ratios, ratio_check = jsonl.number_rows(ratios, 2, "w1 and w2")
+    instructions, instruction_check = jsonl.string_rows(instructions, "instruction")
+    decoded, ok = codec.decode_batch(tokens, np.minimum(lengths, width), vocab)
+    disagree = ~ok | np.any(decoded != actions, axis=1)
+    jsonl.check_rows(path, what, first_row, [
+        action_check,
+        text_check,
+        unknown_check,
+        (too_long, lambda row: f"{lengths[row]} tokens, more than the {width} of the longest encoding"),
+        box_check,
+        (inverted, lambda row: "inverted bbox_post coordinates"),
+        ratio_check,
+        instruction_check,
+        (disagree, lambda row: "token string does not decode strictly to the structured action"),
+    ])
+    return LabelSet(_string_ids(ids), instructions, actions, boxes, ratios[:, 0].copy(), ratios[:, 1].copy())
 
 
 def read_pseudo_labels(path, vocab: codec.TokenVocab) -> LabelSet:
     """Labels as ``write_pseudo_labels`` writes them, under the ``ptzkit.jsonl``
     rules; a token string must decode strictly to the structured action and be
     no longer than the longest encoding."""
-    what = "pseudo-label record"
-    rows = jsonl.read(path, lambda rec: _label_fields(rec, vocab), what)
-    n = len(rows)
-    labels = LabelSet(
-        np.array([r[0] for r in rows], dtype=object),
-        np.array([r[1] for r in rows], dtype=object),
-        np.array([r[2] for r in rows], dtype=np.int64).reshape(n, 3),
-        np.array([r[3] for r in rows], dtype=np.float64).reshape(n, 4),
-        np.array([r[4] for r in rows], dtype=np.float64),
-        np.array([r[5] for r in rows], dtype=np.float64),
-    )
-    width = vocab.max_sequence_length
-    for start in range(0, n, CODEC_BLOCK):
-        token_rows = [r[6] for r in rows[start : start + CODEC_BLOCK]]
-        lengths = np.array([len(ids) for ids in token_rows], dtype=np.int64)
-        tokens = np.full((len(token_rows), width), -1, dtype=np.int64)
-        tokens[np.arange(width) < lengths[:, None]] = np.fromiter(
-            itertools.chain.from_iterable(token_rows), np.int64, int(lengths.sum())
-        )
-        decoded, ok = codec.decode_batch(tokens, lengths, vocab)
-        bad = ~ok | np.any(decoded != labels.actions[start : start + len(token_rows)], axis=1)
-        if bad.any():
-            reason = "token string does not decode strictly to the structured action"
-            raise jsonl.row_error(path, start + int(np.argmax(bad)), reason, what)
-    return labels
+    return _read_sets(path, _label_row, "pseudo-label record", functools.partial(_label_set, vocab))
 
 
 def _training_pair(rec: dict) -> tuple[list[float], tuple[int, int, int]]:

@@ -276,13 +276,12 @@ class ToyPolicy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyPolicy":
-        """A policy as ``to_dict`` writes it; a NaN or an infinite weight or a
-        fractional bin raises ``ValueError``."""
+        """A policy as ``to_dict`` writes it; a weight that is not a finite JSON
+        number or a fractional bin raises ``ValueError``."""
         bins, weights = {}, {}
         for h in HEADS:
             bins[h] = np.array([jsonl.integer(b, f"{h} bins") for b in d["bins"][h]], dtype=np.int64)
-            weights[h] = np.asarray(d["weights"][h], dtype=np.float64)
-            jsonl.finite(weights[h].ravel().tolist(), f"{h} weights")
+            weights[h] = np.array([jsonl.finite(row, f"{h} weights") for row in d["weights"][h]], dtype=np.float64)
         return cls(bins, weights)
 
 

@@ -242,7 +242,8 @@ def make_samples(
     The corners, the start views, the oracle actions and the post-action views
     of the whole scene are each computed in one batch call; a sample's
     features are those ``pseudolabel.generate`` takes from a record with its
-    start box.  One instruction template is drawn per scene target, skipped
+    start box, from one ``pseudolabel.record_features`` call on the usable
+    start boxes.  One instruction template is drawn per scene target, skipped
     targets included.
     """
     rng = np.random.default_rng(seed)
@@ -253,20 +254,20 @@ def make_samples(
     start_boxes, start_codes = project_batch(*pose.T, k, corners)
     actions, has_oracle = oracle_actions(*pose.T, k, targets, fill_ratio)
     boxes, codes = project_batch(*apply_action_batch(*pose.T, actions), k, corners)
-    usable = (start_codes == CODE_FULL) & has_oracle
+    full = start_codes == CODE_FULL
+    usable = full & has_oracle
+    templates = rng.integers(0, len(pl.TEMPLATES), size=n).tolist()
     instructions = np.empty(n, dtype=object)
+    for i in np.flatnonzero(usable).tolist():
+        instructions[i] = pl.TEMPLATES[templates[i]].format(phrase=targets[i].phrase)
     features = np.zeros((n, 4))
-    skipped: list[tuple[str, str]] = []
-    for i, (target_id, target) in enumerate(scene):
-        template = pl.TEMPLATES[int(rng.integers(0, len(pl.TEMPLATES)))]
-        if start_codes[i] != CODE_FULL:
-            skipped.append((target_id, f"initial view is {VISIBILITY_CODES[start_codes[i]]}"))
-            continue
-        if not has_oracle[i]:
-            skipped.append((target_id, "target out of front hemisphere"))
-            continue
-        instructions[i] = template.format(phrase=target.phrase)
-        features[i], _, _ = pl.features_for_record(bbox_row(start_boxes[i], CODE_FULL), k.image_w, k.image_h)
+    features[usable] = pl.record_features(start_boxes[usable], k.image_w, k.image_h)[0]
+    skipped = []
+    for i in np.flatnonzero(~usable).tolist():
+        if not full[i]:
+            skipped.append((scene[i][0], f"initial view is {VISIBILITY_CODES[start_codes[i]]}"))
+        else:
+            skipped.append((scene[i][0], "target out of front hemisphere"))
     ids = np.array([target_id for target_id, _ in scene], dtype=object)
     samples = SampleSet(ids, instructions, targets, features, pose, corners, actions, boxes, codes)
     return samples[usable], skipped

@@ -245,8 +245,11 @@ class TestFitEval:
             ({"distance": -2.0}, "target distance must be positive"),
             ({"azimuth": float("nan")}, "target azimuth must be finite"),
             ({"id": "a"}, "duplicate id 'a' (first on line 1)"),
+            ({"width": "0.4"}, "non-numeric field (width must be a JSON number, got '0.4')"),
+            ({"distance": True}, "non-numeric field (distance must be a JSON number, got True)"),
+            ({"phrase": ["mug"]}, "phrase must be a string, got ['mug']"),
         ],
-        ids=["negative-distance", "nan-azimuth", "duplicate-id"],
+        ids=["negative-distance", "nan-azimuth", "duplicate-id", "string-number", "bool-number", "list-phrase"],
     )
     def test_bad_scene_row_names_file_and_line(self, tmp_path, capsys, second, reason):
         first = {
@@ -265,7 +268,7 @@ GOOD_RECORD = {"id": "a", "image_w": 640, "image_h": 480, "bbox": [100, 100, 200
 
 
 class TestBadInputRows:
-    """Records and training pairs are checked row by row, naming ``path:line``."""
+    """Records and training pairs are checked as they are read, naming ``path:line``."""
 
     @pytest.mark.parametrize(
         "second, reason",
@@ -275,8 +278,14 @@ class TestBadInputRows:
             ({}, "duplicate id 'a' (first on line 1)"),
             ({"id": "b", "image_w": 640.9, "image_h": 480}, "image_w must be an integer, got 640.9"),
             ({"id": "b", "image_h": True}, "image_h must be an integer, got True"),
+            ({"id": "b", "bbox": ["100", "100", "200", "180"]}, "bbox numbers must be finite JSON numbers, got '100'"),
+            ({"id": "b", "bbox": [100, 100, True, 180]}, "bbox numbers must be finite JSON numbers, got True"),
+            ({"id": "b", "bbox": [100, 100, 200, 180, 300]}, "expected 4 bbox numbers"),
+            ({"id": "b", "bbox": [200, 100, 100, 180]}, "inverted bbox coordinates"),
+            ({"id": "b", "phrase": ["x"]}, "phrase must be a string, got ['x']"),
         ],
-        ids=["nan-bbox", "inf-image-size", "duplicate-id", "fractional-image-size", "bool-image-size"],
+        ids=["nan-bbox", "inf-image-size", "duplicate-id", "fractional-image-size", "bool-image-size",
+             "string-number", "bool-number", "five-entry-bbox", "inverted-bbox", "list-phrase"],
     )
     def test_synth_rejects_bad_record(self, tmp_path, scene_file, capsys, second, reason):
         assert run(["fit", "--scene", str(scene_file), "--kind", "ols", "--out", str(tmp_path), "--quiet"]) == 0
@@ -306,6 +315,20 @@ class TestBadInputRows:
         assert run(["fit", "--pairs", str(pairs), "--kind", "ols", "--out", str(tmp_path), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert f"{pairs}:5: " in err and "features must be finite" in err
+
+    @pytest.mark.parametrize("value", ["0.1", True], ids=["string-number", "bool-number"])
+    def test_fit_rejects_a_feature_that_is_no_json_number(self, tmp_path, capsys, value):
+        rows = [
+            {"features": {"x_norm": i / 10, "y_norm": (i % 3) / 10, "w1": (i * i + 1) / 100},
+             "action": {"pan": 2 * i, "tilt": i % 3, "zoom": 10}}
+            for i in range(8)
+        ]
+        rows[2]["features"]["y_norm"] = value
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert run(["fit", "--pairs", str(pairs), "--kind", "ols", "--out", str(tmp_path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert f"{pairs}:3: features must be finite JSON numbers, got {value!r} at position 1" in err
 
 
 CORNER_TARGET = {
@@ -348,7 +371,10 @@ class TestNonFiniteModel:
         ("ols", ["zoom", "intercept"], float("inf"), "intercepts must be finite"),
         ("rf", ["tilt", "trees", 1, "threshold", 0], float("nan"), "tilt tree 1 thresholds and values must be finite"),
         ("rf", ["pan", "trees", 0, "value", -1], float("-inf"), "pan tree 0 thresholds and values must be finite"),
-    ], ids=["ols-nan-coef", "ols-inf-intercept", "rf-nan-threshold", "rf-inf-value"])
+        ("ols", ["pan", "coef", 1], "0.5", "pan coef must be finite JSON numbers, got '0.5'"),
+        ("rf", ["pan", "trees", 0, "value", -1], True, "pan tree 0 thresholds and values must be finite JSON numbers"),
+    ], ids=["ols-nan-coef", "ols-inf-intercept", "rf-nan-threshold", "rf-inf-value", "ols-string-number",
+            "rf-bool-number"])
     def test_non_finite_model_number_names_the_file(self, tmp_path, scene_file, capsys, kind, path, value, reason):
         doc = self.fitted(tmp_path, scene_file, kind)
         set_at(doc["heads"], path, value)
@@ -366,7 +392,9 @@ class TestNonFiniteModel:
         (["weights", "zoom", 2, 1], float("nan"), "zoom weights must be finite"),
         (["bins", "pan", -1], 1000, "pan bins must lie in [-999, 999]"),
         (["bins", "pan", 0], -29.7, "pan bins must be an integer, got -29.7"),
-    ], ids=["nan-weight", "out-of-range-bin", "fractional-bin"])
+        (["weights", "tilt", 0, 2], "0.5", "tilt weights must be finite JSON numbers, got '0.5'"),
+        (["weights", "pan", 1, 0], False, "pan weights must be finite JSON numbers, got False"),
+    ], ids=["nan-weight", "out-of-range-bin", "fractional-bin", "string-weight", "bool-weight"])
     def test_bad_policy_checkpoint_names_the_file(self, tmp_path, scene_file, capsys, path, value, reason):
         assert run(["grpo-train", "--scene", str(scene_file), "--steps", "1", "--out", str(tmp_path), "--quiet"]) == 0
         doc = json.loads((tmp_path / "policy.json").read_text())

@@ -141,7 +141,8 @@ def test_integer_rejects(value):
         jsonl.integer(value, "n")
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e999, "nan"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e999, "nan", "1.5", True, None,
+                                   pytest.param(10**400, id="huge-int")])
 def test_finite_rejects(value):
     with pytest.raises(ValueError, match="xs must be finite"):
         jsonl.finite([1.0, value], "xs")

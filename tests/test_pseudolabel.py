@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,52 +14,132 @@ from ptzkit import codec
 from ptzkit import pseudolabel as pl
 from ptzkit import selftrain as st
 from ptzkit.camera import BBoxPx, CameraIntrinsics, CameraState, round_half_away
+from ptzkit.cli import main
 from ptzkit.codec import ActionDelta
 
 K = CameraIntrinsics(1280, 720, 60.0)
 
 
+# --- the per-row rule, as the library applied it one record at a time ------
+
+
+def ref_normalize_center(b: BBoxPx, image_w: float, image_h: float) -> tuple[float, float]:
+    cx, cy = b.center()
+    return (cx - image_w / 2.0) / (image_w / 2.0), (cy - image_h / 2.0) / (image_h / 2.0)
+
+
+def ref_isotropic_crop(b: BBoxPx, image_w: float, image_h: float) -> tuple[BBoxPx, float]:
+    aspect = image_w / image_h
+    win_w = max(b.width, b.height * aspect)
+    win_h = win_w / aspect
+    cx, cy = b.center()
+    x0 = max(min(cx - win_w / 2.0, image_w - win_w), 0.0)
+    y0 = max(min(cy - win_h / 2.0, image_h - win_h), 0.0)
+    window = BBoxPx(x0, y0, min(x0 + win_w, image_w), min(y0 + win_h, image_h))
+    return window, b.area() / window.area()
+
+
+def ref_features_for_record(b: BBoxPx, image_w: int, image_h: int) -> tuple[tuple[float, ...], BBoxPx, float]:
+    x_norm, y_norm = ref_normalize_center(b, image_w, image_h)
+    w1 = b.area() / (image_w * image_h)
+    window, w2 = ref_isotropic_crop(b, image_w, image_h)
+    return (x_norm, y_norm, w1, 0.5 * math.log2(w2 / w1)), window, w2
+
+
+def reference_generate(rows, model: pl.RegressorModel, seed: int, zoom_source: str) -> tuple[pl.LabelSet, list]:
+    """``generate`` one record at a time: rows are (id, image_w, image_h, bbox, phrase)."""
+    rng = np.random.default_rng(seed)
+    labels, skipped = [], []
+    lim = codec.MAX_ACTION_VALUE
+    for rid, w, h, box, phrase in sorted(rows, key=lambda r: r[0]):
+        template = pl.TEMPLATES[int(rng.integers(0, len(pl.TEMPLATES)))]
+        b = BBoxPx(*box)
+        if w <= 0 or h <= 0:
+            skipped.append((rid, "non-positive image size"))
+            continue
+        if b.is_empty():
+            skipped.append((rid, "empty bbox"))
+            continue
+        if b.x_min < 0 or b.y_min < 0 or b.x_max > w or b.y_max > h:
+            skipped.append((rid, "bbox outside image bounds"))
+            continue
+        features, window, w2 = ref_features_for_record(b, w, h)
+        x = np.array([features[: 4 if model.config.use_zoom_feature else 3]])
+        pan, tilt, zoom = model.predict_batch(x)[0].tolist()
+        if zoom_source == "geometry":
+            zoom = round_half_away(50.0 * math.log2(w2 / features[2]))
+        action = [min(max(round_half_away(v), lo), lim) for v, lo in zip((pan, tilt, zoom), (-lim, -lim, 0))]
+        scale = w / window.width
+        post = [(b.x_min - window.x_min) * scale, (b.y_min - window.y_min) * scale,
+                (b.x_max - window.x_min) * scale, (b.y_max - window.y_min) * scale]
+        labels.append((rid, template.format(phrase=phrase), action, post, features[2], w2))
+    ids, instructions, actions, boxes, w1, w2 = zip(*labels)
+    labels = pl.LabelSet(np.array(ids, dtype=object), np.array(instructions, dtype=object),
+                         np.array(actions, dtype=np.int64), np.array(boxes), np.array(w1), np.array(w2))
+    return labels, skipped
+
+
+def record_set(rows) -> pl.RecordSet:
+    """Rows of (id, image_w, image_h, bbox, phrase) as a ``RecordSet``."""
+    ids, image_w, image_h, boxes, phrases = zip(*rows)
+    return pl.RecordSet(np.array(ids, dtype=object), np.array(image_w, dtype=np.int64),
+                        np.array(image_h, dtype=np.int64), np.array(boxes, dtype=np.float64).reshape(-1, 4),
+                        np.array(phrases, dtype=object))
+
+
+def one_row(b: BBoxPx, image_w, image_h) -> tuple[tuple[float, ...], BBoxPx, float]:
+    """``record_features`` of one box: (features, crop window, w2)."""
+    x, windows, w2 = pl.record_features([b.as_list()], image_w, image_h)
+    return tuple(x[0].tolist()), BBoxPx(*windows[0].tolist()), float(w2[0])
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
 class TestNormalizeCenter:
     def test_centered(self):
         b = BBoxPx(400, 400, 600, 600)
-        assert pl.normalize_center(b, 1000, 1000) == (0.0, 0.0)
+        assert one_row(b, 1000, 1000)[0][:2] == (0.0, 0.0)
 
     def test_right_edge(self):
         b = BBoxPx(990, 490, 1010, 510)
-        x, y = pl.normalize_center(b, 1000, 1000)
+        x, y = one_row(b, 1000, 1000)[0][:2]
         assert (x, y) == (1.0, 0.0)
 
     def test_arithmetic(self):
         b = BBoxPx(100, 200, 300, 400)
-        assert pl.normalize_center(b, 1000, 1000) == (-0.6, -0.4)
+        assert one_row(b, 1000, 1000)[0][:2] == (-0.6, -0.4)
 
     def test_inverse_map(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             x0, y0 = rng.uniform(0, 900, 2)
             b = BBoxPx(x0, y0, x0 + 50, y0 + 50)
-            xn, yn = pl.normalize_center(b, 1000, 800)
+            xn, yn = one_row(b, 1000, 800)[0][:2]
             assert xn * 500 + 500 == pytest.approx(b.center()[0], abs=1e-9)
             assert yn * 400 + 400 == pytest.approx(b.center()[1], abs=1e-9)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pl.normalize_center(BBoxPx.empty(), 100, 100)
+        with pytest.raises(ValueError, match="empty box"):
+            pl.record_features([BBoxPx.empty().as_list()], 100, 100)
+        with pytest.raises(ValueError, match=r"empty box \(row 1\)"):
+            pl.record_features([[0, 0, 10, 10], [5, 5, 5, 9]], 100, 100)
 
 
 class TestIsotropicCrop:
     def test_full_frame(self):
-        window, w2 = pl.isotropic_crop(BBoxPx(0, 0, 1000, 500), 1000, 500)
+        _, window, w2 = one_row(BBoxPx(0, 0, 1000, 500), 1000, 500)
         assert window.as_list() == [0, 0, 1000, 500]
         assert w2 == 1.0
 
     def test_square_bbox_square_frame(self):
-        window, w2 = pl.isotropic_crop(BBoxPx(450, 450, 550, 550), 1000, 1000)
+        _, window, w2 = one_row(BBoxPx(450, 450, 550, 550), 1000, 1000)
         assert window.as_list() == [450, 450, 550, 550]
         assert w2 == 1.0
 
     def test_aspect_constrained(self):
-        window, w2 = pl.isotropic_crop(BBoxPx(475, 225, 525, 275), 1000, 500)
+        _, window, w2 = one_row(BBoxPx(475, 225, 525, 275), 1000, 500)
         assert window.width == pytest.approx(100)
         assert window.height == pytest.approx(50)
         assert w2 == pytest.approx(0.5)
@@ -74,7 +156,7 @@ class TestIsotropicCrop:
                 x0 + rng.uniform(5, w_img - x0),
                 y0 + rng.uniform(5, h_img - y0),
             )
-            window, w2 = pl.isotropic_crop(b, w_img, h_img)
+            _, window, w2 = one_row(b, w_img, h_img)
             # frame aspect within a pixel of exact
             assert window.width / window.height == pytest.approx(w_img / h_img, abs=1 / window.height)
             # contains the bbox
@@ -97,57 +179,111 @@ class TestIsotropicCrop:
         x0, x1 = sorted((a * w_img, b * w_img))
         y0, y1 = sorted((c * h_img, d * h_img))
         box = BBoxPx(x0, y0, x1, y1)
-        assume(box.area() > 0.0)
-        window, w2 = pl.isotropic_crop(box, w_img, h_img)
+        w1 = box.area() / (w_img * h_img)
+        if w1 == 0.0:  # no area, or too little for a share of the frame
+            with pytest.raises(ValueError, match="empty box"):
+                one_row(box, w_img, h_img)
+            return
+        _, window, w2 = one_row(box, w_img, h_img)
         assert 0.0 <= window.x_min <= window.x_max <= w_img
         assert 0.0 <= window.y_min <= window.y_max <= h_img
-        w1 = box.area() / (w_img * h_img)
-        assert w2 >= w1  # else zoom_label rejects the record
+        assert w2 >= w1  # else zoom_labels rejects the record
+
+
+FRACTION = hst.one_of(hst.sampled_from([0.0, 1.0]), hst.floats(0.0, 1.0))
+
+
+class TestRecordFeatures:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(hst.lists(hst.tuples(hst.integers(1, 4000), hst.integers(1, 4000), *[FRACTION] * 4),
+                     min_size=1, max_size=40))
+    @example([(399, 386, 0.0, 1.0, 0.0, 1.0), (1280, 720, 0.25, 0.5, 0.0, 1.0), (640, 480, 0.0, 0.1, 0.0, 1.0)])
+    def test_rows_equal_the_per_row_rule(self, rows):
+        # the examples hold full-height boxes, whose crop window is clamped into the frame
+        boxes, sizes = [], []
+        for w_img, h_img, a, b, c, d in rows:
+            x0, x1 = sorted((a * w_img, b * w_img))
+            y0, y1 = sorted((c * h_img, d * h_img))
+            if BBoxPx(x0, y0, x1, y1).area() / (w_img * h_img) > 0.0:
+                boxes.append([x0, y0, x1, y1])
+                sizes.append((w_img, h_img))
+        assume(boxes)
+        image_w, image_h = np.array(sizes, dtype=np.int64).T
+        x, windows, w2 = pl.record_features(np.array(boxes), image_w, image_h)
+        for i, (box, (w_img, h_img)) in enumerate(zip(boxes, sizes)):
+            features, window, want_w2 = ref_features_for_record(BBoxPx(*box), w_img, h_img)
+            assert bits(x[i]) == bits(features)
+            assert bits(windows[i]) == bits(window.as_list())
+            assert bits(w2[i]) == bits(want_w2)
+            assert pl.zoom_labels(x[i, 2], w2[i]).tolist() == [round_half_away(50.0 * math.log2(want_w2 / features[2]))]
+
+    def test_zoom_feature_is_math_log2_of_each_ratio(self):
+        # np.log2 rounds a few in 10^5 of these ratios to the other neighbouring double
+        rng = np.random.default_rng(3)
+        n = 200_000
+        x0, y0 = rng.uniform(0, 600, n), rng.uniform(0, 300, n)
+        boxes = np.column_stack([x0, y0, x0 + rng.uniform(1, 680, n), y0 + rng.uniform(1, 420, n)])
+        x, _, w2 = pl.record_features(boxes, 1280, 720)
+        want = [0.5 * math.log2(r) for r in (w2 / x[:, 2]).tolist()]
+        assert bits(x[:, 3]) == bits(want)
+        labels = pl.zoom_labels(x[:, 2], w2)
+        assert labels.tolist() == [round_half_away(50.0 * math.log2(r)) for r in (w2 / x[:, 2]).tolist()]
+
+    def test_one_size_for_all_rows(self):
+        boxes = np.array([[10.0, 20.0, 110.0, 90.0], [0.0, 0.0, 1280.0, 720.0]])
+        one = pl.record_features(boxes, 1280, 720)
+        each = pl.record_features(boxes, np.array([1280, 1280]), np.array([720, 720]))
+        assert all(bits(a) == bits(b) for a, b in zip(one, each))
+
+
+def zoom_label(w1: float, w2: float) -> int:
+    return int(pl.zoom_labels(w1, w2)[0])
 
 
 class TestZoomLabel:
     def test_no_change(self):
-        assert pl.zoom_label(0.05, 0.05) == 0
+        assert zoom_label(0.05, 0.05) == 0
 
     def test_area_quadruples_per_doubling(self):
-        assert pl.zoom_label(0.01, 0.04) == 100
+        assert zoom_label(0.01, 0.04) == 100
 
     def test_two_doublings(self):
-        assert pl.zoom_label(0.01, 0.16) == 200
+        assert zoom_label(0.01, 0.16) == 200
 
     def test_power_identity(self):
         for k_exp in range(0, 5):
-            assert pl.zoom_label(0.002, 0.002 * 4.0**k_exp) == 100 * k_exp
+            assert zoom_label(0.002, 0.002 * 4.0**k_exp) == 100 * k_exp
 
     def test_rejects_shrink(self):
         with pytest.raises(ValueError):
-            pl.zoom_label(0.5, 0.25)
+            zoom_label(0.5, 0.25)
         with pytest.raises(ValueError):
-            pl.zoom_label(0.0, 0.5)
+            zoom_label(0.0, 0.5)
 
 
 class TestSelectSmallest:
     def make(self, rid, w1):
         side = math.sqrt(w1 * 1000 * 1000)
-        return pl.GroundingRecord(rid, 1000, 1000, BBoxPx(0, 0, side, side), "x")
+        return (rid, 1000, 1000, [0, 0, side, side], "x")
 
     def test_all_and_none(self):
-        records = [self.make("a", 0.5), self.make("b", 0.01)]
-        assert pl.select_smallest(records, 2) == sorted(records, key=pl.record_w1)
-        assert pl.select_smallest(records, 0) == []
+        records = record_set([self.make("a", 0.5), self.make("b", 0.01)])
+        assert pl.select_smallest(records, 2).ids.tolist() == ["b", "a"]
+        assert len(pl.select_smallest(records, 0)) == 0
 
     def test_smallest_two(self):
-        records = [self.make("a", 0.5), self.make("b", 0.01), self.make("c", 0.2)]
+        records = record_set([self.make("a", 0.5), self.make("b", 0.01), self.make("c", 0.2)])
         picked = pl.select_smallest(records, 2)
-        assert [r.id for r in picked] == ["b", "c"]
+        assert picked.ids.tolist() == ["b", "c"]
+        assert picked.boxes.tolist() == records.boxes[[1, 2]].tolist()
 
     def test_tie_breaks_by_id(self):
-        records = [self.make("z", 0.1), self.make("a", 0.1)]
-        assert [r.id for r in pl.select_smallest(records, 1)] == ["a"]
+        records = record_set([self.make("z", 0.1), self.make("a", 0.1)])
+        assert pl.select_smallest(records, 1).ids.tolist() == ["a"]
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            pl.select_smallest([self.make("a", 0.1)], 2)
+            pl.select_smallest(record_set([self.make("a", 0.1)]), 2)
 
 
 def exact_linear_pairs(n=80, seed=3):
@@ -259,11 +395,7 @@ class TestGenerate:
             h = w * rng.uniform(0.7, 1.4)
             x0 = rng.uniform(0, 1280 - w)
             y0 = rng.uniform(0, 720 - h)
-            records.append(
-                pl.GroundingRecord(
-                    f"r{i:04d}", 1280, 720, BBoxPx(x0, y0, x0 + w, y0 + h), f"object {i}"
-                )
-            )
+            records.append((f"r{i:04d}", 1280, 720, [x0, y0, x0 + w, y0 + h], f"object {i}"))
         return records
 
     def oracle_model(self):
@@ -277,22 +409,27 @@ class TestGenerate:
         rng = np.random.default_rng(44)
         x = np.array([[float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), w1] for w1 in np.linspace(0.01, 0.2, 30)])
         model = pl.fit(x, np.tile([0, 0, 50], (30, 1)), pl.RegressorConfig(kind="ols_linear"))
-        b = BBoxPx(600, 330, 680, 390)
-        record = pl.GroundingRecord("c", 1280, 720, b, "thing")
-        labels, skipped = pl.generate([record], model)
+        record = ("c", 1280, 720, [600, 330, 680, 390], "thing")
+        labels, skipped = pl.generate(record_set([record]), model)
         assert not skipped
         assert labels.actions[:, :2].tolist() == [[0, 0]]
 
     def test_cardinality_and_skips(self):
         records = self.grounding_records()
-        bad = pl.GroundingRecord("zz_bad", 1280, 720, BBoxPx(-5, 0, 100, 100), "broken")
+        bad = ("zz_bad", 1280, 720, [-5, 0, 100, 100], "broken")
         model = self.oracle_model()
-        labels, skipped = pl.generate(records + [bad], model, seed=4)
+        labels, skipped = pl.generate(record_set(records + [bad]), model, seed=4)
         assert len(labels) == len(records)
         assert skipped == [("zz_bad", "bbox outside image bounds")]
 
+    def test_box_with_no_share_of_its_frame_is_empty(self):
+        # an area so small that its ratio to the frame's underflows to 0
+        tiny = ("tiny", 4000, 4000, [0.0, 0.0, 5e-324, 1.0], "speck")
+        labels, skipped = pl.generate(record_set(self.grounding_records(n=3) + [tiny]), self.oracle_model())
+        assert len(labels) == 3 and skipped == [("tiny", "empty bbox")]
+
     def test_deterministic_under_seed(self):
-        records = self.grounding_records()
+        records = record_set(self.grounding_records())
         model = self.oracle_model()
         a, _ = pl.generate(records, model, seed=11)
         b, _ = pl.generate(records, model, seed=11)
@@ -300,13 +437,13 @@ class TestGenerate:
             assert getattr(a, f.name).tolist() == getattr(b, f.name).tolist()
 
     def test_w2_never_below_w1(self):
-        records = self.grounding_records(n=60, seed=9)
+        records = record_set(self.grounding_records(n=60, seed=9))
         model = self.oracle_model()
         labels, _ = pl.generate(records, model, seed=1)
         assert np.all(labels.w2 >= labels.w1 - 1e-12)
 
     def test_zoom_sources_differ_only_in_zoom(self):
-        records = self.grounding_records(n=20, seed=10)
+        records = record_set(self.grounding_records(n=20, seed=10))
         model = self.oracle_model()
         geo, _ = pl.generate(records, model, seed=1, zoom_source="geometry")
         mod, _ = pl.generate(records, model, seed=1, zoom_source="model")
@@ -315,32 +452,61 @@ class TestGenerate:
 
     def test_one_batch_prediction_matches_rows(self, monkeypatch):
         records = self.grounding_records(n=30, seed=13)
-        bad = pl.GroundingRecord("r0005x", 1280, 720, BBoxPx(0, 0, 0, 0), "empty")
+        bad = ("r0005x", 1280, 720, [0, 0, 0, 0], "empty")
         model = self.oracle_model()
         calls = []
         real_predict = pl.RegressorModel.predict_batch
         monkeypatch.setattr(
             pl.RegressorModel, "predict_batch", lambda self, x: calls.append(len(x)) or real_predict(self, x)
         )
-        labels, skipped = pl.generate(records + [bad], model, seed=3, zoom_source="model")
+        labels, skipped = pl.generate(record_set(records + [bad]), model, seed=3, zoom_source="model")
         assert calls == [len(records)]
         assert skipped == [("r0005x", "empty bbox")]
-        for action, rec in zip(labels.actions.tolist(), sorted(records, key=lambda r: r.id)):
-            x = np.array(pl.features_for_record(rec.bbox, rec.image_w, rec.image_h)[0][:3])
+        for action, (_, w, h, box, _) in zip(labels.actions.tolist(), sorted(records)):
+            x = np.array(ref_features_for_record(BBoxPx(*box), w, h)[0][:3])
             pan, tilt, zoom = real_predict(model, x[None, :])[0]
             expected = [round_half_away(pan), round_half_away(tilt), max(0, round_half_away(zoom))]
             assert action == expected
-        none, skipped = pl.generate([bad], model)
+        none, skipped = pl.generate(record_set([bad]), model)
         assert len(none) == 0 and none.actions.shape == (0, 3) and skipped == [("r0005x", "empty bbox")]
 
     def test_actions_round_trip_through_codec(self):
-        records = self.grounding_records(n=30, seed=12)
+        records = record_set(self.grounding_records(n=30, seed=12))
         model = self.oracle_model()
         labels, _ = pl.generate(records, model, seed=2)
         vocab = codec.TokenVocab.default()
         for action in labels.actions.tolist():
             action = ActionDelta(*action)
             assert codec.decode(codec.encode_action(action, vocab), vocab) == action
+
+    @pytest.mark.parametrize("zoom_source", pl.ZOOM_SOURCES)
+    def test_synth_file_equals_the_per_record_rule(self, tmp_path, zoom_source):
+        # usable records, with empty, out-of-bounds and non-positive-size ones
+        # mixed in: a template is still drawn for each of those
+        rng = np.random.default_rng(21)
+        rows = []
+        for i, (rid, w, h, box, phrase) in enumerate(self.grounding_records(n=300, seed=21)):
+            kind = rng.integers(8)
+            if kind == 0:
+                box = [box[0], box[1], box[0], box[3]]
+            elif kind == 1:
+                box = [box[0] - 2000.0, box[1], box[2], box[3]]
+            elif kind == 2:
+                w = 0
+            rows.append((f"r{rng.integers(10**6):06d}-{i}", w, h, box, phrase))
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(dict(zip(("id", "image_w", "image_h", "bbox", "phrase"), r))) + "\n"
+                                for r in rows))
+        model = self.oracle_model()
+        pl.save_model(tmp_path / "model.json", model)
+        argv = ["synth", "--records", str(path), "--model", str(tmp_path / "model.json"), "--seed", "7",
+                "--zoom-source", zoom_source, "--out", str(tmp_path), "--quiet"]
+        assert main(argv) == 0
+        want, skipped = reference_generate(rows, pl.load_model(tmp_path / "model.json"), 7, zoom_source)
+        assert {reason for _, reason in skipped} == set(pl.SKIP_REASONS)
+        assert (tmp_path / "labels.jsonl").read_text() == scalar_label_lines(want, codec.TokenVocab.default())
+        got, got_skipped = pl.generate(pl.read_grounding_records(path), model, 7, zoom_source)
+        assert got_skipped == skipped
 
 
 ACTIONS = hst.tuples(hst.integers(-999, 999), hst.integers(-999, 999), hst.integers(0, 999))
@@ -383,6 +549,23 @@ def scalar_label_lines(labels: pl.LabelSet, vocab: codec.TokenVocab) -> str:
     return "".join(lines)
 
 
+def write_synth_labels(path, n: int, seed: int) -> None:
+    """The label file ``synth`` writes for ``n`` generated records with boxes inside their images."""
+    rng = np.random.default_rng(seed)
+    sizes = np.array([(1280, 720), (1920, 1080), (640, 480), (1024, 768)])[rng.integers(4, size=n)]
+    bw = sizes[:, 0] * rng.uniform(0.03, 0.5, n)
+    bh = np.minimum(bw * rng.uniform(0.5, 1.5, n), sizes[:, 1] * 0.95)
+    x0, y0 = rng.uniform(0, 1, n) * (sizes[:, 0] - bw), rng.uniform(0, 1, n) * (sizes[:, 1] - bh)
+    phrases = [f"{a} {b}" for a, b in zip(rng.choice(["red", "blue", "small"], n), rng.choice(["mug", "pen"], n))]
+    records = pl.RecordSet(np.array([f"r{i:06d}" for i in range(n)], dtype=object), sizes[:, 0], sizes[:, 1],
+                           np.column_stack([x0, y0, x0 + bw, y0 + bh]), np.array(phrases, dtype=object))
+    samples, _ = st.make_samples(cam.sample_targets(200, np.random.default_rng(seed)), K, seed=seed)
+    model = pl.fit(samples.features, samples.actions, pl.RegressorConfig(kind="ols_linear"))
+    labels, skipped = pl.generate(records, model, seed)
+    assert not skipped
+    pl.write_pseudo_labels(path, labels, codec.TokenVocab.default())
+
+
 class TestFiles:
     def test_grounding_round_trip(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -399,8 +582,9 @@ class TestFiles:
             + "\n"
         )
         records = pl.read_grounding_records(path)
-        assert records[0].bbox == BBoxPx(10, 20, 110, 120)
-        assert records[0].phrase == "red mug"
+        assert records.ids.tolist() == ["a"] and records.phrases.tolist() == ["red mug"]
+        assert records.image_w.tolist() == [640] and records.image_h.tolist() == [480]
+        assert records.boxes.dtype == np.float64 and records.boxes.tolist() == [[10, 20, 110, 120]]
 
     def test_bad_grounding_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -508,8 +692,17 @@ class TestFiles:
         {"action": {"pan": 1000, "tilt": -2, "zoom": 120}},
         {"action": {"pan": 4, "tilt": -2, "zoom": -120}},
         {"bbox_post": [50.0, 0.0, 0.0, 40.0]},
+        {"w1": "0.01"},
+        {"w2": True},
+        {"bbox_post": [0.0, 0.0, 50.0, 40.0, 1.0]},
+        {"bbox_post": [0.0, 0.0, "50", 40.0]},
+        {"instruction": ["What is the mug?"]},
+        {"tokens": ["<PAN>", "<END>"]},
+        {"tokens": None},
+        {"action": {"pan": 10**30, "tilt": -2, "zoom": 120}},
     ], ids=["unknown-symbol", "disagreeing", "lenient-only", "non-greedy", "too-long", "fractional", "float", "bool",
-            "out-of-range", "negative-zoom", "inverted-box"])
+            "out-of-range", "negative-zoom", "inverted-box", "string-number", "bool-number", "five-entry-box",
+            "string-in-box", "list-instruction", "list-tokens", "null-tokens", "huge-integer"])
     def test_bad_label_row_names_path_and_line(self, tmp_path, change):
         vocab = codec.TokenVocab.default()
         good = self.GOOD_LABEL
@@ -522,6 +715,101 @@ class TestFiles:
         with pytest.raises(ValueError) as exc:
             pl.read_pseudo_labels(path, vocab)
         assert str(exc.value).startswith(f"{path}:3: ") and str(exc.value).endswith("(bad pseudo-label record)")
+
+    def test_read_peak_memory_stays_below_the_row_tuples(self, tmp_path):
+        # Read one tuple per row for the whole file, this file peaked at 8.87 MB
+        # under tracemalloc; rows become arrays a block at a time now.
+        path = tmp_path / "labels.jsonl"
+        write_synth_labels(path, 8000, seed=5)
+        tracemalloc.start()
+        try:
+            labels = pl.read_pseudo_labels(path, codec.TokenVocab.default())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(labels) == 8000
+        assert peak <= 8_800_000
+
+    def write_labels(self, path, changes: dict[int, dict], n: int = 8):
+        """``n`` good label rows, row i changed by ``changes[i]``, with a blank line first."""
+        rows = [{**self.GOOD_LABEL, "id": f"r{i}", **changes.get(i, {})} for i in range(n)]
+        path.write_text("\n" + "".join(json.dumps(r) + "\n" for r in rows))
+
+    BAD_TOKENS = {"tokens": "<PAN> <BOGUS> <END>"}
+    INVERTED = {"bbox_post": [50.0, 0.0, 0.0, 40.0]}
+    LENIENT_ONLY = {"tokens": "<PAN> <+> <2> <2> <TILT> <-> <2> <ZOOM> <20> <100> <END>"}
+
+    @pytest.mark.parametrize("early, late, reason", [
+        (BAD_TOKENS, INVERTED, "unknown token '<BOGUS>'"),
+        (LENIENT_ONLY, INVERTED, "does not decode strictly"),
+        (INVERTED, {"w1": None}, "inverted bbox_post"),
+        (LENIENT_ONLY, {"id": "r0"}, "does not decode strictly"),
+        ({"w1": "0.01"}, {"tokens": None}, "w1 and w2 must be finite JSON numbers, got '0.01'"),
+        ({**INVERTED, "action": {"pan": 4.5, "tilt": -2, "zoom": 120}}, BAD_TOKENS, "pan must be an integer, got 4.5"),
+    ], ids=["tokens-then-box", "decode-then-box", "box-then-missing-field", "decode-then-duplicate-id",
+            "string-number-then-null-tokens", "two-in-one-row"])
+    def test_label_error_names_the_earliest_bad_line(self, tmp_path, early, late, reason):
+        # row 1 is on line 3, row 3 on line 5
+        vocab = codec.TokenVocab.default()
+        path = tmp_path / "labels.jsonl"
+        self.write_labels(path, {1: early, 3: late})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{re.escape(reason)}"):
+            pl.read_pseudo_labels(path, vocab)
+        self.write_labels(path, {3: late})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: "):
+            pl.read_pseudo_labels(path, vocab)
+
+    @pytest.mark.parametrize("late", [{"w1": None}, {"id": "r0"}, INVERTED],
+                             ids=["missing-field", "duplicate-id", "box"])
+    def test_label_error_in_a_later_block_names_its_line(self, tmp_path, late):
+        # a bad row ends its block of rows early, and the rows before it are checked first
+        vocab = codec.TokenVocab.default()
+        n, block = 2 * pl.CODEC_BLOCK + 5, pl.CODEC_BLOCK
+        path = tmp_path / "labels.jsonl"
+        self.write_labels(path, {block - 1: self.LENIENT_ONLY, block + 2: late}, n)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{block + 1}: .*does not decode strictly"):
+            pl.read_pseudo_labels(path, vocab)
+        self.write_labels(path, {block + 2: self.LENIENT_ONLY, 2 * block + 3: late}, n)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{block + 4}: .*does not decode strictly"):
+            pl.read_pseudo_labels(path, vocab)
+
+    GOOD_RECORD = {"id": "a", "image_w": 640, "image_h": 480, "bbox": [100, 100, 200, 180], "phrase": "red mug"}
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"bbox": ["100", "100", "200", "180"]}, "bbox numbers must be finite JSON numbers, got '100' at position 0"),
+        ({"bbox": [100, True, 200, 180]}, "bbox numbers must be finite JSON numbers, got True at position 1"),
+        ({"bbox": [100, 100, 200, 180, 7]}, "expected 4 bbox numbers, got [100, 100, 200, 180, 7]"),
+        ({"bbox": [100, 100, 200]}, "expected 4 bbox numbers"),
+        ({"bbox": [200, 100, 100, 180]}, "inverted bbox coordinates"),
+        ({"phrase": ["red mug"]}, "phrase must be a string, got ['red mug']"),
+        ({"image_w": 640.5}, "image_w must be an integer, got 640.5"),
+        ({"image_h": 2**64}, "image_h 18446744073709551616 does not fit in 64 bits"),
+        ({"bbox": [100, 100, 10**400, 180]}, "bbox numbers must be finite JSON numbers"),
+    ], ids=["string-number", "bool-number", "five-entry-box", "three-entry-box", "inverted-box", "list-phrase",
+            "fractional-size", "huge-size", "huge-integer"])
+    def test_bad_grounding_row_names_path_and_line(self, tmp_path, change, reason):
+        path = tmp_path / "records.jsonl"
+        rows = [self.GOOD_RECORD, {**self.GOOD_RECORD, "id": "b", **change}]
+        path.write_text("\n" + "".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(ValueError) as exc:
+            pl.read_grounding_records(path)
+        assert str(exc.value).startswith(f"{path}:3: {reason}") and str(exc.value).endswith("(bad grounding record)")
+
+    @pytest.mark.parametrize("early, late, reason", [
+        ({"bbox": [200, 100, 100, 180]}, {"bbox": [1, 2, 3, math.nan]}, "inverted bbox coordinates"),
+        ({"phrase": None}, {"image_w": None}, "phrase must be a string"),
+        ({"bbox": ["1", 2, 3, 4]}, {"id": "r0"}, "got '1'"),
+        ({"image_h": True}, {"phrase": 7}, "image_h must be an integer, got True"),
+        ({"image_w": 6.5, "bbox": [1, 2, 3]}, {}, "expected 4 bbox numbers"),
+    ], ids=["box-then-nan", "phrase-then-size", "string-then-duplicate-id", "bool-then-phrase", "two-in-one-row"])
+    def test_grounding_error_names_the_earliest_bad_line(self, tmp_path, early, late, reason):
+        rows = [{**self.GOOD_RECORD, "id": f"r{i}"} for i in range(6)]
+        rows[1].update(early)
+        rows[3].update(late)
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n" + "".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{re.escape(reason)}"):
+            pl.read_grounding_records(path)
 
     def test_model_file_round_trip(self, tmp_path):
         x, actions = exact_linear_pairs()
