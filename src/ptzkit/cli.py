@@ -3,15 +3,16 @@
 Subcommands: encode, decode, scene-gen, synth, fit, iterate, grpo-train,
 eval, report.  Global flags: --config, --seed, --out, --quiet.  Exit codes:
 0 success, 2 usage or parse error, 3 data error, 4 a filter round kept
-nothing.  Every command resolves its configuration (flags override config
-keys) and validates inputs before touching outputs; files are written to a
+nothing.  A flag that overrides a config key (``FLAG_KEYS``) is a spelling
+of that key: it is parsed by the key's coercion and held to the key's rule,
+and ``main`` writes it into the loaded config, which is all a command reads.
+Commands validate inputs before touching outputs; files are written to a
 ``.partial`` path and renamed on success.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -26,12 +27,14 @@ from ptzkit import selftrain as st
 from ptzkit.config import (
     ConfigError,
     RunConfig,
+    check_pairs,
     grpo_config,
     intrinsics,
     load_config,
-    parse_thresholds,
+    parse_value,
     regressor_config,
     reward_config,
+    set_key,
 )
 
 EXIT_OK = 0
@@ -51,24 +54,14 @@ def _write_atomic(path: Path, writer) -> None:
     os.replace(partial, path)
 
 
-def _vocab(args, cfg: RunConfig) -> codec.TokenVocab:
-    path = getattr(args, "vocab", None) or cfg.codec.vocab_path
-    if path:
-        return codec.TokenVocab.load(path)
+def _vocab(cfg: RunConfig) -> codec.TokenVocab:
+    if cfg.codec.vocab_path:
+        return codec.TokenVocab.load(cfg.codec.vocab_path)
     return codec.TokenVocab.default(levels=cfg.codec.levels)
 
 
-def _camera(cfg: RunConfig) -> cam.CameraState:
-    s = cfg.camera
-    return cam.CameraState(s.pan, s.tilt, s.zoom)
-
-
-def _seed(args, cfg: RunConfig) -> int:
-    return cfg.run.seed if args.seed is None else args.seed
-
-
-def _out_dir(args, cfg: RunConfig) -> Path:
-    out = Path(args.out if args.out is not None else cfg.io.out_dir)
+def _out_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.io.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -86,49 +79,10 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _thresholds_flag(text: str) -> tuple[float, ...]:
-    try:
-        return parse_thresholds(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _positive_int_flag(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _fraction_flag(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1), got {text!r}")
-    return value
-
-
-def _sigma_flag(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite sigma >= 0, got {text!r}")
-    return value
-
-
-def _scene_samples(args, cfg: RunConfig, seed: int):
+def _scene_samples(args, cfg: RunConfig):
     scene = cam.read_scene(args.scene)
-    k = intrinsics(cfg)
-    samples, skipped = st.make_samples(
-        scene, k, _camera(cfg), cfg.pseudolabel.fill_ratio, seed=seed
-    )
+    k, pose = intrinsics(cfg), cam.CameraState(cfg.camera.pan, cfg.camera.tilt, cfg.camera.zoom)
+    samples, skipped = st.make_samples(scene, k, pose, cfg.pseudolabel.fill_ratio, seed=cfg.run.seed)
     if not samples:
         raise ValueError(f"no usable targets in {args.scene}")
     return samples, skipped, k
@@ -138,7 +92,7 @@ def _scene_samples(args, cfg: RunConfig, seed: int):
 
 
 def cmd_encode(args, cfg: RunConfig) -> int:
-    vocab = _vocab(args, cfg)
+    vocab = _vocab(cfg)
     try:
         action = codec.ActionDelta(args.pan, args.tilt, args.zoom)
         seq = codec.encode_action(action, vocab)
@@ -150,12 +104,11 @@ def cmd_encode(args, cfg: RunConfig) -> int:
 
 
 def cmd_decode(args, cfg: RunConfig) -> int:
-    vocab = _vocab(args, cfg)
+    vocab = _vocab(cfg)
     text = args.tokens if args.tokens is not None else sys.stdin.read()
-    strict = cfg.codec.strict and not args.lenient
     try:
         ids = codec.ids_from_str(text, vocab)
-        action = codec.decode(ids, vocab, strict=strict)
+        action = codec.decode(ids, vocab, strict=cfg.codec.strict)
     except codec.CodecError as exc:
         print(f"decode error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -164,12 +117,11 @@ def cmd_decode(args, cfg: RunConfig) -> int:
 
 
 def cmd_scene_gen(args, cfg: RunConfig) -> int:
-    seed = _seed(args, cfg)
-    out = _out_dir(args, cfg) / args.scene_file
+    out = _out_dir(cfg) / args.scene_file
     if args.count < 0:
         print("scene-gen error: --count must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.run.seed)
     try:
         targets = cam.sample_targets(
             args.count,
@@ -189,15 +141,13 @@ def cmd_scene_gen(args, cfg: RunConfig) -> int:
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    seed = _seed(args, cfg)
-    vocab = _vocab(args, cfg)
+    vocab = _vocab(cfg)
     records = pl.read_grounding_records(args.records)
     if cfg.pseudolabel.k:
         records = pl.select_smallest(records, min(cfg.pseudolabel.k, len(records)))
     model = pl.load_model(args.model)
-    zoom_source = args.zoom_source or cfg.pseudolabel.zoom_source
-    labels, skipped = pl.generate(records, model, seed=seed, zoom_source=zoom_source)
-    out = _out_dir(args, cfg) / args.labels_file
+    labels, skipped = pl.generate(records, model, seed=cfg.run.seed, zoom_source=cfg.pseudolabel.zoom_source)
+    out = _out_dir(cfg) / args.labels_file
     _write_atomic(out, lambda p: pl.write_pseudo_labels(p, labels, vocab))
     for record_id, reason in skipped:
         _say(args, f"skipped {record_id}: {reason}")
@@ -206,17 +156,16 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 
 def cmd_fit(args, cfg: RunConfig) -> int:
-    seed = _seed(args, cfg)
     if bool(args.pairs) == bool(args.scene):
         print("fit error: provide exactly one of --pairs or --scene", file=sys.stderr)
         return EXIT_USAGE
     if args.pairs:
         x, actions = pl.read_feature_action_pairs(args.pairs)
     else:
-        samples, _, _ = _scene_samples(args, cfg, seed)
+        samples, _, _ = _scene_samples(args, cfg)
         x, actions = samples.features, samples.actions
-    model = pl.fit(x, actions, regressor_config(cfg, args.kind, seed))
-    out = _out_dir(args, cfg) / args.model_file
+    model = pl.fit(x, actions, regressor_config(cfg))
+    out = _out_dir(cfg) / args.model_file
     _write_atomic(out, lambda p: pl.save_model(p, model))
     r2 = " ".join(f"{h}={model.train_r2[h]:.4f}" for h in pl.HEAD_NAMES)
     _say(args, f"fit {model.kind} on {len(x)} samples: R2 {r2} -> {out}")
@@ -224,37 +173,17 @@ def cmd_fit(args, cfg: RunConfig) -> int:
 
 
 def cmd_iterate(args, cfg: RunConfig) -> int:
-    seed = _seed(args, cfg)
+    seed = cfg.run.seed
     s = cfg.selftrain
-    rounds = args.rounds if args.rounds is not None else s.rounds
-    thresholds = args.thresholds if args.thresholds is not None else s.threshold_list()
-    replace_bbox = s.replace_bbox if args.replace_bbox is None else args.replace_bbox
-    try:
-        iter_cfg = st.IterationConfig(
-            rounds=rounds,
-            iou_thresholds=thresholds,
-            replace_bbox=replace_bbox,
-            refit_each_round=s.refit_each_round,
-        )
-    except ValueError as exc:  # the keys agree (checked at load), so a flag is involved
-        rounds_from = "--rounds" if args.rounds is not None else "[selftrain] rounds"
-        thresholds_from = "--thresholds" if args.thresholds is not None else "[selftrain] thresholds"
-        print(f"iterate error: {rounds_from} {rounds} with {thresholds_from}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = _out_dir(args, cfg)
-    samples, _, k = _scene_samples(args, cfg, seed)
-    train, test = st.split_dataset(samples, args.split if args.split is not None else s.split, seed)
-    noise_angle = args.label_noise_angle if args.label_noise_angle is not None else s.label_noise_angle
-    noise_zoom = args.label_noise_zoom if args.label_noise_zoom is not None else s.label_noise_zoom
-    if noise_angle > 0 or noise_zoom > 0:
-        noisy = st.NoisyOraclePolicy(
-            k, noise_angle, noise_zoom, seed=seed + 1,
-            fill_ratio=cfg.pseudolabel.fill_ratio,
-        )
-        train = st.relabel(train, noisy)
-    factory = st.regressor_policy_factory(regressor_config(cfg, seed=seed))
+    iter_cfg = st.IterationConfig(rounds=s.rounds, iou_thresholds=s.threshold_list(), replace_bbox=s.replace_bbox)
+    out_dir = _out_dir(cfg)
+    samples, _, k = _scene_samples(args, cfg)
+    train, test = st.split_dataset(samples, s.split, seed)
+    if s.label_noise_angle > 0 or s.label_noise_zoom > 0:
+        train = st.relabel(train, _noisy_oracle(k, cfg, seed + 1))
+    factory = st.regressor_policy_factory(regressor_config(cfg))
     completion_cfg = st.CompletionConfig(s.completion_center_frac, s.completion_min_area)
-    vocab = _vocab(args, cfg)
+    vocab = _vocab(cfg)
 
     def dump_round(round_idx: int, refined) -> None:
         path = out_dir / f"round{round_idx}_refined.jsonl"
@@ -264,51 +193,42 @@ def cmd_iterate(args, cfg: RunConfig) -> int:
     report_path = out_dir / args.report
     _write_atomic(report_path, lambda p: st.write_round_reports(p, reports))
     final = reports[-1].metrics
-    _say(
-        args,
-        f"iterate: {len(reports)} rounds, final mean IoU {final.mean_iou:.4f}, "
-        f"CR {final.completion_rate:.2f} -> {report_path}",
-    )
+    _say(args, f"iterate: {len(reports)} rounds, final mean IoU {final.mean_iou:.4f}, "
+               f"CR {final.completion_rate:.2f} -> {report_path}")
     return EXIT_OK
 
 
 def cmd_grpo_train(args, cfg: RunConfig) -> int:
-    seed = _seed(args, cfg)
-    out_dir = _out_dir(args, cfg)
-    samples, _, k = _scene_samples(args, cfg, seed)
-    steps = args.steps if args.steps is not None else cfg.grpo.steps
+    seed, steps = cfg.run.seed, cfg.grpo.steps
+    out_dir = _out_dir(cfg)
+    samples, _, k = _scene_samples(args, cfg)
     policy = rw.ToyPolicy.init(n_features=3)
     policy, history = rw.grpo_train(policy, samples, k, grpo_config(cfg), reward_config(cfg), steps, seed)
     policy_path = out_dir / args.policy_file
     log_path = out_dir / args.report
     _write_atomic(policy_path, lambda p: rw.save_policy(p, policy, seed=seed))
     _write_atomic(log_path, lambda p: rw.write_training_log(p, history))
-    _say(
-        args,
-        f"grpo-train: {steps} steps on {len(samples)} prompts, "
-        f"mean reward {history[0].mean_reward:.3f} -> {history[-1].mean_reward:.3f}, "
-        f"checkpoint {policy_path}",
-    )
+    _say(args, f"grpo-train: {steps} steps on {len(samples)} prompts, "
+               f"mean reward {history[0].mean_reward:.3f} -> {history[-1].mean_reward:.3f}, checkpoint {policy_path}")
     return EXIT_OK
 
 
-def _load_policy_adapter(spec: str, k: cam.CameraIntrinsics, cfg: RunConfig, seed: int):
+def _noisy_oracle(k: cam.CameraIntrinsics, cfg: RunConfig, seed: int) -> st.NoisyOraclePolicy:
+    s = cfg.selftrain
+    fill_ratio = cfg.pseudolabel.fill_ratio
+    return st.NoisyOraclePolicy(k, s.label_noise_angle, s.label_noise_zoom, seed=seed, fill_ratio=fill_ratio)
+
+
+def _load_policy_adapter(spec: str, k: cam.CameraIntrinsics, cfg: RunConfig):
     if spec == "oracle":
         return st.OraclePolicy(k, cfg.pseudolabel.fill_ratio)
     if spec == "noisy-oracle":
-        s = cfg.selftrain
-        if s.label_noise_angle == 0 and s.label_noise_zoom == 0:
+        if cfg.selftrain.label_noise_angle == 0 and cfg.selftrain.label_noise_zoom == 0:
             raise ConfigError(
                 "--policy noisy-oracle needs [selftrain] label_noise_angle or "
                 "label_noise_zoom above 0; with both 0 it is the oracle"
             )
-        return st.NoisyOraclePolicy(
-            k,
-            s.label_noise_angle,
-            s.label_noise_zoom,
-            seed=seed,
-            fill_ratio=cfg.pseudolabel.fill_ratio,
-        )
+        return _noisy_oracle(k, cfg, cfg.run.seed)
     if spec == "zero":
         return st.ConstantPolicy(codec.ActionDelta(0, 0, 0))
     return jsonl.load(spec, _policy_from_doc, "regressor model or policy checkpoint")
@@ -321,9 +241,8 @@ def _policy_from_doc(doc: dict):
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    seed = _seed(args, cfg)
-    samples, _, k = _scene_samples(args, cfg, seed)
-    policy = _load_policy_adapter(args.policy, k, cfg, seed)
+    samples, _, k = _scene_samples(args, cfg)
+    policy = _load_policy_adapter(args.policy, k, cfg)
     s = cfg.selftrain
     completion_cfg = st.CompletionConfig(s.completion_center_frac, s.completion_min_area)
     metrics = st.evaluate(policy, samples, k, completion_cfg)
@@ -336,14 +255,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         "mean_iou": metrics.mean_iou,
         "cr": metrics.completion_rate,
     }
-    out = _out_dir(args, cfg) / args.eval_file
+    out = _out_dir(cfg) / args.eval_file
     _write_atomic(out, lambda p: jsonl.write(p, [doc]))
-    _say(
-        args,
-        f"eval {args.policy}: MAE ({metrics.mae_theta1:.2f}, {metrics.mae_theta2:.2f}, "
-        f"{metrics.mae_zoom:.1f}), mean IoU {metrics.mean_iou:.4f}, "
-        f"CR {metrics.completion_rate:.2%} on {metrics.n_samples} samples",
-    )
+    _say(args, f"eval {args.policy}: MAE ({metrics.mae_theta1:.2f}, {metrics.mae_theta2:.2f}, "
+               f"{metrics.mae_zoom:.1f}), mean IoU {metrics.mean_iou:.4f}, "
+               f"CR {metrics.completion_rate:.2%} on {metrics.n_samples} samples")
     return EXIT_OK
 
 
@@ -353,9 +269,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
         print("report error: empty report file", file=sys.stderr)
         return EXIT_DATA
     columns = list(rows[0].keys())
-    widths = {
-        c: max(len(c), max(len(_fmt_cell(r.get(c))) for r in rows)) for c in columns
-    }
+    widths = {c: max(len(c), max(len(_fmt_cell(r.get(c))) for r in rows)) for c in columns}
     print("  ".join(c.ljust(widths[c]) for c in columns))
     for r in rows:
         print("  ".join(_fmt_cell(r.get(c)).ljust(widths[c]) for c in columns))
@@ -377,17 +291,52 @@ def _fmt_cell(value) -> str:
 
 # --- parser ----------------------------------------------------------------
 
+# Every flag that sets a config key, and its key.  A flag that takes a value is
+# parsed by its key's coercion and held to its key's rule; one in CONSTANT_FLAGS
+# sets its key to the constant.  --kind also takes the short names in KIND_NAMES.
+FLAG_KEYS = {
+    "--seed": "run.seed",
+    "--out": "io.out_dir",
+    "--vocab": "codec.vocab_path",
+    "--lenient": "codec.strict",
+    "--zoom-source": "pseudolabel.zoom_source",
+    "--kind": "pseudolabel.kind",
+    "--steps": "grpo.steps",
+    "--rounds": "selftrain.rounds",
+    "--thresholds": "selftrain.thresholds",
+    "--replace-bbox": "selftrain.replace_bbox",
+    "--no-replace-bbox": "selftrain.replace_bbox",
+    "--label-noise-angle": "selftrain.label_noise_angle",
+    "--label-noise-zoom": "selftrain.label_noise_zoom",
+    "--split": "selftrain.split",
+}
+CONSTANT_FLAGS = {"--lenient": False, "--replace-bbox": True, "--no-replace-bbox": False}
+KIND_NAMES = {"ols": "ols_linear", "rf": "random_forest"}
 
-def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # also attached to every subcommand so the flags work in either position
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--config", default=default, help="config file (INI sections)")
-    parser.add_argument("--seed", type=int, default=default, help="master seed")
-    parser.add_argument("--out", default=default, help="output directory")
-    if suppress:
-        parser.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
+
+def _key_flag(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Add ``flag``, which sets its key when given; absent, it leaves no value."""
+    key = FLAG_KEYS[flag]
+
+    def parse(text: str):
+        try:
+            return parse_value(key, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    if flag in CONSTANT_FLAGS:
+        kwargs.update(action="store_const", const=CONSTANT_FLAGS[flag])
     else:
-        parser.add_argument("--quiet", action="store_true", help="suppress summaries")
+        kwargs = {"type": parse, "metavar": flag[2:].replace("-", "_").upper(), **kwargs}
+    parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, **kwargs)
+
+
+def _global_flags(parser: argparse.ArgumentParser) -> None:
+    # on the top parser and on every subcommand, so the flags work in either position
+    parser.add_argument("--config", default=argparse.SUPPRESS, help="config file (INI sections)")
+    _key_flag(parser, "--seed", help="master seed")
+    _key_flag(parser, "--out", help="output directory")
+    parser.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS, help="suppress summaries")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,22 +345,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pan/tilt/zoom active-vision toolkit: codec, simulator, "
         "pseudo-labels, GRPO training, and IoU-filtered self-training.",
     )
-    _global_flags(parser, suppress=False)
+    _global_flags(parser)
+    parser.set_defaults(config=None, quiet=False)
     globals_parent = argparse.ArgumentParser(add_help=False)
-    _global_flags(globals_parent, suppress=True)
+    _global_flags(globals_parent)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     p = sub.add_parser("encode", parents=[globals_parent], help="action triple -> token string")
     p.add_argument("--pan", type=int, required=True)
     p.add_argument("--tilt", type=int, required=True)
     p.add_argument("--zoom", type=int, required=True)
-    p.add_argument("--vocab", default=None, help="vocabulary table path")
+    _key_flag(p, "--vocab", help="vocabulary table path")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", parents=[globals_parent], help="token string -> action triple")
     p.add_argument("tokens", nargs="?", default=None, help="token string (stdin if omitted)")
-    p.add_argument("--lenient", action="store_true", help="accept non-canonical sequences")
-    p.add_argument("--vocab", default=None)
+    _key_flag(p, "--lenient", help="accept non-canonical sequences")
+    _key_flag(p, "--vocab")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("scene-gen", parents=[globals_parent], help="sample a synthetic scene file")
@@ -427,35 +377,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[globals_parent], help="grounding records + model -> pseudo-labels")
     p.add_argument("--records", required=True, help="grounding records (JSONL)")
     p.add_argument("--model", required=True, help="fitted regressor (JSON)")
-    p.add_argument("--zoom-source", choices=pl.ZOOM_SOURCES, default=None)
+    _key_flag(p, "--zoom-source", help="geometry | model")
     p.add_argument("--labels-file", default="labels.jsonl")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", parents=[globals_parent], help="fit the action regressor")
     p.add_argument("--pairs", default=None, help="feature/action pairs (JSONL)")
     p.add_argument("--scene", default=None, help="scene file; oracle labels are fitted")
-    p.add_argument("--kind", choices=("ols", "rf", "ols_linear", "random_forest"), default=None)
+    _key_flag(
+        p, "--kind", type=lambda text: KIND_NAMES.get(text, text), choices=tuple(KIND_NAMES.values()),
+        metavar="{ols,rf,ols_linear,random_forest}",
+    )
     p.add_argument("--model-file", default="model.json")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("iterate", parents=[globals_parent], help="multi-round IoU-filtered self-training")
     p.add_argument("--scene", required=True)
-    p.add_argument("--rounds", type=_positive_int_flag, default=None)
-    p.add_argument(
-        "--thresholds", type=_thresholds_flag, default=None,
-        help="per-round IoU thresholds in [0, 1], comma separated",
-    )
-    p.add_argument("--replace-bbox", dest="replace_bbox", action="store_true", default=None)
-    p.add_argument("--no-replace-bbox", dest="replace_bbox", action="store_false")
-    p.add_argument("--label-noise-angle", type=_sigma_flag, default=None, help="sigma in degrees")
-    p.add_argument("--label-noise-zoom", type=_sigma_flag, default=None, help="sigma in zoom units")
-    p.add_argument("--split", type=_fraction_flag, default=None, help="held-out test fraction")
+    _key_flag(p, "--rounds")
+    _key_flag(p, "--thresholds", help="per-round IoU thresholds in [0, 1], comma separated")
+    _key_flag(p, "--replace-bbox")
+    _key_flag(p, "--no-replace-bbox")
+    _key_flag(p, "--label-noise-angle", help="sigma in degrees")
+    _key_flag(p, "--label-noise-zoom", help="sigma in zoom units")
+    _key_flag(p, "--split", help="held-out test fraction")
     p.add_argument("--report", default="round_report.jsonl")
     p.set_defaults(func=cmd_iterate)
 
     p = sub.add_parser("grpo-train", parents=[globals_parent], help="train the toy policy with GRPO")
     p.add_argument("--scene", required=True)
-    p.add_argument("--steps", type=_positive_int_flag, default=None)
+    _key_flag(p, "--steps")
     p.add_argument("--policy-file", default="policy.json")
     p.add_argument("--report", default="train_log.jsonl")
     p.set_defaults(func=cmd_grpo_train)
@@ -463,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[globals_parent], help="score a policy on a scene")
     p.add_argument("--scene", required=True)
     p.add_argument(
-        "--policy",
-        required=True,
-        help="oracle | noisy-oracle | zero | regressor model path | policy checkpoint path",
+        "--policy", required=True, help="oracle | noisy-oracle | zero | regressor model path | policy checkpoint path"
     )
     p.add_argument("--eval-file", default="eval.json")
     p.set_defaults(func=cmd_eval)
@@ -478,21 +426,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if getattr(args, "kind", None) in ("ols", "rf"):
-            args.kind = "ols_linear" if args.kind == "ols" else "random_forest"
+        try:
+            for flag, key in FLAG_KEYS.items():
+                if hasattr(args, key):
+                    set_key(cfg, key, getattr(args, key), flag)
+            check_pairs(cfg)
+        except ConfigError as exc:  # the keys agree (checked at load), so a flag is involved
+            print(f"{args.command} error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         return args.func(args, cfg)
     except st.EmptyFilterError as exc:
         print(f"abort: {exc}", file=sys.stderr)
         return EXIT_EMPTY_FILTER
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

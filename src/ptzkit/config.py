@@ -1,18 +1,13 @@
 """Run configuration: INI-style file with sections, strict key validation.
 
-Every command-line flag overrides its config key; unknown sections or keys
-are rejected so a typo cannot silently fall back to a default, and a file
-configparser cannot parse (a repeated key, a key before any section header)
-is a config error naming the file.  Float keys must be finite, ``[codec]
-vocab_path`` must exist, ``[camera] tilt`` lie in [-90, 90] and ``zoom`` in
-[0, ``camera.ZOOM_MAX``], ``[grpo] steps`` and ``[selftrain] rounds`` must be
-positive, ``[selftrain] thresholds`` at least ``rounds - 1`` IoU thresholds
-in [0, 1], ``split`` in (0, 1), ``completion_center_frac`` and the label
-noise sigmas non-negative, ``completion_min_area`` in [0, 1], ``[pseudolabel]
-fill_ratio`` in (0, 1) and ``zoom_source`` one of ``pseudolabel.ZOOM_SOURCES``
-at load time.  The ``[intrinsics]``, ``[codec] levels``, ``[pseudolabel]``
-regressor, ``[reward]`` and ``[grpo]`` keys are checked at load time too, by
-building the library objects they configure, whose own checks hold the ranges.
+Unknown sections or keys are rejected, and so is a file configparser cannot
+parse (a repeated key, a key before any section header).  A key has at most
+one rule, in ``RULES``, and a float key must be finite: the loader holds each
+key to it, and so does ``parse_value``, which parses a flag that sets a key.
+The ``[intrinsics]``, ``[codec] levels``, ``[pseudolabel]`` regressor,
+``[reward]`` and ``[grpo]`` keys are checked by building the library objects
+they configure.  The rules between two keys, ``PAIRS``, are checked at load
+and again once flags are written in.
 """
 
 from __future__ import annotations
@@ -91,7 +86,6 @@ class SelftrainSection:
     rounds: int = 2
     thresholds: str = "0.7,0.95"
     replace_bbox: bool = True
-    refit_each_round: bool = True
     split: float = 0.1
     completion_center_frac: float = 0.1
     completion_min_area: float = 0.25
@@ -99,21 +93,7 @@ class SelftrainSection:
     label_noise_zoom: float = 0.0
 
     def threshold_list(self) -> tuple[float, ...]:
-        try:
-            return parse_thresholds(self.thresholds)
-        except ValueError as exc:
-            raise ConfigError(f"[selftrain] thresholds: {exc}") from None
-
-
-def parse_thresholds(text: str) -> tuple[float, ...]:
-    """Comma-separated IoU thresholds, each in [0, 1]."""
-    try:
-        values = tuple(float(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise ValueError(f"bad thresholds list {text!r}") from None
-    if not values or not all(0.0 <= t <= 1.0 for t in values):
-        raise ValueError(f"expected IoU thresholds in [0, 1], got {text!r}")
-    return values
+        return tuple(float(t) for t in self.thresholds.split(",") if t.strip())
 
 
 @dataclass
@@ -133,23 +113,100 @@ class RunConfig:
     selftrain: SelftrainSection = field(default_factory=SelftrainSection)
     io: IoSection = field(default_factory=IoSection)
 
+    def __post_init__(self):
+        # each key that was set ("section.key"), by what set it: "[section] key" or a flag
+        self.given: dict[str, str] = {}
 
-def _coerce(raw: str, target_type: type, where: str):
-    raw = raw.strip()
+
+# The type of every key, "section.key", as its default has it.
+KEY_TYPES = {f"{s.name}.{k.name}": type(k.default) for s in fields(RunConfig) for k in fields(s.default_factory)}
+
+
+def _key_name(key: str) -> str:
+    """``[section] key`` for ``section.key``."""
+    section, name = key.split(".")
+    return f"[{section}] {name}"
+
+
+def _get(cfg: RunConfig, key: str):
+    section, name = key.split(".")
+    return getattr(getattr(cfg, section), name)
+
+
+def _iou_list(text: str) -> bool:
     try:
-        if target_type is bool:
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
+        values = [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        return False
+    return bool(values) and all(0.0 <= t <= 1.0 for t in values)
+
+
+# One rule per key that has one: the test its value must pass, and what the
+# value must be when it fails.
+RULES = {
+    "run.seed": (lambda v: v >= 0, "must be >= 0"),
+    "camera.tilt": (lambda v: -90.0 <= v <= 90.0, "must be in [-90, 90]"),
+    "camera.zoom": (lambda v: 0.0 <= v <= ZOOM_MAX, f"must be in [0, {ZOOM_MAX:g}]"),
+    "pseudolabel.k": (lambda v: v >= 0, "must be >= 0"),
+    "pseudolabel.fill_ratio": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+    "pseudolabel.zoom_source": (lambda v: v in ZOOM_SOURCES, "must be geometry or model"),
+    "grpo.steps": (lambda v: v > 0, "must be positive"),
+    "selftrain.rounds": (lambda v: v > 0, "must be positive"),
+    "selftrain.thresholds": (_iou_list, "must be IoU thresholds in [0, 1], comma separated"),
+    "selftrain.split": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+    "selftrain.completion_center_frac": (lambda v: v >= 0, "must be >= 0"),
+    "selftrain.completion_min_area": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
+    "selftrain.label_noise_angle": (lambda v: v >= 0, "must be >= 0"),
+    "selftrain.label_noise_zoom": (lambda v: v >= 0, "must be >= 0"),
+}
+
+
+def _enough_thresholds(cfg: RunConfig) -> bool:
+    return len(cfg.selftrain.threshold_list()) >= cfg.selftrain.rounds - 1
+
+
+def _levels_or_vocab(cfg: RunConfig) -> bool:
+    return "codec.levels" not in cfg.given or not cfg.codec.vocab_path
+
+
+# The rules between two keys: the keys, the test the config must pass, and
+# what the two need of each other when it fails.
+PAIRS = (
+    ("selftrain.rounds", "selftrain.thresholds", _enough_thresholds, "need at least rounds - 1 IoU thresholds"),
+    ("codec.levels", "codec.vocab_path", _levels_or_vocab, "levels are set by the vocabulary file"),
+)
+
+
+def _coerce(raw: str, target_type: type):
+    raw = raw.strip()
+    if target_type is bool:
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
             raise ValueError(f"not a boolean: {raw!r}")
-        value = target_type(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    value = target_type(raw)
     if target_type is float and not math.isfinite(value):
-        raise ConfigError(f"{where}: must be finite, got {raw!r}")
+        raise ValueError(f"must be finite, got {raw!r}")
     return value
+
+
+def _check(key: str, value) -> None:
+    if key in RULES and not RULES[key][0](value):
+        raise ValueError(f"{RULES[key][1]}, got {value!r}")
+
+
+def parse_value(key: str, raw: str):
+    """``raw`` as a value of ``key``, coerced to its type and held to its rule;
+    a ``ValueError`` says what is wrong with it, without naming the key."""
+    value = _coerce(raw, KEY_TYPES[key])
+    _check(key, value)
+    return value
+
+
+def set_key(cfg: RunConfig, key: str, value, given_as: str) -> None:
+    """Set ``key`` to ``value`` and record what set it: a flag, or ``[section] key``."""
+    section, name = key.split(".")
+    setattr(getattr(cfg, section), name, value)
+    cfg.given[key] = given_as
 
 
 def load_config(path) -> RunConfig:
@@ -162,19 +219,28 @@ def load_config(path) -> RunConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     cfg = RunConfig()
-    sections = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    sections = {f.name for f in fields(cfg)}
     for section_name in parser.sections():
         if section_name not in sections:
             raise ConfigError(f"unknown config section [{section_name}]")
-        section = sections[section_name]
-        allowed = {f.name: f.type for f in fields(section)}
-        for key, raw in parser.items(section_name):
-            if key not in allowed:
-                raise ConfigError(f"unknown key {key!r} in section [{section_name}]")
-            current = getattr(section, key)
-            setattr(section, key, _coerce(raw, type(current), f"[{section_name}] {key}"))
+        for name, raw in parser.items(section_name):
+            key = f"{section_name}.{name}"
+            if key not in KEY_TYPES:
+                raise ConfigError(f"unknown key {name!r} in section [{section_name}]")
+            try:
+                set_key(cfg, key, _coerce(raw, KEY_TYPES[key]), _key_name(key))
+            except ValueError as exc:
+                raise ConfigError(f"{_key_name(key)}: {exc}") from None
     validate(cfg)
     return cfg
+
+
+def check_pairs(cfg: RunConfig) -> None:
+    """Hold the keys to ``PAIRS``, naming each side by what set it (``given``) or by ``[section] key``."""
+    for key, other, holds, need in PAIRS:
+        if not holds(cfg):
+            name = cfg.given.get(key, _key_name(key))
+            raise ConfigError(f"{name} {_get(cfg, key)} with {cfg.given.get(other, _key_name(other))}: {need}")
 
 
 def intrinsics(cfg: RunConfig) -> CameraIntrinsics:
@@ -182,16 +248,12 @@ def intrinsics(cfg: RunConfig) -> CameraIntrinsics:
     return CameraIntrinsics(s.image_w, s.image_h, s.hfov_base)
 
 
-def regressor_config(cfg: RunConfig, kind: str | None = None, seed: int = 0) -> RegressorConfig:
-    """The ``[pseudolabel]`` regressor, with ``kind`` (when given) in place of its key."""
+def regressor_config(cfg: RunConfig) -> RegressorConfig:
+    """The ``[pseudolabel]`` regressor, seeded by ``[run] seed``."""
     p = cfg.pseudolabel
     return RegressorConfig(
-        kind=kind or p.kind,
-        n_trees=p.n_trees,
-        max_depth=p.max_depth,
-        min_samples_leaf=p.min_samples_leaf,
-        seed=seed,
-        use_zoom_feature=p.use_zoom_feature,
+        kind=p.kind, n_trees=p.n_trees, max_depth=p.max_depth, min_samples_leaf=p.min_samples_leaf,
+        seed=cfg.run.seed, use_zoom_feature=p.use_zoom_feature,
     )
 
 
@@ -207,14 +269,11 @@ def grpo_config(cfg: RunConfig) -> GRPOConfig:
 def validate(cfg: RunConfig) -> None:
     if cfg.codec.vocab_path and not Path(cfg.codec.vocab_path).exists():
         raise ConfigError(f"[codec] vocab_path: path does not exist: {cfg.codec.vocab_path}")
-    if not -90.0 <= cfg.camera.tilt <= 90.0:
-        raise ConfigError(f"[camera] tilt: must be in [-90, 90], got {cfg.camera.tilt}")
-    if not 0.0 <= cfg.camera.zoom <= ZOOM_MAX:
-        raise ConfigError(f"[camera] zoom: must be in [0, {ZOOM_MAX:g}], got {cfg.camera.zoom}")
-    if not 0.0 < cfg.pseudolabel.fill_ratio < 1.0:
-        raise ConfigError(f"[pseudolabel] fill_ratio: must be in (0, 1), got {cfg.pseudolabel.fill_ratio}")
-    if cfg.pseudolabel.zoom_source not in ZOOM_SOURCES:
-        raise ConfigError(f"[pseudolabel] zoom_source: must be geometry or model, got {cfg.pseudolabel.zoom_source!r}")
+    for key in RULES:
+        try:
+            _check(key, _get(cfg, key))
+        except ValueError as exc:
+            raise ConfigError(f"{_key_name(key)}: {exc}") from None
     builders = {
         "intrinsics": lambda: intrinsics(cfg),
         "codec": lambda: TokenVocab.default(levels=cfg.codec.levels),
@@ -227,21 +286,9 @@ def validate(cfg: RunConfig) -> None:
             build()
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from None
-    if cfg.grpo.steps <= 0:
-        raise ConfigError(f"[grpo] steps: must be positive, got {cfg.grpo.steps}")
-    if cfg.selftrain.rounds <= 0:
-        raise ConfigError(f"[selftrain] rounds: must be positive, got {cfg.selftrain.rounds}")
-    thresholds = cfg.selftrain.threshold_list()
-    if len(thresholds) < cfg.selftrain.rounds - 1:
+    if not _enough_thresholds(cfg):
         raise ConfigError(
             f"[selftrain] thresholds: rounds = {cfg.selftrain.rounds} needs at least rounds - 1 IoU thresholds, "
-            f"got {len(thresholds)}"
+            f"got {len(cfg.selftrain.threshold_list())}"
         )
-    if not 0.0 < cfg.selftrain.split < 1.0:
-        raise ConfigError(f"[selftrain] split: must be in (0, 1), got {cfg.selftrain.split}")
-    for key in ("completion_center_frac", "label_noise_angle", "label_noise_zoom"):
-        if getattr(cfg.selftrain, key) < 0:
-            raise ConfigError(f"[selftrain] {key}: must be >= 0, got {getattr(cfg.selftrain, key)}")
-    if not 0.0 <= cfg.selftrain.completion_min_area <= 1.0:
-        area = cfg.selftrain.completion_min_area
-        raise ConfigError(f"[selftrain] completion_min_area: must be in [0, 1], got {area}")
+    check_pairs(cfg)

@@ -2,6 +2,8 @@
 
 Trees are stored as flat parallel arrays so predictions vectorize and the
 whole forest serializes to plain JSON, nodes numbered in depth-first preorder.
+``from_dict`` is the one reader of that JSON: it accepts a tree only when
+every walk from the root ends at a leaf, in bounds.
 
 A forest grows all of its trees together, breadth first.  At each depth the
 open nodes of every tree are sorted by size and padded into ``[nodes, width]``
@@ -20,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ptzkit import jsonl
 
 
 @dataclass
@@ -65,14 +69,34 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.int64),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
-            value=np.asarray(d["value"], dtype=np.float64),
-        )
+    def from_dict(cls, d: dict, n_features: int, what: str) -> "Tree":
+        """A tree as ``to_dict`` writes it, over rows of ``n_features``
+        features.  ``ValueError``, starting with ``what``, unless the five
+        arrays are non-empty and of one length, thresholds and values finite,
+        indices integers, features in [-1, n_features), each inner node's
+        children later nodes of the tree (so every walk ends) and each leaf's
+        children -1."""
+        arrays = [d[name] for name in ("feature", "threshold", "left", "right", "value")]
+        if not all(type(a) is list and a for a in arrays) or len(set(map(len, arrays))) != 1:
+            raise ValueError(f"{what} arrays must be non-empty lists of one length")
+        n = len(arrays[0])
+        numbers = jsonl.finite(d["threshold"] + d["value"], f"{what} thresholds and values")
+        feature, left, right = (_indices(d[name], f"{what} {name}") for name in ("feature", "left", "right"))
+        if np.any((feature < -1) | (feature >= n_features)):
+            raise ValueError(f"{what} features must lie in [-1, {n_features})")
+        node, inner = np.arange(n), feature >= 0
+        if np.any(inner & ((left <= node) | (right <= node) | (left >= n) | (right >= n))):
+            raise ValueError(f"{what} children must be later nodes of the tree")
+        if np.any(~inner & ((left != -1) | (right != -1))):
+            raise ValueError(f"{what} leaf children must be -1")
+        return cls(feature, np.array(numbers[:n]), left, right, np.array(numbers[n:]))
+
+
+def _indices(values: list, what: str) -> np.ndarray:
+    out, check = jsonl.integer_rows(values, what)
+    if check is not None:
+        raise ValueError(check[1](int(np.argmax(check[0]))))
+    return out
 
 
 # Upper bound on the cells (nodes x widest node) of one padded block of the
@@ -318,10 +342,11 @@ class RandomForest:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RandomForest":
-        cfg = ForestConfig(
-            n_trees=d["n_trees"],
-            max_depth=d["max_depth"],
-            min_samples_leaf=d["min_samples_leaf"],
-        )
-        return cls(config=cfg, trees=[Tree.from_dict(t) for t in d["trees"]])
+    def from_dict(cls, d: dict, n_features: int, head: str) -> "RandomForest":
+        """A forest as ``to_dict`` writes it, each tree read by ``Tree.from_dict``;
+        ``n_trees`` must count its trees, at least one.  Errors name ``head``."""
+        n_trees, trees = jsonl.integer(d["n_trees"], f"{head} n_trees"), d["trees"]
+        if type(trees) is not list or n_trees != len(trees) or n_trees < 1:
+            raise ValueError(f"{head} n_trees must count its trees, at least one")
+        cfg = ForestConfig(n_trees=n_trees, max_depth=d["max_depth"], min_samples_leaf=d["min_samples_leaf"])
+        return cls(config=cfg, trees=[Tree.from_dict(t, n_features, f"{head} tree {i}") for i, t in enumerate(trees)])

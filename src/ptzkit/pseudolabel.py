@@ -531,19 +531,21 @@ def save_model(path, model: RegressorModel) -> None:
 
 
 def model_from_dict(doc: dict) -> RegressorModel:
-    """A model as ``save_model`` writes it; a NaN or an infinite coefficient,
-    intercept, tree threshold or leaf value raises ``ValueError``."""
+    """A model as ``save_model`` writes it, over 3 features (4 with
+    ``use_zoom_feature``); a NaN or an infinite coefficient or intercept, a
+    head without one coefficient per feature, or a forest that
+    ``RandomForest.from_dict`` rejects raises ``ValueError``."""
     cfg = RegressorConfig(kind=doc["kind"], **doc["config"])
     model = RegressorModel(config=cfg, train_r2=dict(doc.get("train_r2", {})))
     heads = doc["heads"]
+    n_features = 4 if cfg.use_zoom_feature else 3
     if cfg.kind == "ols_linear":
         model.ols_coef = np.array([jsonl.finite(heads[n]["coef"], f"{n} coef") for n in HEAD_NAMES])
+        if model.ols_coef.shape != (3, n_features):
+            raise ValueError(f"each head needs {n_features} coef numbers")
         model.ols_intercept = np.array(jsonl.finite([heads[n]["intercept"] for n in HEAD_NAMES], "intercepts"))
     else:
-        for n in HEAD_NAMES:
-            for i, tree in enumerate(heads[n]["trees"]):
-                jsonl.finite(tree["threshold"] + tree["value"], f"{n} tree {i} thresholds and values")
-        model.forests = {n: RandomForest.from_dict(heads[n]) for n in HEAD_NAMES}
+        model.forests = {n: RandomForest.from_dict(heads[n], n_features, n) for n in HEAD_NAMES}
     return model
 
 

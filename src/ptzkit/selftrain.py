@@ -28,10 +28,8 @@ from ptzkit.camera import (
     CameraIntrinsics,
     CameraState,
     TargetSpec,
-    VISIBILITY_FULL,
     apply_action_batch,
-    area_ratio,
-    bbox_row,
+    bbox_arrays,
     iou_batch,
     oracle_actions,
     project,  # noqa: F401  (perfbench checks its tracer restores selftrain.project)
@@ -128,7 +126,6 @@ class IterationConfig:
     rounds: int = 2
     iou_thresholds: tuple[float, ...] = (0.7, 0.95)
     replace_bbox: bool = True
-    refit_each_round: bool = True
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -278,16 +275,26 @@ def relabel(dataset: SampleSet, policy: PolicyAdapter) -> SampleSet:
     return replace(dataset, actions=policy.actions(dataset))
 
 
+def completion_batch(
+    boxes: np.ndarray, codes: np.ndarray, k: CameraIntrinsics, cfg: CompletionConfig = CompletionConfig()
+) -> np.ndarray:
+    """Centered-and-magnified predicate on each post-action box, as
+    ``project_batch`` returns them: fully in view, of positive area, its
+    centre within ``center_frac`` of the shorter image side from the image
+    centre, and at least ``min_area_ratio`` of the frame.  The centre distance
+    is Python's ``** 0.5`` per row, which rounds differently from ``np.sqrt``."""
+    x0, y0, x1, y1 = boxes.T
+    area = np.maximum(x1 - x0, 0.0) * np.maximum(y1 - y0, 0.0)
+    dx = (x0 + x1) / 2.0 - k.image_w / 2.0
+    dy = (y0 + y1) / 2.0 - k.image_h / 2.0
+    dist = np.array([d2**0.5 for d2 in (dx * dx + dy * dy).tolist()]).reshape(len(boxes))
+    centred = ~(dist > cfg.center_frac * min(k.image_w, k.image_h))
+    return (codes == CODE_FULL) & (area > 0.0) & centred & (area / (k.image_w * k.image_h) >= cfg.min_area_ratio)
+
+
 def completion(post_bbox: BBoxPx, k: CameraIntrinsics, cfg: CompletionConfig = CompletionConfig()) -> bool:
-    """Centered-and-magnified predicate on the post-action view."""
-    if post_bbox.visibility != VISIBILITY_FULL or post_bbox.is_empty():
-        return False
-    cx, cy = post_bbox.center()
-    dx = cx - k.image_w / 2.0
-    dy = cy - k.image_h / 2.0
-    if (dx * dx + dy * dy) ** 0.5 > cfg.center_frac * min(k.image_w, k.image_h):
-        return False
-    return area_ratio(post_bbox, k) >= cfg.min_area_ratio
+    """``completion_batch`` of one box."""
+    return bool(completion_batch(*bbox_arrays([post_bbox]), k, cfg)[0])
 
 
 def evaluate(
@@ -307,7 +314,7 @@ def evaluate(
     iou_sum = 0.0
     for overlap in overlaps.tolist():  # in order, one addition at a time, as the mean has always been taken
         iou_sum += overlap
-    completed = sum(completion(bbox_row(b, c), k, completion_cfg) for b, c in zip(boxes, codes))
+    completed = int(np.count_nonzero(completion_batch(boxes, codes, k, completion_cfg)))
     n = len(testset)
     return MetricsReport(
         mae_theta1=float(abs_err[0] / n),
@@ -395,9 +402,9 @@ def iterate(
 
     Round 0 is the baseline fit on the training split.  Round r >= 1 filters
     at the configured threshold (reusing the last one when the list is short),
-    refits on the survivors when ``refit_each_round`` is on, and evaluates on
-    the held-out split.  An empty post-filter set aborts the run.  ``on_round``
-    receives each round's refined dataset, e.g. to write it out.
+    refits on the survivors, and evaluates on the held-out split.  An empty
+    post-filter set aborts the run.  ``on_round`` receives each round's
+    refined dataset, e.g. to write it out.
     """
     if not train or not test:
         raise ValueError("empty train or test split")
@@ -411,14 +418,13 @@ def iterate(
             raise EmptyFilterError(round_idx, threshold)
         if on_round is not None:
             on_round(round_idx, current)
-        if cfg.refit_each_round:
-            try:
-                policy = policy_factory(current, round_idx)
-            except ValueError as exc:
-                raise ValueError(
-                    f"round {round_idx} kept only {len(current)} samples at IoU "
-                    f"threshold {threshold}; refit failed: {exc}"
-                ) from exc
+        try:
+            policy = policy_factory(current, round_idx)
+        except ValueError as exc:
+            raise ValueError(
+                f"round {round_idx} kept only {len(current)} samples at IoU "
+                f"threshold {threshold}; refit failed: {exc}"
+            ) from exc
         reports.append(
             RoundReport(
                 round_idx,

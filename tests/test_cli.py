@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ptzkit import cli
 from ptzkit.cli import main
 from ptzkit.config import RunConfig, load_config
 
@@ -730,3 +731,150 @@ class TestReport:
         path = tmp_path / "r.jsonl"
         path.write_text("")
         assert run(["report", str(path)]) == 3
+
+
+FREE = None  # a free-form key: any text is a value of it
+
+# One row per config key: a value that its coercion, its rule or the library
+# object it configures rejects, or FREE.
+BAD_VALUES = {
+    "run.seed": "-1",
+    "intrinsics.image_w": "wide",
+    "intrinsics.image_h": "1.5",
+    "intrinsics.hfov_base": "nan",
+    "camera.pan": "inf",
+    "camera.tilt": "95",
+    "camera.zoom": "1200",
+    "codec.vocab_path": FREE,
+    "codec.levels": "7",
+    "codec.strict": "maybe",
+    "pseudolabel.k": "-2",
+    "pseudolabel.kind": "foo",
+    "pseudolabel.n_trees": "many",
+    "pseudolabel.max_depth": "2.5",
+    "pseudolabel.min_samples_leaf": "",
+    "pseudolabel.fill_ratio": "2",
+    "pseudolabel.use_zoom_feature": "sometimes",
+    "pseudolabel.zoom_source": "foo",
+    "reward.angle_tol": "nan",
+    "reward.angle_penalty_span": "-inf",
+    "reward.zoom_band": "inf",
+    "reward.zoom_penalty_span": "x",
+    "grpo.kl_weight": "nan",
+    "grpo.group_size": "eight",
+    "grpo.learning_rate": "inf",
+    "grpo.steps": "0",
+    "selftrain.rounds": "0",
+    "selftrain.thresholds": "0.7,1.5",
+    "selftrain.replace_bbox": "perhaps",
+    "selftrain.split": "1",
+    "selftrain.completion_center_frac": "-0.1",
+    "selftrain.completion_min_area": "1.5",
+    "selftrain.label_noise_angle": "-1",
+    "selftrain.label_noise_zoom": "nan",
+    "io.out_dir": FREE,
+}
+
+
+def scene_commands(missing: str) -> list[list[str]]:
+    """Every command that reads a scene, and synth, each on a data file that does not exist."""
+    return [
+        ["eval", "--policy", "oracle", "--scene", missing], ["grpo-train", "--scene", missing],
+        ["iterate", "--scene", missing], ["fit", "--kind", "ols", "--scene", missing],
+        ["synth", "--records", missing, "--model", missing],
+    ]
+
+
+def flag_command(flag: str, missing: str) -> list[str]:
+    """A command that takes ``flag``."""
+    by_command = {
+        "encode": ("--vocab",), "decode": ("--lenient",), "synth": ("--zoom-source",), "fit": ("--kind",),
+        "grpo-train": ("--steps",),
+    }
+    command = next((c for c, flags in by_command.items() if flag in flags), "iterate")
+    return {
+        "encode": ["encode", "--pan", "1", "--tilt", "0", "--zoom", "0"],
+        "decode": ["decode", "<PAN> <TILT> <ZOOM> <END>"],
+        "synth": ["synth", "--records", missing, "--model", missing],
+        "fit": ["fit", "--scene", missing],
+        "grpo-train": ["grpo-train", "--scene", missing],
+        "iterate": ["iterate", "--scene", missing],
+    }[command]
+
+
+class TestKeyTable:
+    """Every key of ``RunConfig`` takes effect or is rejected, and a flag is a spelling of its key."""
+
+    def test_every_key_has_a_row(self):
+        defaults = RunConfig()
+        every = {f"{s.name}.{k.name}" for s in fields(defaults) for k in fields(getattr(defaults, s.name))}
+        assert set(BAD_VALUES) == every
+
+    @pytest.mark.parametrize("key", [k for k, v in BAD_VALUES.items() if v is not FREE])
+    def test_bad_key_is_config_error_before_any_data(self, tmp_path, capsys, key):
+        section, name = key.split(".")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{name} = {BAD_VALUES[key]}\n")
+        for command in scene_commands(str(tmp_path / "nope.jsonl")):
+            assert run(["--config", str(cfg), *command, "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert re.match(rf"config error: \[{section}\] .*\b{name}\b", err), (command, err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [f for f, k in cli.FLAG_KEYS.items()
+                                      if BAD_VALUES[k] is not FREE and f not in cli.CONSTANT_FLAGS])
+    def test_bad_flag_is_usage_error_naming_it(self, tmp_path, capsys, flag):
+        command = flag_command(flag, str(tmp_path / "nope.jsonl"))
+        with pytest.raises(SystemExit) as exc:
+            run([*command, f"{flag}={BAD_VALUES[cli.FLAG_KEYS[flag]]}", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_good_flag_reaches_the_resolved_config(self, tmp_path, monkeypatch):
+        from ptzkit.codec import TokenVocab
+
+        vocab = tmp_path / "vocab.tsv"
+        TokenVocab.default().save(vocab)
+        good = {
+            "--seed": ("5", 5), "--out": (str(tmp_path), str(tmp_path)), "--vocab": (str(vocab), str(vocab)),
+            "--lenient": (None, False), "--zoom-source": ("model", "model"), "--kind": ("ols", "ols_linear"),
+            "--steps": ("3", 3), "--rounds": ("3", 3), "--thresholds": ("0.5,0.6", "0.5,0.6"),
+            "--replace-bbox": (None, True), "--no-replace-bbox": (None, False), "--label-noise-angle": ("2.5", 2.5),
+            "--label-noise-zoom": ("3", 3.0), "--split": ("0.2", 0.2),
+        }
+        assert set(good) == set(cli.FLAG_KEYS)
+        seen = []
+        for name in ("encode", "decode", "synth", "fit", "grpo_train", "iterate"):
+            monkeypatch.setattr(cli, f"cmd_{name}", lambda args, cfg: seen.append(cfg) or 0)
+        ini = tmp_path / "run.ini"
+        for flag, (text, want) in good.items():
+            # every wanted value differs from the default, or from replace_bbox as set here
+            ini.write_text(f"[selftrain]\nreplace_bbox = {want is False}\n")
+            argv = flag_command(flag, "scene.jsonl") + ([flag] if text is None else [flag, text])
+            assert run(["--config", str(ini), *argv]) == 0
+            section, name = cli.FLAG_KEYS[flag].split(".")
+            assert getattr(getattr(seen.pop(), section), name) == want, flag
+
+    def test_levels_beside_a_vocabulary_file_is_rejected(self, tmp_path, capsys):
+        from ptzkit.codec import TokenVocab
+
+        vocab = tmp_path / "vocab.tsv"
+        TokenVocab.default().save(vocab)
+        encode = ["encode", "--pan", "250", "--tilt", "0", "--zoom", "0"]
+        both = tmp_path / "both.ini"
+        both.write_text(f"[codec]\nvocab_path = {vocab}\nlevels = 1\n")
+        assert run(["--config", str(both), *encode]) == 3
+        assert "config error: [codec] levels 1 with [codec] vocab_path: levels are set by the vocabulary file" in (
+            capsys.readouterr().err
+        )
+        levels = tmp_path / "levels.ini"
+        levels.write_text("[codec]\nlevels = 3\n")
+        assert run(["--config", str(levels), *encode, "--vocab", str(vocab)]) == 2
+        assert "encode error: [codec] levels 3 with --vocab: levels are set by the vocabulary file" in (
+            capsys.readouterr().err
+        )
+        assert run([*encode, "--vocab", str(vocab)]) == 0  # either alone takes effect
+        assert run(["--config", str(levels), *encode]) == 0
+        assert run([*encode, "--vocab", str(tmp_path / "nope.tsv")]) == 3  # as a missing --scene is
+        assert "data error: " in capsys.readouterr().err

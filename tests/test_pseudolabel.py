@@ -822,3 +822,94 @@ class TestFiles:
             doc = json.loads(path.read_text())
             assert doc["kind"] == kind
             assert doc["config"]["seed"] == 2
+
+
+class TestModelFileShape:
+    """``RandomForest.from_dict`` accepts a forest only when every walk from a
+    root ends at a leaf, in bounds; ``load_model`` names the file, the head and
+    the tree of one it rejects."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        x, actions = exact_linear_pairs()
+        x = np.hstack([x, np.linspace(0.0, 1.0, len(x))[:, None]])  # a zoom_feat column
+        docs = {}
+        for use_zoom in (False, True):
+            cfg = pl.RegressorConfig(kind="random_forest", n_trees=2, seed=2, use_zoom_feature=use_zoom)
+            path = tmp_path_factory.mktemp("model") / "model.json"
+            pl.save_model(path, pl.fit(x, actions, cfg))
+            docs[use_zoom] = json.loads(path.read_text())
+        return docs
+
+    @staticmethod
+    def first_inner_and_leaf(tree: dict) -> tuple[int, int]:
+        feature = tree["feature"]
+        return next(i for i, f in enumerate(feature) if f >= 0), feature.index(-1)
+
+    def load_changed(self, tmp_path, doc: dict, change):
+        doc = json.loads(json.dumps(doc))
+        change(doc["heads"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc) + "\n")
+        return path
+
+    @pytest.mark.parametrize("head, tree, change, reason", [
+        ("pan", 0, lambda t, inner, leaf: t["left"].__setitem__(0, 0), "children must be later nodes of the tree"),
+        ("pan", 1, lambda t, inner, leaf: t["right"].__setitem__(inner, inner), "children must be later nodes"),
+        ("tilt", 0, lambda t, inner, leaf: t["left"].__setitem__(inner, len(t["left"])), "children must be later"),
+        ("tilt", 1, lambda t, inner, leaf: t["left"].__setitem__(inner, 10**6), "children must be later nodes"),
+        ("zoom", 0, lambda t, inner, leaf: t["right"].__setitem__(leaf, 1), "leaf children must be -1"),
+        ("zoom", 1, lambda t, inner, leaf: t["feature"].__setitem__(inner, 3), "features must lie in [-1, 3)"),
+        ("zoom", 1, lambda t, inner, leaf: t["feature"].__setitem__(leaf, -2), "features must lie in [-1, 3)"),
+        ("pan", 1, lambda t, inner, leaf: t["feature"].__setitem__(inner, 7), "features must lie in [-1, 3)"),
+        ("pan", 0, lambda t, inner, leaf: t.__setitem__("value", t["value"][:1]), "arrays must be non-empty lists"),
+        ("pan", 0, lambda t, inner, leaf: t.update({k: [] for k in t}), "arrays must be non-empty lists"),
+        ("tilt", 0, lambda t, inner, leaf: t.__setitem__("left", 3), "arrays must be non-empty lists"),
+        ("pan", 0, lambda t, inner, leaf: t["feature"].__setitem__(inner, "1"), "feature must be an integer, got '1'"),
+        ("pan", 0, lambda t, inner, leaf: t["left"].__setitem__(inner, 1.9), "left must be an integer, got 1.9"),
+        ("pan", 0, lambda t, inner, leaf: t["right"].__setitem__(inner, True), "right must be an integer, got True"),
+        ("tilt", 1, lambda t, inner, leaf: t["threshold"].__setitem__(inner, float("nan")),
+         "thresholds and values must be finite"),
+    ], ids=["self-cycle", "right-onto-itself", "left-past-the-end", "left-far-out", "leaf-with-child",
+            "zoom-feature-without-it", "feature-below-minus-one", "feature-seven", "short-values", "empty-tree",
+            "left-not-a-list", "string-feature", "fractional-left", "bool-right", "nan-threshold"])
+    def test_bad_tree_names_file_head_and_tree(self, tmp_path, fitted, head, tree, change, reason):
+        def apply(heads):
+            t = heads[head]["trees"][tree]
+            change(t, *self.first_inner_and_leaf(t))
+
+        path = self.load_changed(tmp_path, fitted[False], apply)
+        # a cycle would make predict walk forever: it must be rejected on load
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {head} tree {tree} .*{re.escape(reason)}"):
+            pl.load_model(path)
+
+    @pytest.mark.parametrize("n_trees, trees", [(3, 2), (0, 0), (1.5, 2)], ids=["count-off", "no-trees", "fraction"])
+    def test_tree_count_must_match(self, tmp_path, fitted, n_trees, trees):
+        def apply(heads):
+            heads["tilt"]["n_trees"] = n_trees
+            heads["tilt"]["trees"] = heads["tilt"]["trees"][:trees]
+
+        path = self.load_changed(tmp_path, fitted[False], apply)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tilt n_trees"):
+            pl.load_model(path)
+
+    def test_zoom_feature_widens_the_feature_range(self, tmp_path, fitted):
+        def apply(heads, feature):
+            t = heads["pan"]["trees"][0]
+            t["feature"][self.first_inner_and_leaf(t)[0]] = feature
+
+        pl.load_model(self.load_changed(tmp_path, fitted[True], lambda heads: apply(heads, 3)))
+        path = self.load_changed(tmp_path, fitted[True], lambda heads: apply(heads, 4))
+        with pytest.raises(ValueError, match=re.escape("pan tree 0 features must lie in [-1, 4)")):
+            pl.load_model(path)
+
+    def test_ols_head_needs_a_coefficient_per_feature(self, tmp_path):
+        x, actions = exact_linear_pairs()
+        path = tmp_path / "ols.json"
+        pl.save_model(path, pl.fit(x, actions, pl.RegressorConfig(kind="ols_linear")))
+        doc = json.loads(path.read_text())
+        for head in pl.HEAD_NAMES:
+            doc["heads"][head]["coef"] = doc["heads"][head]["coef"][:2]
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: each head needs 3 coef numbers"):
+            pl.load_model(path)

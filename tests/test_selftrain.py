@@ -41,6 +41,39 @@ def rows_with_ids(dataset, ids):
     return np.array([i in ids for i in dataset.ids], dtype=bool)
 
 
+def reference_completion(b: BBoxPx, k: CameraIntrinsics, cfg: st.CompletionConfig) -> bool:
+    """The completion rule on one box, as it was written before its array form."""
+    if b.visibility != cam.VISIBILITY_FULL or b.is_empty():
+        return False
+    cx, cy = b.center()
+    dx = cx - k.image_w / 2.0
+    dy = cy - k.image_h / 2.0
+    if (dx * dx + dy * dy) ** 0.5 > cfg.center_frac * min(k.image_w, k.image_h):
+        return False
+    return cam.area_ratio(b, k) >= cfg.min_area_ratio
+
+
+@hst.composite
+def _free_box(draw):
+    x0, x1 = sorted(draw(hst.floats(-200.0, 1500.0)) for _ in range(2))
+    y0, y1 = sorted(draw(hst.floats(-200.0, 1000.0)) for _ in range(2))
+    return x0, y0, x1, y1, draw(hst.sampled_from(range(3)))
+
+
+@hst.composite
+def _limit_box(draw):
+    # boxes on the limits of K at the default config: a centre 72 px from the
+    # image centre along an axis, or an area of exactly a quarter of the frame
+    w, h = draw(hst.sampled_from([(640.0, 360.0), (480.0, 480.0), (100.0, 60.0), (640.0, 359.0)]))
+    off = draw(hst.sampled_from([0.0, 72.0, -72.0, 71.5, 72.5]))
+    cx, cy = (640.0 + off, 360.0) if draw(hst.booleans()) else (640.0, 360.0 + off)
+    return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, draw(hst.sampled_from([0, 0, 1]))
+
+
+FREE_BOX = _free_box()
+LIMIT_BOX = _limit_box()
+
+
 class TestCompletion:
     def test_centered_large_box(self):
         assert st.completion(BBoxPx(340, 110, 940, 610), K)
@@ -58,6 +91,41 @@ class TestCompletion:
     def test_clipped_rejected_by_default(self):
         box = BBoxPx(0, 0, 1280, 700, cam.VISIBILITY_CLIPPED)
         assert not st.completion(box, K)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        boxes=hst.lists(hst.one_of(FREE_BOX, LIMIT_BOX), min_size=1, max_size=12),
+        center_frac=hst.sampled_from([0.1, 0.0, 0.05, 0.37]),
+        min_area=hst.sampled_from([0.25, 0.0, 0.1, 1.0]),
+    )
+    def test_rows_equal_the_scalar_rule(self, boxes, center_frac, min_area):
+        cfg = st.CompletionConfig(center_frac, min_area)
+        coords = np.array([b[:4] for b in boxes], dtype=np.float64)
+        codes = np.array([b[4] for b in boxes], dtype=np.int8)
+        got = st.completion_batch(coords, codes, K, cfg)
+        want = [reference_completion(cam.bbox_row(c, code), K, cfg) for c, code in zip(coords, codes.tolist())]
+        assert got.tolist() == want
+
+    def test_limits_are_inside(self):
+        # centre exactly 72 px (0.1 of the short side) off, area exactly a quarter of the frame
+        coords = np.array([[392.0, 180.0, 1032.0, 540.0], [400.0, 192.0, 880.0, 672.0], [640.0, 180.0, 1280.0, 540.0]])
+        got = st.completion_batch(coords, np.zeros(3, dtype=np.int8), K)
+        assert got.tolist() == [True, True, False]
+
+    def test_centre_distance_rounds_as_the_scalar_rule(self):
+        # a distance whose np.sqrt and ``** 0.5`` differ in the last bit, with
+        # the limit on the lower of the two: only the scalar rounding agrees
+        k = CameraIntrinsics(2, 2, 60.0)
+        rng = np.random.default_rng(0)
+        for _ in range(100_000):
+            x0, y0 = rng.uniform(1.0, 1000.0, size=2).tolist()
+            box = BBoxPx(x0, y0, x0 + 0.5, y0 + 0.5)
+            dx, dy = (v - 1.0 for v in box.center())
+            d2 = dx * dx + dy * dy
+            if np.sqrt(d2) != d2**0.5:
+                break
+        cfg = st.CompletionConfig(min(float(np.sqrt(d2)), d2**0.5) / 2.0, 0.0)
+        assert st.completion_batch(*cam.bbox_arrays([box]), k, cfg).tolist() == [reference_completion(box, k, cfg)]
 
 
 class TestPolicies:
@@ -296,7 +364,7 @@ class TestIterate:
         starving = st.regressor_policy_factory(
             RegressorConfig(kind="random_forest", seed=3, min_samples_leaf=1000)
         )
-        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,), refit_each_round=True)
+        cfg = st.IterationConfig(rounds=1, iou_thresholds=(0.5,))
         noisy_factory = lambda samples, r: (
             st.NoisyOraclePolicy(K, 3.0, 15.0, seed=6)
             if r == 0
