@@ -117,7 +117,6 @@ def cmd_decode(args, cfg: RunConfig) -> int:
 
 
 def cmd_scene_gen(args, cfg: RunConfig) -> int:
-    out = _out_dir(cfg) / args.scene_file
     if args.count < 0:
         print("scene-gen error: --count must be >= 0", file=sys.stderr)
         return EXIT_USAGE
@@ -135,6 +134,7 @@ def cmd_scene_gen(args, cfg: RunConfig) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"scene-gen error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out = _out_dir(cfg) / args.scene_file
     _write_atomic(out, lambda p: cam.write_scene(p, targets))
     _say(args, f"wrote {len(targets)} targets to {out}")
     return EXIT_OK
@@ -176,8 +176,8 @@ def cmd_iterate(args, cfg: RunConfig) -> int:
     seed = cfg.run.seed
     s = cfg.selftrain
     iter_cfg = st.IterationConfig(rounds=s.rounds, iou_thresholds=s.threshold_list(), replace_bbox=s.replace_bbox)
-    out_dir = _out_dir(cfg)
     samples, _, k = _scene_samples(args, cfg)
+    out_dir = _out_dir(cfg)
     train, test = st.split_dataset(samples, s.split, seed)
     if s.label_noise_angle > 0 or s.label_noise_zoom > 0:
         train = st.relabel(train, _noisy_oracle(k, cfg, seed + 1))
@@ -200,8 +200,8 @@ def cmd_iterate(args, cfg: RunConfig) -> int:
 
 def cmd_grpo_train(args, cfg: RunConfig) -> int:
     seed, steps = cfg.run.seed, cfg.grpo.steps
-    out_dir = _out_dir(cfg)
     samples, _, k = _scene_samples(args, cfg)
+    out_dir = _out_dir(cfg)
     policy = rw.ToyPolicy.init(n_features=3)
     policy, history = rw.grpo_train(policy, samples, k, grpo_config(cfg), reward_config(cfg), steps, seed)
     policy_path = out_dir / args.policy_file

@@ -344,9 +344,14 @@ class RandomForest:
     @classmethod
     def from_dict(cls, d: dict, n_features: int, head: str) -> "RandomForest":
         """A forest as ``to_dict`` writes it, each tree read by ``Tree.from_dict``;
-        ``n_trees`` must count its trees, at least one.  Errors name ``head``."""
+        ``n_trees`` must count its trees, at least one, and ``max_depth`` and
+        ``min_samples_leaf`` are integers >= 1.  Errors name ``head`` and the key."""
         n_trees, trees = jsonl.integer(d["n_trees"], f"{head} n_trees"), d["trees"]
         if type(trees) is not list or n_trees != len(trees) or n_trees < 1:
             raise ValueError(f"{head} n_trees must count its trees, at least one")
-        cfg = ForestConfig(n_trees=n_trees, max_depth=d["max_depth"], min_samples_leaf=d["min_samples_leaf"])
+        limits = {key: jsonl.integer(d[key], f"{head} {key}") for key in ("max_depth", "min_samples_leaf")}
+        for key, value in limits.items():
+            if value < 1:
+                raise ValueError(f"{head} {key} must be >= 1, got {value}")
+        cfg = ForestConfig(n_trees=n_trees, **limits)
         return cls(config=cfg, trees=[Tree.from_dict(t, n_features, f"{head} tree {i}") for i, t in enumerate(trees)])

@@ -10,19 +10,31 @@ check numbers with ``finite`` and ``integer``, or only pick fields out of a
 row and leave the checks to ``number_rows``, ``integer_rows`` and
 ``string_rows`` over a list of rows (``blocks``), which ``check_rows`` turns
 into the same error.  Numbers are JSON numbers: a string or a bool is not
-one.  Each format's row builder feeds ``write``.
+one.  Each format's row builder feeds ``write``, except the label files,
+whose lines ``pseudolabel.write_pseudo_labels`` formats from columns.
+
+A line is parsed as ``json.loads`` parses it, and a rejected line gets the
+error text ``json.loads`` gives.  The common line, ASCII and holding one
+object from its first byte to its newline, goes straight to the C scanner
+that ``json.loads`` runs (``json.scanner.make_scanner``), skipping the
+encoding detection and the whitespace passes around it.  Every other line (a
+BOM, non-ASCII text, leading or trailing whitespace, ``\r\n``, a value that
+is not an object, two values), and any line the scanner rejects, goes
+through ``json.loads`` itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import json.scanner
 import math
 from typing import Callable, Iterator
 
 import numpy as np
 
 _ROW_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def _object(text: bytes) -> dict:
@@ -30,6 +42,19 @@ def _object(text: bytes) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
     return doc
+
+
+def _scanned(line: bytes) -> dict | None:
+    """The object on ``line`` when it is ASCII, starts with ``{`` and that object
+    ends at its newline; None for any other line, which ``_object`` then reads."""
+    if line[:1] != b"{" or not line.isascii():
+        return None
+    text = line.decode("ascii")
+    try:
+        doc, end = _scan_once(text, 0)
+    except (StopIteration, ValueError):  # a bad line: ``_object`` gives its error
+        return None
+    return doc if text[end:] in ("\n", "") else None
 
 
 def _reason(exc: Exception) -> str:
@@ -54,10 +79,11 @@ def blocks(path, parse_row, what: str, size: int | None = None) -> Iterator[list
     # bytes, so that a line that is not UTF-8 is rejected with its line number
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+            scanned = _scanned(line)
+            if scanned is None and not line.strip():
                 continue
             try:
-                rec = _object(line)
+                rec = _object(line) if scanned is None else scanned
                 row = parse_row(rec)
                 if "id" in rec:
                     key = str(rec["id"])

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 import numpy as np
@@ -358,35 +359,58 @@ def read_grounding_records(path) -> RecordSet:
     return _read_sets(path, _grounding_row, "grounding record", _record_set)
 
 
-def _label_rows(labels: LabelSet, vocab: codec.TokenVocab) -> Iterator[dict]:
-    symbols = [t.symbol for t in vocab.tokens]
-    for start in range(0, len(labels), CODEC_BLOCK):
-        block = slice(start, start + CODEC_BLOCK)
-        tokens, lengths = codec.encode_batch(*labels.actions[block].T, vocab)
-        for record_id, instruction, (pan, tilt, zoom), ids, length, box, w1, w2 in zip(
-            labels.ids[block],
-            labels.instructions[block],
-            labels.actions[block].tolist(),
-            (tokens - vocab.base_id).tolist(),
-            lengths.tolist(),
-            labels.boxes[block].tolist(),
-            labels.w1[block].tolist(),
-            labels.w2[block].tolist(),
-        ):
-            yield {
-                "id": record_id,
-                "instruction": instruction,
-                "action": {"pan": pan, "tilt": tilt, "zoom": zoom},
-                "tokens": " ".join([symbols[i] for i in ids[:length]]),
-                "bbox_post": box,
-                "w1": w1,
-                "w2": w2,
-            }
+# One label line as ``json.dumps`` writes the row: its keys in this order, ", "
+# and ": " between items, strings escaped to ASCII, numbers as ``repr``.
+LABEL_LINE = (
+    '{"id": %s, "instruction": %s, "action": {"pan": %d, "tilt": %d, "zoom": %d}, "tokens": "%s", '
+    '"bbox_post": [%s, %s, %s, %s], "w1": %s, "w2": %s}\n'
+)
+# The texts ``json.dumps`` writes for the floats that ``repr`` writes otherwise.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number_columns(values: np.ndarray) -> list[list]:
+    """The columns of float64[n, k] as lists, each float formatting by ``%s`` as ``json.dumps`` writes it."""
+    columns = values.T.tolist()
+    for j, i in zip(*np.nonzero(~np.isfinite(values.T))):
+        columns[j][i] = _NON_FINITE[repr(columns[j][i])]
+    return columns
+
+
+def _token_texts(tokens: np.ndarray, vocab: codec.TokenVocab) -> list[str]:
+    """The space-joined symbols of ``encode_batch``'s padded token rows, escaped as
+    inside a JSON string.  Escaping works symbol by symbol, so the joined escapes
+    are the escaped join."""
+    symbols = [encode_basestring_ascii(t.symbol)[1:-1] for t in vocab.tokens]
+    first = np.array(symbols + [""], dtype=object)  # the padding, -1, reads ""
+    later = np.array([" " + s for s in symbols] + [""], dtype=object)
+    ids = np.where(tokens >= 0, tokens - vocab.base_id, -1)
+    parts = later[ids]
+    parts[:, 0] = first[ids[:, 0]]
+    return list(map("".join, parts.tolist()))
+
+
+def _label_lines(labels: LabelSet, rows: slice, vocab: codec.TokenVocab) -> Iterator[str]:
+    """The lines of the labels at ``rows``, formatted from their columns."""
+    actions = labels.actions[rows]
+    tokens, lengths = codec.encode_batch(*actions.T, vocab)
+    columns = [
+        list(map(encode_basestring_ascii, labels.ids[rows])),
+        list(map(encode_basestring_ascii, labels.instructions[rows])),
+        *actions.T.tolist(),
+        _token_texts(tokens[:, : lengths.max()], vocab),
+        *_number_columns(np.column_stack([labels.boxes[rows], labels.w1[rows], labels.w2[rows]])),
+    ]
+    return map(LABEL_LINE.__mod__, zip(*columns))
 
 
 def write_pseudo_labels(path, labels: LabelSet, vocab: codec.TokenVocab) -> None:
-    """One JSON object per line with the action both structured and tokenized."""
-    jsonl.write(path, _label_rows(labels, vocab))
+    """One JSON object per line with the action both structured and tokenized,
+    the line ``json.dumps`` writes for it (``LABEL_LINE``), formatted
+    ``CODEC_BLOCK`` labels at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(labels), CODEC_BLOCK):
+            fh.writelines(_label_lines(labels, slice(start, start + CODEC_BLOCK), vocab))
 
 
 def _label_row(rec: dict) -> tuple:

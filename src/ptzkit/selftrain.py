@@ -189,9 +189,11 @@ class NoisyOraclePolicy:
     fill_ratio: float = DEFAULT_FILL_RATIO
 
     def actions(self, samples: SampleSet) -> np.ndarray:
-        sigma = [self.sigma_angle, self.sigma_angle, self.sigma_zoom]
-        noise = np.array([_sample_rng(self.seed, i).normal(0.0, sigma) for i in samples.ids]).reshape(-1, 3)
-        return round_actions(_oracle_batch(samples, self.k, self.fill_ratio) + noise)
+        # each sample's three standard normals, scaled once: the values of
+        # normal(0, sigma) per sample, but for the sign of a zero noise
+        z = np.array([_sample_rng(self.seed, i).standard_normal(3) for i in samples.ids]).reshape(-1, 3)
+        sigma = np.array([self.sigma_angle, self.sigma_angle, self.sigma_zoom])
+        return round_actions(_oracle_batch(samples, self.k, self.fill_ratio) + z * sigma)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import ast
 import configparser
+import inspect
 import json
 import re
 import warnings
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ptzkit
 from ptzkit import cli
 from ptzkit.cli import main
 from ptzkit.config import RunConfig, load_config
@@ -110,6 +113,11 @@ class TestSceneGen:
     def test_no_partial_left_behind(self, tmp_path):
         run(["scene-gen", "--count", "5", "--out", str(tmp_path)])
         assert not list(tmp_path.glob("*.partial"))
+
+    def test_negative_count_makes_no_out_dir(self, tmp_path, capsys):
+        assert run(["scene-gen", "--count", "-1", "--out", str(tmp_path / "d")]) == 2
+        assert "--count must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +511,11 @@ class TestIterate:
             assert run(["--config", str(cfg), *command, "--scene", scene, "--out", str(tmp_path)]) == 3
             assert "config error: [selftrain] thresholds: rounds = 3 needs at least" in capsys.readouterr().err
 
+    def test_missing_scene_makes_no_out_dir(self, tmp_path, capsys):
+        assert run(["iterate", "--scene", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "d")]) == 3
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_empty_filter_exit_code(self, tmp_path, scene_file):
         code = run([
             "iterate", "--scene", str(scene_file), "--rounds", "1",
@@ -536,6 +549,11 @@ class TestGrpoTrain:
         assert run(["--config", str(cfg), "grpo-train", "--scene", str(scene_file), "--out", str(tmp_path)]) == 3
         assert "[grpo] steps: must be positive" in capsys.readouterr().err
         assert not (tmp_path / "policy.json").exists()
+
+    def test_missing_scene_makes_no_out_dir(self, tmp_path, capsys):
+        assert run(["grpo-train", "--scene", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "d")]) == 3
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_policy_checkpoint_usable_by_eval(self, tmp_path, scene_file):
         run([
@@ -802,8 +820,49 @@ def flag_command(flag: str, missing: str) -> list[str]:
     }[command]
 
 
+def config_reads() -> set[str]:
+    """Every "section.key" that a module of ``ptzkit`` reads, found in its syntax
+    tree: ``<x>.section.key``; ``name.key`` where a function binds ``name =
+    <x>.section``; each key of a section passed to ``asdict``; and each key that
+    a section's method reads as ``self.key``, where the method is called."""
+    keys = {s.name: {k.name for k in fields(s.default_factory)} for s in fields(RunConfig)}
+    methods = {  # (section, method name): the keys it reads
+        (s.name, name): {k for k in keys[s.name] if f"self.{k}" in inspect.getsource(method)}
+        for s in fields(RunConfig) for name, method in inspect.getmembers(s.default_factory, inspect.isfunction)
+        if not name.startswith("__")
+    }
+    reads = set()
+    for path in Path(ptzkit.__file__).parent.glob("*.py"):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            aliases = {
+                node.targets[0].id: node.value.attr for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Attribute) and node.value.attr in keys
+            }
+
+            def section(node):
+                if isinstance(node, ast.Attribute) and node.attr in keys:
+                    return node.attr
+                return aliases.get(node.id) if isinstance(node, ast.Name) else None
+
+            for node in ast.walk(function):
+                if isinstance(node, ast.Attribute) and node.attr in keys.get(section(node.value), ()):
+                    reads.add(f"{section(node.value)}.{node.attr}")
+                elif isinstance(node, ast.Attribute) and (section(node.value), node.attr) in methods:
+                    reads |= {f"{section(node.value)}.{k}" for k in methods[section(node.value), node.attr]}
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "asdict" and node.args:
+                    reads |= {f"{section(node.args[0])}.{k}" for k in keys.get(section(node.args[0]), ())}
+    return reads
+
+
 class TestKeyTable:
     """Every key of ``RunConfig`` takes effect or is rejected, and a flag is a spelling of its key."""
+
+    def test_every_key_is_read(self):
+        # a key that no module reads would be accepted at load and change nothing
+        assert set(BAD_VALUES) - config_reads() == set()
 
     def test_every_key_has_a_row(self):
         defaults = RunConfig()

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ptzkit import camera as cam
 from ptzkit import codec, jsonl
@@ -146,3 +148,92 @@ def test_integer_rejects(value):
 def test_finite_rejects(value):
     with pytest.raises(ValueError, match="xs must be finite"):
         jsonl.finite([1.0, value], "xs")
+
+
+def reference_blocks(path, parse_row, what: str) -> tuple[list, str | None]:
+    """The rows before the first bad line, and that line's error text (None if
+    there is none), as read with one ``json.loads`` per line."""
+    rows, first_line = [], {}
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("expected a JSON object")
+                row = parse_row(rec)
+                if "id" in rec:
+                    if str(rec["id"]) in first_line:
+                        raise ValueError(f"duplicate id {str(rec['id'])!r} (first on line {first_line[str(rec['id'])]})")
+                    first_line[str(rec["id"])] = lineno
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else (
+                    f"invalid JSON ({exc.msg} at column {exc.colno})" if isinstance(exc, json.JSONDecodeError)
+                    else str(exc))
+                return rows, f"{path}:{lineno}: {reason} (bad {what})"
+            rows.append(row)
+    return rows, None
+
+
+VALUES = hst.recursive(
+    hst.one_of(hst.none(), hst.booleans(), hst.integers(), hst.floats(), hst.text(max_size=6)),
+    lambda inner: hst.one_of(hst.lists(inner, max_size=3), hst.dictionaries(hst.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+OBJECTS = hst.fixed_dictionaries({"id": hst.sampled_from(["a", "b", "c", 1, "ü"])}, optional={"v": VALUES})
+
+
+@hst.composite
+def lines(draw) -> bytes:
+    """One line of a JSON-lines file, good or bad, newline included."""
+    text = json.dumps(draw(OBJECTS), ensure_ascii=draw(hst.booleans()))
+    line = text.encode("utf-8")
+    change = draw(hst.sampled_from([
+        "none", "none", "none", "leading", "trailing", "crlf", "nul", "bom", "two", "value", "truncated", "blank",
+        "no-id", "nul-in-value", "non-ascii-space", "huge-int", "bad-utf8",
+    ]))
+    if change == "leading":
+        line = draw(hst.sampled_from([b" ", b"\t", b"\r", b"\x0c"])) + line
+    elif change == "trailing":
+        line += draw(hst.sampled_from([b" ", b"\t", b"\r", b"  \t", b"\x0b"]))
+    elif change == "crlf":
+        line += b"\r"
+    elif change == "nul":
+        line = line[:1] + b"\x00" + line[1:]
+    elif change == "bom":
+        line = b"\xef\xbb\xbf" + line
+    elif change == "two":
+        line += draw(hst.sampled_from([b"", b" "])) + json.dumps(draw(OBJECTS)).encode()
+    elif change == "value":
+        line = json.dumps(draw(VALUES)).encode()
+    elif change == "truncated":
+        line = line[: draw(hst.integers(0, len(line) - 1))]
+    elif change == "blank":
+        line = draw(hst.sampled_from([b"", b" ", b"\t", b"\r"]))
+    elif change == "no-id":
+        line = b"{}"
+    elif change == "nul-in-value":
+        line = b'{"id": "n", "v": "\x00"}'
+    elif change == "non-ascii-space":
+        line = line + "\u00a0".encode()
+    elif change == "huge-int":
+        line = b'{"id": "h", "v": ' + b"7" * 4400 + b"}"
+    elif change == "bad-utf8":
+        line = line[:-1] + b"\xff}"
+    return line
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(body=hst.lists(lines(), max_size=6), last_newline=hst.booleans(), size=hst.sampled_from([None, 1, 2]))
+def test_blocks_read_as_json_loads_per_line(tmp_path_factory, body, last_newline, size):
+    path = tmp_path_factory.mktemp("lines") / "rows.jsonl"
+    path.write_bytes(b"\n".join(body) + (b"\n" if last_newline else b""))
+    want_rows, want_error = reference_blocks(path, dict, "row")
+    got_rows, got_error = [], None
+    try:
+        for block in jsonl.blocks(path, dict, "row", size):
+            got_rows += block
+    except ValueError as exc:
+        got_error = str(exc)
+    assert (got_rows, got_error) == (want_rows, want_error)

@@ -511,12 +511,24 @@ class TestGenerate:
 
 ACTIONS = hst.tuples(hst.integers(-999, 999), hst.integers(-999, 999), hst.integers(0, 999))
 FINITE = hst.floats(allow_nan=False, allow_infinity=False)
+# any float, and the ones whose text is special: a signed zero, subnormals, the
+# first exponent form (1e16), the largest, and the non-finite ones json.dumps spells out
+FLOATS = hst.one_of(hst.sampled_from([-0.0, 5e-324, 2.2e-308, 1e16, 1e308, math.nan, math.inf, -math.inf]),
+                    hst.floats())
+# any text, lone surrogates included, and the characters JSON escapes
+TEXT = hst.one_of(hst.text(hst.characters(exclude_categories=()), max_size=12),
+                  hst.sampled_from(['say "hi"', "a\\b", "\x00\x1f\x7f", "\ud800", "\udfff\ud800", "é☃\U0001f600", "\u2028"]))
+# the default symbols, each with a character before its ">" that JSON escapes or that is not ASCII
+ODD_VOCAB = codec.TokenVocab([
+    codec.Token(t.token_id, t.symbol[:-1] + '"\\é\ud800\x01☃'[i % 6] + ">", t.kind, t.value)
+    for i, t in enumerate(codec.TokenVocab.default().tokens)
+])
 
 
-def label_set(actions, boxes, w1, w2, instructions=None) -> pl.LabelSet:
+def label_set(actions, boxes, w1, w2, instructions=None, ids=None) -> pl.LabelSet:
     n = len(actions)
     return pl.LabelSet(
-        np.array([f"r{i:05d}" for i in range(n)], dtype=object),
+        np.array(ids or [f"r{i:05d}" for i in range(n)], dtype=object),
         np.array(instructions or ["What is the mug?"] * n, dtype=object),
         np.array(actions, dtype=np.int64).reshape(n, 3),
         np.array(boxes, dtype=np.float64).reshape(n, 4),
@@ -620,32 +632,35 @@ class TestFiles:
         blocks = [pl.CODEC_BLOCK, pl.CODEC_BLOCK, 1]
         assert rows == {"encode_batch": blocks, "decode_batch": blocks}
 
-    @settings(derandomize=True, max_examples=30, deadline=None)
+    @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         rows=hst.lists(
             hst.tuples(
                 hst.one_of(hst.sampled_from([(999, -999, 999), (-999, 999, 0), (0, 0, 0)]), ACTIONS),
-                hst.lists(FINITE, min_size=4, max_size=4),
-                FINITE,
-                FINITE,
-                hst.text(max_size=12),
+                hst.lists(FLOATS, min_size=4, max_size=4),
+                FLOATS,
+                FLOATS,
+                TEXT,
+                TEXT,
             ),
             min_size=1,
             max_size=12,
         ),
         n=hst.sampled_from([0, 1, 7, pl.CODEC_BLOCK, pl.CODEC_BLOCK + 1, 2 * pl.CODEC_BLOCK + 3]),
+        vocab=hst.sampled_from([codec.TokenVocab.default(), ODD_VOCAB]),
     )
-    def test_written_bytes_equal_the_scalar_codec_rows(self, tmp_path_factory, rows, n):
-        vocab = codec.TokenVocab.default()
+    def test_written_bytes_equal_the_scalar_codec_rows(self, tmp_path_factory, rows, n, vocab):
         cycled = [rows[i % len(rows)] for i in range(n)]
         boxes = [sorted(b[:2]) + sorted(b[2:]) for _, b, *_ in cycled]
-        boxes = [[b[0], b[2], b[1], b[3]] for b in boxes]  # x0 <= x1 and y0 <= y1
+        boxes = [[b[0], b[2], b[1], b[3]] for b in boxes]  # x0 <= x1 and y0 <= y1 when finite
         labels = label_set([r[0] for r in cycled], boxes, [r[2] for r in cycled], [r[3] for r in cycled],
-                           [r[4] for r in cycled])
+                           [r[4] for r in cycled], [f"{i}:{r[5]}" for i, r in enumerate(cycled)])
         path = tmp_path_factory.mktemp("labels") / "labels.jsonl"
         pl.write_pseudo_labels(path, labels, vocab)
-        assert path.read_text() == scalar_label_lines(labels, vocab)
-        assert_same_labels(pl.read_pseudo_labels(path, vocab), labels)
+        assert path.read_text(encoding="ascii") == scalar_label_lines(labels, vocab)
+        numbers = np.column_stack([labels.boxes, labels.w1, labels.w2])
+        if np.isfinite(numbers).all():  # the reader rejects the others
+            assert_same_labels(pl.read_pseudo_labels(path, vocab), labels)
 
     def test_round_file_of_an_out_of_view_box_equals_the_scalar_rows(self, tmp_path):
         scene = cam.sample_targets(6, np.random.default_rng(3))
@@ -891,6 +906,18 @@ class TestModelFileShape:
 
         path = self.load_changed(tmp_path, fitted[False], apply)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tilt n_trees"):
+            pl.load_model(path)
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("max_depth", 2.5, "must be an integer, got 2.5"),
+        ("max_depth", "x", "must be an integer, got 'x'"),
+        ("max_depth", 0, "must be >= 1, got 0"),
+        ("min_samples_leaf", True, "must be an integer, got True"),
+        ("min_samples_leaf", -2, "must be >= 1, got -2"),
+    ], ids=["fractional-depth", "string-depth", "zero-depth", "bool-leaf", "negative-leaf"])
+    def test_bad_forest_header_names_file_head_and_key(self, tmp_path, fitted, key, value, reason):
+        path = self.load_changed(tmp_path, fitted[False], lambda heads: heads["zoom"].__setitem__(key, value))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: zoom {key} {re.escape(reason)}"):
             pl.load_model(path)
 
     def test_zoom_feature_widens_the_feature_range(self, tmp_path, fitted):

@@ -9,7 +9,7 @@ from ptzkit import camera as cam
 from ptzkit import pseudolabel as pl
 from ptzkit import selftrain as st
 from ptzkit.camera import BBoxPx, CameraIntrinsics, CameraState
-from ptzkit.codec import ActionDelta
+from ptzkit.codec import ActionDelta, round_actions
 from ptzkit.forest import RandomForest
 from ptzkit.pseudolabel import RegressorConfig
 from ptzkit.rewards import HEADS, ToyPolicy
@@ -153,6 +153,14 @@ class TestPolicies:
         a = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=3).actions(dataset[:1])[0]
         b = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=4).actions(dataset[:1])[0]
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("sigma_angle, sigma_zoom", [(5.0, 30.0), (0.0, 30.0), (3.0, 0.0), (0.0, 0.0)])
+    def test_noisy_oracle_equals_a_normal_draw_per_sample(self, dataset, sigma_angle, sigma_zoom):
+        # the reference: one normal(0, sigma) draw of three per sample, from its (seed, id) generator
+        sigma = [sigma_angle, sigma_angle, sigma_zoom]
+        noise = np.array([st._sample_rng(8, i).normal(0.0, sigma) for i in dataset.ids])
+        want = round_actions(st._oracle_batch(dataset, K, st.DEFAULT_FILL_RATIO) + noise)
+        assert np.array_equal(st.NoisyOraclePolicy(K, sigma_angle, sigma_zoom, seed=8).actions(dataset), want)
 
     def test_noise_magnitude(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=3)
