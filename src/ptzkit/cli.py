@@ -80,12 +80,15 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
 
 
 def _scene_samples(args, cfg: RunConfig):
+    """The samples of the scene's usable targets, and the camera; each skipped target is said."""
     scene = cam.read_scene(args.scene)
     k, pose = intrinsics(cfg), cam.CameraState(cfg.camera.pan, cfg.camera.tilt, cfg.camera.zoom)
     samples, skipped = st.make_samples(scene, k, pose, cfg.pseudolabel.fill_ratio, seed=cfg.run.seed)
+    for target_id, reason in skipped:
+        _say(args, f"skipped {target_id}: {reason}")
     if not samples:
         raise ValueError(f"no usable targets in {args.scene}")
-    return samples, skipped, k
+    return samples, k
 
 
 # --- subcommands -----------------------------------------------------------
@@ -162,7 +165,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     if args.pairs:
         x, actions = pl.read_feature_action_pairs(args.pairs)
     else:
-        samples, _, _ = _scene_samples(args, cfg)
+        samples, _ = _scene_samples(args, cfg)
         x, actions = samples.features, samples.actions
     model = pl.fit(x, actions, regressor_config(cfg))
     out = _out_dir(cfg) / args.model_file
@@ -176,7 +179,7 @@ def cmd_iterate(args, cfg: RunConfig) -> int:
     seed = cfg.run.seed
     s = cfg.selftrain
     iter_cfg = st.IterationConfig(rounds=s.rounds, iou_thresholds=s.threshold_list(), replace_bbox=s.replace_bbox)
-    samples, _, k = _scene_samples(args, cfg)
+    samples, k = _scene_samples(args, cfg)
     out_dir = _out_dir(cfg)
     train, test = st.split_dataset(samples, s.split, seed)
     if s.label_noise_angle > 0 or s.label_noise_zoom > 0:
@@ -200,7 +203,7 @@ def cmd_iterate(args, cfg: RunConfig) -> int:
 
 def cmd_grpo_train(args, cfg: RunConfig) -> int:
     seed, steps = cfg.run.seed, cfg.grpo.steps
-    samples, _, k = _scene_samples(args, cfg)
+    samples, k = _scene_samples(args, cfg)
     out_dir = _out_dir(cfg)
     policy = rw.ToyPolicy.init(n_features=3)
     policy, history = rw.grpo_train(policy, samples, k, grpo_config(cfg), reward_config(cfg), steps, seed)
@@ -241,7 +244,7 @@ def _policy_from_doc(doc: dict):
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    samples, _, k = _scene_samples(args, cfg)
+    samples, k = _scene_samples(args, cfg)
     policy = _load_policy_adapter(args.policy, k, cfg)
     s = cfg.selftrain
     completion_cfg = st.CompletionConfig(s.completion_center_frac, s.completion_min_area)

@@ -17,19 +17,22 @@ Each dimension marker appears exactly once and in that order; magnitudes
 within a dimension are non-increasing and as many as the greedy split of the
 dimension's value has; pan/tilt carry a sign token exactly when nonzero; a
 zero-valued dimension is a bare marker; zoom is never signed.  The greedy
-split is the only multiset of that many magnitudes with that sum, so strict
-decoding accepts exactly the sequences ``encode_action`` writes.  Lenient
-decoding additionally tolerates arbitrary magnitude order, non-greedy
-magnitude runs, missing dimension markers (read as zero), markers in any
-order, and signed-but-empty dimensions, which covers the kind of near-miss
-sequences a sampling policy emits.
+split is the only multiset of that many magnitudes with that sum, so a
+sequence is strict exactly when it is the encoder's output:
+``encode_action(decode(seq)) == seq``.  Lenient decoding additionally
+tolerates arbitrary magnitude order, non-greedy magnitude runs, missing
+dimension markers (read as zero), markers in any order, and signed-but-empty
+dimensions, which covers the kind of near-miss sequences a sampling policy
+emits.  The scalar ``decode`` also names why a strict sequence fails.
 
 ``encode_batch`` and ``decode_batch`` are the array forms of ``encode_action``
 and strict ``decode``, for many actions at once; the pseudo-label files are
-written and read through them.  The scalar forms serve the command line's
-``encode`` and ``decode`` and are the reference the tests hold the batch forms
-to.  ``round_actions`` is the one rule that turns real-valued predictions into
-codec-range integer actions.
+written through ``encode_batch``.  ``decode_batch`` reads each row as a
+candidate action and checks it by re-encoding: a row is accepted exactly when
+``encode_batch`` of its candidate gives the row back.  The scalar forms serve
+the command line's ``encode`` and ``decode`` and are the reference the tests
+hold the batch forms to.  ``round_actions`` is the one rule that turns
+real-valued predictions into codec-range integer actions.
 """
 
 from __future__ import annotations
@@ -161,6 +164,9 @@ class TokenVocab:
         symbols = [t.symbol for t in self.tokens]
         if len(set(symbols)) != len(symbols):
             raise CodecError("token symbols must be unique")
+        for symbol in symbols:  # a token string separates its symbols by whitespace
+            if symbol.split() != [symbol]:
+                raise CodecError(f"token symbol {symbol!r} is empty or holds whitespace")
         self.base_id = base
         self._by_id = {t.token_id: t for t in self.tokens}
         self._by_symbol = {t.symbol: t for t in self.tokens}
@@ -520,6 +526,11 @@ def decode_batch(tokens, lengths, vocab: TokenVocab) -> tuple[np.ndarray, np.nda
     ignored.  Returns ``(actions, ok)``: ``ok[i]`` is True exactly when
     ``decode(row, vocab, strict=True)`` accepts the row, and then
     ``actions[i]`` holds its (pan, tilt, zoom); rejected rows read 0.
+
+    Each row is read as a candidate action, each marker opening the next
+    section and each section's magnitudes summed and signed by its sign; a
+    row is accepted exactly when ``encode_batch`` of its candidate gives the
+    row back.
     """
     tokens = np.asarray(tokens)
     lengths = np.asarray(lengths)
@@ -533,47 +544,26 @@ def decode_batch(tokens, lengths, vocab: TokenVocab) -> tuple[np.ndarray, np.nda
 
     kind_of = np.array([_KIND_CODES[t.kind] for t in vocab.tokens] + [_CODE_NONE])
     value_of = np.array([t.value for t in vocab.tokens] + [0], dtype=np.int64)
-    rel = tokens.astype(np.int64) - vocab.base_id
+    tokens = tokens.astype(np.int64)
+    rel = tokens - vocab.base_id
     inside = np.arange(width) < lengths[:, None]
-    known = (rel >= 0) & (rel < len(vocab))
-    ok = (lengths >= 1) & np.all(known | ~inside, axis=1)
     # tokens past a row's length, and unknown ids, read as _CODE_NONE
-    rel = np.where(known & inside, rel, len(vocab))
-    kind = kind_of[rel]
-    value = value_of[rel]
-    none = np.full((n, 1), _CODE_NONE)
-    prev_kind = np.hstack([none, kind[:, :-1]])
-    next_kind = np.hstack([kind[:, 1:], none])
-
-    # END exactly once, and last
-    is_end = kind == _CODE_END
-    ok &= (is_end.sum(axis=1) == 1) & is_end[np.arange(n), np.maximum(lengths - 1, 0)]
-    # the three markers, first and in axis order; ``section`` is the current axis
-    is_dim = kind == _CODE_DIM
-    section = np.cumsum(is_dim, axis=1) - 1
-    ok &= (kind[:, 0] == _CODE_DIM) & (is_dim.sum(axis=1) == 3)
-    ok &= np.all(~is_dim | (value == section), axis=1)
-    # a sign right after a pan or tilt marker, and followed by a magnitude
-    is_sign = kind == _CODE_SIGN
-    sign_ok = (prev_kind == _CODE_DIM) & (section != AXIS_ZOOM) & (next_kind == _CODE_MAG)
-    ok &= np.all(~is_sign | sign_ok, axis=1)
-    # pan and tilt magnitudes follow their sign; magnitudes are non-increasing
-    # and as many as the greedy split of their sum has
-    is_mag = kind == _CODE_MAG
-    prev_value = np.hstack([np.zeros((n, 1), dtype=np.int64), value[:, :-1]])
-    mag_ok = ((prev_kind != _CODE_DIM) | (section == AXIS_ZOOM)) & (
-        (prev_kind != _CODE_MAG) | (value <= prev_value)
-    )
-    ok &= np.all(~is_mag | mag_ok, axis=1)
-
+    rel = np.where(inside & (rel >= 0) & (rel < len(vocab)), rel, len(vocab))
+    kind, value = kind_of[rel], value_of[rel]
+    section = np.cumsum(kind == _CODE_DIM, axis=1) - 1
     actions = np.zeros((n, 3), dtype=np.int64)
     for axis in (AXIS_PAN, AXIS_TILT, AXIS_ZOOM):
         in_axis = section == axis
-        total = np.sum(np.where(is_mag & in_axis, value, 0), axis=1)
-        ok &= np.sum(is_mag & in_axis, axis=1) == _greedy_magnitude_counts(total)
-        sign = np.sum(np.where(is_sign & in_axis, value, 0), axis=1)
+        total = np.sum(np.where((kind == _CODE_MAG) & in_axis, value, 0), axis=1)
+        sign = np.sum(np.where((kind == _CODE_SIGN) & in_axis, value, 0), axis=1)
         actions[:, axis] = np.where(sign < 0, -total, total)
-    ok &= np.all(np.abs(actions) <= min(vocab.max_value, MAX_ACTION_VALUE), axis=1)
+    limit = min(vocab.max_value, MAX_ACTION_VALUE)
+    ok = np.all((actions >= [-limit, -limit, 0]) & (actions <= limit), axis=1)
+    actions[~ok] = 0
+    again, again_lengths = encode_batch(*actions.T, vocab)
+    common = min(width, again.shape[1])
+    ok &= again_lengths == lengths
+    ok &= np.all((tokens[:, :common] == again[:, :common]) | ~inside[:, :common], axis=1)
     actions[~ok] = 0
     return actions, ok
 

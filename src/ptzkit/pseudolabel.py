@@ -29,9 +29,9 @@ from ptzkit.forest import ForestConfig, RandomForest
 
 HEAD_NAMES = ("pan", "tilt", "zoom")
 ZOOM_SOURCES = ("geometry", "model")
-# Rows per ``encode_batch``/``decode_batch`` call when a label file is written
-# or read, and rows of a record or label file checked and turned into arrays
-# at a time: the decoder's temporaries, and the parsed rows, grow with it.
+# Rows per ``encode_batch`` call when a label file is written or read, and
+# rows of a record or label file checked and turned into arrays at a time: the
+# encoder's temporaries, and the parsed rows, grow with it.
 CODEC_BLOCK = 1024
 
 TEMPLATES = (  # one per sample, drawn from the seeded stream
@@ -377,11 +377,10 @@ def _number_columns(values: np.ndarray) -> list[list]:
     return columns
 
 
-def _token_texts(tokens: np.ndarray, vocab: codec.TokenVocab) -> list[str]:
-    """The space-joined symbols of ``encode_batch``'s padded token rows, escaped as
-    inside a JSON string.  Escaping works symbol by symbol, so the joined escapes
-    are the escaped join."""
-    symbols = [encode_basestring_ascii(t.symbol)[1:-1] for t in vocab.tokens]
+def _token_texts(tokens: np.ndarray, lengths: np.ndarray, vocab: codec.TokenVocab, symbols: list[str]) -> list[str]:
+    """The space-joined symbols of ``encode_batch``'s padded token rows, with
+    ``symbols[i]`` written for the vocabulary's token ``i`` in id order."""
+    tokens = tokens[:, : lengths.max(initial=1)]
     first = np.array(symbols + [""], dtype=object)  # the padding, -1, reads ""
     later = np.array([" " + s for s in symbols] + [""], dtype=object)
     ids = np.where(tokens >= 0, tokens - vocab.base_id, -1)
@@ -398,7 +397,8 @@ def _label_lines(labels: LabelSet, rows: slice, vocab: codec.TokenVocab) -> Iter
         list(map(encode_basestring_ascii, labels.ids[rows])),
         list(map(encode_basestring_ascii, labels.instructions[rows])),
         *actions.T.tolist(),
-        _token_texts(tokens[:, : lengths.max()], vocab),
+        # escaping works symbol by symbol, so the joined escapes are the escaped join
+        _token_texts(tokens, lengths, vocab, [encode_basestring_ascii(t.symbol)[1:-1] for t in vocab.tokens]),
         *_number_columns(np.column_stack([labels.boxes[rows], labels.w1[rows], labels.w2[rows]])),
     ]
     return map(LABEL_LINE.__mod__, zip(*columns))
@@ -445,28 +445,35 @@ def _action_rows(actions: list) -> tuple[np.ndarray, jsonl.Check | None]:
     return jsonl.check_each(actions, _action_problem, np.zeros((n, 3), dtype=np.int64))
 
 
-def _token_rows(texts: np.ndarray, vocab: codec.TokenVocab) -> tuple[np.ndarray, np.ndarray, jsonl.Check]:
-    """The token strings as ids, int64[n, max_sequence_length] padded with -1 and
-    cut at that width, with their full lengths, and the check that rejects a
-    string with a symbol the vocabulary lacks."""
-    unknown = vocab.base_id + len(vocab)  # an id decode_batch does not know
-    id_of = {t.symbol: t.token_id for t in vocab.tokens}
-    symbols = list(map(str.split, texts))
-    lengths = np.fromiter(map(len, symbols), np.int64, len(symbols))
-    flat = list(itertools.chain.from_iterable(symbols))
-    ids = np.fromiter(map(id_of.get, flat, itertools.repeat(unknown)), np.int64, len(flat))
-    row_of = np.repeat(np.arange(len(symbols)), lengths)
-    bad = np.zeros(len(symbols), dtype=bool)
-    bad[row_of[ids == unknown]] = True
+def _token_checks(texts: np.ndarray, actions: np.ndarray, vocab: codec.TokenVocab) -> list[jsonl.Check]:
+    """The checks that reject a token string with a symbol the vocabulary lacks,
+    one with more symbols than the longest encoding, and one that is not the
+    canonical encoding of its action, in that order.
 
-    def reason(row: int) -> str:
-        return f"unknown token {next(s for s in symbols[row] if s not in id_of)!r}"
-
-    width = vocab.max_sequence_length
-    position = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    tokens = np.full((len(symbols), width), -1, dtype=np.int64)
-    tokens[np.arange(width) < np.minimum(lengths, width)[:, None]] = ids[position < width]
-    return tokens, lengths, (bad, reason)
+    A string is the canonical encoding when its symbols, joined by single
+    spaces, are the text ``write_pseudo_labels`` writes for the action: no
+    symbol is empty or holds whitespace (``TokenVocab``), so the texts agree
+    exactly when the symbols do.  A string that agrees has neither of the
+    other two faults, so they are looked for only in the strings that do not.
+    An action beyond the vocabulary's range has no encoding.
+    """
+    outside = np.any(np.abs(actions) > vocab.max_value, axis=1)
+    tokens, lengths = codec.encode_batch(*np.where(outside[:, None], 0, actions).T, vocab)
+    canonical = _token_texts(tokens, lengths, vocab, [t.symbol for t in vocab.tokens])
+    differ = np.fromiter(map(str.__ne__, map(" ".join, map(str.split, texts)), canonical), bool, len(texts))
+    differ |= outside
+    symbols = {row: texts[row].split() for row in np.flatnonzero(differ).tolist()}
+    known, width = {t.symbol for t in vocab.tokens}, vocab.max_sequence_length
+    unknown = np.zeros(len(texts), dtype=bool)
+    too_long = np.zeros(len(texts), dtype=bool)
+    for row, row_symbols in symbols.items():
+        unknown[row] = not known.issuperset(row_symbols)
+        too_long[row] = len(row_symbols) > width
+    return [
+        (unknown, lambda row: f"unknown token {next(s for s in symbols[row] if s not in known)!r}"),
+        (too_long, lambda row: f"{len(symbols[row])} tokens, more than the {width} of the longest encoding"),
+        (differ, lambda row: "token string does not decode strictly to the structured action"),
+    ]
 
 
 def _label_set(vocab: codec.TokenVocab, rows: list, path, what: str, first_row: int) -> LabelSet:
@@ -474,33 +481,29 @@ def _label_set(vocab: codec.TokenVocab, rows: list, path, what: str, first_row: 
     actions, texts, boxes, ratios, ids, instructions = map(list, zip(*rows)) if rows else ([],) * 6
     actions, action_check = _action_rows(actions)
     texts, text_check = jsonl.string_rows(texts, "tokens")
-    tokens, lengths, unknown_check = _token_rows(texts, vocab)
-    width = vocab.max_sequence_length
-    too_long = lengths > width
+    unknown_check, too_long_check, token_check = _token_checks(texts, actions, vocab)
     boxes, box_check = jsonl.number_rows(boxes, 4, "bbox_post numbers")
     inverted = (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
     ratios, ratio_check = jsonl.number_rows(ratios, 2, "w1 and w2")
     instructions, instruction_check = jsonl.string_rows(instructions, "instruction")
-    decoded, ok = codec.decode_batch(tokens, np.minimum(lengths, width), vocab)
-    disagree = ~ok | np.any(decoded != actions, axis=1)
     jsonl.check_rows(path, what, first_row, [
         action_check,
         text_check,
         unknown_check,
-        (too_long, lambda row: f"{lengths[row]} tokens, more than the {width} of the longest encoding"),
+        too_long_check,
         box_check,
         (inverted, lambda row: "inverted bbox_post coordinates"),
         ratio_check,
         instruction_check,
-        (disagree, lambda row: "token string does not decode strictly to the structured action"),
+        token_check,
     ])
     return LabelSet(_string_ids(ids), instructions, actions, boxes, ratios[:, 0].copy(), ratios[:, 1].copy())
 
 
 def read_pseudo_labels(path, vocab: codec.TokenVocab) -> LabelSet:
     """Labels as ``write_pseudo_labels`` writes them, under the ``ptzkit.jsonl``
-    rules; a token string must decode strictly to the structured action and be
-    no longer than the longest encoding."""
+    rules; a token string must be the canonical encoding of the structured
+    action, with any whitespace between its symbols."""
     return _read_sets(path, _label_row, "pseudo-label record", functools.partial(_label_set, vocab))
 
 

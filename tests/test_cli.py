@@ -92,6 +92,18 @@ class TestEncodeDecode:
         assert run(["encode", "--pan", "7", "--tilt", "0", "--zoom", "0", "--vocab", str(path)]) == 3
         assert f"{path}: token ids must be contiguous" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("symbol", ["<2 x>", "", "<2>\x1f", "\xa0<2>"], ids=["space", "empty", "unit-sep", "nbsp"])
+    def test_vocab_symbol_a_token_string_cannot_carry_names_the_file(self, tmp_path, capsys, symbol):
+        from ptzkit.codec import TokenVocab
+
+        path = tmp_path / "vocab.tsv"
+        TokenVocab.default().save(path)
+        path.write_text(path.read_text().replace("\t<2>\t", f"\t{symbol}\t"))
+        assert run(["encode", "--pan", "7", "--tilt", "5", "--zoom", "0", "--vocab", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: token symbol {symbol!r} is empty or holds whitespace" in captured.err
+
 
 class TestSceneGen:
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -125,6 +137,34 @@ def scene_file(tmp_path_factory):
     out = tmp_path_factory.mktemp("scene")
     assert run(["scene-gen", "--count", "80", "--seed", "7", "--out", str(out), "--quiet"]) == 0
     return out / "scene.jsonl"
+
+
+@pytest.fixture(scope="module")
+def scene_with_one_out_of_view(tmp_path_factory):
+    """40 targets in full view of the camera's start pose, and one behind it."""
+    out = tmp_path_factory.mktemp("scene")
+    argv = ["scene-gen", "--count", "40", "--azimuth=-15,15", "--elevation=-6,6", "--seed", "7", "--quiet"]
+    assert run([*argv, "--out", str(out)]) == 0
+    path = out / "scene.jsonl"
+    behind = {"id": "behind", "azimuth": 150.0, "elevation": 0.0, "distance": 2.0, "width": 0.4, "height": 0.4,
+              "phrase": "red mug"}
+    path.write_text(path.read_text() + json.dumps(behind) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--kind", "ols"],
+    ["iterate", "--rounds", "1", "--thresholds", "0.5"],
+    ["grpo-train", "--steps", "2"],
+    ["eval", "--policy", "oracle"],
+], ids=["fit", "iterate", "grpo-train", "eval"])
+def test_scene_commands_say_which_targets_they_skip(tmp_path, capsys, scene_with_one_out_of_view, argv):
+    argv = [*argv, "--scene", str(scene_with_one_out_of_view), "--out", str(tmp_path)]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("skipped ")] == ["skipped behind: initial view is out_of_view"]
+    assert run([*argv, "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 class TestFitEval:

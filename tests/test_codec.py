@@ -524,6 +524,15 @@ class TestVocab:
         with pytest.raises(CodecError):
             TokenVocab(renumbered)
 
+    @pytest.mark.parametrize("symbol", ["", " ", "<2 x>", "<2>\t", "\n<2>", "<2\x1f>", "\xa0<2>", "<2\u2028>"],
+                             ids=["empty", "space", "inner-space", "tab", "newline", "unit-sep", "nbsp", "line-sep"])
+    def test_rejects_symbols_a_token_string_cannot_carry(self, symbol):
+        # a token string separates its symbols by whitespace, as str.split reads it
+        tokens = [codec.Token(t.token_id, symbol if t.symbol == "<2>" else t.symbol, t.kind, t.value)
+                  for t in TokenVocab.default().tokens]
+        with pytest.raises(CodecError, match="is empty or holds whitespace"):
+            TokenVocab(tokens)
+
 
 class TestMeanTokenLength:
     def test_single_zero_action(self):

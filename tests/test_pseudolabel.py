@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as hst
 
 from ptzkit import camera as cam
@@ -525,6 +525,77 @@ ODD_VOCAB = codec.TokenVocab([
 ])
 
 
+READ_VOCABS = {"default": codec.TokenVocab.default(), "odd": ODD_VOCAB, "levels-2": codec.TokenVocab.default(levels=2)}
+# whitespace as str.split reads it, between the symbols of a token string and around them
+SEPARATORS = hst.one_of(hst.just(" "), hst.sampled_from(["  ", "\t", " \n ", "\x1f", "\xa0", "\u2028"]))
+EDGES = hst.sampled_from(["", "", " ", "\t ", "\xa0"])
+
+
+def reference_label_problem(action: tuple, text: str, vocab: codec.TokenVocab) -> str | None:
+    """Why the label reader rejected a row holding ``action`` and the token string
+    ``text`` (its other fields good) when it decoded token strings: it split the
+    string, mapped each symbol to its id, decoded the ids with ``decode_batch``
+    and compared the result with the action."""
+    lim = codec.MAX_ACTION_VALUE
+    for head, v, low in zip(pl.HEAD_NAMES, action, (-lim, -lim, 0)):
+        if not low <= v <= lim:
+            return f"{head} {v} outside [{low}, {lim}]"
+    id_of = {t.symbol: t.token_id for t in vocab.tokens}
+    symbols, width = text.split(), vocab.max_sequence_length
+    for symbol in symbols:
+        if symbol not in id_of:
+            return f"unknown token {symbol!r}"
+    if len(symbols) > width:
+        return f"{len(symbols)} tokens, more than the {width} of the longest encoding"
+    tokens = np.full((1, width), -1, dtype=np.int64)
+    tokens[0, : len(symbols)] = [id_of[s] for s in symbols]
+    decoded, ok = codec.decode_batch(tokens, np.array([len(symbols)]), vocab)
+    if not ok[0] or tuple(decoded[0].tolist()) != tuple(action):
+        return "token string does not decode strictly to the structured action"
+    return None
+
+
+@hst.composite
+def label_tokens(draw, vocab: codec.TokenVocab) -> tuple[tuple, str]:
+    """An action and a token string: the action's own canonical symbols, or a
+    different action's, with an unknown symbol, two symbols glued into one, more
+    symbols than the longest encoding, two symbols swapped, or symbols at
+    random, joined by drawn whitespace.  One action in ten is out of range."""
+    lim = vocab.max_value
+    in_range = hst.tuples(hst.integers(-lim, lim), hst.integers(-lim, lim), hst.integers(0, lim))
+    if draw(hst.integers(0, 9)):
+        action = draw(in_range)
+    else:
+        action = draw(hst.sampled_from([(lim + 1, 0, 0), (0, -1000, 5), (0, 0, -1), (0, 0, 999)]))
+    try:
+        own = codec.encode_action(ActionDelta(*action), vocab)
+    except codec.CodecError:  # out of range: no encoding of its own
+        own = codec.encode_action(ActionDelta(*draw(in_range)), vocab)
+    symbols = [vocab.token(i).symbol for i in own]
+    width = vocab.max_sequence_length
+    kind = draw(hst.sampled_from(["canonical"] * 4 + ["other", "unknown", "glue", "long", "swap", "random"]))
+    if kind == "other":
+        symbols = [vocab.token(i).symbol for i in codec.encode_action(ActionDelta(*draw(in_range)), vocab)]
+    elif kind == "unknown":
+        at = draw(hst.integers(0, len(symbols)))
+        symbols.insert(at, draw(hst.sampled_from(["<BOGUS>", "<3>", "<2", "PAN", "<PAN>", "<+>", "<END>", "<1000>"])))
+    elif kind == "long":
+        # as many symbols as the longest encoding, or one more
+        symbols[-1:-1] = [symbols[-2]] * draw(hst.integers(width - len(symbols), width - len(symbols) + 1))
+    elif kind == "swap":  # two neighbouring magnitudes out of order where there are two, else any two symbols
+        magnitudes = {t.symbol for t in vocab.tokens if t.kind == codec.KIND_MAG}
+        pairs = [i for i in range(len(symbols) - 1) if symbols[i] != symbols[i + 1]]
+        at = draw(hst.sampled_from([i for i in pairs if {symbols[i], symbols[i + 1]} <= magnitudes] or pairs))
+        symbols[at], symbols[at + 1] = symbols[at + 1], symbols[at]
+    elif kind == "random":
+        symbols = draw(hst.lists(hst.sampled_from([t.symbol for t in vocab.tokens]), max_size=width + 2))
+    gaps = draw(hst.lists(SEPARATORS, min_size=max(len(symbols) - 1, 0), max_size=max(len(symbols) - 1, 0)))
+    if kind == "glue":
+        gaps[draw(hst.integers(0, len(gaps) - 1))] = draw(hst.sampled_from(["", "\x01"]))
+    text = symbols[0] + "".join(g + s for g, s in zip(gaps, symbols[1:])) if symbols else ""
+    return action, draw(EDGES) + text + draw(EDGES)
+
+
 def label_set(actions, boxes, w1, w2, instructions=None, ids=None) -> pl.LabelSet:
     n = len(actions)
     return pl.LabelSet(
@@ -615,24 +686,27 @@ class TestFiles:
         assert_same_labels(pl.read_pseudo_labels(path, vocab), labels)
 
     def test_read_decodes_each_label_once(self, tmp_path, monkeypatch):
-        # once, in one decode_batch row per label, CODEC_BLOCK rows a call; the write encodes likewise
+        # the read checks each token string once, against one encode_batch row per
+        # label, CODEC_BLOCK rows a call, and decodes nothing; the write encodes likewise
         vocab = codec.TokenVocab.default()
         n = 2 * pl.CODEC_BLOCK + 1
         labels = label_set([(i % 1999 - 999, 999 - i % 1999, i % 1000) for i in range(n)],
                            [[0.0, 0.0, 50.0, 40.0]] * n, [0.01] * n, [0.2] * n)
-        rows = {"encode_batch": [], "decode_batch": []}
-        for name in rows:
-            real = getattr(codec, name)
-            monkeypatch.setattr(codec, name, lambda *a, real=real, name=name: rows[name].append(len(a[0])) or real(*a))
-        for name in ("encode_action", "decode"):
-            monkeypatch.setattr(codec, name, None)  # neither is called
+        rows = []
+        real = codec.encode_batch
+        monkeypatch.setattr(codec, "encode_batch", lambda *a: rows.append(len(a[0])) or real(*a))
+        for name in ("encode_action", "decode", "decode_batch"):
+            monkeypatch.setattr(codec, name, None)  # none is called
         path = tmp_path / "labels.jsonl"
         pl.write_pseudo_labels(path, labels, vocab)
-        assert_same_labels(pl.read_pseudo_labels(path, vocab), labels)
         blocks = [pl.CODEC_BLOCK, pl.CODEC_BLOCK, 1]
-        assert rows == {"encode_batch": blocks, "decode_batch": blocks}
+        assert rows == blocks
+        rows.clear()
+        assert_same_labels(pl.read_pseudo_labels(path, vocab), labels)
+        assert rows == blocks
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    # no shrink phase: shrinking a failure over files of up to 2,051 labels took minutes
+    @settings(derandomize=True, max_examples=60, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
     @given(
         rows=hst.lists(
             hst.tuples(
@@ -787,6 +861,26 @@ class TestFiles:
         self.write_labels(path, {block + 2: self.LENIENT_ONLY, 2 * block + 3: late}, n)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{block + 4}: .*does not decode strictly"):
             pl.read_pseudo_labels(path, vocab)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(name=hst.sampled_from(sorted(READ_VOCABS)), data=hst.data())
+    def test_read_accepts_what_the_decoding_token_check_accepted(self, tmp_path_factory, name, data):
+        vocab = READ_VOCABS[name]
+        rows = data.draw(hst.lists(label_tokens(vocab), min_size=1, max_size=3))
+        path = tmp_path_factory.mktemp("labels") / "labels.jsonl"
+        # a blank line first puts row i on line i + 2
+        path.write_text("\n" + "".join(
+            json.dumps({**self.GOOD_LABEL, "id": f"r{i}", "action": dict(zip(pl.HEAD_NAMES, action)), "tokens": text})
+            + "\n" for i, (action, text) in enumerate(rows)))
+        problems = [(i, reference_label_problem(action, text, vocab)) for i, (action, text) in enumerate(rows)]
+        want = next((f"{path}:{i + 2}: {p} (bad pseudo-label record)" for i, p in problems if p is not None), None)
+        try:
+            labels, got = pl.read_pseudo_labels(path, vocab), None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        if want is None:
+            assert labels.actions.tolist() == [list(action) for action, _ in rows]
 
     GOOD_RECORD = {"id": "a", "image_w": 640, "image_h": 480, "bbox": [100, 100, 200, 180], "phrase": "red mug"}
 
