@@ -172,15 +172,10 @@ def apply_action_batch(
     zoom: np.ndarray,
     actions: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New (pan, tilt, zoom) arrays: pan wraps, tilt clamps to +/-90, zoom to [0, ZOOM_MAX].
-
-    Pan wraps twice, as the one-state update always has (once in the update,
-    once in ``CameraState``).  No input tried makes the second wrap change a
-    bit, but keeping it ties the result to the old one without a proof.
-    """
+    """New (pan, tilt, zoom) arrays: pan wraps, tilt clamps to +/-90, zoom to [0, ZOOM_MAX]."""
     actions = np.asarray(actions)
     return (
-        wrap_angles(wrap_angles(pan + actions[:, 0])),
+        wrap_angles(pan + actions[:, 0]),
         np.clip(tilt + actions[:, 1], -90.0, 90.0),
         np.clip(zoom + actions[:, 2], 0.0, ZOOM_MAX),
     )

@@ -57,7 +57,7 @@ def _write_atomic(path: Path, writer) -> None:
 def _vocab(cfg: RunConfig) -> codec.TokenVocab:
     if cfg.codec.vocab_path:
         return codec.TokenVocab.load(cfg.codec.vocab_path)
-    return codec.TokenVocab.default(levels=cfg.codec.levels)
+    return codec.TokenVocab.default()
 
 
 def _out_dir(cfg: RunConfig) -> Path:

@@ -4,10 +4,10 @@ Unknown sections or keys are rejected, and so is a file configparser cannot
 parse (a repeated key, a key before any section header).  A key has at most
 one rule, in ``RULES``, and a float key must be finite: the loader holds each
 key to it, and so does ``parse_value``, which parses a flag that sets a key.
-The ``[intrinsics]``, ``[codec] levels``, ``[pseudolabel]`` regressor,
-``[reward]`` and ``[grpo]`` keys are checked by building the library objects
-they configure.  The rules between two keys, ``PAIRS``, are checked at load
-and again once flags are written in.
+The ``[intrinsics]``, ``[pseudolabel]`` regressor, ``[reward]`` and
+``[grpo]`` keys are checked by building the library objects they configure.
+The rules between two keys, ``PAIRS``, are checked at load and again once
+flags are written in.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ptzkit.camera import ZOOM_MAX, CameraIntrinsics
-from ptzkit.codec import TokenVocab
 from ptzkit.pseudolabel import ZOOM_SOURCES, RegressorConfig
 from ptzkit.rewards import GRPOConfig, RewardConfig
 
@@ -49,7 +48,6 @@ class CameraSection:
 @dataclass
 class CodecSection:
     vocab_path: str = ""
-    levels: int = 3
     strict: bool = True
 
 
@@ -61,7 +59,6 @@ class PseudolabelSection:
     max_depth: int = 8
     min_samples_leaf: int = 5
     fill_ratio: float = 0.30
-    use_zoom_feature: bool = False
     zoom_source: str = "geometry"
 
 
@@ -165,15 +162,10 @@ def _enough_thresholds(cfg: RunConfig) -> bool:
     return len(cfg.selftrain.threshold_list()) >= cfg.selftrain.rounds - 1
 
 
-def _levels_or_vocab(cfg: RunConfig) -> bool:
-    return "codec.levels" not in cfg.given or not cfg.codec.vocab_path
-
-
 # The rules between two keys: the keys, the test the config must pass, and
 # what the two need of each other when it fails.
 PAIRS = (
     ("selftrain.rounds", "selftrain.thresholds", _enough_thresholds, "need at least rounds - 1 IoU thresholds"),
-    ("codec.levels", "codec.vocab_path", _levels_or_vocab, "levels are set by the vocabulary file"),
 )
 
 
@@ -253,7 +245,7 @@ def regressor_config(cfg: RunConfig) -> RegressorConfig:
     p = cfg.pseudolabel
     return RegressorConfig(
         kind=p.kind, n_trees=p.n_trees, max_depth=p.max_depth, min_samples_leaf=p.min_samples_leaf,
-        seed=cfg.run.seed, use_zoom_feature=p.use_zoom_feature,
+        seed=cfg.run.seed,
     )
 
 
@@ -276,7 +268,6 @@ def validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{_key_name(key)}: {exc}") from None
     builders = {
         "intrinsics": lambda: intrinsics(cfg),
-        "codec": lambda: TokenVocab.default(levels=cfg.codec.levels),
         "pseudolabel": lambda: regressor_config(cfg).forest,
         "reward": lambda: reward_config(cfg),
         "grpo": lambda: grpo_config(cfg),

@@ -10,8 +10,9 @@ check numbers with ``finite`` and ``integer``, or only pick fields out of a
 row and leave the checks to ``number_rows``, ``integer_rows`` and
 ``string_rows`` over a list of rows (``blocks``), which ``check_rows`` turns
 into the same error.  Numbers are JSON numbers: a string or a bool is not
-one.  Each format's row builder feeds ``write``, except the label files,
-whose lines ``pseudolabel.write_pseudo_labels`` formats from columns.
+one.  Integers are JSON integers: ``640.0`` is not one.  Each format's row
+builder feeds ``write``, except the label files, whose lines
+``pseudolabel.write_pseudo_labels`` formats from columns.
 
 A line is parsed as ``json.loads`` parses it, and a rejected line gets the
 error text ``json.loads`` gives.  The common line, ASCII and holding one
@@ -172,8 +173,8 @@ def number_rows(values: list, width: int, what: str) -> tuple[np.ndarray, Check 
 
 
 def integer_rows(values: list, what: str) -> tuple[np.ndarray, Check | None]:
-    """One number a row, each integral as ``integer`` takes it and within int64,
-    as int64[n], and the check that rejects any other row; a rejected row reads 0."""
+    """One JSON integer a row (as ``integer`` takes it) within int64, as
+    int64[n], and the check that rejects any other row; a rejected row reads 0."""
     if set(map(type, values)) <= {int}:
         try:
             return np.array(values, dtype=np.int64).reshape(len(values)), None
@@ -241,9 +242,8 @@ def finite(values, what: str) -> list[float]:
 
 
 def integer(value, what: str) -> int:
-    """An integral number as ``int``; bools, fractions and non-numbers raise ``ValueError``."""
+    """A JSON integer (an ``int``, not a bool) as it is; anything else, an
+    integral float such as ``640.0`` included, raises ``ValueError``."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")

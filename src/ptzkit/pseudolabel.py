@@ -4,11 +4,12 @@ A grounding record is (image size, bbox, phrase), and a record file is read
 into one ``RecordSet`` of row-aligned arrays.  The bbox center normalized to
 (-1, 1) models the pan/tilt relationship; the bbox-to-frame area ratio
 before (w1) and after (w2) an isotropic crop models zoom; ``record_features``
-computes them for a whole batch of boxes.  A regressor (OLS or random
-forest) fitted on oracle samples maps those features to actions, and
-``generate`` turns a ``RecordSet`` into one ``LabelSet`` of (instruction,
-action) training rows, which the label files hold with the action's token
-string.
+computes them for a whole batch of boxes.  A feature row is (x_norm, y_norm,
+w1), ``FEATURE_NAMES``, and every model reads exactly those three columns.
+A regressor (OLS or random forest) fitted on oracle samples maps them to
+actions, and ``generate`` turns a ``RecordSet`` into one ``LabelSet`` of
+(instruction, action) training rows, which the label files hold with the
+action's token string.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from typing import Iterator
 import numpy as np
 
 from ptzkit import codec, jsonl
-from ptzkit.codec import ActionDelta, round_half_away_batch
+from ptzkit.codec import round_half_away_batch
 from ptzkit.forest import ForestConfig, RandomForest
 
 HEAD_NAMES = ("pan", "tilt", "zoom")
+# The columns of a feature row, which every regressor and the toy policy read.
+FEATURE_NAMES = ("x_norm", "y_norm", "w1")
 ZOOM_SOURCES = ("geometry", "model")
 # Rows per ``encode_batch`` call when a label file is written or read, and
 # rows of a record or label file checked and turned into arrays at a time: the
@@ -115,7 +118,6 @@ class RegressorConfig:
     max_depth: int = 8
     min_samples_leaf: int = 5
     seed: int = 0
-    use_zoom_feature: bool = False
 
     def __post_init__(self):
         if self.kind not in ("random_forest", "ols_linear"):
@@ -131,7 +133,7 @@ class RegressorModel:
     """Per-head action regressor; immutable once fitted, deterministic to predict."""
 
     config: RegressorConfig
-    ols_coef: np.ndarray | None = None  # (3, n_features)
+    ols_coef: np.ndarray | None = None  # (3, 3): per head, one coefficient per feature
     ols_intercept: np.ndarray | None = None  # (3,)
     forests: dict[str, RandomForest] = field(default_factory=dict)
     train_r2: dict[str, float] = field(default_factory=dict)
@@ -167,9 +169,9 @@ def record_features(boxes, image_w, image_h) -> tuple[np.ndarray, np.ndarray, np
     (arrays with a row per box, or one size for all); a box whose share of the
     frame's area is zero raises ``ValueError``.
 
-    Row i of the float64[n, 4] features is (x_norm, y_norm, w1, zoom_feat): the
-    box center mapped to (-1, 1) per axis (the frame center maps to (0, 0)), the
-    box-to-frame area ratio, and half the log2 area gain of the crop.  The crop
+    Row i of the float64[n, 3] features is (x_norm, y_norm, w1): the box center
+    mapped to (-1, 1) per axis (the frame center maps to (0, 0)) and the
+    box-to-frame area ratio.  The crop
     window (float64[n, 4]) is the smallest frame-aspect window containing the
     box, centered on the box, then translated just enough to stay inside the
     frame, which it never leaves.  w2 (float64[n]) is the box area over the
@@ -196,7 +198,7 @@ def record_features(boxes, image_w, image_h) -> tuple[np.ndarray, np.ndarray, np
     wy0 = np.maximum(np.minimum(cy - win_h / 2.0, image_h - win_h), 0.0)
     windows = np.stack([wx0, wy0, np.minimum(wx0 + win_w, image_w), np.minimum(wy0 + win_h, image_h)], axis=1)
     w2 = area / _box_area(windows)
-    features = np.stack([x_norm, y_norm, w1, 0.5 * _log2(w2 / w1)], axis=1)
+    features = np.stack([x_norm, y_norm, w1], axis=1)
     return features, windows, w2
 
 
@@ -227,23 +229,15 @@ def select_smallest(records: RecordSet, k: int) -> RecordSet:
     return records[by_id[np.argsort(_frame_share(records)[by_id], kind="stable")[:k]]]
 
 
-def feature_columns(x: np.ndarray, use_zoom_feature: bool) -> np.ndarray:
-    """The columns of feature rows (x_norm, y_norm, w1[, zoom_feat]) that a
-    regressor reads: the first three, and zoom_feat when ``use_zoom_feature``
-    is on."""
-    width = 4 if use_zoom_feature else 3
-    if x.shape[1] < width:
-        raise FitError("feature rows lack the zoom feature")
-    # a contiguous copy: a strided view could take another matmul path in OLS, and other bits
-    return np.ascontiguousarray(x[:, :width])
-
-
 def fit(x: np.ndarray, actions: np.ndarray, cfg: RegressorConfig) -> RegressorModel:
-    """Fit the per-head regressor on feature rows and their int64[n, 3] actions,
-    and report training R^2 per head."""
+    """Fit the per-head regressor on float64[n, 3] feature rows and their
+    int64[n, 3] actions, and report training R^2 per head."""
     if len(x) == 0:
         raise FitError("no training samples")
-    x = feature_columns(x, cfg.use_zoom_feature)
+    # contiguous: a strided view could take another matmul path in OLS, and other bits
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape[1:] != (len(FEATURE_NAMES),):
+        raise FitError(f"feature rows must be 3 wide (x_norm, y_norm, w1), got shape {x.shape}")
     y = np.asarray(actions, dtype=np.float64)
     model = RegressorModel(config=cfg)
     if cfg.kind == "ols_linear":
@@ -295,7 +289,7 @@ def generate(
     usable = problems < 0
     records, templates = records[usable], templates[usable]
     x, windows, w2 = record_features(records.boxes, records.image_w, records.image_h)
-    pred = model.predict_batch(feature_columns(x, model.config.use_zoom_feature))
+    pred = model.predict_batch(x)
     if zoom_source == "geometry":
         pred[:, 2] = zoom_labels(x[:, 2], w2)  # integers, which the rounding keeps
     # the box in the frame of its crop window, scaled to the image width
@@ -509,22 +503,21 @@ def read_pseudo_labels(path, vocab: codec.TokenVocab) -> LabelSet:
 
 def _training_pair(rec: dict) -> tuple[list[float], tuple[int, int, int]]:
     f, a = rec["features"], rec["action"]
-    names = ["x_norm", "y_norm", "w1"]
-    if "zoom_feat" in f and f["zoom_feat"] is not None:
-        names.append("zoom_feat")
-    features = jsonl.finite([f[name] for name in names], "features")
-    return features, ActionDelta(a["pan"], a["tilt"], a["zoom"]).as_tuple()
+    features = jsonl.finite([f[name] for name in FEATURE_NAMES], "features")
+    action = (a["pan"], a["tilt"], a["zoom"])
+    problem = _action_problem(action)
+    if problem is not None:
+        raise ValueError(problem)
+    return features, action
 
 
 def read_feature_action_pairs(path) -> tuple[np.ndarray, np.ndarray]:
-    """Training pairs, one JSON object per line: {features: {...}, action: {...}},
-    under the ``ptzkit.jsonl`` rules, as feature rows and int64[n, 3] actions.
-
-    The rows hold (x_norm, y_norm, w1), and zoom_feat too when every pair has it.
-    """
+    """Training pairs, one JSON object per line: {features: {x_norm, y_norm, w1},
+    action: {pan, tilt, zoom}}, under the ``ptzkit.jsonl`` rules, as
+    float64[n, 3] feature rows and int64[n, 3] actions.  An action is held to
+    the label files' rule; an extra field is ignored."""
     pairs = jsonl.read(path, _training_pair, "training pair")
-    width = 4 if pairs and all(len(f) == 4 for f, _ in pairs) else 3
-    x = np.array([f[:width] for f, _ in pairs], dtype=np.float64).reshape(len(pairs), width)
+    x = np.array([f for f, _ in pairs], dtype=np.float64).reshape(len(pairs), len(FEATURE_NAMES))
     return x, np.array([a for _, a in pairs], dtype=np.int64).reshape(len(pairs), 3)
 
 
@@ -538,7 +531,6 @@ def save_model(path, model: RegressorModel) -> None:
             "max_depth": cfg.max_depth,
             "min_samples_leaf": cfg.min_samples_leaf,
             "seed": cfg.seed,
-            "use_zoom_feature": cfg.use_zoom_feature,
         },
         "train_r2": model.train_r2,
     }
@@ -558,14 +550,18 @@ def save_model(path, model: RegressorModel) -> None:
 
 
 def model_from_dict(doc: dict) -> RegressorModel:
-    """A model as ``save_model`` writes it, over 3 features (4 with
-    ``use_zoom_feature``); a NaN or an infinite coefficient or intercept, a
-    head without one coefficient per feature, or a forest that
-    ``RandomForest.from_dict`` rejects raises ``ValueError``."""
-    cfg = RegressorConfig(kind=doc["kind"], **doc["config"])
+    """A model as ``save_model`` writes it, over the 3 features; a NaN or an
+    infinite coefficient or intercept, a head without one coefficient per
+    feature, or a forest that ``RandomForest.from_dict`` rejects raises
+    ``ValueError``.  Older files hold ``"use_zoom_feature": false`` in the
+    config, which is read as its absence; any other value of it is rejected."""
+    config = dict(doc["config"])
+    if config.pop("use_zoom_feature", False) is not False:
+        raise ValueError("use_zoom_feature must be absent or false: models read (x_norm, y_norm, w1) only")
+    cfg = RegressorConfig(kind=doc["kind"], **config)
     model = RegressorModel(config=cfg, train_r2=dict(doc.get("train_r2", {})))
     heads = doc["heads"]
-    n_features = 4 if cfg.use_zoom_feature else 3
+    n_features = len(FEATURE_NAMES)
     if cfg.kind == "ols_linear":
         model.ols_coef = np.array([jsonl.finite(heads[n]["coef"], f"{n} coef") for n in HEAD_NAMES])
         if model.ols_coef.shape != (3, n_features):

@@ -34,7 +34,6 @@ from ptzkit.camera import (
     project_batch,
 )
 from ptzkit.codec import MAX_ACTION_VALUE, ActionDelta
-from ptzkit.pseudolabel import feature_columns
 
 if TYPE_CHECKING:  # selftrain imports this module
     from ptzkit.selftrain import SampleSet
@@ -353,8 +352,7 @@ def _sample_batch(
     draws, rewards, advantages and log-probabilities are those of sampling,
     applying, projecting and scoring its rollouts one at a time.
     """
-    features = feature_columns(samples.features, False)
-    cur_lp = policy.log_prob_rows(features)
+    cur_lp = policy.log_prob_rows(samples.features)
     t, n = len(samples), cfg.group_size
     idx = draw_bins(cur_lp, rng.random(t * n * len(HEADS)).reshape(t, n, len(HEADS)))
     actions = policy.actions_of(idx)
@@ -363,7 +361,7 @@ def _sample_batch(
     terms = reward_terms(flat, rows.actions, boxes, codes, rows.boxes, rows.codes, reward_cfg)
     rewards = reward_totals(terms).reshape(t, n)
     return RolloutBatch(
-        features=features,
+        features=samples.features,
         bins=idx,
         actions=actions,
         logp_old=_taken_log_probs(cur_lp, idx),
@@ -386,7 +384,7 @@ def build_rollout_group(
 ) -> RolloutBatch:
     """One prompt's group, sampled on-policy and scored: a one-sample batch of
     ``grpo_train``'s sampler.  ``sample`` is a one-row ``SampleSet``."""
-    ref_lp = ref_policy.log_prob_rows(feature_columns(sample.features, False))
+    ref_lp = ref_policy.log_prob_rows(sample.features)
     rows = sample[np.zeros(cfg.group_size, dtype=np.int64)]
     return _sample_batch(policy, ref_lp, sample, rows, k, cfg, reward_cfg, rng)
 
@@ -515,7 +513,7 @@ def grpo_train(
     if not samples:
         raise ValueError("no samples to train on")
     rows = samples[np.repeat(np.arange(len(samples)), cfg.group_size)]
-    ref_lp = policy.log_prob_rows(feature_columns(samples.features, False))
+    ref_lp = policy.log_prob_rows(samples.features)
     rng = np.random.default_rng(seed)
     history = []
     for _ in range(steps):

@@ -71,7 +71,7 @@ class SampleSet:
     ids: np.ndarray  # object[n] str
     instructions: np.ndarray  # object[n] str
     targets: np.ndarray  # object[n] TargetSpec
-    features: np.ndarray  # float64[n, 4] (x_norm, y_norm, w1, zoom_feat) of the start box
+    features: np.ndarray  # float64[n, 3] (x_norm, y_norm, w1) of the start box
     pose: np.ndarray  # float64[n, 3] start (pan, tilt, zoom)
     corners: np.ndarray  # float64[n, 4, 3] ``target_corners`` of ``targets``
     actions: np.ndarray  # int64[n, 3] (pan, tilt, zoom)
@@ -203,8 +203,7 @@ class RegressorPolicy:
     def actions(self, samples: SampleSet) -> np.ndarray:
         if not samples:
             return np.zeros((0, 3), dtype=np.int64)
-        x = pl.feature_columns(samples.features, self.model.config.use_zoom_feature)
-        return round_actions(self.model.predict_batch(x))
+        return round_actions(self.model.predict_batch(samples.features))
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,7 @@ class ToyPolicyAdapter:
     def actions(self, samples: SampleSet) -> np.ndarray:
         if not samples:
             return np.zeros((0, 3), dtype=np.int64)
-        log_probs = self.policy.log_prob_rows(pl.feature_columns(samples.features, False))
+        log_probs = self.policy.log_prob_rows(samples.features)
         idx = np.stack([np.argmax(log_probs[h], axis=1) for h in HEADS], axis=1)
         return self.policy.actions_of(idx)
 
@@ -259,7 +258,7 @@ def make_samples(
     instructions = np.empty(n, dtype=object)
     for i in np.flatnonzero(usable).tolist():
         instructions[i] = pl.TEMPLATES[templates[i]].format(phrase=targets[i].phrase)
-    features = np.zeros((n, 4))
+    features = np.zeros((n, len(pl.FEATURE_NAMES)))
     features[usable] = pl.record_features(start_boxes[usable], k.image_w, k.image_h)[0]
     skipped = []
     for i in np.flatnonzero(~usable).tolist():

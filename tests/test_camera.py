@@ -50,6 +50,13 @@ class TestRounding:
         assert round_half_away(value) == expected
 
 
+def _ulps_from(x: float, k: int) -> float:
+    """The double k steps of ``np.nextafter`` from x (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
 class TestApplyAction:
     def test_zero_delta_identity(self):
         state = CameraState(12.0, -3.0, 40.0)
@@ -77,6 +84,28 @@ class TestApplyAction:
     @example(1.7976931348623157e308)
     def test_wrap_angle_range(self, deg):
         assert -180.0 < wrap_angle(deg) <= 180.0
+
+    # A second wrap changes no bit, so the pose update wraps pan once.  Let v in
+    # (0, 360] be the first wrap's value before it subtracts 180: for v >= 90,
+    # v - 180 is exact (Sterbenz), so the second wrap gets v back; for v < 90, v
+    # is a whole number of ulps of a value >= 128, so fl(v - 180) > -180 and
+    # adding 180 back is exact.
+    @settings(derandomize=True, max_examples=3000, deadline=None)
+    @given(hst.one_of(
+        hst.floats(allow_nan=False, allow_infinity=False),
+        hst.builds(_ulps_from, hst.integers(-(2**40), 2**40).map(lambda m: 180.0 * m), hst.integers(-60, 60)),
+    ))
+    def test_wrap_angles_is_idempotent(self, deg):
+        once = cam.wrap_angles(np.float64(deg))
+        assert float(cam.wrap_angles(once)).hex() == float(once).hex()
+
+    def test_wrap_angles_is_idempotent_near_multiples_of_180_and_at_extreme_magnitudes(self):
+        rows = [_ulps_from(180.0 * m, k) for m in range(-8, 9) for k in range(-60, 61)]
+        rows += [_ulps_from(c, k) for c in (2.0**-45, 2.0**-44, 90.0, 1e15, 2.0**53) for k in range(-60, 61)]
+        rows += [5e-324, 2.2250738585072014e-308, 1e-300, 1e-20, 1e300, 1.7976931348623157e308]
+        x = np.array(rows + [-r for r in rows])
+        once = cam.wrap_angles(x)
+        assert _bits(cam.wrap_angles(once)) == _bits(once)
 
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(

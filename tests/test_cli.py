@@ -65,6 +65,11 @@ class TestEncodeDecode:
         out = capsys.readouterr().out.strip()
         assert out == "<PAN> <+> <5> <2> <TILT> <ZOOM> <END>"
 
+    def test_missing_vocab_file_is_data_error(self, tmp_path, capsys):
+        # as a missing --scene is; a missing [codec] vocab_path is a config error at load
+        assert run(["encode", "--pan", "7", "--tilt", "0", "--zoom", "0", "--vocab", str(tmp_path / "nope.tsv")]) == 3
+        assert "data error: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["x\t<PAN>\tdim\t0", "0\t<PAN>\tdim\t1.5"], ids=["id", "value"])
     @pytest.mark.parametrize("via_config", [False, True])
     def test_non_integer_vocab_field_names_file_and_line(self, tmp_path, capsys, line, via_config):
@@ -200,6 +205,23 @@ class TestFitEval:
         out = capsys.readouterr().out
         assert "pan=1.0000" in out
 
+    def test_pairs_with_zoom_feat_fit_the_model_of_pairs_without_it(self, tmp_path):
+        rows = [
+            {"features": {"x_norm": i / 10, "y_norm": (i % 3) / 10, "w1": (i * i + 1) / 100},
+             "action": {"pan": 2 * i + i % 3, "tilt": i % 3, "zoom": 10 + i}}
+            for i in range(-6, 7)
+        ]
+        models = []
+        for name, extra in (("bare", {}), ("zoom_feat", {"zoom_feat": 0.5}), ("some", None)):
+            pairs = tmp_path / f"{name}.jsonl"
+            lines = [{**r, "features": {**r["features"], **(extra or ({"zoom_feat": i} if i % 2 else {}))}}
+                     for i, r in enumerate(rows)]
+            pairs.write_text("".join(json.dumps(r) + "\n" for r in lines))
+            out = tmp_path / name
+            assert run(["fit", "--pairs", str(pairs), "--kind", "rf", "--out", str(out), "--quiet"]) == 0
+            models.append((out / "model.json").read_bytes())
+        assert models[1] == models[0] and models[2] == models[0]
+
     def test_fit_requires_exactly_one_source(self, tmp_path, scene_file):
         assert run(["fit", "--out", str(tmp_path)]) == 2
 
@@ -326,6 +348,7 @@ class TestBadInputRows:
             ({"id": "b", "image_w": float("inf")}, "bad grounding record"),
             ({}, "duplicate id 'a' (first on line 1)"),
             ({"id": "b", "image_w": 640.9, "image_h": 480}, "image_w must be an integer, got 640.9"),
+            ({"id": "b", "image_w": 1280.0}, "image_w must be an integer, got 1280.0"),
             ({"id": "b", "image_h": True}, "image_h must be an integer, got True"),
             ({"id": "b", "bbox": ["100", "100", "200", "180"]}, "bbox numbers must be finite JSON numbers, got '100'"),
             ({"id": "b", "bbox": [100, 100, True, 180]}, "bbox numbers must be finite JSON numbers, got True"),
@@ -333,8 +356,8 @@ class TestBadInputRows:
             ({"id": "b", "bbox": [200, 100, 100, 180]}, "inverted bbox coordinates"),
             ({"id": "b", "phrase": ["x"]}, "phrase must be a string, got ['x']"),
         ],
-        ids=["nan-bbox", "inf-image-size", "duplicate-id", "fractional-image-size", "bool-image-size",
-             "string-number", "bool-number", "five-entry-bbox", "inverted-bbox", "list-phrase"],
+        ids=["nan-bbox", "inf-image-size", "duplicate-id", "fractional-image-size", "integral-float-image-size",
+             "bool-image-size", "string-number", "bool-number", "five-entry-bbox", "inverted-bbox", "list-phrase"],
     )
     def test_synth_rejects_bad_record(self, tmp_path, scene_file, capsys, second, reason):
         assert run(["fit", "--scene", str(scene_file), "--kind", "ols", "--out", str(tmp_path), "--quiet"]) == 0
@@ -349,11 +372,11 @@ class TestBadInputRows:
         assert f"{records}:2: " in err and reason in err
         assert not (tmp_path / "labels.jsonl").exists()
 
-    @pytest.mark.parametrize("name", ["x_norm", "w1", "zoom_feat"])
+    @pytest.mark.parametrize("name", ["x_norm", "w1"])
     def test_fit_rejects_non_finite_feature(self, tmp_path, capsys, name):
         rows = [
             {
-                "features": {"x_norm": i / 10, "y_norm": (i % 3) / 10, "w1": (i * i + 1) / 100, "zoom_feat": 0.5},
+                "features": {"x_norm": i / 10, "y_norm": (i % 3) / 10, "w1": (i * i + 1) / 100},
                 "action": {"pan": 2 * i, "tilt": i % 3, "zoom": 10},
             }
             for i in range(8)
@@ -364,6 +387,25 @@ class TestBadInputRows:
         assert run(["fit", "--pairs", str(pairs), "--kind", "ols", "--out", str(tmp_path), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert f"{pairs}:5: " in err and "features must be finite" in err
+
+    @pytest.mark.parametrize("action, reason", [
+        ({"pan": 5.0, "tilt": 0, "zoom": 10}, "pan must be an integer, got 5.0"),
+        ({"pan": 4, "tilt": True, "zoom": 10}, "tilt must be an integer, got True"),
+        ({"pan": 1000, "tilt": 0, "zoom": 10}, "pan 1000 outside [-999, 999]"),
+        ({"pan": 4, "tilt": 0, "zoom": -1}, "zoom -1 outside [0, 999]"),
+    ], ids=["fractional", "bool", "out-of-range", "negative-zoom"])
+    def test_fit_rejects_a_pair_action_as_a_label_file_does(self, tmp_path, capsys, action, reason):
+        rows = [
+            {"features": {"x_norm": i / 10, "y_norm": (i % 3) / 10, "w1": (i * i + 1) / 100},
+             "action": {"pan": 2 * i, "tilt": i % 3, "zoom": 10}}
+            for i in range(8)
+        ]
+        rows[2]["action"] = action
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert run(["fit", "--pairs", str(pairs), "--kind", "ols", "--out", str(tmp_path), "--quiet"]) == 3
+        assert f"data error: {pairs}:3: {reason} (bad training pair)" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("value", ["0.1", True], ids=["string-number", "bool-number"])
     def test_fit_rejects_a_feature_that_is_no_json_number(self, tmp_path, capsys, value):
@@ -441,9 +483,10 @@ class TestNonFiniteModel:
         (["weights", "zoom", 2, 1], float("nan"), "zoom weights must be finite"),
         (["bins", "pan", -1], 1000, "pan bins must lie in [-999, 999]"),
         (["bins", "pan", 0], -29.7, "pan bins must be an integer, got -29.7"),
+        (["bins", "pan", 0], -30.0, "pan bins must be an integer, got -30.0"),
         (["weights", "tilt", 0, 2], "0.5", "tilt weights must be finite JSON numbers, got '0.5'"),
         (["weights", "pan", 1, 0], False, "pan weights must be finite JSON numbers, got False"),
-    ], ids=["nan-weight", "out-of-range-bin", "fractional-bin", "string-weight", "bool-weight"])
+    ], ids=["nan-weight", "out-of-range-bin", "fractional-bin", "integral-float-bin", "string-weight", "bool-weight"])
     def test_bad_policy_checkpoint_names_the_file(self, tmp_path, scene_file, capsys, path, value, reason):
         assert run(["grpo-train", "--scene", str(scene_file), "--steps", "1", "--out", str(tmp_path), "--quiet"]) == 0
         doc = json.loads((tmp_path / "policy.json").read_text())
@@ -453,6 +496,16 @@ class TestNonFiniteModel:
         assert run(["eval", "--scene", str(scene_file), "--policy", str(bad), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert f"data error: {bad}: " in err and reason in err
+
+    def test_model_over_the_zoom_feature_names_the_file(self, tmp_path, scene_file, capsys):
+        doc = self.fitted(tmp_path, scene_file, "ols")
+        doc["config"]["use_zoom_feature"] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc) + "\n")
+        scene, records = self.write_inputs(tmp_path)
+        for command in (["eval", "--scene", str(scene), "--policy"], ["synth", "--records", str(records), "--model"]):
+            assert run([*command, str(bad), "--out", str(tmp_path)]) == 3
+            assert f"data error: {bad}: use_zoom_feature must be absent or false" in capsys.readouterr().err
 
     def test_overflowing_prediction_is_data_error(self, tmp_path, scene_file, capsys):
         doc = self.fitted(tmp_path, scene_file, "ols")
@@ -621,7 +674,9 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         # [camera] zoom_max, the [io] input paths and [grpo] clip_eps were once
-        # read and then took no effect; [grpo] std_guard only passed its default on
+        # read and then took no effect; [grpo] std_guard only passed its default on;
+        # [codec] levels sized the vocabulary as a --vocab table does; every
+        # model reads the same three features, so [pseudolabel] use_zoom_feature went
         for section, key, value in [
             ("run", "sneed", "9"),
             ("camera", "zoom_max", "100"),
@@ -631,6 +686,8 @@ class TestConfig:
             ("io", "policy", str(cfg)),
             ("grpo", "clip_eps", "0.2"),
             ("grpo", "std_guard", "1e-8"),
+            ("codec", "levels", "3"),
+            ("pseudolabel", "use_zoom_feature", "false"),
         ]:
             cfg.write_text(f"[{section}]\n{key} = {value}\n")
             assert run(["--config", str(cfg), "scene-gen", "--count", "1", "--out", str(tmp_path)]) == 3
@@ -691,7 +748,6 @@ class TestConfig:
             ("grpo", "kl_weight", "-0.5", "kl_weight must be non-negative"),
             ("reward", "angle_tol", "0", "all reward spans must be positive"),
             ("reward", "zoom_band", "-5", "all reward spans must be positive"),
-            ("codec", "levels", "7", "levels must be in [1, 3]"),
             ("intrinsics", "image_w", "0", "image dimensions must be positive"),
             ("intrinsics", "hfov_base", "180", "hfov_base must be in (0, 180) degrees"),
         ],
@@ -804,7 +860,6 @@ BAD_VALUES = {
     "camera.tilt": "95",
     "camera.zoom": "1200",
     "codec.vocab_path": FREE,
-    "codec.levels": "7",
     "codec.strict": "maybe",
     "pseudolabel.k": "-2",
     "pseudolabel.kind": "foo",
@@ -812,7 +867,6 @@ BAD_VALUES = {
     "pseudolabel.max_depth": "2.5",
     "pseudolabel.min_samples_leaf": "",
     "pseudolabel.fill_ratio": "2",
-    "pseudolabel.use_zoom_feature": "sometimes",
     "pseudolabel.zoom_source": "foo",
     "reward.angle_tol": "nan",
     "reward.angle_penalty_span": "-inf",
@@ -954,26 +1008,3 @@ class TestKeyTable:
             assert run(["--config", str(ini), *argv]) == 0
             section, name = cli.FLAG_KEYS[flag].split(".")
             assert getattr(getattr(seen.pop(), section), name) == want, flag
-
-    def test_levels_beside_a_vocabulary_file_is_rejected(self, tmp_path, capsys):
-        from ptzkit.codec import TokenVocab
-
-        vocab = tmp_path / "vocab.tsv"
-        TokenVocab.default().save(vocab)
-        encode = ["encode", "--pan", "250", "--tilt", "0", "--zoom", "0"]
-        both = tmp_path / "both.ini"
-        both.write_text(f"[codec]\nvocab_path = {vocab}\nlevels = 1\n")
-        assert run(["--config", str(both), *encode]) == 3
-        assert "config error: [codec] levels 1 with [codec] vocab_path: levels are set by the vocabulary file" in (
-            capsys.readouterr().err
-        )
-        levels = tmp_path / "levels.ini"
-        levels.write_text("[codec]\nlevels = 3\n")
-        assert run(["--config", str(levels), *encode, "--vocab", str(vocab)]) == 2
-        assert "encode error: [codec] levels 3 with --vocab: levels are set by the vocabulary file" in (
-            capsys.readouterr().err
-        )
-        assert run([*encode, "--vocab", str(vocab)]) == 0  # either alone takes effect
-        assert run(["--config", str(levels), *encode]) == 0
-        assert run([*encode, "--vocab", str(tmp_path / "nope.tsv")]) == 3  # as a missing --scene is
-        assert "data error: " in capsys.readouterr().err

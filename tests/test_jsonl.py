@@ -132,12 +132,12 @@ def test_write_is_one_dumps_line_per_record(tmp_path):
     assert jsonl.read(path, dict, "row") == rows
 
 
-@pytest.mark.parametrize("value, expected", [(640, 640), (640.0, 640), (-3, -3)])
+@pytest.mark.parametrize("value, expected", [(640, 640), (-3, -3)])
 def test_integer_accepts_integral_numbers(value, expected):
     assert jsonl.integer(value, "n") == expected and type(jsonl.integer(value, "n")) is int
 
 
-@pytest.mark.parametrize("value", [640.9, True, False, "640", None, math.inf, math.nan])
+@pytest.mark.parametrize("value", [640.0, 640.9, True, False, "640", None, math.inf, math.nan])
 def test_integer_rejects(value):
     with pytest.raises(ValueError, match="n must be an integer"):
         jsonl.integer(value, "n")

@@ -43,7 +43,7 @@ def ref_features_for_record(b: BBoxPx, image_w: int, image_h: int) -> tuple[tupl
     x_norm, y_norm = ref_normalize_center(b, image_w, image_h)
     w1 = b.area() / (image_w * image_h)
     window, w2 = ref_isotropic_crop(b, image_w, image_h)
-    return (x_norm, y_norm, w1, 0.5 * math.log2(w2 / w1)), window, w2
+    return (x_norm, y_norm, w1), window, w2
 
 
 def reference_generate(rows, model: pl.RegressorModel, seed: int, zoom_source: str) -> tuple[pl.LabelSet, list]:
@@ -64,8 +64,7 @@ def reference_generate(rows, model: pl.RegressorModel, seed: int, zoom_source: s
             skipped.append((rid, "bbox outside image bounds"))
             continue
         features, window, w2 = ref_features_for_record(b, w, h)
-        x = np.array([features[: 4 if model.config.use_zoom_feature else 3]])
-        pan, tilt, zoom = model.predict_batch(x)[0].tolist()
+        pan, tilt, zoom = model.predict_batch(np.array([features]))[0].tolist()
         if zoom_source == "geometry":
             zoom = round_half_away(50.0 * math.log2(w2 / features[2]))
         action = [min(max(round_half_away(v), lo), lim) for v, lo in zip((pan, tilt, zoom), (-lim, -lim, 0))]
@@ -217,15 +216,13 @@ class TestRecordFeatures:
             assert bits(w2[i]) == bits(want_w2)
             assert pl.zoom_labels(x[i, 2], w2[i]).tolist() == [round_half_away(50.0 * math.log2(want_w2 / features[2]))]
 
-    def test_zoom_feature_is_math_log2_of_each_ratio(self):
+    def test_zoom_labels_are_math_log2_of_each_ratio(self):
         # np.log2 rounds a few in 10^5 of these ratios to the other neighbouring double
         rng = np.random.default_rng(3)
         n = 200_000
         x0, y0 = rng.uniform(0, 600, n), rng.uniform(0, 300, n)
         boxes = np.column_stack([x0, y0, x0 + rng.uniform(1, 680, n), y0 + rng.uniform(1, 420, n)])
         x, _, w2 = pl.record_features(boxes, 1280, 720)
-        want = [0.5 * math.log2(r) for r in (w2 / x[:, 2]).tolist()]
-        assert bits(x[:, 3]) == bits(want)
         labels = pl.zoom_labels(x[:, 2], w2)
         assert labels.tolist() == [round_half_away(50.0 * math.log2(r)) for r in (w2 / x[:, 2]).tolist()]
 
@@ -336,6 +333,16 @@ class TestOLS:
             pl.fit(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64), pl.RegressorConfig(kind="ols_linear"))
 
 
+@pytest.mark.parametrize("kind", ["ols_linear", "random_forest"])
+@pytest.mark.parametrize("width", [2, 4])
+def test_fit_rejects_rows_that_are_not_three_wide(kind, width):
+    x, actions = exact_linear_pairs()
+    x = np.hstack([x, x])[:, :width]  # the first two features, or the three and one more
+    reason = f"feature rows must be 3 wide (x_norm, y_norm, w1), got shape (80, {width})"
+    with pytest.raises(pl.FitError, match=re.escape(reason)):
+        pl.fit(x, actions, pl.RegressorConfig(kind=kind, n_trees=2))
+
+
 class TestRandomForest:
     def test_constant_target(self):
         rng = np.random.default_rng(0)
@@ -370,20 +377,6 @@ class TestRandomForest:
         x, actions = exact_linear_pairs()
         with pytest.raises(ValueError):
             pl.fit(x[:4], actions[:4], pl.RegressorConfig(kind="random_forest", min_samples_leaf=5))
-
-    def test_optional_zoom_feature(self):
-        rng = np.random.default_rng(33)
-        scene = cam.sample_targets(300, rng)
-        samples, _ = st.make_samples(scene, K, seed=2)
-        cfg = pl.RegressorConfig(kind="random_forest", seed=5, use_zoom_feature=True)
-        model = pl.fit(samples.features, samples.actions, cfg)
-        assert model.train_r2["zoom"] >= 0.95
-        # a model expecting the extra feature rejects bare feature rows
-        bare = replace(samples[:2], features=samples.features[:2, :3])
-        with pytest.raises(pl.FitError, match="zoom feature"):
-            st.RegressorPolicy(model).actions(bare)
-        with pytest.raises(pl.FitError, match="zoom feature"):
-            pl.fit(bare.features, bare.actions, cfg)
 
 
 class TestGenerate:
@@ -892,10 +885,11 @@ class TestFiles:
         ({"bbox": [200, 100, 100, 180]}, "inverted bbox coordinates"),
         ({"phrase": ["red mug"]}, "phrase must be a string, got ['red mug']"),
         ({"image_w": 640.5}, "image_w must be an integer, got 640.5"),
+        ({"image_w": 1280.0}, "image_w must be an integer, got 1280.0"),
         ({"image_h": 2**64}, "image_h 18446744073709551616 does not fit in 64 bits"),
         ({"bbox": [100, 100, 10**400, 180]}, "bbox numbers must be finite JSON numbers"),
     ], ids=["string-number", "bool-number", "five-entry-box", "three-entry-box", "inverted-box", "list-phrase",
-            "fractional-size", "huge-size", "huge-integer"])
+            "fractional-size", "integral-float-size", "huge-size", "huge-integer"])
     def test_bad_grounding_row_names_path_and_line(self, tmp_path, change, reason):
         path = tmp_path / "records.jsonl"
         rows = [self.GOOD_RECORD, {**self.GOOD_RECORD, "id": "b", **change}]
@@ -941,14 +935,9 @@ class TestModelFileShape:
     @pytest.fixture(scope="class")
     def fitted(self, tmp_path_factory):
         x, actions = exact_linear_pairs()
-        x = np.hstack([x, np.linspace(0.0, 1.0, len(x))[:, None]])  # a zoom_feat column
-        docs = {}
-        for use_zoom in (False, True):
-            cfg = pl.RegressorConfig(kind="random_forest", n_trees=2, seed=2, use_zoom_feature=use_zoom)
-            path = tmp_path_factory.mktemp("model") / "model.json"
-            pl.save_model(path, pl.fit(x, actions, cfg))
-            docs[use_zoom] = json.loads(path.read_text())
-        return docs
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        pl.save_model(path, pl.fit(x, actions, pl.RegressorConfig(kind="random_forest", n_trees=2, seed=2)))
+        return json.loads(path.read_text())
 
     @staticmethod
     def first_inner_and_leaf(tree: dict) -> tuple[int, int]:
@@ -976,18 +965,20 @@ class TestModelFileShape:
         ("tilt", 0, lambda t, inner, leaf: t.__setitem__("left", 3), "arrays must be non-empty lists"),
         ("pan", 0, lambda t, inner, leaf: t["feature"].__setitem__(inner, "1"), "feature must be an integer, got '1'"),
         ("pan", 0, lambda t, inner, leaf: t["left"].__setitem__(inner, 1.9), "left must be an integer, got 1.9"),
+        ("tilt", 0, lambda t, inner, leaf: t["feature"].__setitem__(inner, 1.0), "feature must be an integer, got 1.0"),
         ("pan", 0, lambda t, inner, leaf: t["right"].__setitem__(inner, True), "right must be an integer, got True"),
         ("tilt", 1, lambda t, inner, leaf: t["threshold"].__setitem__(inner, float("nan")),
          "thresholds and values must be finite"),
     ], ids=["self-cycle", "right-onto-itself", "left-past-the-end", "left-far-out", "leaf-with-child",
             "zoom-feature-without-it", "feature-below-minus-one", "feature-seven", "short-values", "empty-tree",
-            "left-not-a-list", "string-feature", "fractional-left", "bool-right", "nan-threshold"])
+            "left-not-a-list", "string-feature", "fractional-left", "integral-float-feature", "bool-right",
+            "nan-threshold"])
     def test_bad_tree_names_file_head_and_tree(self, tmp_path, fitted, head, tree, change, reason):
         def apply(heads):
             t = heads[head]["trees"][tree]
             change(t, *self.first_inner_and_leaf(t))
 
-        path = self.load_changed(tmp_path, fitted[False], apply)
+        path = self.load_changed(tmp_path, fitted, apply)
         # a cycle would make predict walk forever: it must be rejected on load
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {head} tree {tree} .*{re.escape(reason)}"):
             pl.load_model(path)
@@ -998,7 +989,7 @@ class TestModelFileShape:
             heads["tilt"]["n_trees"] = n_trees
             heads["tilt"]["trees"] = heads["tilt"]["trees"][:trees]
 
-        path = self.load_changed(tmp_path, fitted[False], apply)
+        path = self.load_changed(tmp_path, fitted, apply)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tilt n_trees"):
             pl.load_model(path)
 
@@ -1010,18 +1001,23 @@ class TestModelFileShape:
         ("min_samples_leaf", -2, "must be >= 1, got -2"),
     ], ids=["fractional-depth", "string-depth", "zero-depth", "bool-leaf", "negative-leaf"])
     def test_bad_forest_header_names_file_head_and_key(self, tmp_path, fitted, key, value, reason):
-        path = self.load_changed(tmp_path, fitted[False], lambda heads: heads["zoom"].__setitem__(key, value))
+        path = self.load_changed(tmp_path, fitted, lambda heads: heads["zoom"].__setitem__(key, value))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: zoom {key} {re.escape(reason)}"):
             pl.load_model(path)
 
-    def test_zoom_feature_widens_the_feature_range(self, tmp_path, fitted):
-        def apply(heads, feature):
-            t = heads["pan"]["trees"][0]
-            t["feature"][self.first_inner_and_leaf(t)[0]] = feature
-
-        pl.load_model(self.load_changed(tmp_path, fitted[True], lambda heads: apply(heads, 3)))
-        path = self.load_changed(tmp_path, fitted[True], lambda heads: apply(heads, 4))
-        with pytest.raises(ValueError, match=re.escape("pan tree 0 features must lie in [-1, 4)")):
+    @pytest.mark.parametrize("value", [False, None, True, 0, "false"],
+                             ids=["false", "absent", "true", "zero", "string"])
+    def test_use_zoom_feature_must_be_absent_or_false(self, tmp_path, fitted, value):
+        doc = json.loads(json.dumps(fitted))
+        assert "use_zoom_feature" not in doc["config"]
+        if value is not None:
+            doc["config"]["use_zoom_feature"] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc) + "\n")
+        if value is False or value is None:  # what every model file written so far holds, or nothing
+            assert pl.load_model(path).forests.keys() == set(pl.HEAD_NAMES)
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: use_zoom_feature must be absent or false"):
             pl.load_model(path)
 
     def test_ols_head_needs_a_coefficient_per_feature(self, tmp_path):
