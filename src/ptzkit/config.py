@@ -277,9 +277,4 @@ def validate(cfg: RunConfig) -> None:
             build()
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from None
-    if not _enough_thresholds(cfg):
-        raise ConfigError(
-            f"[selftrain] thresholds: rounds = {cfg.selftrain.rounds} needs at least rounds - 1 IoU thresholds, "
-            f"got {len(cfg.selftrain.threshold_list())}"
-        )
     check_pairs(cfg)

@@ -5,16 +5,25 @@ whole forest serializes to plain JSON, nodes numbered in depth-first preorder.
 ``from_dict`` is the one reader of that JSON: it accepts a tree only when
 every walk from the root ends at a leaf, in bounds.
 
-A forest grows all of its trees together, breadth first.  At each depth the
-open nodes of every tree are sorted by size and padded into ``[nodes, width]``
+``fit_heads`` grows the trees of every head of a fit together, breadth
+first, in passes of at most ``PASS_SAMPLES`` bootstrap samples;
+``RandomForest.fit`` is its one-head call.  Each bootstrap is stably sorted
+once per feature at the root, and every split carries the sorted lists down
+by a stable partition into its children (the presorted attribute lists of
+SLIQ), so each node holds, per feature, its own samples stably sorted, ties
+in bootstrap order, with no sort after the root.  At each depth the open
+nodes of every tree are sorted by size and padded into ``[nodes, width]``
 blocks of at most ``BLOCK_CELLS`` cells (+inf in x, 0 in y), and each block
-takes, for all features at once, one stable argsort per row, prefix sums of y
-and y^2 and the sse of every valid cut.  The parent sse, the gain test and
-the leaf means are pairwise sums over each node's own samples.  The
-floating-point evaluation order is therefore that of one node searched alone
-(stable sort, sequential prefix sums), and every tree draws its bootstrap
-sample from a spawned seed sequence, so a forest is bit-reproducible given
-(seed, data).
+takes, for all features at once, prefix sums of y and y^2 and the sse of
+every valid cut.  The parent sse, the gain test and the leaf means are
+pairwise sums over each node's own samples.  The floating-point evaluation
+order is therefore that of one node searched alone (stable sort, sequential
+prefix sums), and every tree draws its bootstrap sample from a spawned seed
+sequence, so a forest is bit-reproducible given (seed, data).
+
+``RandomForest.predict`` walks every tree over every row in one walk, over
+the trees' node arrays laid end to end, and sums the leaf values in tree
+order from 0.0, as a loop over the trees would.
 """
 
 from __future__ import annotations
@@ -46,18 +55,6 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            cur = node[idx]
-            feat = self.feature[cur]
-            go_left = x[idx, feat] <= self.threshold[cur]
-            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            active = self.feature[node] >= 0
-        return self.value[node]
 
     def to_dict(self) -> dict:
         return {
@@ -105,33 +102,26 @@ def _indices(values: list, what: str) -> np.ndarray:
 # large nodes never pad many small ones to their width.
 BLOCK_CELLS = 4096
 
-
-def _padded_columns(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` as ``[features, n + 1]`` and ``y`` as ``[n + 1]``; the extra sample
-    ``n`` is the padding, +inf in every feature and 0 in y."""
-    xt = np.empty((x.shape[1], x.shape[0] + 1), dtype=np.float64)
-    xt[:, :-1] = x.T
-    xt[:, -1] = np.inf
-    return xt, np.append(y, 0.0)
+# Upper bound on the bootstrap samples of one pass of the grower (or one tree,
+# if it alone holds more).  A fit grows its trees in passes of consecutive
+# trees, so a fit of many trees never holds every tree's sorted lists at once;
+# the trees are independent, so the passes cannot change a tree.
+PASS_SAMPLES = 1 << 16
 
 
-def _split_block(xt, y_pad, idx, sizes, min_leaf: int):
-    """Best split of every row of one padded block.
+def _split_sorted(xs, ys, sizes, min_leaf: int):
+    """Best split of every row of one padded block of presorted columns.
 
-    ``idx`` is ``[k, w]`` sample indices, row ``r`` holding its node's
-    ``sizes[r]`` samples in order and then the padding sample.  Every feature
-    takes one stable sort per row; the +inf padding sorts last, so each row's
+    ``xs`` and ``ys`` are ``[features, k, w]``: row ``r`` of feature ``f``
+    holds the x and y of its node's ``sizes[r]`` samples, stably sorted by
+    feature ``f``, and then padding of +inf in x and 0 in y.  So each row's
     prefix sums over its real samples are those of the node alone.  Returns
     (feature, threshold, sse) per row, feature -1 where no valid split exists.
     Ties keep the lowest feature index and then the lowest threshold.
     """
-    k, w = idx.shape
-    xv = xt[:, idx]  # [features, k, w]
-    order = np.argsort(xv, axis=2, kind="stable")
-    xs = np.take_along_axis(xv, order, axis=2)
-    yo = y_pad[np.take_along_axis(idx[None], order, axis=2)]
-    cy = np.cumsum(yo, axis=2)
-    cy2 = np.cumsum(yo * yo, axis=2)
+    _, k, w = xs.shape
+    cy = np.cumsum(ys, axis=2)
+    cy2 = np.cumsum(ys * ys, axis=2)
     rows = np.arange(k)
     total_y = cy[:, rows, sizes - 1][..., None]
     total_y2 = cy2[:, rows, sizes - 1][..., None]
@@ -179,28 +169,70 @@ def best_split(x, y, idx, min_leaf: int):
     m = idx.shape[0]
     if m < 2 * min_leaf:
         return -1, 0.0, np.inf
-    xt, y_pad = _padded_columns(x, y)
-    feat, thr, sse = _split_block(xt, y_pad, idx[None], np.array([m]), min_leaf)
+    rows = idx[np.argsort(x[idx].T, axis=1, kind="stable")]  # [features, m]
+    xs = x[rows, np.arange(x.shape[1])[:, None]]
+    feat, thr, sse = _split_sorted(xs[:, None], y[rows][:, None], np.array([m]), min_leaf)
     if feat[0] < 0:
         return -1, 0.0, np.inf
     return int(feat[0]), float(thr[0]), float(sse[0])
 
 
-def _grow_forest(x: np.ndarray, y: np.ndarray, boots: list[np.ndarray], cfg: ForestConfig) -> list[Tree]:
-    """Grow one tree per bootstrap, breadth first, every tree at once.
+def fit_heads(
+    x: np.ndarray, ys: np.ndarray, cfg: ForestConfig, seed_seqs: list[np.random.SeedSequence]
+) -> list[RandomForest]:
+    """One forest per column of ``ys``, its trees drawn from ``seed_seqs``.
 
-    Each depth holds the open nodes of all trees as one flat list of sample
-    indices, node after node, each in its bootstrap order.  The split search
-    takes a depth in padded blocks; the parent sse and the leaf means come
-    from each node's own pairwise sums, as ``np.sum`` and ``np.mean`` take
-    them (a padded row would regroup them).  The nodes are numbered level by
-    level while growing and renumbered into depth-first preorder at the end.
+    Head ``h`` fits ``ys[:, h]`` on ``x``, and tree ``t`` of it draws its
+    bootstrap from child ``t`` of ``seed_seqs[h].spawn(cfg.n_trees)``.  The
+    trees of every head grow together, in passes of at most ``PASS_SAMPLES``
+    bootstrap samples: sample ``i`` of head ``h`` is sample ``h * n + i`` of
+    one set of columns, so a pass needs no per-head path.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n = x.shape[0]
+    ys = np.asarray(ys, dtype=np.float64)
+    if n < 2 * cfg.min_samples_leaf:
+        raise ValueError(f"need at least {2 * cfg.min_samples_leaf} samples, got {n}")
+    n_heads = ys.shape[1]
+    # the extra last sample is the padding, +inf in every feature and 0 in y
+    xt = np.full((x.shape[1], n_heads * n + 1), np.inf)
+    xt[:, :-1] = np.tile(x.T, n_heads)
+    y = np.append(ys.T, 0.0)
+    draws = [(h * n, child) for h, seq in enumerate(seed_seqs) for child in seq.spawn(cfg.n_trees)]
+    per_pass = max(1, PASS_SAMPLES // n)
+    trees = []
+    for lo in range(0, len(draws), per_pass):
+        rngs = [(first, np.random.default_rng(child)) for first, child in draws[lo : lo + per_pass]]
+        boots = np.stack([first + rng.integers(0, n, size=n) for first, rng in rngs])
+        trees += _grow_pass(xt, y, boots, cfg)
+    return [RandomForest(config=cfg, trees=trees[lo : lo + cfg.n_trees]) for lo in range(0, len(trees), cfg.n_trees)]
+
+
+def _grow_pass(xt, y, boots, cfg: ForestConfig) -> list[Tree]:
+    """Grow one tree per row of ``boots``, breadth first, every tree at once.
+
+    ``xt`` is ``[features, samples]`` and ``y`` ``[samples]``, the last sample
+    the padding.  Each depth holds the open nodes of all trees in the rows of
+    ``lists``, node after node, and then the padding sample: row 0 holds each
+    node's samples in bootstrap order, row ``1 + f`` the same samples stably
+    sorted by feature ``f``.  The rows are sorted once, at the root, and every
+    split partitions each row stably into its children; a node's samples are
+    a subsequence of its bootstrap, so row ``1 + f`` is what a stable sort of
+    row 0 would give.  The split search takes a depth in padded blocks; the
+    parent sse and the leaf means come from each node's own pairwise sums
+    over row 0, as ``np.sum`` and ``np.mean`` take them (a padded row would
+    regroup them).  The nodes are numbered level by level while growing and
+    renumbered into depth-first preorder at the end.
     """
     min_leaf = cfg.min_samples_leaf
-    xt, y_pad = _padded_columns(x, y)
-    n_trees = len(boots)
-    members = np.concatenate(boots)
-    sizes = np.array([b.shape[0] for b in boots], dtype=np.int64)
+    n_trees, n = boots.shape
+    lists = np.empty((xt.shape[0] + 1, n_trees * n + 1), dtype=np.int64)
+    lists[0, :-1] = boots.ravel()
+    for f in range(xt.shape[0]):
+        order = np.argsort(xt[f, boots], axis=1, kind="stable")
+        lists[1 + f, :-1] = np.take_along_axis(boots, order, axis=1).ravel()
+    lists[:, -1] = xt.shape[1] - 1
+    sizes = np.full(n_trees, n, dtype=np.int64)
     tree_of = np.arange(n_trees, dtype=np.int64)
     levels = []  # per depth: (tree, feature, threshold, value, first child id or -1)
     next_id = n_trees
@@ -208,13 +240,13 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, boots: list[np.ndarray], cfg: For
         n_nodes = sizes.shape[0]
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         open_nodes = np.flatnonzero(sizes >= 2 * min_leaf) if depth < cfg.max_depth else np.empty(0, np.int64)
-        feature, threshold, sse = _search_depth(xt, y_pad, members, starts, sizes, open_nodes, min_leaf)
+        feature, threshold, sse = _search_depth(xt, y, lists[1:], starts, sizes, open_nodes, min_leaf)
         # parent sse, gain test and leaf mean, each over one node's samples
         # in its own order: np.add.reduce is the pairwise sum that np.sum and
         # np.mean run, and np.mean divides that sum by the count
         begin = starts.tolist()
         end = (starts + sizes).tolist()
-        ys = y[members]
+        ys = y[lists[0, :-1]]
         total = np.array([np.add.reduce(ys[a:b]) for a, b in zip(begin, end)])
         cand = np.flatnonzero(feature >= 0)
         ys2 = ys * ys
@@ -232,31 +264,58 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, boots: list[np.ndarray], cfg: For
         if n_split == 0:
             break
         next_id += 2 * n_split
-        # children of the split nodes: left then right, samples in parent order
-        node_of = np.repeat(np.arange(n_nodes), sizes)
-        keep = split[node_of]
-        members, node_of = members[keep], node_of[keep]
-        go_right = ~(xt[feature[node_of], members] <= threshold[node_of])
-        child = 2 * (np.cumsum(split) - 1)[node_of] + go_right
-        members = members[np.argsort(child, kind="stable")]
-        sizes = np.bincount(child, minlength=2 * n_split)
+        lists, sizes = _partition(xt, lists, sizes, feature, threshold)
         tree_of = np.repeat(tree_of[split], 2)
     return _preorder_trees(levels, n_trees)
 
 
-def _search_depth(xt, y_pad, members, starts, sizes, open_nodes, min_leaf: int):
+def _partition(xt, lists, sizes, feature, threshold):
+    """The samples of the split nodes' children, in the layout of ``lists``.
+
+    Node ``i`` of ``lists`` has ``sizes[i]`` samples in every row, node after
+    node, then the padding sample; it is split where ``feature[i] >= 0``.
+    Each split node's samples at or below its threshold and then the rest
+    take its place, each in the order of their row, and the other nodes'
+    samples are dropped.  Returns the new rows and the children's sizes,
+    left then right per split node.  O(samples): one slot index, the same
+    for every row, picks from the row's left samples and then its right
+    ones.
+    """
+    split = feature >= 0
+    node_of = np.repeat(np.arange(sizes.shape[0]), sizes)
+    keep = split[node_of]
+    cell = np.where(split, feature, 0)[node_of] * xt.shape[1]
+    limit = threshold[node_of]
+    below = [xt.ravel()[cell + row[:-1]] <= limit for row in lists]
+    n_left = np.bincount(node_of[below[0] & keep], minlength=sizes.shape[0])[split]
+    n_right = sizes[split] - n_left
+    child_sizes = np.stack([n_left, n_right], axis=1).ravel()
+    # where each child starts among a row's left-then-right samples, less
+    # where it starts in the new row
+    first = np.stack([np.cumsum(n_left) - n_left, n_left.sum() + np.cumsum(n_right) - n_right], axis=1)
+    slot = np.repeat(first.ravel() - (np.cumsum(child_sizes) - child_sizes), child_sizes)
+    slot += np.arange(slot.shape[0])
+    out = np.empty((lists.shape[0], slot.shape[0] + 1), dtype=np.int64)
+    for row, left, new in zip(lists, below, out):
+        marked = np.concatenate((np.flatnonzero(left & keep), np.flatnonzero(keep & ~left)))
+        np.take(row, marked[slot], out=new[:-1])
+    out[:, -1] = lists[:, -1]
+    return out, child_sizes
+
+
+def _search_depth(xt, y, sorted_lists, starts, sizes, open_nodes, min_leaf: int):
     """Best split of each open node of one depth, searched in padded blocks.
 
-    Node ``i`` holds ``members[starts[i] : starts[i] + sizes[i]]``.  Nodes not
-    in ``open_nodes`` get feature -1 and sse inf.
+    Row ``f`` of ``sorted_lists`` holds node ``i``'s samples sorted by feature
+    ``f`` in columns ``starts[i] : starts[i] + sizes[i]``, and the padding
+    sample last.  Nodes not in ``open_nodes`` get feature -1 and sse inf.
     """
     feature = np.full(sizes.shape[0], -1, dtype=np.int64)
     threshold = np.zeros(sizes.shape[0], dtype=np.float64)
     sse = np.full(sizes.shape[0], np.inf)
     ordered = open_nodes[np.argsort(sizes[open_nodes], kind="stable")]
     ordered_sizes = sizes[ordered].tolist()
-    # one entry past the members: the padding sample, last column of xt
-    members_ext = np.append(members, xt.shape[1] - 1)
+    feature_start = (np.arange(xt.shape[0]) * xt.shape[1])[:, None, None]
     lo = 0
     while lo < len(ordered):
         hi = lo + 1
@@ -264,9 +323,9 @@ def _search_depth(xt, y_pad, members, starts, sizes, open_nodes, min_leaf: int):
             hi += 1
         block = ordered[lo:hi]
         cols = np.arange(ordered_sizes[hi - 1])
-        pos = np.where(cols < sizes[block][:, None], starts[block][:, None] + cols, members.shape[0])
-        feature[block], threshold[block], sse[block] = _split_block(
-            xt, y_pad, members_ext[pos], sizes[block], min_leaf
+        idx = sorted_lists[:, np.where(cols < sizes[block][:, None], starts[block][:, None] + cols, -1)]
+        feature[block], threshold[block], sse[block] = _split_sorted(
+            xt.ravel()[feature_start + idx], y[idx], sizes[block], min_leaf
         )
         lo = hi
     return feature, threshold, sse
@@ -313,25 +372,41 @@ class RandomForest:
     def fit(
         cls, x: np.ndarray, y: np.ndarray, cfg: ForestConfig, seed_seq: np.random.SeedSequence
     ) -> "RandomForest":
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        y = np.ascontiguousarray(y, dtype=np.float64)
-        n = x.shape[0]
-        if n < 2 * cfg.min_samples_leaf:
-            raise ValueError(
-                f"need at least {2 * cfg.min_samples_leaf} samples, got {n}"
-            )
-        boots = [np.random.default_rng(child).integers(0, n, size=n) for child in seed_seq.spawn(cfg.n_trees)]
-        return cls(config=cfg, trees=_grow_forest(x, y, boots, cfg))
+        """``fit_heads`` of the one head ``y``."""
+        return fit_heads(x, np.asarray(y)[:, None], cfg, [seed_seq])[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """Mean of the trees' leaf values, summed in tree order.
+
+        Every tree walks every row together, one depth per step, over the
+        trees' node arrays laid end to end; a leaf is its own child on both
+        sides, so a walk that reaches one stays there.
+        """
         x = np.ascontiguousarray(x, dtype=np.float64)
-        acc = np.zeros(x.shape[0], dtype=np.float64)
+        n_rows, n_features = x.shape
+        trees = self.trees
+        offset = np.cumsum([0] + [t.feature.shape[0] for t in trees[:-1]])
+        feature = np.concatenate([t.feature for t in trees])
+        threshold = np.concatenate([t.threshold for t in trees])
+        leaf = feature < 0
+        node_id = np.arange(feature.shape[0])
+        # child[2 * i + 1] is node i's left child and child[2 * i] its right one
+        child = np.empty((feature.shape[0], 2), dtype=np.int64)
+        child[:, 0] = np.where(leaf, node_id, np.concatenate([t.right + o for t, o in zip(trees, offset)]))
+        child[:, 1] = np.where(leaf, node_id, np.concatenate([t.left + o for t, o in zip(trees, offset)]))
+        child = child.ravel()
+        column = np.where(leaf, 0, feature)  # a leaf reads any column and stays
+        node = np.repeat(offset, n_rows)  # tree after tree, row after row
+        row_start = np.tile(np.arange(n_rows) * n_features, len(trees))
+        while not np.all(leaf[node]):
+            node = child[2 * node + (x.ravel()[row_start + column[node]] <= threshold[node])]
+        acc = np.zeros(n_rows, dtype=np.float64)
         # finite leaves can still overflow in the sum; the inf that results
         # is rejected where the prediction is rounded
         with np.errstate(over="ignore"):
-            for tree in self.trees:
-                acc += tree.predict(x)
-            return acc / len(self.trees)
+            for leaves in np.concatenate([t.value for t in trees])[node].reshape(len(trees), n_rows):
+                acc += leaves
+            return acc / len(trees)
 
     def to_dict(self) -> dict:
         return {

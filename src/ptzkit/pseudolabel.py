@@ -26,7 +26,7 @@ import numpy as np
 
 from ptzkit import codec, jsonl
 from ptzkit.codec import round_half_away_batch
-from ptzkit.forest import ForestConfig, RandomForest
+from ptzkit.forest import ForestConfig, RandomForest, fit_heads
 
 HEAD_NAMES = ("pan", "tilt", "zoom")
 # The columns of a feature row, which every regressor and the toy policy read.
@@ -250,9 +250,8 @@ def fit(x: np.ndarray, actions: np.ndarray, cfg: RegressorConfig) -> RegressorMo
         model.ols_coef = coef[:-1].T.copy()
         model.ols_intercept = coef[-1].copy()
     else:
-        root = np.random.SeedSequence(cfg.seed)
-        for name, head_seq in zip(HEAD_NAMES, root.spawn(3)):
-            model.forests[name] = RandomForest.fit(x, y[:, HEAD_NAMES.index(name)], cfg.forest, head_seq)
+        heads = fit_heads(x, y, cfg.forest, np.random.SeedSequence(cfg.seed).spawn(len(HEAD_NAMES)))
+        model.forests = dict(zip(HEAD_NAMES, heads))
     pred = model.predict_batch(x)
     for j, name in enumerate(HEAD_NAMES):
         ss_res = float(np.sum((y[:, j] - pred[:, j]) ** 2))

@@ -602,7 +602,8 @@ class TestIterate:
         scene = str(tmp_path / "nope.jsonl")
         for command in (["iterate"], ["eval", "--policy", "oracle"]):
             assert run(["--config", str(cfg), *command, "--scene", scene, "--out", str(tmp_path)]) == 3
-            assert "config error: [selftrain] thresholds: rounds = 3 needs at least" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "config error: [selftrain] rounds 3 with [selftrain] thresholds: need at least rounds - 1" in err
 
     def test_missing_scene_makes_no_out_dir(self, tmp_path, capsys):
         assert run(["iterate", "--scene", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "d")]) == 3

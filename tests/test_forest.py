@@ -1,12 +1,16 @@
-"""Split search and tree growing of the forest against reference builders.
+"""Split search, tree growing and prediction of the forest against references.
 
-The split search is checked against a brute-force oracle.  ``RandomForest.fit``
-grows every tree of a forest level by level in padded blocks; it is checked
-byte for byte against the recursive per-node builder it replaced, kept here
-as the reference.
+The split search is checked against a brute-force oracle.  ``fit_heads``
+grows the trees of every head level by level, on presorted columns, in padded
+blocks; it is checked byte for byte against the recursive per-node builder it
+replaced, kept here as the reference.  ``RandomForest.predict`` walks every
+tree at once; it is checked bit for bit against a walk of one tree at a time.
 """
 
 import json
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from ptzkit import forest
-from ptzkit.forest import BLOCK_CELLS, ForestConfig, RandomForest, Tree, best_split
+from ptzkit.forest import BLOCK_CELLS, ForestConfig, RandomForest, Tree, best_split, fit_heads
 
 
 def brute_force_best_split(x, y, idx, min_leaf):
@@ -229,13 +233,13 @@ def test_midpoint_rounding_onto_upper_value_leaves_no_empty_leaf():
 
 def test_wide_nodes_split_over_several_blocks(monkeypatch):
     shapes = []
-    search = forest._split_block
+    search = forest._split_sorted
 
-    def record(xt, y_pad, idx, sizes, min_leaf):
-        shapes.append(idx.shape)
-        return search(xt, y_pad, idx, sizes, min_leaf)
+    def record(xs, ys, sizes, min_leaf):
+        shapes.append(xs.shape[1:])
+        return search(xs, ys, sizes, min_leaf)
 
-    monkeypatch.setattr(forest, "_split_block", record)
+    monkeypatch.setattr(forest, "_split_sorted", record)
     x, y = make_data(4, 3000, 3, "float", "noise", False)
     cfg = ForestConfig(n_trees=5, max_depth=3, min_samples_leaf=4)
     got = RandomForest.fit(x, y, cfg, np.random.SeedSequence(4))
@@ -261,3 +265,141 @@ def test_best_split_matches_reference(seed, n_rows, n_features, min_leaf, x_kind
     got = best_split(x, y, idx, min_leaf)
     want = reference_best_split(x, y, idx, min_leaf)
     assert (got[0], float(got[1]), float(got[2])) == (want[0], float(want[1]), float(want[2]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=hst.integers(0, 2**16),
+    n_rows=hst.integers(2, 70),
+    n_features=hst.integers(1, 3),
+    n_heads=hst.integers(1, 3),
+    n_trees=hst.integers(1, 4),
+    trees_per_pass=hst.integers(1, 5),
+    min_leaf=hst.integers(1, 4),
+    max_depth=hst.integers(1, 6),
+    x_kind=hst.sampled_from(["float", "dup", "adjacent"]),
+)
+@example(seed=5, n_rows=40, n_features=2, n_heads=3, n_trees=3, trees_per_pass=2, min_leaf=2, max_depth=5,
+         x_kind="dup")  # passes of two trees: a pass boundary inside each head
+@example(seed=6, n_rows=50, n_features=3, n_heads=2, n_trees=2, trees_per_pass=3, min_leaf=1, max_depth=6,
+         x_kind="adjacent")  # one pass holds head 0 and the first tree of head 1
+def test_heads_in_one_pass_match_each_heads_reference(
+    seed, n_rows, n_features, n_heads, n_trees, trees_per_pass, min_leaf, max_depth, x_kind
+):
+    min_leaf = min(min_leaf, n_rows // 2)
+    x, _ = make_data(seed, n_rows, n_features, x_kind, "noise", False)
+    rng = np.random.default_rng(seed + 1)
+    # one y per head: a trend with noise, few distinct values (ties in every
+    # prefix sum), and a constant
+    ys = np.stack([x[:, 0] * 3.0 + rng.normal(size=n_rows), rng.integers(0, 3, n_rows) * 1.5, np.full(n_rows, 2.5)])
+    ys = ys[np.arange(n_heads) % 3].T
+    cfg = ForestConfig(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=min_leaf)
+    with mock.patch.object(forest, "PASS_SAMPLES", trees_per_pass * n_rows):
+        got = fit_heads(x, ys, cfg, np.random.SeedSequence(seed).spawn(n_heads))
+    want_seqs = np.random.SeedSequence(seed).spawn(n_heads)
+    assert len(got) == n_heads
+    for h, head in enumerate(got):
+        assert forest_bytes(head) == forest_bytes(reference_fit(x, ys[:, h], cfg, want_seqs[h]))
+
+
+def reference_tree_predict(tree, x):
+    """One tree's leaf value per row, walking only the rows not yet at a leaf."""
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    active = tree.feature[node] >= 0
+    while np.any(active):
+        idx = np.flatnonzero(active)
+        cur = node[idx]
+        go_left = x[idx, tree.feature[cur]] <= tree.threshold[cur]
+        node[idx] = np.where(go_left, tree.left[cur], tree.right[cur])
+        active = tree.feature[node] >= 0
+    return tree.value[node]
+
+
+def reference_predict(model, x):
+    """The per-tree loop: leaf values summed in tree order from 0.0, then averaged."""
+    acc = np.zeros(x.shape[0], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for tree in model.trees:
+            acc += reference_tree_predict(tree, x)
+        return acc / len(model.trees)
+
+
+def random_tree(rng, n_features, max_depth, huge):
+    """A tree of random shape in preorder; leaves are huge where ``huge``."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(rng.choice([1.0, -1.0]) * 1.5e308) if huge else float(rng.normal()))
+        if depth < max_depth and rng.random() < 0.7:
+            feature[node] = int(rng.integers(0, n_features))
+            threshold[node] = float(rng.choice([0.0, rng.normal()]))
+            value[node] = 0.0
+            left[node] = grow(depth + 1)
+            right[node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    return Tree(np.array(feature), np.array(threshold), np.array(left), np.array(right), np.array(value))
+
+
+def leaf_tree(value):
+    return Tree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([value]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=hst.integers(0, 2**16),
+    n_rows=hst.integers(0, 40),
+    n_features=hst.integers(1, 4),
+    n_trees=hst.integers(1, 6),
+    max_depth=hst.integers(0, 7),
+    huge=hst.booleans(),
+)
+def test_one_walk_predict_matches_the_per_tree_loop(seed, n_rows, n_features, n_trees, max_depth, huge):
+    rng = np.random.default_rng(seed)
+    trees = [random_tree(rng, n_features, int(rng.integers(0, max_depth + 1)), huge) for _ in range(n_trees)]
+    trees.insert(int(rng.integers(0, n_trees + 1)), leaf_tree(0.25))
+    model = RandomForest(config=ForestConfig(n_trees=len(trees)), trees=trees)
+    # rows on the thresholds as well as between them
+    x = np.where(rng.random((n_rows, n_features)) < 0.3, 0.0, rng.normal(size=(n_rows, n_features)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.predict(x)
+    assert got.tobytes() == reference_predict(model, x).tobytes()
+
+
+def test_overflowing_leaf_sum_is_inf_without_a_warning():
+    leaf = [leaf_tree(1.5e308)] * 2
+    stump = Tree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1]), np.array([2, -1, -1]),
+                 np.array([0.0, 1.5e308, -1.0]))
+    model = RandomForest(config=ForestConfig(n_trees=3), trees=[*leaf, stump])
+    x = np.array([[0.0], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.predict(x)
+    assert got.tolist() == [np.inf, np.inf]
+    assert got.tobytes() == reference_predict(model, x).tobytes()
+
+
+# tracemalloc peak of this fit when the grower took one head at a time and
+# held all of a head's trees at once; growing every head in one unbounded pass
+# peaked at 88 MB
+ONE_HEAD_AT_A_TIME_PEAK_MB = 14.0
+
+
+def test_fitting_many_heads_and_trees_holds_its_memory_in_passes():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(1800, 3))
+    ys = np.stack([x[:, 0] * 3.0 + rng.normal(size=1800), rng.integers(-50, 50, 1800), rng.normal(size=1800)], axis=1)
+    tracemalloc.start()
+    try:
+        fit_heads(x, ys, ForestConfig(n_trees=100), np.random.SeedSequence(7).spawn(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ONE_HEAD_AT_A_TIME_PEAK_MB * 1e6
