@@ -12,13 +12,14 @@ axis-aligned hull of its four projected corners, clipped to the frame.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ptzkit import jsonl
-from ptzkit.codec import ActionDelta, round_half_away_batch
+from ptzkit.codec import ActionDelta, round_half_away_batch, zoom_units
 
 VISIBILITY_FULL = "full"
 VISIBILITY_CLIPPED = "clipped"
@@ -77,7 +78,21 @@ class CameraState:
         object.__setattr__(self, "zoom_units", max(float(self.zoom_units), 0.0))
 
 
-_TARGET_NUMBERS = ("azimuth", "elevation", "distance", "width", "height")
+GEOMETRY_FIELDS = ("azimuth", "elevation", "distance", "width", "height")  # ``SceneSet.geometry``'s columns
+
+
+def geometry_check(geometry: np.ndarray) -> jsonl.Check:
+    """The check of the rule every ``SceneSet.geometry`` row keeps: each number finite,
+    then the distance positive, then the size positive (the first broken gives the reason)."""
+    bad = ~np.isfinite(geometry).all(axis=1) | (geometry[:, 2:] <= 0).any(axis=1)
+
+    def reason(row: int) -> str:
+        for name, value in zip(GEOMETRY_FIELDS, geometry[row].tolist()):
+            if not math.isfinite(value):
+                return f"target {name} must be finite, got {value}"
+        return "target distance must be positive" if geometry[row, 2] <= 0 else "target size must be positive"
+
+    return bad, reason
 
 
 @dataclass(frozen=True)
@@ -90,14 +105,27 @@ class TargetSpec:
     phrase: str = ""
 
     def __post_init__(self):
-        for name in _TARGET_NUMBERS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"target {name} must be finite, got {value}")
-        if self.distance <= 0:
-            raise ValueError("target distance must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("target size must be positive")
+        bad, reason = geometry_check(self.geometry)
+        if bad[0]:
+            raise ValueError(reason(0))
+
+    @property
+    def geometry(self) -> np.ndarray:
+        """float64[1, 5]: the target as one row of ``SceneSet.geometry``."""
+        return np.array([[self.azimuth, self.elevation, self.distance, self.width, self.height]], dtype=np.float64)
+
+
+@dataclass(frozen=True, eq=False)
+class SceneSet(jsonl.RowSet):
+    """A scene's targets as row-aligned arrays, iterating as (id, ``TargetSpec``) rows."""
+
+    ids: np.ndarray  # object[n] str
+    phrases: np.ndarray  # object[n] str
+    geometry: np.ndarray  # float64[n, 5] (azimuth, elevation, distance, width, height)
+
+    def __iter__(self) -> Iterator[tuple[str, TargetSpec]]:
+        for target_id, row, phrase in zip(self.ids.tolist(), self.geometry.tolist(), self.phrases.tolist()):
+            yield target_id, TargetSpec(*row, phrase)
 
 
 @dataclass(frozen=True)
@@ -204,22 +232,21 @@ def _camera_basis(pan: np.ndarray, tilt: np.ndarray) -> tuple[np.ndarray, np.nda
     return right, up, forward
 
 
-def target_corners(targets: Sequence[TargetSpec]) -> np.ndarray:
-    """float64[n, 4, 3] world positions of each rectangle's corners (it faces the origin)."""
-    n = len(targets)
-    d = _directions(
-        np.array([t.azimuth for t in targets], dtype=np.float64),
-        np.array([t.elevation for t in targets], dtype=np.float64),
-    )
-    center = np.array([t.distance for t in targets], dtype=np.float64)[:, None] * d
+def target_corners(geometry: np.ndarray) -> np.ndarray:
+    """float64[n, 4, 3] world positions of the corners of the targets of
+    ``SceneSet.geometry`` rows (each rectangle faces the origin)."""
+    azimuth, elevation, distance, width, height = geometry.T
+    n = len(geometry)
+    d = _directions(azimuth, elevation)
+    center = distance[:, None] * d
     horiz = np.array([math.hypot(x, z) for x, z in zip(d[:, 0].tolist(), d[:, 2].tolist())])
     flat = horiz < 1e-9
     horiz[flat] = 1.0
     span_r = np.stack([d[:, 2] / horiz, np.zeros(n), -d[:, 0] / horiz], axis=-1)
     span_r[flat] = (1.0, 0.0, 0.0)
     span_u = _cross(d, span_r)  # in-plane up, unit length
-    hw = np.array([t.width / 2.0 for t in targets])[:, None]
-    hh = np.array([t.height / 2.0 for t in targets])[:, None]
+    hw = (width / 2.0)[:, None]
+    hh = (height / 2.0)[:, None]
     return np.stack(
         [
             center + sx * hw * span_r + sy * hh * span_u
@@ -298,37 +325,34 @@ def oracle_actions(
     tilt: np.ndarray,
     zoom: np.ndarray,
     k: CameraIntrinsics,
-    targets: Sequence[TargetSpec],
+    geometry: np.ndarray,
     fill_ratio: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """int64[n, 3] ground-truth actions from each pose to its target, and a bool[n] mask
-    of the rows that have one.
+    """int64[n, 3] ground-truth actions from each pose to its target, a row of
+    ``SceneSet.geometry``, and a bool[n] mask of the rows that have one.
 
     A row has none when its target is out of the pose's front hemisphere;
     its action row is zero.  See ``oracle_action`` for the rule.
     """
     if not 0.0 < fill_ratio < 1.0:
         raise ValueError("fill_ratio must be in (0, 1)")
-    azimuth = np.array([t.azimuth for t in targets], dtype=np.float64)
-    elevation = np.array([t.elevation for t in targets], dtype=np.float64)
+    azimuth, elevation = geometry[:, 0], geometry[:, 1]
     d = _directions(azimuth, elevation)
     _, _, forward = _camera_basis(pan, tilt)
     # one 3-vector dot per row, as the scalar code rounds it
     ok = np.array([float(di @ fi) > 0.0 for di, fi in zip(d, forward)], dtype=bool)
-    actions = np.zeros((len(targets), 3), dtype=np.int64)
+    actions = np.zeros((len(geometry), 3), dtype=np.int64)
     actions[:, 0] = round_half_away_batch(wrap_angles(azimuth - pan))
     actions[:, 1] = round_half_away_batch(np.clip(elevation, -90.0, 90.0) - tilt)
     centered = apply_action_batch(pan, tilt, zoom, actions)
-    hull, behind = _hull_batch(*centered, k, target_corners(targets))
+    hull, behind = _hull_batch(*centered, k, target_corners(geometry))
     ok &= ~behind
     x0, y0, x1, y1 = hull.T
     with np.errstate(invalid="ignore"):
         ratio = np.maximum((x1 - x0) * (y1 - y0), 0.0) / (k.image_w * k.image_h)
-    for i in np.flatnonzero(ok).tolist():
-        r = float(ratio[i])
-        d_zoom = 0 if r <= 0.0 else round_half_away(50.0 * math.log2(fill_ratio / r))
-        budget = int(math.floor(ZOOM_MAX - float(zoom[i])))
-        actions[i, 2] = max(0, min(d_zoom, budget))
+        zooming = ok & (ratio > 0.0)  # a row of no area keeps a zero zoom delta
+    budget = np.floor(ZOOM_MAX - zoom[zooming])
+    actions[zooming, 2] = np.maximum(np.minimum(zoom_units(fill_ratio / ratio[zooming]), budget), 0.0)
     actions[~ok] = 0
     return actions, ok
 
@@ -361,7 +385,7 @@ def apply_action(state: CameraState, action: ActionDelta) -> CameraState:
 
 def project(state: CameraState, k: CameraIntrinsics, target: TargetSpec) -> BBoxPx:
     """Bounding box of the target on the image plane, clipped to the frame."""
-    boxes, codes = project_batch(*_pose(state), k, target_corners([target]))
+    boxes, codes = project_batch(*_pose(state), k, target_corners(target.geometry))
     return bbox_row(boxes[0], codes[0])
 
 
@@ -391,15 +415,13 @@ def oracle_action(
     zoom]: the model zooms in only, so a target already larger than the fill
     ratio gets a zero zoom delta.
     """
-    actions, ok = oracle_actions(*_pose(state), k, [target], fill_ratio)
+    actions, ok = oracle_actions(*_pose(state), k, target.geometry, fill_ratio)
     if not ok[0]:
         raise ValueError("target out of front hemisphere")
     return ActionDelta(*actions[0].tolist())
 
 
 # --- scene files -----------------------------------------------------------
-
-_SCENE_FIELDS = ("id", *_TARGET_NUMBERS, "phrase")
 
 
 def sample_targets(
@@ -410,12 +432,12 @@ def sample_targets(
     distance_range: tuple[float, float] = (1.5, 2.6),
     size_range: tuple[float, float] = (0.3, 0.5),
     aspect_range: tuple[float, float] = (0.7, 1.4),
-) -> list[tuple[str, TargetSpec]]:
+) -> SceneSet:
     """Uniformly sampled targets with deterministic ids and phrases.
 
     Width comes from ``size_range``; height is width times a factor from
     ``aspect_range``.  Bounding the aspect keeps every target able to reach a
-    frame-filling zoom while staying fully visible.
+    frame-filling zoom while staying fully visible.  A range's width must be finite.
     """
     for name, (lo, hi) in (
         ("azimuth", azimuth_range),
@@ -424,56 +446,75 @@ def sample_targets(
         ("size", size_range),
         ("aspect", aspect_range),
     ):
-        if lo > hi:
+        if lo > hi or not math.isfinite(hi - lo):
             raise ValueError(f"invalid {name} range ({lo}, {hi})")
     if distance_range[0] <= 0 or size_range[0] <= 0 or aspect_range[0] <= 0:
         raise ValueError("distance, size and aspect ranges must be positive")
     adjectives = ("red", "blue", "green", "small", "striped", "shiny", "dusty", "white")
     nouns = ("mug", "notebook", "pen", "box", "label", "bottle", "switch", "keyboard")
-    out = []
-    for i in range(count):
+    geometry, phrases = [], []
+    for _ in range(count):  # each target's draws in turn
         width = float(rng.uniform(*size_range))
-        spec = TargetSpec(
-            azimuth=float(rng.uniform(*azimuth_range)),
-            elevation=float(rng.uniform(*elevation_range)),
-            distance=float(rng.uniform(*distance_range)),
-            width=width,
-            height=width * float(rng.uniform(*aspect_range)),
-            phrase=f"{rng.choice(adjectives)} {rng.choice(nouns)}",
-        )
-        out.append((f"t{i:05d}", spec))
-    return out
+        position = [float(rng.uniform(*r)) for r in (azimuth_range, elevation_range, distance_range)]
+        geometry.append((*position, width, width * float(rng.uniform(*aspect_range))))
+        phrases.append(f"{rng.choice(adjectives)} {rng.choice(nouns)}")
+    geometry = np.array(geometry, dtype=np.float64).reshape(count, len(GEOMETRY_FIELDS))
+    bad, reason = geometry_check(geometry)
+    if bad.any():
+        raise ValueError(reason(int(np.argmax(bad))))
+    ids = np.array([f"t{i:05d}" for i in range(count)], dtype=object)
+    return SceneSet(ids, np.array(phrases, dtype=object), geometry)
 
 
-def write_scene(path, targets: Iterable[tuple[str, TargetSpec]]) -> None:
+def write_scene(path, scene: SceneSet) -> None:
     """One JSON object per line with the scene record fields."""
-    jsonl.write(path, (
-        {
-            "id": target_id,
-            "azimuth": t.azimuth,
-            "elevation": t.elevation,
-            "distance": t.distance,
-            "width": t.width,
-            "height": t.height,
-            "phrase": t.phrase,
-        }
-        for target_id, t in targets
-    ))
+    rows = zip(scene.ids.tolist(), scene.geometry.tolist(), scene.phrases.tolist())
+    jsonl.write(path, ({"id": i, **dict(zip(GEOMETRY_FIELDS, g)), "phrase": p} for i, g, p in rows))
 
 
-def _scene_row(rec: dict) -> tuple[str, TargetSpec]:
-    missing = [f for f in _SCENE_FIELDS if f not in rec]
-    if missing:
-        raise ValueError(f"missing fields {missing}")
-    for f in _TARGET_NUMBERS:
-        if not isinstance(rec[f], (int, float)) or isinstance(rec[f], bool):
-            raise ValueError(f"non-numeric field ({f} must be a JSON number, got {rec[f]!r})")
-    if not isinstance(rec["phrase"], str):
-        raise ValueError(f"phrase must be a string, got {rec['phrase']!r}")
-    values = {f: float(rec[f]) for f in _TARGET_NUMBERS}
-    return str(rec["id"]), TargetSpec(**values, phrase=rec["phrase"])
+_SCENE_FIELDS = ("id", *GEOMETRY_FIELDS, "phrase")
+_pick_scene_fields = operator.itemgetter(*_SCENE_FIELDS)
 
 
-def read_scene(path) -> list[tuple[str, TargetSpec]]:
-    """Scene rows in file order, under the ``ptzkit.jsonl`` rules."""
-    return jsonl.read(path, _scene_row, "scene row")
+def _scene_fields(rec: dict) -> tuple:
+    try:
+        return _pick_scene_fields(rec)
+    except KeyError:
+        raise ValueError(f"missing fields {[f for f in _SCENE_FIELDS if f not in rec]}") from None
+
+
+def _geometry_columns(numbers: list[list]) -> tuple[np.ndarray, list[jsonl.Check | None]]:
+    """float64[n, 5] of scene rows' number columns, and the checks rejecting a non-number and a too large int."""
+    if {type(v) for column in numbers for v in column} <= {int, float}:
+        try:
+            return np.array(numbers, dtype=np.float64).T.reshape(-1, len(GEOMETRY_FIELDS)), [None, None]
+        except OverflowError:  # an int too large for a float
+            pass
+    rows = list(zip(*numbers))
+    geometry, reasons = np.zeros((len(rows), len(GEOMETRY_FIELDS))), {}
+    for i, row in enumerate(rows):
+        try:
+            for f, v in zip(GEOMETRY_FIELDS, row):
+                if type(v) not in (int, float):
+                    raise TypeError(f"non-numeric field ({f} must be a JSON number, got {v!r})")
+            geometry[i] = row
+        except (TypeError, OverflowError) as exc:
+            reasons[i] = exc
+    return geometry, [
+        (np.array([type(reasons.get(i)) is kind for i in range(len(rows))], dtype=bool), lambda row: str(reasons[row]))
+        for kind in (TypeError, OverflowError)
+    ]
+
+
+def _scene_set(rows: list) -> tuple[SceneSet, list[jsonl.Check | None]]:
+    """The targets of a list of rows, and the checks they must pass."""
+    ids, *numbers, phrases = map(list, zip(*rows)) if rows else ([],) * len(_SCENE_FIELDS)
+    geometry, (number_check, overflow_check) = _geometry_columns(numbers)
+    phrases, phrase_check = jsonl.string_rows(phrases, "phrase")
+    checks = [number_check, phrase_check, overflow_check, geometry_check(geometry)]
+    return SceneSet(jsonl.string_ids(ids), phrases, geometry), checks
+
+
+def read_scene(path) -> SceneSet:
+    """Scene rows in file order, under the ``ptzkit.jsonl`` rules and ``geometry_check``."""
+    return jsonl.read_sets(path, _scene_fields, "scene row", _scene_set)

@@ -37,6 +37,7 @@ real-valued predictions into codec-range integer actions.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -61,6 +62,13 @@ def round_half_away_batch(x) -> np.ndarray:
     away from zero, by the same ``floor(x + 0.5)`` / ``ceil(x - 0.5)`` doubles."""
     x = np.asarray(x, dtype=np.float64)
     return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+
+
+def zoom_units(gain) -> np.ndarray:
+    """Zoom deltas (float64 integers) multiplying a target's area by each gain in
+    float64[n], all > 0: magnification doubles every 100 units, so round(50 * log2(gain))
+    half away from zero.  ``math.log2`` per gain: ``np.log2`` differs in the last bit on some."""
+    return round_half_away_batch(50.0 * np.fromiter(map(math.log2, gain.tolist()), np.float64, len(gain)))
 
 
 def round_actions(values) -> np.ndarray:

@@ -3,16 +3,15 @@
 A file holds one UTF-8 JSON object per line; blank lines are skipped.  Each
 format supplies a row parser (dict -> value) that may raise ``KeyError``,
 ``IndexError``, ``TypeError``, ``ValueError`` or ``OverflowError``; ``read``
-turns any of them into a ``ValueError`` naming ``path:line``, and
-``row_error`` gives the same error for a check made on all rows at once.
-Where a row has an ``id``, the id must be unique in the file.  Row parsers
-check numbers with ``finite`` and ``integer``, or only pick fields out of a
-row and leave the checks to ``number_rows``, ``integer_rows`` and
-``string_rows`` over a list of rows (``blocks``), which ``check_rows`` turns
-into the same error.  Numbers are JSON numbers: a string or a bool is not
-one.  Integers are JSON integers: ``640.0`` is not one.  Each format's row
-builder feeds ``write``, except the label files, whose lines
-``pseudolabel.write_pseudo_labels`` formats from columns.
+turns any of them into a ``ValueError`` naming ``path:line``.  Where a row
+has an ``id``, the id must be unique in the file.  Row parsers check numbers
+with ``finite`` and ``integer``, or only pick fields out of a row and leave
+the checks to ``number_rows``, ``integer_rows`` and ``string_rows`` over a
+block of rows, which ``read_sets`` turns into the same error.  Numbers are
+JSON numbers: a string or a bool is not one.  Integers are JSON integers:
+``640.0`` is not one.  Each format's row builder feeds ``write``, except the
+label files, whose lines ``pseudolabel.write_pseudo_labels`` formats from
+columns.
 
 A line is parsed as ``json.loads`` parses it, and a rejected line gets the
 error text ``json.loads`` gives.  The common line, ASCII and holding one
@@ -26,6 +25,7 @@ through ``json.loads`` itself.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import json.scanner
@@ -35,6 +35,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 _ROW_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+BLOCK_ROWS = 1024  # rows ``read_sets`` parses and checks at a time: their memory grows with it
 _scan_once = json.scanner.make_scanner(json.JSONDecoder())
 
 
@@ -109,13 +110,25 @@ def read(path, parse_row, what: str) -> list:
     return [row for block in blocks(path, parse_row, what) for row in block]
 
 
-def row_error(path, row: int, reason: str, what: str) -> ValueError:
-    """The error ``read`` raises for a bad row, for row ``row`` (counted from 0)
-    of what ``read`` returned; the file is read again to find its line."""
-    with open(path, "rb") as fh:
-        lines = (lineno for lineno, line in enumerate(fh, 1) if line.strip())
-        lineno = next(itertools.islice(lines, row, None))
-    return ValueError(f"{path}:{lineno}: {reason} (bad {what})")
+class RowSet:
+    """Base of the dataclasses of row-aligned arrays with an ``ids`` field: row i of every
+    field belongs to item i.  An ``XSet`` whose fields disagree on the rows names its x items."""
+
+    def __post_init__(self):
+        if len({len(getattr(self, f.name)) for f in dataclasses.fields(self)}) != 1:
+            raise ValueError(f"{type(self).__name__.removesuffix('Set').lower()} fields disagree on the number of rows")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows):
+        """The items at ``rows`` (a slice, a bool mask or row indices), in that order."""
+        return type(self)(*(getattr(self, f.name)[rows] for f in dataclasses.fields(self)))
+
+
+def string_ids(ids: list) -> np.ndarray:
+    """Each id of a list of rows as ``str`` of its JSON value, as object[n]."""
+    return np.array(list(map(str, ids)), dtype=object)
 
 
 # A check over a list of rows: the rows it rejects, and why row ``i`` is
@@ -123,17 +136,24 @@ def row_error(path, row: int, reason: str, what: str) -> ValueError:
 Check = tuple[np.ndarray, Callable[[int], str]]
 
 
-def check_rows(path, what: str, first_row: int, checks: list[Check | None]) -> None:
-    """Raise the error ``read`` raises for the earliest row that a check rejects.
-
-    The checks cover the same list of rows, the first of which is row
-    ``first_row`` of what ``read`` returns, and come in the order a row is
-    checked: a row that two of them reject gets the first one's reason.
-    """
-    found = [(int(np.argmax(c[0])), k) for k, c in enumerate(checks) if c is not None and c[0].any()]
-    if found:
-        row, k = min(found)
-        raise row_error(path, first_row + row, checks[k][1](row), what)
+def read_sets(path, parse_row, what: str, to_set) -> RowSet:
+    """The ``RowSet`` of the file at ``path``: ``to_set(rows) -> (set, checks)`` of each
+    block of ``BLOCK_ROWS`` rows, joined.  ``read``'s error is raised for the earliest row
+    a check rejects, with the first such check's reason (checks come in the order a row is checked)."""
+    parts, first_row = [], 0
+    for rows in blocks(path, parse_row, what, BLOCK_ROWS):
+        part, checks = to_set(rows)
+        found = [(int(np.argmax(c[0])), k) for k, c in enumerate(checks) if c is not None and c[0].any()]
+        if found:
+            row, k = min(found)
+            with open(path, "rb") as fh:  # read again for the line of the row
+                lines = (lineno for lineno, line in enumerate(fh, 1) if line.strip())
+                lineno = next(itertools.islice(lines, first_row + row, None))
+            raise ValueError(f"{path}:{lineno}: {checks[k][1](row)} (bad {what})")
+        parts.append(part)
+        first_row += len(rows)
+    columns = zip(*([getattr(p, f.name) for f in dataclasses.fields(p)] for p in parts))
+    return type(parts[0])(*map(np.concatenate, columns)) if parts else to_set([])[0]
 
 
 def check_each(values: list, problem, out: np.ndarray) -> tuple[np.ndarray, Check]:

@@ -17,25 +17,20 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
-from dataclasses import dataclass, field, fields
+import operator
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 import numpy as np
 
 from ptzkit import codec, jsonl
-from ptzkit.codec import round_half_away_batch
 from ptzkit.forest import ForestConfig, RandomForest, fit_heads
 
 HEAD_NAMES = ("pan", "tilt", "zoom")
 # The columns of a feature row, which every regressor and the toy policy read.
 FEATURE_NAMES = ("x_norm", "y_norm", "w1")
 ZOOM_SOURCES = ("geometry", "model")
-# Rows per ``encode_batch`` call when a label file is written or read, and
-# rows of a record or label file checked and turned into arrays at a time: the
-# encoder's temporaries, and the parsed rows, grow with it.
-CODEC_BLOCK = 1024
 
 TEMPLATES = (  # one per sample, drawn from the seeded stream
     "What is the {phrase}?",
@@ -51,7 +46,7 @@ class FitError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class RecordSet:
+class RecordSet(jsonl.RowSet):
     """Grounding records as row-aligned arrays: row i of every field belongs to record i."""
 
     ids: np.ndarray  # object[n] str
@@ -59,17 +54,6 @@ class RecordSet:
     image_h: np.ndarray  # int64[n]
     boxes: np.ndarray  # float64[n, 4] (x0, y0, x1, y1) in pixels
     phrases: np.ndarray  # object[n] str
-
-    def __post_init__(self):
-        if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
-            raise ValueError("record fields disagree on the number of rows")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, rows) -> "RecordSet":
-        """The records at ``rows`` (a slice, a bool mask or row indices), in that order."""
-        return RecordSet(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 # Why a record cannot be labeled, in the order the conditions are tested.
@@ -93,7 +77,7 @@ def _frame_share(records: RecordSet) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LabelSet:
+class LabelSet(jsonl.RowSet):
     """Pseudo-labels as row-aligned arrays: row i of every field belongs to label i."""
 
     ids: np.ndarray  # object[n] str
@@ -102,13 +86,6 @@ class LabelSet:
     boxes: np.ndarray  # float64[n, 4] the target's box after the action (``bbox_post``)
     w1: np.ndarray  # float64[n] the target's area ratio before the action
     w2: np.ndarray  # float64[n] and after it
-
-    def __post_init__(self):
-        if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
-            raise ValueError("label fields disagree on the number of rows")
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 @dataclass
@@ -159,11 +136,6 @@ def _box_area(boxes: np.ndarray) -> np.ndarray:
     return np.maximum(boxes[:, 2] - boxes[:, 0], 0.0) * np.maximum(boxes[:, 3] - boxes[:, 1], 0.0)
 
 
-def _log2(x: np.ndarray) -> np.ndarray:
-    # math.log2 row by row: np.log2 differs from it in the last bit on some ratios
-    return np.fromiter(map(math.log2, x.tolist()), np.float64, len(x))
-
-
 def record_features(boxes, image_w, image_h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(features, crop windows, w2) of boxes, each in a frame of the given size
     (arrays with a row per box, or one size for all); a box whose share of the
@@ -203,12 +175,8 @@ def record_features(boxes, image_w, image_h) -> tuple[np.ndarray, np.ndarray, np
 
 
 def zoom_labels(w1, w2) -> np.ndarray:
-    """int64 zoom units lifting each area ratio from w1 to w2.
-
-    Area scales with the square of linear magnification, so the linear gain
-    is sqrt(w2 / w1) and the label is round(50 * log2(w2 / w1)), half away
-    from zero.
-    """
+    """int64 zoom units lifting each area ratio from w1 to w2: ``codec.zoom_units``
+    of the gain w2 / w1."""
     w1 = np.asarray(w1, dtype=np.float64).reshape(-1)
     w2 = np.asarray(w2, dtype=np.float64).reshape(-1)
     if np.any(w1 <= 0.0):
@@ -217,7 +185,7 @@ def zoom_labels(w1, w2) -> np.ndarray:
     if shrink.any():
         i = int(np.argmax(shrink))
         raise ValueError(f"w2 ({w2[i]}) must be >= w1 ({w1[i]})")
-    return round_half_away_batch(50.0 * _log2(w2 / w1)).astype(np.int64)
+    return codec.zoom_units(w2 / w1).astype(np.int64)
 
 
 def select_smallest(records: RecordSet, k: int) -> RecordSet:
@@ -308,18 +276,11 @@ def generate(
 # --- file formats ----------------------------------------------------------
 
 
-def _grounding_row(rec: dict) -> tuple:
-    return rec["id"], rec["image_w"], rec["image_h"], rec["bbox"], rec["phrase"]
+_grounding_row = operator.itemgetter("id", "image_w", "image_h", "bbox", "phrase")
 
 
-def _string_ids(ids: list) -> np.ndarray:
-    out = np.empty(len(ids), dtype=object)
-    out[:] = list(map(str, ids))
-    return out
-
-
-def _record_set(rows: list, path, what: str, first_row: int) -> RecordSet:
-    """The records of a list of rows, checked over the whole list."""
+def _record_set(rows: list) -> tuple[RecordSet, list[jsonl.Check | None]]:
+    """The records of a list of rows, and the checks they must pass."""
     ids, image_w, image_h, boxes, phrases = map(list, zip(*rows)) if rows else ([],) * 5
     boxes, box_check = jsonl.number_rows(boxes, 4, "bbox numbers")
     image_w, w_check = jsonl.integer_rows(image_w, "image_w")
@@ -327,29 +288,14 @@ def _record_set(rows: list, path, what: str, first_row: int) -> RecordSet:
     inverted = (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
     phrases, phrase_check = jsonl.string_rows(phrases, "phrase")
     checks = [box_check, w_check, h_check, (inverted, lambda row: "inverted bbox coordinates"), phrase_check]
-    jsonl.check_rows(path, what, first_row, checks)
-    return RecordSet(_string_ids(ids), image_w, image_h, boxes, phrases)
-
-
-def _read_sets(path, parse_row, what: str, to_set):
-    """``to_set(rows, path, what, first_row)`` of each block of ``CODEC_BLOCK``
-    rows of the file, joined into one set; a bad file is rejected naming its
-    earliest bad line."""
-    parts, first_row = [], 0
-    for rows in jsonl.blocks(path, parse_row, what, CODEC_BLOCK):
-        parts.append(to_set(rows, path, what, first_row))
-        first_row += len(rows)
-    if not parts:
-        return to_set([], path, what, 0)
-    kind = type(parts[0])
-    return kind(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(kind)))
+    return RecordSet(jsonl.string_ids(ids), image_w, image_h, boxes, phrases), checks
 
 
 def read_grounding_records(path) -> RecordSet:
     """One JSON object per line: {id, image_w, image_h, bbox:[x0,y0,x1,y1], phrase},
     under the ``ptzkit.jsonl`` rules; image sizes are integers, the bbox is four
     numbers and not inverted, and the phrase is a string."""
-    return _read_sets(path, _grounding_row, "grounding record", _record_set)
+    return jsonl.read_sets(path, _grounding_row, "grounding record", _record_set)
 
 
 # One label line as ``json.dumps`` writes the row: its keys in this order, ", "
@@ -400,10 +346,10 @@ def _label_lines(labels: LabelSet, rows: slice, vocab: codec.TokenVocab) -> Iter
 def write_pseudo_labels(path, labels: LabelSet, vocab: codec.TokenVocab) -> None:
     """One JSON object per line with the action both structured and tokenized,
     the line ``json.dumps`` writes for it (``LABEL_LINE``), formatted
-    ``CODEC_BLOCK`` labels at a time."""
+    ``jsonl.BLOCK_ROWS`` labels at a time, as they are read."""
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(labels), CODEC_BLOCK):
-            fh.writelines(_label_lines(labels, slice(start, start + CODEC_BLOCK), vocab))
+        for start in range(0, len(labels), jsonl.BLOCK_ROWS):
+            fh.writelines(_label_lines(labels, slice(start, start + jsonl.BLOCK_ROWS), vocab))
 
 
 def _label_row(rec: dict) -> tuple:
@@ -469,8 +415,8 @@ def _token_checks(texts: np.ndarray, actions: np.ndarray, vocab: codec.TokenVoca
     ]
 
 
-def _label_set(vocab: codec.TokenVocab, rows: list, path, what: str, first_row: int) -> LabelSet:
-    """The labels of a list of rows, checked over the whole list."""
+def _label_set(vocab: codec.TokenVocab, rows: list) -> tuple[LabelSet, list[jsonl.Check | None]]:
+    """The labels of a list of rows, and the checks they must pass."""
     actions, texts, boxes, ratios, ids, instructions = map(list, zip(*rows)) if rows else ([],) * 6
     actions, action_check = _action_rows(actions)
     texts, text_check = jsonl.string_rows(texts, "tokens")
@@ -479,7 +425,8 @@ def _label_set(vocab: codec.TokenVocab, rows: list, path, what: str, first_row: 
     inverted = (boxes[:, 0] > boxes[:, 2]) | (boxes[:, 1] > boxes[:, 3])
     ratios, ratio_check = jsonl.number_rows(ratios, 2, "w1 and w2")
     instructions, instruction_check = jsonl.string_rows(instructions, "instruction")
-    jsonl.check_rows(path, what, first_row, [
+    labels = LabelSet(jsonl.string_ids(ids), instructions, actions, boxes, ratios[:, 0].copy(), ratios[:, 1].copy())
+    return labels, [
         action_check,
         text_check,
         unknown_check,
@@ -489,15 +436,14 @@ def _label_set(vocab: codec.TokenVocab, rows: list, path, what: str, first_row: 
         ratio_check,
         instruction_check,
         token_check,
-    ])
-    return LabelSet(_string_ids(ids), instructions, actions, boxes, ratios[:, 0].copy(), ratios[:, 1].copy())
+    ]
 
 
 def read_pseudo_labels(path, vocab: codec.TokenVocab) -> LabelSet:
     """Labels as ``write_pseudo_labels`` writes them, under the ``ptzkit.jsonl``
     rules; a token string must be the canonical encoding of the structured
     action, with any whitespace between its symbols."""
-    return _read_sets(path, _label_row, "pseudo-label record", functools.partial(_label_set, vocab))
+    return jsonl.read_sets(path, _label_row, "pseudo-label record", functools.partial(_label_set, vocab))
 
 
 def _training_pair(rec: dict) -> tuple[list[float], tuple[int, int, int]]:

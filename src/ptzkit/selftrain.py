@@ -13,7 +13,7 @@ policy, so the loop runs end to end on synthetic scenes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from ptzkit.camera import (
     BBoxPx,
     CameraIntrinsics,
     CameraState,
-    TargetSpec,
+    SceneSet,
     apply_action_batch,
     bbox_arrays,
     iou_batch,
@@ -61,7 +61,7 @@ class CompletionConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleSet:
+class SampleSet(jsonl.RowSet):
     """Samples as row-aligned arrays: row i of every field belongs to sample i.
 
     ``actions`` are the working labels and ``boxes``/``codes`` the
@@ -70,24 +70,13 @@ class SampleSet:
 
     ids: np.ndarray  # object[n] str
     instructions: np.ndarray  # object[n] str
-    targets: np.ndarray  # object[n] TargetSpec
+    geometry: np.ndarray  # float64[n, 5] the target's row of ``SceneSet.geometry``
     features: np.ndarray  # float64[n, 3] (x_norm, y_norm, w1) of the start box
     pose: np.ndarray  # float64[n, 3] start (pan, tilt, zoom)
-    corners: np.ndarray  # float64[n, 4, 3] ``target_corners`` of ``targets``
+    corners: np.ndarray  # float64[n, 4, 3] ``target_corners`` of ``geometry``
     actions: np.ndarray  # int64[n, 3] (pan, tilt, zoom)
     boxes: np.ndarray  # float64[n, 4]
     codes: np.ndarray  # int8[n] visibility codes of ``boxes``
-
-    def __post_init__(self):
-        if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
-            raise ValueError("sample fields disagree on the number of rows")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, rows) -> "SampleSet":
-        """The samples at ``rows`` (a slice, a bool mask or row indices), in that order."""
-        return SampleSet(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,7 @@ class PolicyAdapter(Protocol):
 
 
 def _oracle_batch(samples: SampleSet, k: CameraIntrinsics, fill_ratio: float) -> np.ndarray:
-    actions, ok = oracle_actions(*samples.pose.T, k, samples.targets, fill_ratio)
+    actions, ok = oracle_actions(*samples.pose.T, k, samples.geometry, fill_ratio)
     if not ok.all():
         raise ValueError("target out of front hemisphere")
     return actions
@@ -229,7 +218,7 @@ class ConstantPolicy:
 
 
 def make_samples(
-    scene: Sequence[tuple[str, TargetSpec]],
+    scene: SceneSet,
     k: CameraIntrinsics,
     camera_init: CameraState = CameraState(),
     fill_ratio: float = DEFAULT_FILL_RATIO,
@@ -246,28 +235,24 @@ def make_samples(
     """
     rng = np.random.default_rng(seed)
     n = len(scene)
-    targets = np.array([t for _, t in scene], dtype=object)
     pose = np.tile(np.array([camera_init.pan, camera_init.tilt, camera_init.zoom_units]), (n, 1))
-    corners = target_corners(targets)
+    corners = target_corners(scene.geometry)
     start_boxes, start_codes = project_batch(*pose.T, k, corners)
-    actions, has_oracle = oracle_actions(*pose.T, k, targets, fill_ratio)
+    actions, has_oracle = oracle_actions(*pose.T, k, scene.geometry, fill_ratio)
     boxes, codes = project_batch(*apply_action_batch(*pose.T, actions), k, corners)
     full = start_codes == CODE_FULL
     usable = full & has_oracle
     templates = rng.integers(0, len(pl.TEMPLATES), size=n).tolist()
     instructions = np.empty(n, dtype=object)
     for i in np.flatnonzero(usable).tolist():
-        instructions[i] = pl.TEMPLATES[templates[i]].format(phrase=targets[i].phrase)
+        instructions[i] = pl.TEMPLATES[templates[i]].format(phrase=scene.phrases[i])
     features = np.zeros((n, len(pl.FEATURE_NAMES)))
     features[usable] = pl.record_features(start_boxes[usable], k.image_w, k.image_h)[0]
     skipped = []
     for i in np.flatnonzero(~usable).tolist():
-        if not full[i]:
-            skipped.append((scene[i][0], f"initial view is {VISIBILITY_CODES[start_codes[i]]}"))
-        else:
-            skipped.append((scene[i][0], "target out of front hemisphere"))
-    ids = np.array([target_id for target_id, _ in scene], dtype=object)
-    samples = SampleSet(ids, instructions, targets, features, pose, corners, actions, boxes, codes)
+        view = VISIBILITY_CODES[start_codes[i]]
+        skipped.append((scene.ids[i], "target out of front hemisphere" if full[i] else f"initial view is {view}"))
+    samples = SampleSet(scene.ids, instructions, scene.geometry, features, pose, corners, actions, boxes, codes)
     return samples[usable], skipped
 
 

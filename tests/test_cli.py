@@ -126,6 +126,13 @@ class TestSceneGen:
         assert run(["scene-gen", "--count", "5", "--azimuth", "20,-20", "--out", str(tmp_path)]) == 2
         assert run(["scene-gen", "--count", "5", "--distance=-1,2", "--out", str(tmp_path)]) == 2
         assert run(["scene-gen", "--count", "5", "--size", "1,2,3", "--out", str(tmp_path)]) == 2
+        # a range too wide to draw from, and a draw that overflows
+        assert run(["scene-gen", "--count", "3", "--azimuth=nan,1", "--out", str(tmp_path)]) == 2
+        assert "invalid azimuth range (nan, 1.0)" in capsys.readouterr().err
+        assert run(["scene-gen", "--count", "3", "--azimuth=-1e308,1e308", "--out", str(tmp_path)]) == 2
+        assert "invalid azimuth range (-1e+308, 1e+308)" in capsys.readouterr().err
+        assert run(["scene-gen", "--count", "3", "--size=1e308,1.7e308", "--out", str(tmp_path)]) == 2
+        assert "target height must be finite, got inf" in capsys.readouterr().err
 
     def test_no_partial_left_behind(self, tmp_path):
         run(["scene-gen", "--count", "5", "--out", str(tmp_path)])
@@ -311,28 +318,37 @@ class TestFitEval:
         assert run(["eval", "--scene", str(tmp_path / "nope.jsonl"), "--policy", "oracle"]) == 3
 
     @pytest.mark.parametrize(
-        "second, reason",
+        "second, reason, line",
         [
-            ({"distance": -2.0}, "target distance must be positive"),
-            ({"azimuth": float("nan")}, "target azimuth must be finite"),
-            ({"id": "a"}, "duplicate id 'a' (first on line 1)"),
-            ({"width": "0.4"}, "non-numeric field (width must be a JSON number, got '0.4')"),
-            ({"distance": True}, "non-numeric field (distance must be a JSON number, got True)"),
-            ({"phrase": ["mug"]}, "phrase must be a string, got ['mug']"),
+            ({"distance": -2.0}, "target distance must be positive", 2),
+            ({"azimuth": float("nan")}, "target azimuth must be finite", 2),
+            ({"id": "a"}, "duplicate id 'a' (first on line 1)", 2),
+            ({"width": "0.4"}, "non-numeric field (width must be a JSON number, got '0.4')", 2),
+            ({"distance": True}, "non-numeric field (distance must be a JSON number, got True)", 2),
+            ({"phrase": ["mug"]}, "phrase must be a string, got ['mug']", 2),
+            ({"width": 10**400}, "int too large to convert to float", 2),
+            ({"width": 0}, "target size must be positive", 2),
+            ({"height": None}, "missing fields ['height']", 2),
+            ({"phrase": 3, "width": 0}, "phrase must be a string, got 3", 2),
+            ({"width": 0}, "target size must be positive", 1500),
         ],
-        ids=["negative-distance", "nan-azimuth", "duplicate-id", "string-number", "bool-number", "list-phrase"],
+        ids=[
+            "negative-distance", "nan-azimuth", "duplicate-id", "string-number", "bool-number", "list-phrase",
+            "huge-int", "zero-width", "missing-height", "phrase-before-size", "past-first-block",
+        ],
     )
-    def test_bad_scene_row_names_file_and_line(self, tmp_path, capsys, second, reason):
+    def test_bad_scene_row_names_file_and_line(self, tmp_path, capsys, second, reason, line):
         first = {
             "id": "a", "azimuth": 5.0, "elevation": 2.0, "distance": 2.0,
             "width": 0.4, "height": 0.4, "phrase": "red mug",
         }
         scene = tmp_path / "scene.jsonl"
-        rows = [first, {**first, "id": "b", "azimuth": -5.0, **second}]
+        bad = {k: v for k, v in {**first, "id": "b", "azimuth": -5.0, **second}.items() if v is not None}
+        rows = [first, *({**first, "id": f"g{i}"} for i in range(2, line)), bad]
         scene.write_text("".join(json.dumps(r) + "\n" for r in rows))
         assert run(["eval", "--scene", str(scene), "--policy", "oracle", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert f"{scene}:2: {reason}" in err
+        assert f"{scene}:{line}: {reason}" in err
 
 
 GOOD_RECORD = {"id": "a", "image_w": 640, "image_h": 480, "bbox": [100, 100, 200, 180], "phrase": "red mug"}

@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 
 from ptzkit import camera as cam
 from ptzkit import codec
+from ptzkit import jsonl
 from ptzkit import pseudolabel as pl
 from ptzkit import selftrain as st
 from ptzkit.camera import BBoxPx, CameraIntrinsics, CameraState, round_half_away
@@ -680,9 +681,9 @@ class TestFiles:
 
     def test_read_decodes_each_label_once(self, tmp_path, monkeypatch):
         # the read checks each token string once, against one encode_batch row per
-        # label, CODEC_BLOCK rows a call, and decodes nothing; the write encodes likewise
+        # label, BLOCK_ROWS rows a call, and decodes nothing; the write encodes likewise
         vocab = codec.TokenVocab.default()
-        n = 2 * pl.CODEC_BLOCK + 1
+        n = 2 * jsonl.BLOCK_ROWS + 1
         labels = label_set([(i % 1999 - 999, 999 - i % 1999, i % 1000) for i in range(n)],
                            [[0.0, 0.0, 50.0, 40.0]] * n, [0.01] * n, [0.2] * n)
         rows = []
@@ -692,7 +693,7 @@ class TestFiles:
             monkeypatch.setattr(codec, name, None)  # none is called
         path = tmp_path / "labels.jsonl"
         pl.write_pseudo_labels(path, labels, vocab)
-        blocks = [pl.CODEC_BLOCK, pl.CODEC_BLOCK, 1]
+        blocks = [jsonl.BLOCK_ROWS, jsonl.BLOCK_ROWS, 1]
         assert rows == blocks
         rows.clear()
         assert_same_labels(pl.read_pseudo_labels(path, vocab), labels)
@@ -713,7 +714,7 @@ class TestFiles:
             min_size=1,
             max_size=12,
         ),
-        n=hst.sampled_from([0, 1, 7, pl.CODEC_BLOCK, pl.CODEC_BLOCK + 1, 2 * pl.CODEC_BLOCK + 3]),
+        n=hst.sampled_from([0, 1, 7, jsonl.BLOCK_ROWS, jsonl.BLOCK_ROWS + 1, 2 * jsonl.BLOCK_ROWS + 3]),
         vocab=hst.sampled_from([codec.TokenVocab.default(), ODD_VOCAB]),
     )
     def test_written_bytes_equal_the_scalar_codec_rows(self, tmp_path_factory, rows, n, vocab):
@@ -846,7 +847,7 @@ class TestFiles:
     def test_label_error_in_a_later_block_names_its_line(self, tmp_path, late):
         # a bad row ends its block of rows early, and the rows before it are checked first
         vocab = codec.TokenVocab.default()
-        n, block = 2 * pl.CODEC_BLOCK + 5, pl.CODEC_BLOCK
+        n, block = 2 * jsonl.BLOCK_ROWS + 5, jsonl.BLOCK_ROWS
         path = tmp_path / "labels.jsonl"
         self.write_labels(path, {block - 1: self.LENIENT_ONLY, block + 2: late}, n)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{block + 1}: .*does not decode strictly"):

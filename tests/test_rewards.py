@@ -574,7 +574,7 @@ def _reference_rollouts(policy, task, k, cfg, reward_cfg, rng):
             p = p / p.sum()
             idx.append(int(rng.choice(p.shape[0], p=p)))
         action = ActionDelta(*(int(policy.bins[h][i]) for h, i in zip(rw.HEADS, idx)))
-        box = cam.project(cam.apply_action(cam.CameraState(*task.pose[0]), action), k, task.targets[0])
+        box = cam.project(cam.apply_action(cam.CameraState(*task.pose[0]), action), k, cam.TargetSpec(*task.geometry[0].tolist()))
         rewards.append(rw.composite_reward(action, gt_action, box, gt_bbox, reward_cfg).total)
         sampled.append((tuple(idx), action))
     advantages = rw.group_advantages(rewards)
@@ -643,7 +643,7 @@ def _reference_group(policy, ref_policy, task, k, cfg, reward_cfg, rng):
     actions = np.stack([policy.bins[h][idx[:, j]] for j, h in enumerate(rw.HEADS)], axis=1)
     pan, tilt, zoom = task.pose[0].tolist()
     pose = cam.apply_action_batch(np.full(n, pan), np.full(n, tilt), np.full(n, zoom), actions)
-    boxes, codes = cam.project_batch(*pose, k, cam.target_corners(task.targets))
+    boxes, codes = cam.project_batch(*pose, k, cam.target_corners(task.geometry))
     terms = rw.reward_terms(actions, task.actions[0], boxes, codes, task.boxes, task.codes, reward_cfg)
     rewards = rw.reward_totals(terms).tolist()
     r = np.asarray(rewards, dtype=np.float64)

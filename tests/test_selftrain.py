@@ -138,7 +138,7 @@ class TestPolicies:
         assert metrics.completion_rate == 1.0
 
     def test_constant_zero_policy_fails_completion(self, dataset):
-        off_center = dataset[np.array([abs(t.azimuth) > 5 for t in dataset.targets])]
+        off_center = dataset[np.abs(dataset.geometry[:, 0]) > 5]
         metrics = st.evaluate(st.ConstantPolicy(ActionDelta(0, 0, 0)), off_center, K)
         assert metrics.completion_rate == 0.0
 
