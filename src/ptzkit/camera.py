@@ -210,6 +210,7 @@ def apply_action_batch(
 
 
 def _directions(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
+    """float64[n, 3] unit vectors looking at each (azimuth, elevation), in degrees."""
     az = np.radians(azimuth)
     el = np.radians(elevation)
     return np.stack([np.sin(az) * np.cos(el), np.sin(el), np.cos(az) * np.cos(el)], axis=-1)
@@ -224,9 +225,8 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _camera_basis(pan: np.ndarray, tilt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(right, up, forward) float64[n, 3] unit vectors of the gimbal poses in world frame."""
+    forward = _directions(pan, tilt)
     p = np.radians(pan)
-    t = np.radians(tilt)
-    forward = np.stack([np.sin(p) * np.cos(t), np.sin(t), np.cos(p) * np.cos(t)], axis=-1)
     right = np.stack([np.cos(p), np.zeros_like(p), -np.sin(p)], axis=-1)
     up = _cross(right, forward) * -1.0  # = forward x right
     return right, up, forward
@@ -301,6 +301,11 @@ def project_batch(
     return np.where(out[:, None], 0.0, clipped), codes
 
 
+def box_areas(boxes: np.ndarray) -> np.ndarray:
+    """float64[n] areas of float64[n, 4] (x0, y0, x1, y1) boxes; an inverted side counts as 0."""
+    return np.maximum(boxes[:, 2] - boxes[:, 0], 0.0) * np.maximum(boxes[:, 3] - boxes[:, 1], 0.0)
+
+
 def iou_batch(
     boxes1: np.ndarray, codes1: np.ndarray, boxes2: np.ndarray, codes2: np.ndarray
 ) -> np.ndarray:
@@ -308,8 +313,7 @@ def iou_batch(
 
     Either side may be a single row, which then pairs with every row of the other.
     """
-    area1 = np.maximum(boxes1[:, 2] - boxes1[:, 0], 0.0) * np.maximum(boxes1[:, 3] - boxes1[:, 1], 0.0)
-    area2 = np.maximum(boxes2[:, 2] - boxes2[:, 0], 0.0) * np.maximum(boxes2[:, 3] - boxes2[:, 1], 0.0)
+    area1, area2 = box_areas(boxes1), box_areas(boxes2)
     ix = np.minimum(boxes1[:, 2], boxes2[:, 2]) - np.maximum(boxes1[:, 0], boxes2[:, 0])
     iy = np.minimum(boxes1[:, 3], boxes2[:, 3]) - np.maximum(boxes1[:, 1], boxes2[:, 1])
     overlap = (
@@ -347,9 +351,8 @@ def oracle_actions(
     centered = apply_action_batch(pan, tilt, zoom, actions)
     hull, behind = _hull_batch(*centered, k, target_corners(geometry))
     ok &= ~behind
-    x0, y0, x1, y1 = hull.T
     with np.errstate(invalid="ignore"):
-        ratio = np.maximum((x1 - x0) * (y1 - y0), 0.0) / (k.image_w * k.image_h)
+        ratio = box_areas(hull) / (k.image_w * k.image_h)
         zooming = ok & (ratio > 0.0)  # a row of no area keeps a zero zoom delta
     budget = np.floor(ZOOM_MAX - zoom[zooming])
     actions[zooming, 2] = np.maximum(np.minimum(zoom_units(fill_ratio / ratio[zooming]), budget), 0.0)

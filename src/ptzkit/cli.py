@@ -67,16 +67,14 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _parse_range(text: str, name: str) -> tuple[float, float]:
+    """``LO,HI`` as two floats; ``camera.sample_targets`` holds the range to its rule."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"--{name} expects LO,HI")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"--{name} expects numbers, got {text!r}") from None
-    if lo > hi:
-        raise ConfigError(f"--{name}: empty range {text!r}")
-    return lo, hi
 
 
 def _scene_samples(args, cfg: RunConfig):
@@ -125,15 +123,12 @@ def cmd_scene_gen(args, cfg: RunConfig) -> int:
         return EXIT_USAGE
     rng = np.random.default_rng(cfg.run.seed)
     try:
-        targets = cam.sample_targets(
-            args.count,
-            rng,
-            azimuth_range=_parse_range(args.azimuth, "azimuth"),
-            elevation_range=_parse_range(args.elevation, "elevation"),
-            distance_range=_parse_range(args.distance, "distance"),
-            size_range=_parse_range(args.size, "size"),
-            aspect_range=_parse_range(args.aspect, "aspect"),
-        )
+        ranges = {
+            f"{name}_range": _parse_range(text, name)
+            for name in ("azimuth", "elevation", "distance", "size", "aspect")
+            if (text := getattr(args, name)) is not None
+        }
+        targets = cam.sample_targets(args.count, rng, **ranges)
     except (ConfigError, ValueError) as exc:
         print(f"scene-gen error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -369,11 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scene-gen", parents=[globals_parent], help="sample a synthetic scene file")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--azimuth", default="-25,25", help="degrees LO,HI")
-    p.add_argument("--elevation", default="-12,12", help="degrees LO,HI")
-    p.add_argument("--distance", default="1.5,2.6", help="meters LO,HI")
-    p.add_argument("--size", default="0.3,0.5", help="target width in meters LO,HI")
-    p.add_argument("--aspect", default="0.7,1.4", help="height/width factor LO,HI")
+    # an absent range flag leaves camera.sample_targets' default
+    p.add_argument("--azimuth", help="degrees LO,HI")
+    p.add_argument("--elevation", help="degrees LO,HI")
+    p.add_argument("--distance", help="meters LO,HI")
+    p.add_argument("--size", help="target width in meters LO,HI")
+    p.add_argument("--aspect", help="height/width factor LO,HI")
     p.add_argument("--scene-file", default="scene.jsonl")
     p.set_defaults(func=cmd_scene_gen)
 

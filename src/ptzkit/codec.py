@@ -13,26 +13,23 @@ Canonical sequence grammar, one action per sequence::
 
     <PAN> [sign mags] <TILT> [sign mags] <ZOOM> [mags] <END>
 
-Each dimension marker appears exactly once and in that order; magnitudes
-within a dimension are non-increasing and as many as the greedy split of the
-dimension's value has; pan/tilt carry a sign token exactly when nonzero; a
-zero-valued dimension is a bare marker; zoom is never signed.  The greedy
-split is the only multiset of that many magnitudes with that sum, so a
-sequence is strict exactly when it is the encoder's output:
-``encode_action(decode(seq)) == seq``.  Lenient decoding additionally
-tolerates arbitrary magnitude order, non-greedy magnitude runs, missing
-dimension markers (read as zero), markers in any order, and signed-but-empty
-dimensions, which covers the kind of near-miss sequences a sampling policy
-emits.  The scalar ``decode`` also names why a strict sequence fails.
+The encoder is the one statement of this grammar: each marker once and in
+that order, pan/tilt signed exactly when nonzero, zoom never signed, and each
+dimension's magnitudes the greedy split of its value, largest first.  Strict
+means "is the encoder's output", in both decoders.  Each reads a sequence
+leniently, as a candidate action, and accepts it exactly when the encoder
+gives the sequence back; the scalar ``decode`` names the first token that
+differs.  Lenient decoding keeps the candidate: it tolerates any magnitude
+order, non-greedy magnitude runs, missing dimension markers (read as zero),
+markers in any order, and signed-but-empty dimensions, which covers the kind
+of near-miss sequences a sampling policy emits.
 
 ``encode_batch`` and ``decode_batch`` are the array forms of ``encode_action``
 and strict ``decode``, for many actions at once; the pseudo-label files are
-written through ``encode_batch``.  ``decode_batch`` reads each row as a
-candidate action and checks it by re-encoding: a row is accepted exactly when
-``encode_batch`` of its candidate gives the row back.  The scalar forms serve
-the command line's ``encode`` and ``decode`` and are the reference the tests
-hold the batch forms to.  ``round_actions`` is the one rule that turns
-real-valued predictions into codec-range integer actions.
+written through ``encode_batch``.  The scalar forms serve the command line's
+``encode`` and ``decode`` and are the reference the tests hold the batch
+forms to.  ``round_actions`` is the one rule that turns real-valued
+predictions into codec-range integer actions.
 """
 
 from __future__ import annotations
@@ -96,7 +93,7 @@ class CodecRangeError(CodecError):
 
 
 class CanonicalFormError(CodecError):
-    """Sequence violates the canonical grammar (strict decoding only)."""
+    """Sequence is not the encoder's output (strict decoding only)."""
 
 
 @dataclass(frozen=True)
@@ -370,12 +367,13 @@ def encode_action(action: ActionDelta, vocab: TokenVocab) -> tuple[int, ...]:
 def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> ActionDelta:
     """Reconstruct the action by summing signed magnitude contributions.
 
-    Strict mode accepts exactly the canonical grammar: the sequences
-    ``encode_action`` writes.  Lenient mode tolerates out-of-order and
-    non-greedy magnitudes (``<1> <1>`` for ``<2>``), out-of-order and missing
-    markers, and dangling signs;
-    it still rejects unknown tokens, duplicate markers, signs on zoom, a
-    missing end token, and out-of-range values.
+    Lenient mode tolerates out-of-order and non-greedy magnitudes (``<1> <1>``
+    for ``<2>``), out-of-order and missing markers, and dangling signs; it
+    rejects unknown tokens, duplicate markers, signs on zoom, a missing end
+    token, and out-of-range values.  Strict mode is the lenient reading,
+    accepted exactly when ``encode_action`` of it gives the sequence back;
+    otherwise ``CanonicalFormError`` names the first token that differs
+    (counting from 1) and the encoding's token there.
     """
     ids = tuple(seq)
     if not ids:
@@ -387,34 +385,16 @@ def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> Action
         if t.kind == KIND_END:
             raise CodecError("tokens after end token")
 
-    totals = {AXIS_PAN: 0, AXIS_TILT: 0, AXIS_ZOOM: 0}
-    counts = {AXIS_PAN: 0, AXIS_TILT: 0, AXIS_ZOOM: 0}
+    totals = {AXIS_PAN: 0, AXIS_TILT: 0, AXIS_ZOOM: 0}  # magnitudes are positive: 0 until one is read
     signs: dict[int, int] = {}
-    seen: list[int] = []
+    seen: set[int] = set()
     axis = None
-    sign_pending = False
-    prev_mag = None
-
-    def close_axis():
-        if sign_pending and strict:
-            raise CanonicalFormError(
-                f"sign without magnitudes in {_AXIS_NAMES[axis]} section"
-            )
-
     for t in tokens[:-1]:
         if t.kind == KIND_DIM:
             if t.value in seen:
                 raise CodecError(f"duplicate dimension marker {t.symbol}")
-            if axis is not None:
-                close_axis()
-            if strict and t.value != len(seen):
-                raise CanonicalFormError(
-                    f"dimension marker {t.symbol} out of canonical order"
-                )
-            seen.append(t.value)
+            seen.add(t.value)
             axis = t.value
-            sign_pending = False
-            prev_mag = None
         elif t.kind == KIND_SIGN:
             if axis is None:
                 raise CodecError(f"sign token {t.symbol} before any dimension marker")
@@ -422,31 +402,13 @@ def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> Action
                 raise CodecError("zoom carries no sign")
             if axis in signs:
                 raise CodecError(f"duplicate sign in {_AXIS_NAMES[axis]} section")
-            if counts[axis] > 0:
+            if totals[axis] > 0:
                 raise CodecError(f"sign token {t.symbol} after magnitudes")
             signs[axis] = t.value
-            sign_pending = True
         else:  # magnitude
             if axis is None:
                 raise CodecError(f"magnitude token {t.symbol} before any dimension marker")
-            if strict:
-                if axis != AXIS_ZOOM and axis not in signs:
-                    raise CanonicalFormError(
-                        f"magnitude token {t.symbol} without a preceding sign"
-                    )
-                if prev_mag is not None and t.value > prev_mag:
-                    raise CanonicalFormError(
-                        f"magnitude token {t.symbol} breaks non-increasing order"
-                    )
             totals[axis] += t.value
-            prev_mag = t.value
-            counts[axis] += 1
-            sign_pending = False
-    if axis is not None:
-        close_axis()
-    if strict and len(seen) != 3:
-        missing = [_AXIS_NAMES[a] for a in (AXIS_PAN, AXIS_TILT, AXIS_ZOOM) if a not in seen]
-        raise CanonicalFormError(f"missing dimension marker(s): {', '.join(missing)}")
 
     values = []
     for a in (AXIS_PAN, AXIS_TILT, AXIS_ZOOM):
@@ -455,10 +417,18 @@ def decode(seq: Iterable[int], vocab: TokenVocab, strict: bool = True) -> Action
             raise CodecRangeError(
                 f"reconstructed {_AXIS_NAMES[a]} value {v} outside +/-{vocab.max_value}"
             )
-        if strict and counts[a] != _greedy_magnitude_counts(totals[a]):
-            raise CanonicalFormError(f"{_AXIS_NAMES[a]} magnitudes are not the greedy split of {totals[a]}")
         values.append(v)
-    return ActionDelta(values[0], values[1], values[2])
+    action = ActionDelta(*values)
+    if strict:
+        canonical = encode_action(action, vocab)
+        # both end in the one end token, so they differ before either ends
+        for at, (got, want) in enumerate(zip(ids, canonical)):
+            if got != want:
+                raise CanonicalFormError(
+                    f"token {at + 1} is {vocab.token(got).symbol}, where the encoding of "
+                    f"{action.as_tuple()} has {vocab.token(want).symbol}"
+                )
+    return action
 
 
 def seq_to_str(ids: Iterable[int], vocab: TokenVocab) -> str:
@@ -576,34 +546,20 @@ def decode_batch(tokens, lengths, vocab: TokenVocab) -> tuple[np.ndarray, np.nda
     return actions, ok
 
 
-def _greedy_magnitude_counts(values) -> np.ndarray:
-    """Greedy magnitude-token count for each value (digits over basis {5,2,1})."""
-    v = np.abs(np.asarray(values, dtype=np.int64))
-    counts = np.zeros(v.shape, dtype=np.int64)
-    while np.any(v > 0):
-        d = v % 10
-        r = d % 5
-        counts += d // 5 + r // 2 + r % 2
-        v //= 10
-    return counts
-
-
 def mean_token_length(actions: Sequence[ActionDelta]) -> TokenLengthStats:
     """Mean magnitude-token count versus one-token-per-unit discretization.
 
-    Both statistics are per action, summed over the three dimensions.
+    Both statistics are per action, summed over the three dimensions.  The
+    magnitude tokens are those ``encode_batch`` writes under the default
+    vocabulary: each sequence less its three markers, its end token and one
+    sign per nonzero pan or tilt.
     """
     if len(actions) == 0:
         raise CodecError("empty action dataset")
-    pan = np.array([a.pan_deg for a in actions], dtype=np.int64)
-    tilt = np.array([a.tilt_deg for a in actions], dtype=np.int64)
-    zoom = np.array([a.zoom_units for a in actions], dtype=np.int64)
-    hier = (
-        _greedy_magnitude_counts(pan)
-        + _greedy_magnitude_counts(tilt)
-        + _greedy_magnitude_counts(zoom)
-    )
-    uniform = np.abs(pan) + np.abs(tilt) + np.abs(zoom)
+    pan, tilt, zoom = np.array([a.as_tuple() for a in actions], dtype=np.int64).T
+    _, lengths = encode_batch(pan, tilt, zoom, TokenVocab.default())
+    hier = lengths - 4 - (pan != 0) - (tilt != 0)
+    uniform = np.abs(pan) + np.abs(tilt) + zoom
     return TokenLengthStats(
         mean_hierarchical=float(hier.mean()),
         mean_uniform=float(uniform.mean()),

@@ -25,6 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from ptzkit import codec, jsonl
+from ptzkit.camera import box_areas
 from ptzkit.forest import ForestConfig, RandomForest, fit_heads
 
 HEAD_NAMES = ("pan", "tilt", "zoom")
@@ -73,7 +74,7 @@ def geometry_problems(records: RecordSet) -> np.ndarray:
 def _frame_share(records: RecordSet) -> np.ndarray:
     """Each record's box-to-frame area ratio (w1); NaN or inf for a zero-size image."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _box_area(records.boxes) / (records.image_w.astype(np.float64) * records.image_h)
+        return box_areas(records.boxes) / (records.image_w.astype(np.float64) * records.image_h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +133,6 @@ class RegressorModel:
         return out
 
 
-def _box_area(boxes: np.ndarray) -> np.ndarray:
-    return np.maximum(boxes[:, 2] - boxes[:, 0], 0.0) * np.maximum(boxes[:, 3] - boxes[:, 1], 0.0)
-
-
 def record_features(boxes, image_w, image_h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(features, crop windows, w2) of boxes, each in a frame of the given size
     (arrays with a row per box, or one size for all); a box whose share of the
@@ -153,7 +150,7 @@ def record_features(boxes, image_w, image_h) -> tuple[np.ndarray, np.ndarray, np
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     image_w = np.asarray(image_w, dtype=np.float64)
     image_h = np.asarray(image_h, dtype=np.float64)
-    area = _box_area(boxes)
+    area = box_areas(boxes)
     w1 = area / (image_w * image_h)
     if np.any(w1 <= 0.0):
         raise ValueError(f"cannot take the features of an empty box (row {int(np.argmax(w1 <= 0.0))})")
@@ -169,7 +166,7 @@ def record_features(boxes, image_w, image_h) -> tuple[np.ndarray, np.ndarray, np
     wx0 = np.maximum(np.minimum(cx - win_w / 2.0, image_w - win_w), 0.0)
     wy0 = np.maximum(np.minimum(cy - win_h / 2.0, image_h - win_h), 0.0)
     windows = np.stack([wx0, wy0, np.minimum(wx0 + win_w, image_w), np.minimum(wy0 + win_h, image_h)], axis=1)
-    w2 = area / _box_area(windows)
+    w2 = area / box_areas(windows)
     features = np.stack([x_norm, y_norm, w1], axis=1)
     return features, windows, w2
 
@@ -495,15 +492,21 @@ def save_model(path, model: RegressorModel) -> None:
 
 
 def model_from_dict(doc: dict) -> RegressorModel:
-    """A model as ``save_model`` writes it, over the 3 features; a NaN or an
-    infinite coefficient or intercept, a head without one coefficient per
-    feature, or a forest that ``RandomForest.from_dict`` rejects raises
-    ``ValueError``.  Older files hold ``"use_zoom_feature": false`` in the
-    config, which is read as its absence; any other value of it is rejected."""
+    """A model as ``save_model`` writes it, over the 3 features; a config
+    whose ``n_trees``, ``max_depth`` or ``min_samples_leaf`` is not an integer
+    >= 1 or whose ``seed`` is not one >= 0, a NaN or an infinite coefficient
+    or intercept, a head without one coefficient per feature, a forest that
+    ``RandomForest.from_dict`` rejects or one that is not of the config's
+    shape raises ``ValueError``.  Older files hold ``"use_zoom_feature":
+    false`` in the config, which is read as its absence; any other value of
+    it is rejected."""
     config = dict(doc["config"])
     if config.pop("use_zoom_feature", False) is not False:
         raise ValueError("use_zoom_feature must be absent or false: models read (x_norm, y_norm, w1) only")
     cfg = RegressorConfig(kind=doc["kind"], **config)
+    for key, low in (("n_trees", 1), ("max_depth", 1), ("min_samples_leaf", 1), ("seed", 0)):
+        if jsonl.integer(getattr(cfg, key), f"config {key}") < low:
+            raise ValueError(f"config {key} must be >= {low}, got {getattr(cfg, key)}")
     model = RegressorModel(config=cfg, train_r2=dict(doc.get("train_r2", {})))
     heads = doc["heads"]
     n_features = len(FEATURE_NAMES)
@@ -514,6 +517,9 @@ def model_from_dict(doc: dict) -> RegressorModel:
         model.ols_intercept = np.array(jsonl.finite([heads[n]["intercept"] for n in HEAD_NAMES], "intercepts"))
     else:
         model.forests = {n: RandomForest.from_dict(heads[n], n_features, n) for n in HEAD_NAMES}
+        for n, forest in model.forests.items():
+            if forest.config != cfg.forest:
+                raise ValueError(f"{n} head is a {forest.config}, where the config says {cfg.forest}")
     return model
 
 

@@ -34,6 +34,7 @@ from ptzkit.camera import (
     project_batch,
 )
 from ptzkit.codec import MAX_ACTION_VALUE, ActionDelta
+from ptzkit.pseudolabel import FEATURE_NAMES
 
 if TYPE_CHECKING:  # selftrain imports this module
     from ptzkit.selftrain import SampleSet
@@ -275,12 +276,23 @@ class ToyPolicy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyPolicy":
-        """A policy as ``to_dict`` writes it; a weight that is not a finite JSON
-        number or a fractional bin raises ``ValueError``."""
+        """A policy as ``to_dict`` writes it, over the 3 sample features: per
+        head, at least one integer bin and one weight row per bin, each a
+        weight per feature and a bias, all finite JSON numbers.  Anything else
+        raises ``ValueError`` naming the head."""
+        width = len(FEATURE_NAMES) + 1
         bins, weights = {}, {}
         for h in HEADS:
             bins[h] = np.array([jsonl.integer(b, f"{h} bins") for b in d["bins"][h]], dtype=np.int64)
-            weights[h] = np.array([jsonl.finite(row, f"{h} weights") for row in d["weights"][h]], dtype=np.float64)
+            rows = [jsonl.finite(row, f"{h} weights") for row in d["weights"][h]]
+            if bins[h].size == 0:
+                raise ValueError(f"{h} needs at least one bin")
+            for i, row in enumerate(rows):
+                if len(row) != width:
+                    raise ValueError(
+                        f"{h} weight row {i} holds {len(row)} numbers, not {width} ({width - 1} features and a bias)"
+                    )
+            weights[h] = np.array(rows, dtype=np.float64).reshape(len(rows), width)
         return cls(bins, weights)
 
 
@@ -524,18 +536,6 @@ def grpo_train(
 
 
 def write_training_log(path, history: Sequence[StepStats]) -> None:
-    """Line-delimited per-step records of the training trajectory."""
-    jsonl.write(path, (
-        {
-            "step": step,
-            "mean_reward": st.mean_reward,
-            "mean_kl": st.mean_kl,
-            "clip_fraction": st.clip_fraction,
-            "mae_pan": st.mae_pan,
-            "mae_tilt": st.mae_tilt,
-            "mae_zoom": st.mae_zoom,
-            "reward_std": st.reward_std,
-            "zero_signal_fraction": st.zero_signal_fraction,
-        }
-        for step, st in enumerate(history)
-    ))
+    """Line-delimited per-step records of the training trajectory: the step,
+    then the ``StepStats`` fields in their declared order."""
+    jsonl.write(path, ({"step": step, **vars(stats)} for step, stats in enumerate(history)))

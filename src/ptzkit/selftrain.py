@@ -30,6 +30,7 @@ from ptzkit.camera import (
     SceneSet,
     apply_action_batch,
     bbox_arrays,
+    box_areas,
     iou_batch,
     oracle_actions,
     project,  # noqa: F401  (perfbench checks its tracer restores selftrain.project)
@@ -270,7 +271,7 @@ def completion_batch(
     centre, and at least ``min_area_ratio`` of the frame.  The centre distance
     is Python's ``** 0.5`` per row, which rounds differently from ``np.sqrt``."""
     x0, y0, x1, y1 = boxes.T
-    area = np.maximum(x1 - x0, 0.0) * np.maximum(y1 - y0, 0.0)
+    area = box_areas(boxes)
     dx = (x0 + x1) / 2.0 - k.image_w / 2.0
     dy = (y0 + y1) / 2.0 - k.image_h / 2.0
     dist = np.array([d2**0.5 for d2 in (dx * dx + dy * dy).tolist()]).reshape(len(boxes))
@@ -455,8 +456,7 @@ def pseudolabels(samples: SampleSet, k: CameraIntrinsics) -> pl.LabelSet:
     """The samples as pseudo-labels: each one's working action and supervision
     box, with its start-view area ratio w1 and the box's area ratio w2, which
     is 0 for a box out of view or of no area, as ``camera.area_ratio`` has it."""
-    x0, y0, x1, y1 = samples.boxes.T
-    area = np.maximum(x1 - x0, 0.0) * np.maximum(y1 - y0, 0.0)
+    area = box_areas(samples.boxes)
     empty = (samples.codes == CODE_OUT) | (area <= 0.0)
     w2 = np.where(empty, 0.0, area / (k.image_w * k.image_h))
     return pl.LabelSet(samples.ids, samples.instructions, samples.actions, samples.boxes, samples.features[:, 2], w2)

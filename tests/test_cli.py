@@ -124,6 +124,7 @@ class TestSceneGen:
 
     def test_bad_range_is_usage_error(self, tmp_path, capsys):
         assert run(["scene-gen", "--count", "5", "--azimuth", "20,-20", "--out", str(tmp_path)]) == 2
+        assert "invalid azimuth range (20.0, -20.0)" in capsys.readouterr().err
         assert run(["scene-gen", "--count", "5", "--distance=-1,2", "--out", str(tmp_path)]) == 2
         assert run(["scene-gen", "--count", "5", "--size", "1,2,3", "--out", str(tmp_path)]) == 2
         # a range too wide to draw from, and a draw that overflows
@@ -502,7 +503,9 @@ class TestNonFiniteModel:
         (["bins", "pan", 0], -30.0, "pan bins must be an integer, got -30.0"),
         (["weights", "tilt", 0, 2], "0.5", "tilt weights must be finite JSON numbers, got '0.5'"),
         (["weights", "pan", 1, 0], False, "pan weights must be finite JSON numbers, got False"),
-    ], ids=["nan-weight", "out-of-range-bin", "fractional-bin", "integral-float-bin", "string-weight", "bool-weight"])
+        (["weights", "zoom", 3], [0.0, 0.0, 0.0], "zoom weight row 3 holds 3 numbers, not 4 (3 features and a bias)"),
+    ], ids=["nan-weight", "out-of-range-bin", "fractional-bin", "integral-float-bin", "string-weight", "bool-weight",
+            "ragged-row"])
     def test_bad_policy_checkpoint_names_the_file(self, tmp_path, scene_file, capsys, path, value, reason):
         assert run(["grpo-train", "--scene", str(scene_file), "--steps", "1", "--out", str(tmp_path), "--quiet"]) == 0
         doc = json.loads((tmp_path / "policy.json").read_text())
@@ -512,6 +515,33 @@ class TestNonFiniteModel:
         assert run(["eval", "--scene", str(scene_file), "--policy", str(bad), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert f"data error: {bad}: " in err and reason in err
+
+    @pytest.mark.parametrize("change, reason", [
+        (lambda d: d["weights"].__setitem__("tilt", [row + [0.0] for row in d["weights"]["tilt"]]),
+         "tilt weight row 0 holds 5 numbers, not 4 (3 features and a bias)"),
+        (lambda d: d.__setitem__("weights", {h: [row + [0.0] for row in w] for h, w in d["weights"].items()}),
+         "pan weight row 0 holds 5 numbers, not 4"),
+        (lambda d: d.update(bins={**d["bins"], "pan": []}, weights={**d["weights"], "pan": []}),
+         "pan needs at least one bin"),
+        (lambda d: d["weights"]["pan"].pop(), "pan weight rows must match bin count"),
+    ], ids=["tilt-5-wide", "every-head-5-wide", "no-pan-bins", "a-row-short"])
+    def test_policy_checkpoint_of_the_wrong_shape_names_the_file(self, tmp_path, scene_file, capsys, change, reason):
+        assert run(["grpo-train", "--scene", str(scene_file), "--steps", "1", "--out", str(tmp_path), "--quiet"]) == 0
+        doc = json.loads((tmp_path / "policy.json").read_text())
+        change(doc)
+        bad = tmp_path / "bad_policy.json"
+        bad.write_text(json.dumps(doc) + "\n")
+        assert run(["eval", "--scene", str(scene_file), "--policy", str(bad), "--out", str(tmp_path)]) == 3
+        assert f"data error: {bad}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["ols", "rf"])
+    def test_bad_model_config_names_the_file(self, tmp_path, scene_file, capsys, kind):
+        doc = self.fitted(tmp_path, scene_file, kind)
+        doc["config"].update({"n_trees": -5, "max_depth": "x", "min_samples_leaf": 2.5, "seed": [1]})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc) + "\n")
+        assert run(["eval", "--scene", str(scene_file), "--policy", str(bad), "--out", str(tmp_path)]) == 3
+        assert f"data error: {bad}: config n_trees must be >= 1, got -5" in capsys.readouterr().err
 
     def test_model_over_the_zoom_feature_names_the_file(self, tmp_path, scene_file, capsys):
         doc = self.fitted(tmp_path, scene_file, "ols")

@@ -198,7 +198,7 @@ class TestDecode:
             vocab.mag_id(1),
             vocab.mag_id(20),
         ]
-        with pytest.raises(CanonicalFormError, match="non-increasing"):
+        with pytest.raises(CanonicalFormError, match=r"^token 3 is <1>, where the encoding of \(21, 0, 0\) has <20>$"):
             decode(ids + [vocab.dim_id(codec.AXIS_TILT), vocab.dim_id(codec.AXIS_ZOOM), vocab.end_id], vocab)
 
     def test_lenient_accepts_any_magnitude_order(self, vocab):
@@ -211,9 +211,11 @@ class TestDecode:
     def test_lenient_accepts_missing_markers_and_dangling_sign(self, vocab):
         seq = ids_from_str("<TILT> <-> <5> <END>", vocab)
         assert decode(seq, vocab, strict=False) == ActionDelta(0, -5, 0)
+        with pytest.raises(CanonicalFormError, match=r"^token 1 is <TILT>, where the encoding of \(0, -5, 0\) has <PAN>$"):
+            decode(seq, vocab, strict=True)
         dangling = ids_from_str("<PAN> <+> <TILT> <ZOOM> <END>", vocab)
         assert decode(dangling, vocab, strict=False) == ActionDelta(0, 0, 0)
-        with pytest.raises(CanonicalFormError, match="sign without magnitudes"):
+        with pytest.raises(CanonicalFormError, match=r"^token 2 is <\+>, where the encoding of \(0, 0, 0\) has <TILT>$"):
             decode(dangling, vocab, strict=True)
 
     def test_missing_end(self, vocab):
@@ -393,17 +395,20 @@ class TestDecodeProperties:
             canonical = False
         assert accepted == canonical
 
-    @pytest.mark.parametrize("text, value", [
-        ("<PAN> <+> <1> <1> <TILT> <ZOOM> <END>", (2, 0, 0)),
-        ("<PAN> <+> " + "<1> " * 40 + "<TILT> <ZOOM> <END>", (40, 0, 0)),
-        ("<PAN> <TILT> <-> <5> <2> <1> <1> <ZOOM> <END>", (0, -9, 0)),
-        ("<PAN> <TILT> <ZOOM> <50> <50> <END>", (0, 0, 100)),
+    @pytest.mark.parametrize("text, value, error", [
+        ("<PAN> <+> <1> <1> <TILT> <ZOOM> <END>", (2, 0, 0), "token 3 is <1>, where the encoding of (2, 0, 0) has <2>"),
+        ("<PAN> <+> " + "<1> " * 40 + "<TILT> <ZOOM> <END>", (40, 0, 0),
+         "token 3 is <1>, where the encoding of (40, 0, 0) has <20>"),
+        ("<PAN> <TILT> <-> <5> <2> <1> <1> <ZOOM> <END>", (0, -9, 0),
+         "token 6 is <1>, where the encoding of (0, -9, 0) has <2>"),
+        ("<PAN> <TILT> <ZOOM> <50> <50> <END>", (0, 0, 100), "token 4 is <50>, where the encoding of (0, 0, 100) has <100>"),
     ], ids=["pan-2-as-1-1", "pan-40-as-forty-1s", "tilt-9-as-5-2-1-1", "zoom-100-as-50-50"])
-    def test_non_greedy_magnitude_runs_are_lenient_only(self, vocab, text, value):
+    def test_non_greedy_magnitude_runs_are_lenient_only(self, vocab, text, value, error):
         ids = ids_from_str(text, vocab)
         assert decode(ids, vocab, strict=False).as_tuple() == value
-        with pytest.raises(CanonicalFormError, match="greedy split"):
+        with pytest.raises(CanonicalFormError) as raised:
             decode(ids, vocab, strict=True)
+        assert str(raised.value) == error
         tokens = np.full((1, len(ids)), -1)
         tokens[0] = ids
         actions, ok = decode_batch(tokens, np.array([len(ids)]), vocab)
@@ -564,10 +569,15 @@ class TestMeanTokenLength:
         with pytest.raises(CodecError):
             mean_token_length([])
 
-    def test_greedy_counts_match_dp(self):
+    def test_greedy_counts_match_dp(self, vocab):
+        # the encoder's magnitude tokens: each sequence less its markers, end and sign
         values = np.arange(0, 1000, dtype=np.int64)
-        counts = codec._greedy_magnitude_counts(values)
+        zeros = np.zeros_like(values)
+        _, lengths = encode_batch(zeros, zeros, values, vocab)
+        counts = lengths - 4
         expected = np.array([minimal_token_count(int(v)) for v in values])
         assert np.array_equal(counts, expected)
         # signs do not change the count
-        assert np.array_equal(codec._greedy_magnitude_counts(-values), counts)
+        for pan, tilt in ((-values, zeros), (zeros, -values), (values, zeros)):
+            _, lengths = encode_batch(pan, tilt, zeros, vocab)
+            assert np.array_equal(lengths - 4 - (values != 0), counts)

@@ -1,4 +1,5 @@
-"""Every top-level import in ``src/ptzkit`` is used, or marked ``# noqa: F401``."""
+"""Every top-level import in ``src/ptzkit`` is used, or marked ``# noqa: F401``,
+and every private top-level function there is referenced from the package."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,28 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path) == []
+
+
+def private_functions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_")]
+
+
+def references(path: Path) -> set[str]:
+    """The names ``path`` reads, as a bare name, an attribute or an import."""
+    names = set()
+    for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def test_every_private_function_is_referenced():
+    paths = sorted(SRC.glob("*.py"))
+    used = set().union(*map(references, paths))
+    unreferenced = [f"{p.name}: {name}" for p in paths for name in private_functions(p) if name not in used]
+    assert unreferenced == []

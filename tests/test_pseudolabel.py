@@ -1021,6 +1021,42 @@ class TestModelFileShape:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: use_zoom_feature must be absent or false"):
             pl.load_model(path)
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("n_trees", -5, "must be >= 1, got -5"),
+        ("n_trees", 0, "must be >= 1, got 0"),
+        ("max_depth", "x", "must be an integer, got 'x'"),
+        ("max_depth", 8.0, "must be an integer, got 8.0"),
+        ("min_samples_leaf", 2.5, "must be an integer, got 2.5"),
+        ("min_samples_leaf", True, "must be an integer, got True"),
+        ("seed", [1], "must be an integer, got [1]"),
+        ("seed", -1, "must be >= 0, got -1"),
+    ], ids=["negative-trees", "no-trees", "string-depth", "integral-float-depth", "fractional-leaf", "bool-leaf",
+            "list-seed", "negative-seed"])
+    @pytest.mark.parametrize("kind", ["random_forest", "ols_linear"])
+    def test_bad_config_names_file_and_key(self, tmp_path, kind, key, value, reason):
+        x, actions = exact_linear_pairs()
+        path = tmp_path / "model.json"
+        pl.save_model(path, pl.fit(x, actions, pl.RegressorConfig(kind=kind, n_trees=2, seed=2)))
+        doc = json.loads(path.read_text())
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: config {key} {re.escape(reason)}"):
+            pl.load_model(path)
+
+    @pytest.mark.parametrize("config, says", [
+        ({"n_trees": 7, "max_depth": 1}, "n_trees=7, max_depth=1, min_samples_leaf=5"),
+        ({"min_samples_leaf": 1}, "n_trees=2, max_depth=8, min_samples_leaf=1"),
+    ], ids=["trees-and-depth", "leaf"])
+    def test_forest_heads_must_be_of_the_config_shape(self, tmp_path, fitted, config, says):
+        doc = json.loads(json.dumps(fitted))
+        doc["config"].update(config)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc) + "\n")
+        reason = ("pan head is a ForestConfig(n_trees=2, max_depth=8, min_samples_leaf=5), "
+                  f"where the config says ForestConfig({says})")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(reason)}"):
+            pl.load_model(path)
+
     def test_ols_head_needs_a_coefficient_per_feature(self, tmp_path):
         x, actions = exact_linear_pairs()
         path = tmp_path / "ols.json"
