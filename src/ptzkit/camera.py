@@ -187,8 +187,8 @@ def magnification(zoom_units: float) -> float:
 # on the other rows (a 2-D matmul or einsum over the batch rounds differently).
 # The scalar forms further down are one-row calls of these.
 # Elementwise numpy ``sin``, ``cos``, ``radians`` and ``fmod`` round like their
-# ``math`` counterparts; ``hypot``, ``log2`` and ``2.0 ** x`` do not, so those
-# stay scalar per row.
+# ``math`` counterparts; ``hypot``, ``log``, ``log2`` and ``2.0 ** x`` do not,
+# so those stay scalar per row.
 
 VISIBILITY_CODES = (VISIBILITY_FULL, VISIBILITY_CLIPPED, VISIBILITY_OUT)
 CODE_FULL, CODE_CLIPPED, CODE_OUT = range(3)

@@ -493,21 +493,31 @@ def save_model(path, model: RegressorModel) -> None:
 
 def model_from_dict(doc: dict) -> RegressorModel:
     """A model as ``save_model`` writes it, over the 3 features; a config
-    whose ``n_trees``, ``max_depth`` or ``min_samples_leaf`` is not an integer
-    >= 1 or whose ``seed`` is not one >= 0, a NaN or an infinite coefficient
-    or intercept, a head without one coefficient per feature, a forest that
-    ``RandomForest.from_dict`` rejects or one that is not of the config's
-    shape raises ``ValueError``.  Older files hold ``"use_zoom_feature":
-    false`` in the config, which is read as its absence; any other value of
-    it is rejected."""
+    with a key other than ``n_trees``, ``max_depth``, ``min_samples_leaf`` and
+    ``seed``, or whose first three are not integers >= 1 or whose ``seed`` is
+    not one >= 0, a ``train_r2`` that does not map each head to a finite
+    number, a NaN or an infinite coefficient or intercept, a head without one
+    coefficient per feature, a forest that ``RandomForest.from_dict`` rejects
+    or one that is not of the config's shape raises ``ValueError``.  Older
+    files hold ``"use_zoom_feature": false`` in the config, which is read as
+    its absence; any other value of it is rejected."""
     config = dict(doc["config"])
     if config.pop("use_zoom_feature", False) is not False:
         raise ValueError("use_zoom_feature must be absent or false: models read (x_norm, y_norm, w1) only")
+    limits = {"n_trees": 1, "max_depth": 1, "min_samples_leaf": 1, "seed": 0}
+    for key in config:
+        if key not in limits:
+            raise ValueError(f"config {key!r} is not a model setting; the settings are {', '.join(limits)}")
     cfg = RegressorConfig(kind=doc["kind"], **config)
-    for key, low in (("n_trees", 1), ("max_depth", 1), ("min_samples_leaf", 1), ("seed", 0)):
+    for key, low in limits.items():
         if jsonl.integer(getattr(cfg, key), f"config {key}") < low:
             raise ValueError(f"config {key} must be >= {low}, got {getattr(cfg, key)}")
-    model = RegressorModel(config=cfg, train_r2=dict(doc.get("train_r2", {})))
+    train_r2 = doc.get("train_r2", {})
+    if "train_r2" in doc and not (
+        type(train_r2) is dict and set(train_r2) == set(HEAD_NAMES) and all(map(jsonl.is_number, train_r2.values()))
+    ):
+        raise ValueError(f"train_r2 must map {', '.join(HEAD_NAMES)} each to a finite number, got {train_r2!r}")
+    model = RegressorModel(config=cfg, train_r2=dict(train_r2))
     heads = doc["heads"]
     n_features = len(FEATURE_NAMES)
     if cfg.kind == "ols_linear":

@@ -13,6 +13,7 @@ policy, so the loop runs end to end on synthetic scenes.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
@@ -37,7 +38,7 @@ from ptzkit.camera import (
     project_batch,
     target_corners,
 )
-from ptzkit.codec import ActionDelta, round_actions
+from ptzkit.codec import MAX_ACTION_VALUE, ActionDelta, round_actions
 from ptzkit.pseudolabel import RegressorConfig, RegressorModel
 from ptzkit.rewards import HEADS, ToyPolicy
 
@@ -162,10 +163,38 @@ class OraclePolicy:
         return _oracle_batch(samples, self.k, self.fill_ratio)
 
 
-def _sample_rng(seed: int, sample_id: str) -> np.random.Generator:
-    # keyed by (seed, id) so per-sample noise is order-independent
-    digest = hashlib.blake2b(sample_id.encode("utf-8"), digest_size=8).digest()
-    return np.random.default_rng(np.random.SeedSequence([seed, int.from_bytes(digest, "big")]))
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a counter that steps by the
+# golden gamma, and the finalizer that mixes each count into 64 random bits.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK_64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer over a uint64 array; the multiplies wrap, which
+    numpy does silently for arrays only (its scalar form warns)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _keyed_normals(seed: int, ids) -> np.ndarray:
+    """float64[n, 3] standard normals, row ``i`` a function of (seed, ids[i]) alone.
+
+    Sample ``i``'s key, the 8-byte blake2b of its id read big-endian, xor the
+    mix of ``seed`` mod 2**64, is a SplitMix64 state.  Its first four outputs
+    give uniforms u1..u4 = (top 52 bits + 1/2) / 2**52, exact and inside
+    (0, 1), and Box-Muller gives ``r1 cos(t2)``, ``r1 sin(t2)`` and
+    ``r3 cos(t4)``, with ``r = sqrt(-2 ln u)`` and ``t = 2 pi u``.  ``ln`` is
+    ``math.log`` per value: ``np.log`` rounds some values differently.
+    """
+    digests = b"".join(hashlib.blake2b(i.encode("utf-8"), digest_size=8).digest() for i in ids)
+    keys = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    state = keys ^ _mix64(np.array([int(seed) & _MASK_64], dtype=np.uint64))
+    bits = _mix64(state[:, None] + np.arange(1, 5, dtype=np.uint64) * _GAMMA)
+    u = ((bits >> 12).astype(np.float64) + 0.5) * 2.0**-52
+    r = np.sqrt(-2.0 * np.array([math.log(v) for v in u[:, 0::2].ravel().tolist()])).reshape(-1, 2)
+    t = u[:, 1::2] * (2.0 * math.pi)
+    return np.stack([r[:, 0] * np.cos(t[:, 0]), r[:, 0] * np.sin(t[:, 0]), r[:, 1] * np.cos(t[:, 1])], axis=1)
 
 
 @dataclass(frozen=True)
@@ -179,11 +208,14 @@ class NoisyOraclePolicy:
     fill_ratio: float = DEFAULT_FILL_RATIO
 
     def actions(self, samples: SampleSet) -> np.ndarray:
-        # each sample's three standard normals, scaled once: the values of
-        # normal(0, sigma) per sample, but for the sign of a zero noise
-        z = np.array([_sample_rng(self.seed, i).standard_normal(3) for i in samples.ids]).reshape(-1, 3)
+        # each sample's three keyed standard normals, scaled once; a sum past
+        # the codec range, an overflow to +/-inf included, saturates there
+        oracle = _oracle_batch(samples, self.k, self.fill_ratio)
+        z = _keyed_normals(self.seed, samples.ids)
         sigma = np.array([self.sigma_angle, self.sigma_angle, self.sigma_zoom])
-        return round_actions(_oracle_batch(samples, self.k, self.fill_ratio) + z * sigma)
+        with np.errstate(over="ignore"):
+            noisy = oracle + z * sigma
+        return round_actions(np.clip(noisy, -MAX_ACTION_VALUE, MAX_ACTION_VALUE))
 
 
 @dataclass(frozen=True)

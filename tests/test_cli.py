@@ -14,6 +14,8 @@ from ptzkit import cli
 from ptzkit.cli import main
 from ptzkit.config import RunConfig, load_config
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run(args):
     return main(args)
@@ -265,6 +267,34 @@ class TestFitEval:
         ]) == 3
         err = capsys.readouterr().err
         assert "label_noise_angle" in err and "label_noise_zoom" in err
+
+    def test_huge_label_noise_saturates_at_the_clamp(self, tmp_path, scene_file, capsys):
+        # sigma * z overflows to +/-inf: each noisy label sits at the codec's
+        # clamp, +/-999 in pan and tilt, 0 or 999 in zoom, with no warning
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[selftrain]\nlabel_noise_angle = 1e308\nlabel_noise_zoom = 1e308\n")
+        assert run([
+            "--config", str(cfg), "eval", "--scene", str(scene_file), "--policy", "noisy-oracle",
+            "--out", str(tmp_path), "--quiet",
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "eval.json").read_text())
+        # the scene's oracle pans lie within +/-25 deg and its tilts within +/-12
+        assert 999 - 25 <= doc["mae_theta1"] <= 999 + 25
+        assert 999 - 12 <= doc["mae_theta2"] <= 999 + 12
+        assert doc["cr"] == 0.0
+
+    @pytest.mark.parametrize("change, reason", [
+        (lambda d: d["config"].update(n_treez=3), "config 'n_treez' is not a model setting"),
+        (lambda d: d.update(train_r2={"pan": "x"}), "train_r2 must map pan, tilt, zoom each to a finite number"),
+    ], ids=["unknown-config-key", "string-r2"])
+    def test_model_file_config_and_r2_are_checked(self, tmp_path, scene_file, capsys, change, reason):
+        doc = json.loads((GOLDEN / "model.json").read_text())
+        change(doc)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc) + "\n")
+        assert run(["eval", "--scene", str(scene_file), "--policy", str(bad), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {bad}: {reason}")
 
     @pytest.mark.parametrize("doc", ["{}", "[1, 2]", '{"kind": "ols_linear", "config": 7}', "not json"])
     def test_malformed_model_file_is_data_error(self, tmp_path, scene_file, capsys, doc):

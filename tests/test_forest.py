@@ -5,6 +5,8 @@ grows the trees of every head level by level, on presorted columns, in padded
 blocks; it is checked byte for byte against the recursive per-node builder it
 replaced, kept here as the reference.  ``RandomForest.predict`` walks every
 tree at once; it is checked bit for bit against a walk of one tree at a time.
+The node sums of the grower are checked bit for bit against ``np.add.reduce``
+of each node's samples.
 """
 
 import json
@@ -247,6 +249,49 @@ def test_wide_nodes_split_over_several_blocks(monkeypatch):
     assert all(k == 1 or k * w <= BLOCK_CELLS for k, w in shapes)
     assert any(k > 1 for k, _ in shapes)
     assert forest_bytes(got) == forest_bytes(reference_fit(x, y, cfg, np.random.SeedSequence(4)))
+
+
+# lengths at the edges of numpy's pairwise summation: under 8 items, one
+# block of 128, and the splits above it
+_EDGE_LENGTHS = [*range(0, 18), *range(120, 138), *range(248, 266), 511, 512, 513, 1024, 1031, 2000]
+
+
+def assert_segment_sums_match_reduce(values, starts, sizes):
+    got = forest._segment_sums(values, starts, sizes)
+    want = np.array([np.add.reduce(values[a : a + n]) for a, n in zip(starts.tolist(), sizes.tolist())])
+    assert got.view(np.int64).tolist() == want.reshape(len(sizes)).view(np.int64).tolist()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    sizes=hst.lists(hst.one_of(hst.integers(0, 2000), hst.sampled_from(_EDGE_LENGTHS)), max_size=12),
+    zeros=hst.sampled_from(["none", "some", "all"]),
+    scale=hst.sampled_from([0, 8, 300]),
+)
+def test_segment_sums_are_np_add_reduce_bit_for_bit(seed, sizes, zeros, scale):
+    # segments laid end to end, then taken in a shuffled order; values of
+    # mixed magnitude (so the order of the additions shows), signed zeros
+    rng = np.random.default_rng(seed)
+    sizes = np.array(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    values = rng.standard_normal(int(sizes.sum())) * 10.0 ** rng.integers(-scale, scale + 1, int(sizes.sum()))
+    if zeros == "some":
+        values[rng.random(values.shape[0]) < 0.2] = rng.choice([0.0, -0.0])
+    elif zeros == "all":
+        values[:] = -0.0
+    order = rng.permutation(sizes.shape[0])
+    assert_segment_sums_match_reduce(values, starts[order], sizes[order])
+
+
+def test_segment_sums_of_every_length_near_the_edges():
+    rng = np.random.default_rng(7)
+    sizes = np.array(_EDGE_LENGTHS * 2, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    values = rng.standard_normal(int(sizes.sum())) * 10.0 ** rng.integers(-12, 13, int(sizes.sum()))
+    values[rng.random(values.shape[0]) < 0.05] = -0.0
+    assert_segment_sums_match_reduce(values, starts, sizes)
+    assert_segment_sums_match_reduce(np.full(values.shape[0], -0.0), starts, sizes)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -1043,6 +1043,50 @@ class TestModelFileShape:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: config {key} {re.escape(reason)}"):
             pl.load_model(path)
 
+    @pytest.mark.parametrize("key", ["n_treez", "kind", "use_zoom"])
+    @pytest.mark.parametrize("kind", ["random_forest", "ols_linear"])
+    def test_unknown_config_key_names_file_and_key(self, tmp_path, kind, key):
+        x, actions = exact_linear_pairs()
+        path = tmp_path / "model.json"
+        pl.save_model(path, pl.fit(x, actions, pl.RegressorConfig(kind=kind, n_trees=2, seed=2)))
+        doc = json.loads(path.read_text())
+        doc["config"][key] = 3
+        path.write_text(json.dumps(doc) + "\n")
+        reason = f"config '{key}' is not a model setting; the settings are n_trees, max_depth, min_samples_leaf, seed"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(reason)}"):
+            pl.load_model(path)
+
+    @pytest.mark.parametrize("train_r2", [
+        {"pan": "x"},
+        {"pan": 0.5, "tilt": 0.5, "zoom": "0.5"},
+        {"pan": 0.5, "tilt": math.nan, "zoom": 0.5},
+        {"pan": 0.5, "tilt": 0.5, "zoom": -math.inf},
+        {"pan": 0.5, "tilt": True, "zoom": 0.5},
+        {"pan": 0.5, "tilt": 0.5},
+        {"pan": 0.5, "tilt": 0.5, "zoom": 0.5, "roll": 0.5},
+        [0.5, 0.5, 0.5],
+        None,
+    ], ids=["one-string-head", "string-zoom", "nan", "minus-inf", "bool", "missing-head", "extra-head", "list", "null"])
+    def test_train_r2_must_map_each_head_to_a_finite_number(self, tmp_path, fitted, train_r2):
+        doc = json.loads(json.dumps(fitted))
+        doc["train_r2"] = train_r2
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc) + "\n")
+        reason = "train_r2 must map pan, tilt, zoom each to a finite number"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {reason}"):
+            pl.load_model(path)
+
+    @pytest.mark.parametrize("train_r2", [{"pan": 1, "tilt": -3.5, "zoom": 0.25}, "absent"])
+    def test_train_r2_of_numbers_or_absent_loads(self, tmp_path, fitted, train_r2):
+        doc = json.loads(json.dumps(fitted))
+        if train_r2 == "absent":
+            del doc["train_r2"]
+        else:
+            doc["train_r2"] = train_r2
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc) + "\n")
+        assert pl.load_model(path).train_r2 == ({} if train_r2 == "absent" else train_r2)
+
     @pytest.mark.parametrize("config, says", [
         ({"n_trees": 7, "max_depth": 1}, "n_trees=7, max_depth=1, min_samples_leaf=5"),
         ({"min_samples_leaf": 1}, "n_trees=2, max_depth=8, min_samples_leaf=1"),

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +53,28 @@ def reference_completion(b: BBoxPx, k: CameraIntrinsics, cfg: st.CompletionConfi
     if (dx * dx + dy * dy) ** 0.5 > cfg.center_frac * min(k.image_w, k.image_h):
         return False
     return cam.area_ratio(b, k) >= cfg.min_area_ratio
+
+
+_MASK_64 = (1 << 64) - 1
+
+
+def _reference_mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK_64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK_64
+    return z ^ (z >> 31)
+
+
+def reference_normals(seed: int, sample_id: str) -> list[float]:
+    """One sample's three keyed standard normals, one value at a time, in
+    masked Python ints and ``math``: SplitMix64 from (blake2b key xor the
+    seed's mix), four uniforms (top 52 bits + 1/2) / 2**52, Box-Muller."""
+    key = int.from_bytes(hashlib.blake2b(sample_id.encode("utf-8"), digest_size=8).digest(), "big")
+    state = key ^ _reference_mix64(seed & _MASK_64)
+    bits = [_reference_mix64((state + j * 0x9E3779B97F4A7C15) & _MASK_64) for j in (1, 2, 3, 4)]
+    u = [((b >> 12) + 0.5) * 2.0**-52 for b in bits]
+    r1, r3 = math.sqrt(-2.0 * math.log(u[0])), math.sqrt(-2.0 * math.log(u[2]))
+    t2, t4 = 2.0 * math.pi * u[1], 2.0 * math.pi * u[3]
+    return [r1 * math.cos(t2), r1 * math.sin(t2), r3 * math.cos(t4)]
 
 
 @hst.composite
@@ -156,11 +180,45 @@ class TestPolicies:
 
     @pytest.mark.parametrize("sigma_angle, sigma_zoom", [(5.0, 30.0), (0.0, 30.0), (3.0, 0.0), (0.0, 0.0)])
     def test_noisy_oracle_equals_a_normal_draw_per_sample(self, dataset, sigma_angle, sigma_zoom):
-        # the reference: one normal(0, sigma) draw of three per sample, from its (seed, id) generator
+        # the reference: each sample's three normals from its own scalar stream, times sigma
         sigma = [sigma_angle, sigma_angle, sigma_zoom]
-        noise = np.array([st._sample_rng(8, i).normal(0.0, sigma) for i in dataset.ids])
+        noise = np.array([[z * s for z, s in zip(reference_normals(8, i), sigma)] for i in dataset.ids])
+        # bit for bit, the sign of a zero (z * 0.0) included
+        got = st._keyed_normals(8, dataset.ids) * np.array(sigma)
+        assert np.array_equal(got.view(np.int64), noise.view(np.int64))
         want = round_actions(st._oracle_batch(dataset, K, st.DEFAULT_FILL_RATIO) + noise)
         assert np.array_equal(st.NoisyOraclePolicy(K, sigma_angle, sigma_zoom, seed=8).actions(dataset), want)
+
+    def test_noisy_oracle_of_a_subset_is_the_same_rows(self, dataset):
+        noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=3)
+        rows = np.random.default_rng(4).permutation(len(dataset))[: len(dataset) // 3]
+        assert np.array_equal(noisy.actions(dataset[rows]), noisy.actions(dataset)[rows])
+        full = st._keyed_normals(3, dataset.ids)
+        assert np.array_equal(st._keyed_normals(3, dataset.ids[rows]).view(np.int64), full[rows].view(np.int64))
+
+    def test_keyed_normals_moments(self):
+        # 10^5 ids named as scenes name targets; each bound is about 4.5
+        # standard errors of its statistic
+        n = 100_000
+        z = st._keyed_normals(11, [f"t{i:05d}" for i in range(n)])
+        se = 1.0 / math.sqrt(n)
+        assert np.all(np.abs(z.mean(axis=0)) < 4.5 * se)
+        assert np.all(np.abs(z.var(axis=0) - 1.0) < 4.5 * math.sqrt(2.0) * se)
+        across = np.corrcoef(z.T)[np.triu_indices(3, 1)]
+        assert np.all(np.abs(across) < 4.5 * se)
+        # neighbouring ids (t00001 and t00002, ...) in each column
+        neighbours = [np.corrcoef(z[:-1, c], z[1:, c])[0, 1] for c in range(3)]
+        assert np.all(np.abs(neighbours) < 4.5 * se)
+        assert np.all(np.isfinite(z)) and np.abs(z).max() < 8.6  # sqrt(-2 ln 2**-53)
+
+    def test_huge_noise_saturates_at_the_clamp(self, dataset):
+        # sigma * z overflows to +/-inf; the sum saturates at the codec range, unwarned
+        actions = st.NoisyOraclePolicy(K, 1e308, 1e308, seed=2).actions(dataset)
+        z = st._keyed_normals(2, dataset.ids)
+        want = np.where(z > 0, 999, np.where(z < 0, -999, st._oracle_batch(dataset, K, st.DEFAULT_FILL_RATIO)))
+        want[:, 2] = np.maximum(want[:, 2], 0)
+        assert np.array_equal(actions, want)
+        assert set(actions[:, :2].ravel().tolist()) == {-999, 999} and set(actions[:, 2].tolist()) == {0, 999}
 
     def test_noise_magnitude(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=3)
@@ -264,9 +322,14 @@ class TestRunRound:
         assert len(refined) == len(dataset)
 
     def test_threshold_zero_keeps_overlapping(self, dataset):
+        # small noise: threshold 0 keeps exactly the samples whose box still
+        # overlaps the target's, which is nearly all of them
         noisy = st.NoisyOraclePolicy(K, 2.0, 10.0, seed=5)
         refined, diag = st.run_round(dataset, noisy, K, 0.0, True)
-        assert diag.kept_fraction == 1.0
+        overlaps, _, _ = st._simulate_bboxes(dataset, noisy.actions(dataset), K)
+        assert refined.ids.tolist() == dataset.ids[overlaps > 0.0].tolist()
+        assert diag.n_kept == np.count_nonzero(overlaps > 0.0)
+        assert diag.kept_fraction > 0.99
 
     def test_monotone_in_threshold(self, dataset):
         noisy = st.NoisyOraclePolicy(K, 5.0, 30.0, seed=6)
