@@ -48,8 +48,8 @@ ITERATE = ["--rounds", "1", "--label-noise-angle", "2.0", "--label-noise-zoom", 
 GRPO_TRAIN = ["--steps", "20", "--seed", "4"]
 FIT_FOREST = ["--kind", "rf", "--seed", "4", "--model-file", "forest.json"]
 # Each golden command, run in tests/golden with ``--out DIR --quiet``, and
-# the golden copy of each file it writes to DIR, in the order that makes
-# each command's inputs before it.
+# the golden copy of each file it writes to DIR; a command comes after the
+# one that writes its input.
 RUNS = {
     "scene-gen": (["scene-gen", "--count", "80", "--seed", "4"], {"scene.jsonl": "scene.jsonl"}),
     "synth": (
