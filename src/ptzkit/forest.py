@@ -15,14 +15,15 @@ in bootstrap order, with no sort after the root.  At each depth the open
 nodes of every tree are sorted by size and padded into ``[nodes, width]``
 blocks of at most ``BLOCK_CELLS`` cells (+inf in x, 0 in y), and each block
 takes, for all features at once, prefix sums of y and y^2 and the sse of
-every valid cut.  The parent sse, the gain test and the leaf means are
-pairwise sums over each node's own samples, in bootstrap order: one
-``_segment_sums`` call takes those of every node of a depth, in the order
-of numpy's pairwise summation, bit for bit with an ``np.add.reduce`` per
-node but without a call per node.  The floating-point evaluation
-order is therefore that of one node searched alone (stable sort, sequential
-prefix sums), and every tree draws its bootstrap sample from a spawned seed
-sequence, so a forest is bit-reproducible given (seed, data).
+every valid cut.  The parent sse, the gain test and the leaf means take
+each node's sums over its own samples, in bootstrap order, from one
+``np.add.reduceat`` per depth: the first sample plus numpy's pairwise sum of
+the rest, as a reduceat of the node alone takes them.  On the labels the
+program fits, integers in the codec range, those sums are exact in any
+order.  The floating-point evaluation order is therefore that of one node
+searched alone (stable sort, sequential prefix sums), and every tree draws
+its bootstrap sample from a spawned seed sequence, so a forest is
+bit-reproducible given (seed, data).
 
 ``RandomForest.predict`` walks every tree over every row in one walk, over
 the trees' node arrays laid end to end, and sums the leaf values in tree
@@ -222,10 +223,10 @@ def _grow_pass(xt, y, boots, cfg: ForestConfig) -> list[Tree]:
     split partitions each row stably into its children; a node's samples are
     a subsequence of its bootstrap, so row ``1 + f`` is what a stable sort of
     row 0 would give.  The split search takes a depth in padded blocks; the
-    parent sse and the leaf means come from each node's own pairwise sums
-    over row 0, as ``np.sum`` and ``np.mean`` take them, all nodes' in one
-    ``_segment_sums`` call.  The nodes are numbered level by level while
-    growing and renumbered into depth-first preorder at the end.
+    parent sse and the leaf means come from each node's own sums over row 0,
+    all nodes' in one ``np.add.reduceat`` call.  The nodes are numbered level
+    by level while growing and renumbered into depth-first preorder at the
+    end.
     """
     min_leaf = cfg.min_samples_leaf
     n_trees, n = boots.shape
@@ -245,17 +246,12 @@ def _grow_pass(xt, y, boots, cfg: ForestConfig) -> list[Tree]:
         open_nodes = np.flatnonzero(sizes >= 2 * min_leaf) if depth < cfg.max_depth else np.empty(0, np.int64)
         feature, threshold, sse = _search_depth(xt, y, lists[1:], starts, sizes, open_nodes, min_leaf)
         # parent sse, gain test and leaf mean, each over one node's samples
-        # in its own order, summed as np.sum and np.mean sum them; np.mean
-        # divides that sum by the count
+        # in bootstrap order; every node holds at least min_leaf >= 1 samples,
+        # so starts increase strictly and no segment is empty
         ys = y[lists[0, :-1]]
         cand = np.flatnonzero(feature >= 0)
-        sums = _segment_sums(
-            np.concatenate((ys, ys * ys)),
-            np.concatenate((starts, starts[cand] + ys.shape[0])),
-            np.concatenate((sizes, sizes[cand])),
-        )
-        total, total2 = sums[:n_nodes], sums[n_nodes:]
-        parent_sse = total2 - total[cand] * total[cand] / sizes[cand]
+        total, total2 = np.add.reduceat(np.stack((ys, ys * ys)), starts, axis=1)
+        parent_sse = total2[cand] - total[cand] * total[cand] / sizes[cand]
         weak = ~(parent_sse - sse[cand] > 1e-12 * np.maximum(1.0, np.abs(parent_sse)))
         feature[cand[weak]] = -1
         threshold[cand[weak]] = 0.0
@@ -333,78 +329,6 @@ def _search_depth(xt, y, sorted_lists, starts, sizes, open_nodes, min_leaf: int)
         )
         lo = hi
     return feature, threshold, sse
-
-
-# numpy's pairwise summation of a contiguous float64 array: a run of at most
-# this many items is summed by eight strided accumulators, a longer one split.
-PAIRWISE_BLOCK = 128
-
-
-def _segment_sums(values, starts, sizes):
-    """``np.add.reduce(values[a : a + n])`` of each segment, bit for bit.
-
-    numpy 2.4.6 adds to 0.0 the pairwise sum of the ``n`` items: when
-    ``n < 8``, the items one at a time from 0.0; when ``n <=
-    PAIRWISE_BLOCK``, item ``i`` into accumulator ``r[i % 8]`` for the first
-    ``n - n % 8`` items, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
-    and followed by the other items one at a time; and otherwise the sum of
-    its first ``n2 = n//2 - (n//2) % 8`` items plus that of the rest.
-    Adding 0.0 turns a -0.0 into 0.0 and changes nothing else, so it can be
-    added to each short piece's sum instead.  Every long piece is split so,
-    level by level, its left half kept in its place and its right half
-    appended; the short pieces of every level are summed in one call, and
-    the halves added back, deepest level first.
-    """
-    n_segments = sizes.shape[0]
-    merges = []
-    while True:
-        long = np.flatnonzero(sizes > PAIRWISE_BLOCK)
-        if long.shape[0] == 0:
-            break
-        half = sizes[long] // 2 - (sizes[long] // 2) % 8
-        merges.append((long, sizes.shape[0]))
-        starts = np.concatenate((starts, starts[long] + half))
-        sizes = np.concatenate((sizes, sizes[long] - half))
-        sizes[long] = half
-    out = _short_sums(values, starts, sizes)
-    for long, right in reversed(merges):
-        out[long] += out[right : right + long.shape[0]]
-    return out[:n_segments]
-
-
-def _short_sums(values, starts, sizes):
-    """``_segment_sums`` of segments of at most ``PAIRWISE_BLOCK`` items.
-
-    Each step adds one row of eight items, and then one item, to every
-    segment that has it; sorted by how many they have, most first, those
-    segments are a prefix of the rows.  The accumulators start at -0.0, for
-    which -0.0 + x is x for every x, and their combined sum, plus 0.0, starts
-    the items past the last row of eight.
-    """
-    rest = sizes % 8
-    order, having = _most_first(sizes // 8)
-    at = starts[order][:, None] + np.arange(8)
-    r = np.full((sizes.shape[0], 8), -0.0)
-    for row, n in enumerate(having):
-        r[:n] += values[at[:n] + 8 * row]
-    r = r[:, 0::2] + r[:, 1::2]
-    r = r[:, 0::2] + r[:, 1::2]
-    out = np.empty(sizes.shape[0])
-    out[order] = (r[:, 0] + r[:, 1]) + 0.0  # the reduction starts from 0.0
-    order, having = _most_first(rest)
-    at = (starts + sizes - rest)[order]
-    acc = out[order]
-    for item, n in enumerate(having):
-        acc[:n] += values[at[:n] + item]
-    out[order] = acc
-    return out
-
-
-def _most_first(counts):
-    """The rows in order of ``counts``, most first, ties in row order, and
-    for k = 1 .. max(counts) how many rows have a count of at least k."""
-    at_least = np.cumsum(np.bincount(counts)[::-1])[::-1]
-    return np.argsort(-counts, kind="stable"), at_least[1:].tolist()
 
 
 def _preorder_trees(levels, n_trees: int) -> list[Tree]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -196,14 +195,25 @@ def select_smallest(records: RecordSet, k: int) -> RecordSet:
 
 def fit(x: np.ndarray, actions: np.ndarray, cfg: RegressorConfig) -> RegressorModel:
     """Fit the per-head regressor on float64[n, 3] feature rows and their
-    int64[n, 3] actions, and report training R^2 per head."""
+    int64[n, 3] actions, and report training R^2 per head.  ``FitError``
+    names the first action row that is not integers in the codec range, the
+    label files' rule, on which every node sum of a forest is exact."""
     if len(x) == 0:
         raise FitError("no training samples")
     # contiguous: a strided view could take another matmul path in OLS, and other bits
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape[1:] != (len(FEATURE_NAMES),):
         raise FitError(f"feature rows must be 3 wide (x_norm, y_norm, w1), got shape {x.shape}")
-    y = np.asarray(actions, dtype=np.float64)
+    actions = np.asarray(actions)
+    if actions.shape != (x.shape[0], len(HEAD_NAMES)):
+        raise FitError(f"actions must be {x.shape[0]} rows of (pan, tilt, zoom), got shape {actions.shape}")
+    lim = codec.MAX_ACTION_VALUE
+    if actions.dtype.kind not in "iu" or not np.all((actions >= [-lim, -lim, 0]) & (actions <= lim)):
+        for i, row in enumerate(actions.tolist()):
+            problem = _action_problem(tuple(row))
+            if problem is not None:
+                raise FitError(f"action row {i}: {problem}")
+    y = actions.astype(np.float64)
     model = RegressorModel(config=cfg)
     if cfg.kind == "ols_linear":
         if x.shape[0] < 2:
@@ -486,9 +496,7 @@ def save_model(path, model: RegressorModel) -> None:
         }
     else:
         doc["heads"] = {name: model.forests[name].to_dict() for name in HEAD_NAMES}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    jsonl.write(path, [doc])
 
 
 def model_from_dict(doc: dict) -> RegressorModel:

@@ -17,7 +17,6 @@ is what the finite-difference tests verify.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -300,9 +299,7 @@ def save_policy(path, policy: ToyPolicy, seed: int | None = None) -> None:
     doc = policy.to_dict()
     if seed is not None:
         doc["seed"] = seed
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    jsonl.write(path, [doc])
 
 
 @dataclass

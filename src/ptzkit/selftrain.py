@@ -316,6 +316,12 @@ def completion(post_bbox: BBoxPx, k: CameraIntrinsics, cfg: CompletionConfig = C
     return bool(completion_batch(*bbox_arrays([post_bbox]), k, cfg)[0])
 
 
+def _sum_in_order(values: np.ndarray) -> float:
+    """The sum of ``values`` from 0.0, one addition at a time in order
+    (``np.cumsum`` adds in order), so each mean IoU keeps its reported bits."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
+
+
 def evaluate(
     policy: PolicyAdapter,
     testset: SampleSet,
@@ -330,16 +336,13 @@ def evaluate(
     taken = actions.astype(np.float64)
     wanted = testset.actions.astype(np.float64)
     abs_err = np.abs(taken - wanted).sum(axis=0)  # integer-valued: exact in any order
-    iou_sum = 0.0
-    for overlap in overlaps.tolist():  # in order, one addition at a time, as the mean has always been taken
-        iou_sum += overlap
     completed = int(np.count_nonzero(completion_batch(boxes, codes, k, completion_cfg)))
     n = len(testset)
     return MetricsReport(
         mae_theta1=float(abs_err[0] / n),
         mae_theta2=float(abs_err[1] / n),
         mae_zoom=float(abs_err[2] / n),
-        mean_iou=iou_sum / n,
+        mean_iou=_sum_in_order(overlaps) / n,
         completion_rate=completed / n,
         n_samples=n,
     )
@@ -364,12 +367,6 @@ def run_round(
     actions = policy.actions(dataset)
     overlaps, boxes, codes = _simulate_bboxes(dataset, actions, k)
     keep = overlaps > threshold
-    iou_all = 0.0
-    iou_kept = 0.0
-    for overlap, kept in zip(overlaps.tolist(), keep.tolist()):  # in order, one addition at a time
-        iou_all += overlap
-        if kept:
-            iou_kept += overlap
     if not replace_bbox:
         dataset = replace(dataset, boxes=boxes, codes=codes)
     refined = replace(dataset, actions=actions)[keep]
@@ -378,8 +375,8 @@ def run_round(
         n_total=n,
         n_kept=n_kept,
         kept_fraction=n_kept / n,
-        mean_iou_all=iou_all / n,
-        mean_iou_kept=(iou_kept / n_kept) if n_kept else 0.0,
+        mean_iou_all=_sum_in_order(overlaps) / n,
+        mean_iou_kept=(_sum_in_order(overlaps[keep]) / n_kept) if n_kept else 0.0,
     )
 
 

@@ -5,8 +5,10 @@ grows the trees of every head level by level, on presorted columns, in padded
 blocks; it is checked byte for byte against the recursive per-node builder it
 replaced, kept here as the reference.  ``RandomForest.predict`` walks every
 tree at once; it is checked bit for bit against a walk of one tree at a time.
-The node sums of the grower are checked bit for bit against ``np.add.reduce``
-of each node's samples.
+The reference takes each node's sums in ``np.add.reduceat``'s order, the
+first sample plus numpy's pairwise sum of the rest; on codec-range integer
+labels, which every sum holds exactly, the grower also matches the builder
+that took them as ``np.sum`` does.
 """
 
 import json
@@ -107,8 +109,15 @@ def reference_best_split(x, y, idx, min_leaf):
     return best_f, best_thr, best_sse
 
 
-def reference_build_tree(x, y, idx, cfg):
-    """Recursive depth-first builder, nodes numbered in preorder."""
+def reduceat_sum(values):
+    """The sum ``np.add.reduceat`` takes of one segment: its first item plus
+    numpy's pairwise sum of the rest."""
+    return values[0] + np.add.reduce(values[1:])
+
+
+def reference_build_tree(x, y, idx, cfg, node_sum=reduceat_sum):
+    """Recursive depth-first builder, nodes numbered in preorder, each node's
+    total, total of squares and leaf mean summed by ``node_sum``."""
     feature, threshold, left, right, value = [], [], [], [], []
 
     def add_leaf(sub):
@@ -117,7 +126,7 @@ def reference_build_tree(x, y, idx, cfg):
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(float(np.mean(y[sub])))
+        value.append(float(node_sum(y[sub]) / sub.shape[0]))
         return node
 
     def grow(sub, depth):
@@ -125,8 +134,8 @@ def reference_build_tree(x, y, idx, cfg):
         if depth >= cfg.max_depth or m < 2 * cfg.min_samples_leaf:
             return add_leaf(sub)
         ys = y[sub]
-        total = float(np.sum(ys))
-        total2 = float(np.sum(ys * ys))
+        total = float(node_sum(ys))
+        total2 = float(node_sum(ys * ys))
         parent_sse = total2 - total * total / m
         feat, thr, sse = reference_best_split(x, y, sub, cfg.min_samples_leaf)
         if feat < 0 or not (parent_sse - sse > 1e-12 * max(1.0, abs(parent_sse))):
@@ -152,13 +161,13 @@ def reference_build_tree(x, y, idx, cfg):
     )
 
 
-def reference_fit(x, y, cfg, seed_seq):
+def reference_fit(x, y, cfg, seed_seq, node_sum=reduceat_sum):
     """The same bootstraps as ``RandomForest.fit``, each tree grown recursively."""
     n = x.shape[0]
     trees = []
     for child in seed_seq.spawn(cfg.n_trees):
         boot = np.random.default_rng(child).integers(0, n, size=n)
-        trees.append(reference_build_tree(x, y, boot, cfg))
+        trees.append(reference_build_tree(x, y, boot, cfg, node_sum))
     return RandomForest(config=cfg, trees=trees)
 
 
@@ -179,6 +188,8 @@ def make_data(seed, n_rows, n_features, x_kind, y_kind, const_feature):
         x[:, -1] = 0.5
     if y_kind == "const":
         y = np.full(n_rows, 2.5)
+    elif y_kind == "labels":  # integers in the codec range, as the program fits
+        y = np.clip(np.round(x[:, 0] * 300.0 + rng.normal(size=n_rows) * 200.0), -999, 999)
     else:
         y = x[:, 0] * 3.0 + rng.normal(size=n_rows)
     return x, y
@@ -193,7 +204,7 @@ def make_data(seed, n_rows, n_features, x_kind, y_kind, const_feature):
     max_depth=hst.integers(1, 7),
     n_trees=hst.sampled_from([1, 2, 5]),
     x_kind=hst.sampled_from(["float", "dup", "adjacent"]),
-    y_kind=hst.sampled_from(["noise", "const"]),
+    y_kind=hst.sampled_from(["noise", "const", "labels"]),
     const_feature=hst.booleans(),
 )
 @example(seed=1, n_rows=10, n_features=2, min_leaf=5, max_depth=3, n_trees=5,
@@ -206,6 +217,8 @@ def make_data(seed, n_rows, n_features, x_kind, y_kind, const_feature):
          x_kind="adjacent", y_kind="noise", const_feature=False)  # thresholds equal to a value
 @example(seed=4, n_rows=3000, n_features=3, min_leaf=4, max_depth=5, n_trees=5,
          x_kind="dup", y_kind="noise", const_feature=True)  # several padded blocks per depth
+@example(seed=5, n_rows=3000, n_features=3, min_leaf=1, max_depth=7, n_trees=2,
+         x_kind="float", y_kind="labels", const_feature=False)  # labels in nodes over 128 samples
 def test_fit_matches_reference_builder(
     seed, n_rows, n_features, min_leaf, max_depth, n_trees, x_kind, y_kind, const_feature
 ):
@@ -219,6 +232,8 @@ def test_fit_matches_reference_builder(
     for a, b in zip(got.trees, want.trees):
         for name in ("feature", "threshold", "left", "right", "value"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    if y_kind == "labels":  # exact sums: the order of the additions cannot show
+        assert forest_bytes(got) == forest_bytes(reference_fit(x, y, cfg, np.random.SeedSequence(seed), np.sum))
 
 
 def test_midpoint_rounding_onto_upper_value_leaves_no_empty_leaf():
@@ -249,49 +264,6 @@ def test_wide_nodes_split_over_several_blocks(monkeypatch):
     assert all(k == 1 or k * w <= BLOCK_CELLS for k, w in shapes)
     assert any(k > 1 for k, _ in shapes)
     assert forest_bytes(got) == forest_bytes(reference_fit(x, y, cfg, np.random.SeedSequence(4)))
-
-
-# lengths at the edges of numpy's pairwise summation: under 8 items, one
-# block of 128, and the splits above it
-_EDGE_LENGTHS = [*range(0, 18), *range(120, 138), *range(248, 266), 511, 512, 513, 1024, 1031, 2000]
-
-
-def assert_segment_sums_match_reduce(values, starts, sizes):
-    got = forest._segment_sums(values, starts, sizes)
-    want = np.array([np.add.reduce(values[a : a + n]) for a, n in zip(starts.tolist(), sizes.tolist())])
-    assert got.view(np.int64).tolist() == want.reshape(len(sizes)).view(np.int64).tolist()
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(
-    seed=hst.integers(0, 2**32 - 1),
-    sizes=hst.lists(hst.one_of(hst.integers(0, 2000), hst.sampled_from(_EDGE_LENGTHS)), max_size=12),
-    zeros=hst.sampled_from(["none", "some", "all"]),
-    scale=hst.sampled_from([0, 8, 300]),
-)
-def test_segment_sums_are_np_add_reduce_bit_for_bit(seed, sizes, zeros, scale):
-    # segments laid end to end, then taken in a shuffled order; values of
-    # mixed magnitude (so the order of the additions shows), signed zeros
-    rng = np.random.default_rng(seed)
-    sizes = np.array(sizes, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    values = rng.standard_normal(int(sizes.sum())) * 10.0 ** rng.integers(-scale, scale + 1, int(sizes.sum()))
-    if zeros == "some":
-        values[rng.random(values.shape[0]) < 0.2] = rng.choice([0.0, -0.0])
-    elif zeros == "all":
-        values[:] = -0.0
-    order = rng.permutation(sizes.shape[0])
-    assert_segment_sums_match_reduce(values, starts[order], sizes[order])
-
-
-def test_segment_sums_of_every_length_near_the_edges():
-    rng = np.random.default_rng(7)
-    sizes = np.array(_EDGE_LENGTHS * 2, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    values = rng.standard_normal(int(sizes.sum())) * 10.0 ** rng.integers(-12, 13, int(sizes.sum()))
-    values[rng.random(values.shape[0]) < 0.05] = -0.0
-    assert_segment_sums_match_reduce(values, starts, sizes)
-    assert_segment_sums_match_reduce(np.full(values.shape[0], -0.0), starts, sizes)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

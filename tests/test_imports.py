@@ -1,5 +1,6 @@
 """Every top-level import in ``src/ptzkit`` is used, or marked ``# noqa: F401``,
-and every private top-level function there is referenced from the package."""
+and every private top-level function and every top-level name a module
+assigns, dunders aside, is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -30,16 +31,24 @@ def test_no_unused_top_level_import(path):
     assert unused_imports(path) == []
 
 
-def private_functions(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_")]
+def unread_candidates(path: Path) -> list[str]:
+    """The private top-level functions of ``path`` and the names its top-level
+    assignments bind, but not dunders such as ``__version__``."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
 def references(path: Path) -> set[str]:
     """The names ``path`` reads, as a bare name, an attribute or an import."""
     names = set()
     for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             names.add(n.id)
         elif isinstance(n, ast.Attribute):
             names.add(n.attr)
@@ -48,8 +57,8 @@ def references(path: Path) -> set[str]:
     return names
 
 
-def test_every_private_function_is_referenced():
+def test_every_private_function_and_assigned_name_is_read():
     paths = sorted(SRC.glob("*.py"))
     used = set().union(*map(references, paths))
-    unreferenced = [f"{p.name}: {name}" for p in paths for name in private_functions(p) if name not in used]
-    assert unreferenced == []
+    unread = [f"{p.name}: {name}" for p in paths for name in unread_candidates(p) if name not in used]
+    assert unread == []

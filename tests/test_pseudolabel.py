@@ -344,6 +344,31 @@ def test_fit_rejects_rows_that_are_not_three_wide(kind, width):
         pl.fit(x, actions, pl.RegressorConfig(kind=kind, n_trees=2))
 
 
+@pytest.mark.parametrize("kind", ["ols_linear", "random_forest"])
+@pytest.mark.parametrize("bad, reason", [
+    ("float", "action row 0: pan must be an integer, got "),
+    ("half", "action row 0: pan must be an integer, got "),
+    ("tilt", "action row 5: tilt 1000 outside [-999, 999]"),
+    ("zoom", "action row 7: zoom -1 outside [0, 999]"),
+    ("rows", "actions must be 80 rows of (pan, tilt, zoom), got shape (79, 3)"),
+])
+def test_fit_rejects_actions_outside_the_codec_rule(kind, bad, reason):
+    # the forest's node sums are exact only on codec-range integers
+    x, actions = exact_linear_pairs()
+    if bad == "float":  # integral values, but not integers, as in a label file
+        actions = actions.astype(np.float64)
+    elif bad == "half":
+        actions = actions + 0.5
+    elif bad == "tilt":
+        actions[[5, 9], 1] = 1000
+    elif bad == "zoom":
+        actions[[7, 9], 2] = -1
+    else:
+        actions = actions[:-1]
+    with pytest.raises(pl.FitError, match=f"^{re.escape(reason)}"):
+        pl.fit(x, actions, pl.RegressorConfig(kind=kind, n_trees=2))
+
+
 class TestRandomForest:
     def test_constant_target(self):
         rng = np.random.default_rng(0)
