@@ -185,6 +185,9 @@ def magnification(zoom_units: float) -> float:
 # ``VISIBILITY_CODES``.  Each row is computed on its own, by elementwise
 # operations and one stacked 4x3 matmul per row, so a row's bits do not depend
 # on the other rows (a 2-D matmul or einsum over the batch rounds differently).
+# A projection reads a pose only through ``pose_trig`` and ``focal_lengths``:
+# ``project_trig`` builds the basis, hull and clip from them, for both
+# ``project_batch`` and the GRPO scorer, which looks them up in per-run tables.
 # The scalar forms further down are one-row calls of these.
 # Elementwise numpy ``sin``, ``cos``, ``radians`` and ``fmod`` round like their
 # ``math`` counterparts; ``hypot``, ``log``, ``log2`` and ``2.0 ** x`` do not,
@@ -209,11 +212,21 @@ def apply_action_batch(
     )
 
 
-def _directions(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
-    """float64[n, 3] unit vectors looking at each (azimuth, elevation), in degrees."""
-    az = np.radians(azimuth)
-    el = np.radians(elevation)
-    return np.stack([np.sin(az) * np.cos(el), np.sin(el), np.cos(az) * np.cos(el)], axis=-1)
+def pose_trig(pan: np.ndarray, tilt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(sin, cos) of pan, then of tilt, each taken of its radians, elementwise."""
+    p, t = np.radians(pan), np.radians(tilt)
+    return np.sin(p), np.cos(p), np.sin(t), np.cos(t)
+
+
+def focal_lengths(zoom: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """``k.focal_px`` of each zoom of an array, one call per distinct zoom."""
+    zooms, row_zoom = np.unique(zoom, return_inverse=True)
+    return np.array([k.focal_px(zu) for zu in zooms.tolist()])[row_zoom].reshape(np.shape(zoom))
+
+
+def _forward(sin_pan: np.ndarray, cos_pan: np.ndarray, sin_tilt: np.ndarray, cos_tilt: np.ndarray) -> np.ndarray:
+    """float64[n, 3] unit vectors looking at each (pan, tilt) of a ``pose_trig``."""
+    return np.stack([sin_pan * cos_tilt, sin_tilt, cos_pan * cos_tilt], axis=-1)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,21 +236,12 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def _camera_basis(pan: np.ndarray, tilt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(right, up, forward) float64[n, 3] unit vectors of the gimbal poses in world frame."""
-    forward = _directions(pan, tilt)
-    p = np.radians(pan)
-    right = np.stack([np.cos(p), np.zeros_like(p), -np.sin(p)], axis=-1)
-    up = _cross(right, forward) * -1.0  # = forward x right
-    return right, up, forward
-
-
 def target_corners(geometry: np.ndarray) -> np.ndarray:
     """float64[n, 4, 3] world positions of the corners of the targets of
     ``SceneSet.geometry`` rows (each rectangle faces the origin)."""
     azimuth, elevation, distance, width, height = geometry.T
     n = len(geometry)
-    d = _directions(azimuth, elevation)
+    d = _forward(*pose_trig(azimuth, elevation))
     center = distance[:, None] * d
     horiz = np.array([math.hypot(x, z) for x, z in zip(d[:, 0].tolist(), d[:, 2].tolist())])
     flat = horiz < 1e-9
@@ -257,22 +261,38 @@ def target_corners(geometry: np.ndarray) -> np.ndarray:
     )
 
 
-def _hull_batch(
-    pan: np.ndarray, tilt: np.ndarray, zoom: np.ndarray, k: CameraIntrinsics, corners: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unclipped float64[n, 4] pixel hulls, and a bool[n] mask of targets behind the camera.
+def _hull(trig: tuple, focal: np.ndarray, k: CameraIntrinsics, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unclipped float64[n, 4] pixel hulls, and a bool[n] mask of targets behind the camera,
+    of the poses of ``trig`` (a ``pose_trig``) and ``focal`` (their ``focal_lengths``).
 
     Rows behind the camera hold no meaningful hull.
     """
-    right, up, forward = _camera_basis(pan, tilt)
+    sin_pan, cos_pan = trig[:2]
+    forward = _forward(*trig)
+    right = np.stack([cos_pan, np.zeros_like(cos_pan), -sin_pan], axis=-1)
+    up = _cross(right, forward) * -1.0  # = forward x right
     z = np.matmul(corners, forward[:, :, None])[:, :, 0]
     behind = np.any(z <= 1e-9, axis=1)
-    zooms, row_zoom = np.unique(zoom, return_inverse=True)
-    f = np.array([k.focal_px(zu) for zu in zooms.tolist()])[row_zoom][:, None]
+    f = focal[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = k.image_w / 2.0 + f * np.matmul(corners, right[:, :, None])[:, :, 0] / z
         v = k.image_h / 2.0 - f * np.matmul(corners, up[:, :, None])[:, :, 0] / z
     return np.stack([u.min(axis=1), v.min(axis=1), u.max(axis=1), v.max(axis=1)], axis=1), behind
+
+
+def project_trig(
+    trig: tuple, focal: np.ndarray, k: CameraIntrinsics, corners: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``project_batch`` of the poses of ``trig`` and ``focal``, as ``_hull`` takes them:
+    camera basis, hull and clip, the one projection every caller runs."""
+    hull, behind = _hull(trig, focal, k, corners)
+    x0, y0, x1, y1 = hull.T
+    w, h = float(k.image_w), float(k.image_h)
+    clipped = np.stack([np.maximum(x0, 0.0), np.maximum(y0, 0.0), np.minimum(x1, w), np.minimum(y1, h)], axis=1)
+    out = behind | (clipped[:, 0] >= clipped[:, 2]) | (clipped[:, 1] >= clipped[:, 3])
+    inside = (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= w) & (y1 <= h)
+    codes = np.where(out, CODE_OUT, np.where(inside, CODE_FULL, CODE_CLIPPED)).astype(np.int8)
+    return np.where(out[:, None], 0.0, clipped), codes
 
 
 def project_batch(
@@ -284,21 +304,7 @@ def project_batch(
     tilt[i], zoom[i])``; corners of shape [1, 4, 3] serve every row.
     Out-of-view rows are all zero with ``CODE_OUT``.
     """
-    hull, behind = _hull_batch(pan, tilt, zoom, k, corners)
-    x0, y0, x1, y1 = hull.T
-    clipped = np.stack(
-        [
-            np.maximum(x0, 0.0),
-            np.maximum(y0, 0.0),
-            np.minimum(x1, float(k.image_w)),
-            np.minimum(y1, float(k.image_h)),
-        ],
-        axis=1,
-    )
-    out = behind | (clipped[:, 0] >= clipped[:, 2]) | (clipped[:, 1] >= clipped[:, 3])
-    inside = (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= k.image_w) & (y1 <= k.image_h)
-    codes = np.where(out, CODE_OUT, np.where(inside, CODE_FULL, CODE_CLIPPED)).astype(np.int8)
-    return np.where(out[:, None], 0.0, clipped), codes
+    return project_trig(pose_trig(pan, tilt), focal_lengths(zoom, k), k, corners)
 
 
 def box_areas(boxes: np.ndarray) -> np.ndarray:
@@ -330,10 +336,12 @@ def oracle_actions(
     zoom: np.ndarray,
     k: CameraIntrinsics,
     geometry: np.ndarray,
+    corners: np.ndarray,
     fill_ratio: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """int64[n, 3] ground-truth actions from each pose to its target, a row of
-    ``SceneSet.geometry``, and a bool[n] mask of the rows that have one.
+    ``SceneSet.geometry`` with its ``target_corners`` row, and a bool[n] mask
+    of the rows that have one.
 
     A row has none when its target is out of the pose's front hemisphere;
     its action row is zero.  See ``oracle_action`` for the rule.
@@ -341,15 +349,15 @@ def oracle_actions(
     if not 0.0 < fill_ratio < 1.0:
         raise ValueError("fill_ratio must be in (0, 1)")
     azimuth, elevation = geometry[:, 0], geometry[:, 1]
-    d = _directions(azimuth, elevation)
-    _, _, forward = _camera_basis(pan, tilt)
+    d = _forward(*pose_trig(azimuth, elevation))
+    forward = _forward(*pose_trig(pan, tilt))
     # one 3-vector dot per row, as the scalar code rounds it
     ok = np.array([float(di @ fi) > 0.0 for di, fi in zip(d, forward)], dtype=bool)
     actions = np.zeros((len(geometry), 3), dtype=np.int64)
     actions[:, 0] = round_half_away_batch(wrap_angles(azimuth - pan))
     actions[:, 1] = round_half_away_batch(np.clip(elevation, -90.0, 90.0) - tilt)
-    centered = apply_action_batch(pan, tilt, zoom, actions)
-    hull, behind = _hull_batch(*centered, k, target_corners(geometry))
+    centered_pan, centered_tilt, centered_zoom = apply_action_batch(pan, tilt, zoom, actions)
+    hull, behind = _hull(pose_trig(centered_pan, centered_tilt), focal_lengths(centered_zoom, k), k, corners)
     ok &= ~behind
     with np.errstate(invalid="ignore"):
         ratio = box_areas(hull) / (k.image_w * k.image_h)
@@ -418,7 +426,7 @@ def oracle_action(
     zoom]: the model zooms in only, so a target already larger than the fill
     ratio gets a zero zoom delta.
     """
-    actions, ok = oracle_actions(*_pose(state), k, target.geometry, fill_ratio)
+    actions, ok = oracle_actions(*_pose(state), k, target.geometry, target_corners(target.geometry), fill_ratio)
     if not ok[0]:
         raise ValueError("target out of front hemisphere")
     return ActionDelta(*actions[0].tolist())

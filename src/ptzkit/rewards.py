@@ -17,6 +17,7 @@ is what the finite-difference tests verify.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -29,8 +30,10 @@ from ptzkit.camera import (
     CameraIntrinsics,
     apply_action_batch,
     bbox_arrays,
+    focal_lengths,
     iou_batch,
-    project_batch,
+    pose_trig,
+    project_trig,
 )
 from ptzkit.codec import MAX_ACTION_VALUE, ActionDelta
 from ptzkit.pseudolabel import FEATURE_NAMES
@@ -333,8 +336,43 @@ class RolloutBatch:
 
 def _taken_log_probs(log_probs: dict[str, np.ndarray], idx: np.ndarray) -> np.ndarray:
     """float64[T, n] log-probability of each rollout's bins: pan, tilt and zoom added in that order."""
-    pan, tilt, zoom = (np.take_along_axis(log_probs[h], idx[..., j], axis=-1) for j, h in enumerate(HEADS))
+    prompt = np.arange(idx.shape[0])[:, None]
+    pan, tilt, zoom = (log_probs[h][prompt, idx[..., j]] for j, h in enumerate(HEADS))
     return pan + tilt + zoom
+
+
+def _rollout_tables(samples: SampleSet, bins: dict, k: CameraIntrinsics, reward_cfg: RewardConfig) -> dict:
+    """Per head, a float64[T, n_bins, m] table of what each bin fixes for each prompt: (sin, cos,
+    reward term) of the post-action pan or tilt, or (focal length, reward term) of the zoom.
+
+    Each column is an elementwise rule (``apply_action_batch``, ``pose_trig``, ``focal_lengths``,
+    ``angle_rewards``, ``zoom_rewards``) on the (prompt, bin) grid, so it has a rollout row's bits.
+    """
+    t, width = len(samples), max(len(b) for b in bins.values())
+    grid = np.stack([np.resize(bins[h], width) for h in HEADS], axis=1)  # every head's bins, padded to one width
+    pose = apply_action_batch(*np.repeat(samples.pose, width, axis=0).T, np.tile(grid, (t, 1)))
+    pan, tilt, zoom = (p.reshape(t, width)[:, : len(bins[h])] for p, h in zip(pose, HEADS))
+    sin_pan, cos_pan, sin_tilt, cos_tilt = pose_trig(pan, tilt)
+    gt = samples.actions.astype(np.float64)
+    return {
+        "pan": np.stack([sin_pan, cos_pan, angle_rewards(bins["pan"], gt[:, :1], reward_cfg)], axis=-1),
+        "tilt": np.stack([sin_tilt, cos_tilt, angle_rewards(bins["tilt"], gt[:, 1:2], reward_cfg)], axis=-1),
+        "zoom": np.stack([focal_lengths(zoom, k), zoom_rewards(bins["zoom"], gt[:, 2:], reward_cfg)], axis=-1),
+    }
+
+
+def _rollout_rewards(tables: dict, idx: np.ndarray, rows: SampleSet, k: CameraIntrinsics) -> np.ndarray:
+    """float64[T, n] composite rewards of the rollouts that took bins ``idx``: the
+    ``_rollout_tables`` entries of their prompts and bins, and one ``project_trig``
+    and IoU of the T*n ``rows`` (each prompt repeated for its n rollouts)."""
+    t, n = idx.shape[:2]
+    prompt = np.arange(t)[:, None]
+    (sin_pan, cos_pan, r_pan), (sin_tilt, cos_tilt, r_tilt), (focal, r_zoom) = (
+        tables[h][prompt, idx[..., j]].reshape(t * n, -1).T for j, h in enumerate(HEADS)
+    )
+    boxes, codes = project_trig((sin_pan, cos_pan, sin_tilt, cos_tilt), focal, k, rows.corners)
+    terms = np.stack([iou_batch(boxes, codes, rows.boxes, rows.codes), r_pan, r_tilt, r_zoom], axis=1)
+    return reward_totals(terms).reshape(t, n)
 
 
 def _sample_batch(
@@ -342,37 +380,30 @@ def _sample_batch(
     ref_log_probs: dict[str, np.ndarray],
     samples: SampleSet,
     rows: SampleSet,
+    tables: dict,
     k: CameraIntrinsics,
     cfg: GRPOConfig,
-    reward_cfg: RewardConfig,
     rng: np.random.Generator,
 ) -> RolloutBatch:
     """Sample every prompt's group on-policy and score all T*n rollouts in one pass.
 
-    The T prompts are ``samples``; ``rows`` holds each of them repeated for
-    its n rollouts.
-
-    One ``rng.random`` call draws every bin (the same stream as one call of
-    n*3 per prompt, in prompt order), one ``apply_action_batch`` and one
-    ``project_batch`` call move and project every rollout, and the reward is
-    scored over the T*n rows.  Each array row is computed on its own (a sum
-    along the last axis rounds each row as the 1-D sum of that row does, and
-    ``log_prob_rows`` rounds each row as a one-row call), so a prompt's
-    draws, rewards, advantages and log-probabilities are those of sampling,
-    applying, projecting and scoring its rollouts one at a time.
+    ``rows`` holds each of the T ``samples`` repeated for its n rollouts, and
+    ``tables`` is their ``_rollout_tables``.  One ``rng.random`` call draws
+    every bin (the same stream as one call of n*3 per prompt, in prompt
+    order).  Each array row is computed on its own (a sum along the last axis
+    rounds each row as the 1-D sum of that row does, and ``log_prob_rows``
+    rounds each row as a one-row call), so a prompt's draws, rewards,
+    advantages and log-probabilities are those of sampling, applying,
+    projecting and scoring its rollouts one at a time.
     """
     cur_lp = policy.log_prob_rows(samples.features)
     t, n = len(samples), cfg.group_size
     idx = draw_bins(cur_lp, rng.random(t * n * len(HEADS)).reshape(t, n, len(HEADS)))
-    actions = policy.actions_of(idx)
-    flat = actions.reshape(t * n, len(HEADS))
-    boxes, codes = project_batch(*apply_action_batch(*rows.pose.T, flat), k, rows.corners)
-    terms = reward_terms(flat, rows.actions, boxes, codes, rows.boxes, rows.codes, reward_cfg)
-    rewards = reward_totals(terms).reshape(t, n)
+    rewards = _rollout_rewards(tables, idx, rows, k)
     return RolloutBatch(
         features=samples.features,
         bins=idx,
-        actions=actions,
+        actions=policy.actions_of(idx),
         logp_old=_taken_log_probs(cur_lp, idx),
         rewards=rewards,
         advantages=row_advantages(rewards),
@@ -395,7 +426,8 @@ def build_rollout_group(
     ``grpo_train``'s sampler.  ``sample`` is a one-row ``SampleSet``."""
     ref_lp = ref_policy.log_prob_rows(sample.features)
     rows = sample[np.zeros(cfg.group_size, dtype=np.int64)]
-    return _sample_batch(policy, ref_lp, sample, rows, k, cfg, reward_cfg, rng)
+    tables = _rollout_tables(sample, policy.bins, k, reward_cfg)
+    return _sample_batch(policy, ref_lp, sample, rows, tables, k, cfg, rng)
 
 
 def _group_kl(cur_lp: dict[str, np.ndarray], ref_lp: dict[str, np.ndarray]) -> float:
@@ -468,6 +500,7 @@ def grpo_step(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConfig) -> tuple[
     clipped = ((advantage > 0) & (s > 1.0 + CLIP_EPS)) | ((advantage < 0) & (s < 1.0 - CLIP_EPS))
     coef = np.where(clipped, 0.0, s * advantage / (n * t))
     prompt = np.arange(t)[:, None]
+    coef_sum = coef.sum(axis=1, keepdims=True)
     kl = np.zeros(t)
     grads = {}
     for j, h in enumerate(HEADS):
@@ -477,13 +510,14 @@ def grpo_step(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConfig) -> tuple[
         kl += kl_h
         dz = np.zeros_like(probs)
         np.add.at(dz, (prompt, batch.bins[..., j]), coef)
-        dz -= probs * coef.sum(axis=1, keepdims=True)
+        dz -= probs * coef_sum
         dz -= (cfg.kl_weight / t) * probs * (diff - kl_h[:, None])
         grads[h] = dz.T @ phi
     new_weights = {h: policy.weights[h] + cfg.learning_rate * grads[h] for h in HEADS}
     if any(not np.all(np.isfinite(w)) for w in new_weights.values()):
         raise ValueError("non-finite gradient step")
-    new_policy = ToyPolicy({h: policy.bins[h] for h in HEADS}, new_weights)
+    new_policy = copy.copy(policy)  # the same bins, already checked when the policy was built
+    new_policy.weights = new_weights
     if batch.gt_actions is not None:
         # integer-valued, so the sum is exact in any order
         taken = batch.actions.reshape(t * n, len(HEADS)).astype(np.float64)
@@ -515,18 +549,20 @@ def grpo_train(
     """On-policy training loop: each step samples every prompt's group in one batch, then takes one step.
 
     Each sample of ``make_samples`` is a prompt, scored from its start pose
-    against its action label and box.  The rollout rows (each sample repeated
-    for its group) are gathered once per run.  The reference policy is the
-    starting one, so its log-probabilities are computed once.
+    against its action label and box.  Once per run: the rollout rows (each
+    sample repeated for its group), the reference log-probabilities (the
+    reference policy is the starting one) and the ``_rollout_tables``.  Once
+    per step: the draws, and each rollout's projection, IoU and reward.
     """
     if not samples:
         raise ValueError("no samples to train on")
     rows = samples[np.repeat(np.arange(len(samples)), cfg.group_size)]
     ref_lp = policy.log_prob_rows(samples.features)
+    tables = _rollout_tables(samples, policy.bins, k, reward_cfg)
     rng = np.random.default_rng(seed)
     history = []
     for _ in range(steps):
-        batch = _sample_batch(policy, ref_lp, samples, rows, k, cfg, reward_cfg, rng)
+        batch = _sample_batch(policy, ref_lp, samples, rows, tables, k, cfg, rng)
         policy, stats = grpo_step(policy, batch, cfg)
         history.append(stats)
     return policy, history

@@ -139,7 +139,7 @@ class PolicyAdapter(Protocol):
 
 
 def _oracle_batch(samples: SampleSet, k: CameraIntrinsics, fill_ratio: float) -> np.ndarray:
-    actions, ok = oracle_actions(*samples.pose.T, k, samples.geometry, fill_ratio)
+    actions, ok = oracle_actions(*samples.pose.T, k, samples.geometry, samples.corners, fill_ratio)
     if not ok.all():
         raise ValueError("target out of front hemisphere")
     return actions
@@ -271,7 +271,7 @@ def make_samples(
     pose = np.tile(np.array([camera_init.pan, camera_init.tilt, camera_init.zoom_units]), (n, 1))
     corners = target_corners(scene.geometry)
     start_boxes, start_codes = project_batch(*pose.T, k, corners)
-    actions, has_oracle = oracle_actions(*pose.T, k, scene.geometry, fill_ratio)
+    actions, has_oracle = oracle_actions(*pose.T, k, scene.geometry, corners, fill_ratio)
     boxes, codes = project_batch(*apply_action_batch(*pose.T, actions), k, corners)
     full = start_codes == CODE_FULL
     usable = full & has_oracle

@@ -487,7 +487,7 @@ class TestBatchForms:
         boxes, codes = cam.project_batch(*post, K, corners)
         start_boxes, start_codes = cam.project_batch(pan, tilt, zoom, K, corners)
         ious = cam.iou_batch(boxes, codes, start_boxes, start_codes)
-        oracle, ok = cam.oracle_actions(pan, tilt, zoom, K, geometry, 0.3)
+        oracle, ok = cam.oracle_actions(pan, tilt, zoom, K, geometry, corners, 0.3)
         for i, (state, action, target) in enumerate(objects):
             after = apply_action(state, action)
             assert _bits([post[0][i], post[1][i], post[2][i]]) == _bits([after.pan, after.tilt, after.zoom_units])
@@ -519,9 +519,10 @@ class TestBatchForms:
                        float(rng.uniform(0.5, 6.0)), float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0)))
             for p, t in zip(pan, tilt)
         ]
-        boxes, codes = cam.project_batch(pan, tilt, zoom, K, cam.target_corners(_geometry(targets)))
+        corners = cam.target_corners(_geometry(targets))
+        boxes, codes = cam.project_batch(pan, tilt, zoom, K, corners)
         assert set(codes.tolist()) == {cam.CODE_FULL, cam.CODE_CLIPPED, cam.CODE_OUT}
-        oracle, ok = cam.oracle_actions(pan, tilt, zoom, K, _geometry(targets), 0.3)
+        oracle, ok = cam.oracle_actions(pan, tilt, zoom, K, _geometry(targets), corners, 0.3)
         assert 0 < ok.sum() < n
         for i, target in enumerate(targets):
             pose = (float(pan[i]), float(tilt[i]), float(zoom[i]))
@@ -550,9 +551,10 @@ class TestBatchForms:
 
     def test_empty_batch(self):
         empty = np.zeros(0)
-        boxes, codes = cam.project_batch(empty, empty, empty, K, cam.target_corners(_geometry([])))
+        corners = cam.target_corners(_geometry([]))
+        boxes, codes = cam.project_batch(empty, empty, empty, K, corners)
         assert boxes.shape == (0, 4) and codes.shape == (0,)
-        actions, ok = cam.oracle_actions(empty, empty, empty, K, _geometry([]), 0.3)
+        actions, ok = cam.oracle_actions(empty, empty, empty, K, _geometry([]), corners, 0.3)
         assert actions.shape == (0, 3) and ok.shape == (0,)
 
     def test_shared_corners_broadcast(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from ptzkit import camera as cam
 from ptzkit import rewards as rw
@@ -620,6 +622,124 @@ class TestBatchedRollouts:
                 expected.append(int(b.choice(p.shape[0], p=p / p.sum())))
             assert bins == tuple(expected)
             assert action.as_tuple() == tuple(int(policy.bins[h][i]) for h, i in zip(rw.HEADS, expected))
+
+
+# one prompt: start pose, target offset from it and size, and action label
+_PROMPT = hst.tuples(
+    hst.floats(-180.0, 180.0),  # start pan
+    hst.floats(-89.0, 89.0),  # start tilt
+    hst.floats(0.0, 998.0),  # start zoom
+    hst.floats(-200.0, 200.0),  # target azimuth minus start pan: in view, clipped, out, behind
+    hst.floats(-60.0, 60.0),  # target elevation minus start tilt
+    hst.floats(0.5, 6.0),  # distance
+    hst.floats(0.05, 2.0),  # width
+    hst.floats(0.05, 2.0),  # height
+    hst.integers(-60, 60),  # pan label
+    hst.integers(-60, 60),  # tilt label
+    hst.integers(0, 400),  # zoom label
+)
+_ANGLE_BINS = hst.lists(hst.integers(-999, 999), min_size=1, max_size=5, unique=True)
+_ZOOM_BINS = hst.lists(hst.integers(0, 999), min_size=1, max_size=5, unique=True)
+_BINS = hst.fixed_dictionaries({"pan": _ANGLE_BINS, "tilt": _ANGLE_BINS, "zoom": _ZOOM_BINS})
+_REWARD_CONFIGS = hst.sampled_from([CFG, rw.RewardConfig(0.5, 3.0, 20.0, 80.0)])
+# prompts across the pan seam, at the tilt and zoom clamps, facing away from
+# their target, and with a box edge inside the frame at ZOOM_MAX (where the
+# clamp moves the reward), under bins that push past every clamp
+_EDGE_PROMPTS = [
+    (179.5, 0.0, 0.0, 0.2, 0.0, 2.0, 0.4, 0.4, 1, 0, 0),
+    (-179.25, 85.5, 990.5, -0.4, 2.0, 2.0, 0.4, 0.3, -1, 3, 5),
+    (0.25, -80.0, 10.0, 170.0, 0.0, 2.0, 0.4, 0.4, 0, 0, 50),
+    (0.0, 0.0, 990.0, 5.705, 0.0, 2.0, 0.4, 0.4, 0, 0, 5),
+]
+_EDGE_BINS = {"pan": [-3, 0, 1, 30], "tilt": [-30, 0, 10, 999], "zoom": [0, 5, 300]}
+
+
+def prompt_samples(prompts):
+    """A ``SampleSet`` of hypothesis prompts; each supervision box is its label's view."""
+    rows = np.array(prompts, dtype=np.float64).reshape(-1, 11)
+    pose = rows[:, :3].copy()
+    geometry = np.stack(
+        [pose[:, 0] + rows[:, 3], np.clip(pose[:, 1] + rows[:, 4], -89.9, 89.9), *rows[:, 5:8].T], axis=1
+    )
+    corners = cam.target_corners(geometry)
+    actions = rows[:, 8:].astype(np.int64)
+    boxes, codes = cam.project_batch(*cam.apply_action_batch(*pose.T, actions), K, corners)
+    ids = np.array([f"q{i}" for i in range(len(rows))], dtype=object)
+    return st.SampleSet(ids, ids.copy(), geometry, np.zeros((len(rows), 3)), pose, corners, actions, boxes, codes)
+
+
+def every_triple(policy, t):
+    """int64[t, n, 3]: every (pan, tilt, zoom) bin triple of ``policy`` as each of t prompts' group."""
+    grids = np.meshgrid(*(np.arange(policy.bins[h].shape[0]) for h in rw.HEADS), indexing="ij")
+    triples = np.stack([g.ravel() for g in grids], axis=1)
+    return np.broadcast_to(triples, (t, *triples.shape))
+
+
+def rollout_terms(policy, samples, idx, reward_cfg):
+    """Each rollout's post-action pose, box code and reward the per-rollout way: one
+    ``apply_action_batch`` and one ``project_batch`` over every rollout row and
+    ``reward_totals(reward_terms(...))``; and the rollout rows."""
+    t, n = idx.shape[:2]
+    rows = samples[np.repeat(np.arange(t), n)]
+    actions = policy.actions_of(idx).reshape(t * n, 3)
+    pose = cam.apply_action_batch(*rows.pose.T, actions)
+    boxes, codes = cam.project_batch(*pose, K, rows.corners)
+    terms = rw.reward_terms(actions, rows.actions, boxes, codes, rows.boxes, rows.codes, reward_cfg)
+    return pose, codes, rw.reward_totals(terms), rows
+
+
+class TestRolloutTables:
+    """The rewards ``grpo_train`` looks up in its per-run tables equal moving,
+    projecting and scoring each rollout, bit for bit."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(hst.lists(_PROMPT, min_size=1, max_size=4), _BINS, _REWARD_CONFIGS)
+    @example(_EDGE_PROMPTS, _EDGE_BINS, CFG)
+    def test_table_rewards_equal_per_rollout_scoring(self, prompts, bins, reward_cfg):
+        policy = rw.ToyPolicy.init(3, {h: np.array(b) for h, b in bins.items()})
+        samples = prompt_samples(prompts)
+        idx = every_triple(policy, len(samples))
+        _, _, want, rows = rollout_terms(policy, samples, idx, reward_cfg)
+        tables = rw._rollout_tables(samples, policy.bins, K, reward_cfg)
+        got = rw._rollout_rewards(tables, idx, rows, K)
+        assert got.shape == idx.shape[:2]
+        assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.tolist()]
+
+    def test_edge_example_reaches_every_regime(self):
+        policy = rw.ToyPolicy.init(3, {h: np.array(b) for h, b in _EDGE_BINS.items()})
+        samples = prompt_samples(_EDGE_PROMPTS)
+        (pan, tilt, zoom), codes, _, rows = rollout_terms(policy, samples, every_triple(policy, len(samples)), CFG)
+        assert np.any(np.sign(pan) != np.sign(rows.pose[:, 0]))  # wrapped across the seam
+        assert {-90.0, 90.0} <= set(tilt.tolist()) and cam.ZOOM_MAX in zoom
+        assert cam.CODE_OUT in codes and cam.CODE_FULL in codes
+        # the last prompt's view at ZOOM_MAX has its left edge inside the frame
+        at_clamp = cam.project_batch(np.zeros(1), np.zeros(1), np.full(1, cam.ZOOM_MAX), K, samples.corners[3:])[0]
+        assert 0.0 < at_clamp[0, 0] < K.image_w / 2
+
+    def test_tables_are_built_once_per_run(self, monkeypatch):
+        calls = {"focal_px": 0, "project_batch": 0, "project_trig": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(cam.CameraIntrinsics, "focal_px", counted("focal_px", cam.CameraIntrinsics.focal_px))
+        for module in (cam, rw):
+            monkeypatch.setattr(module, "project_batch", counted("project_batch", cam.project_batch), raising=False)
+        monkeypatch.setattr(rw, "project_trig", counted("project_trig", rw.project_trig))
+        tasks = with_seam_task(TestTraining().make_tasks(n=6))
+        counts = {}
+        for steps in (1, 20):
+            calls.update(dict.fromkeys(calls, 0))
+            rw.grpo_train(rw.ToyPolicy.init(3), tasks, K, rw.GRPOConfig(), CFG, steps=steps, seed=3)
+            counts[steps] = dict(calls)
+        assert counts[1]["focal_px"] > 0
+        assert counts[1]["focal_px"] == counts[20]["focal_px"]
+        assert counts[1]["project_batch"] == counts[20]["project_batch"]
+        assert (counts[1]["project_trig"], counts[20]["project_trig"]) == (1, 20)
 
 
 # --- the per-group training loop, kept as the reference the step-wide batch
