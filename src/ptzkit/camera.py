@@ -183,10 +183,10 @@ def magnification(zoom_units: float) -> float:
 # arrays from ``target_corners``; boxes are float64[n, 4] rows of (x_min,
 # y_min, x_max, y_max) with int8[n] visibility codes indexing
 # ``VISIBILITY_CODES``.  Each row is computed on its own, by elementwise
-# operations and one stacked 4x3 matmul per row, so a row's bits do not depend
-# on the other rows (a 2-D matmul or einsum over the batch rounds differently).
-# A projection reads a pose only through ``pose_trig`` and ``focal_lengths``:
-# ``project_trig`` builds the basis, hull and clip from them, for both
+# operations only (no matmul), so a row's bits depend neither on the other rows
+# nor on the BLAS kernel.  A projection reads a pose only through the dots of
+# its corners with the pan's level directions, the sine and cosine of its tilt
+# and its ``focal_lengths``: ``project_dots`` takes the hull and clip, for both
 # ``project_batch`` and the GRPO scorer, which looks them up in per-run tables.
 # The scalar forms further down are one-row calls of these.
 # Elementwise numpy ``sin``, ``cos``, ``radians`` and ``fmod`` round like their
@@ -229,13 +229,6 @@ def _forward(sin_pan: np.ndarray, cos_pan: np.ndarray, sin_tilt: np.ndarray, cos
     return np.stack([sin_pan * cos_tilt, sin_tilt, cos_pan * cos_tilt], axis=-1)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b of float64[n, 3] arrays, with ``np.cross``'s products and order."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
 def target_corners(geometry: np.ndarray) -> np.ndarray:
     """float64[n, 4, 3] world positions of the corners of the targets of
     ``SceneSet.geometry`` rows (each rectangle faces the origin)."""
@@ -248,7 +241,8 @@ def target_corners(geometry: np.ndarray) -> np.ndarray:
     horiz[flat] = 1.0
     span_r = np.stack([d[:, 2] / horiz, np.zeros(n), -d[:, 0] / horiz], axis=-1)
     span_r[flat] = (1.0, 0.0, 0.0)
-    span_u = _cross(d, span_r)  # in-plane up, unit length
+    (d0, d1, d2), (r0, r1, r2) = d.T, span_r.T
+    span_u = np.stack([d1 * r2 - d2 * r1, d2 * r0 - d0 * r2, d0 * r1 - d1 * r0], axis=-1)  # d x span_r: in-plane up
     hw = (width / 2.0)[:, None]
     hh = (height / 2.0)[:, None]
     return np.stack(
@@ -261,38 +255,45 @@ def target_corners(geometry: np.ndarray) -> np.ndarray:
     )
 
 
-def _hull(trig: tuple, focal: np.ndarray, k: CameraIntrinsics, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unclipped float64[n, 4] pixel hulls, and a bool[n] mask of targets behind the camera,
-    of the poses of ``trig`` (a ``pose_trig``) and ``focal`` (their ``focal_lengths``).
+def corner_view(pan: np.ndarray, tilt: np.ndarray, corners: np.ndarray) -> tuple:
+    """The view ``_hull`` takes: each corner's dots a = c0 sin pan + c2 cos pan and r = c0 cos
+    pan - c2 sin pan with the pan's level forward and right, its height c1, then the tilt's sine
+    and cosine; elementwise, [4, n] for float64[n, 4, 3] ``corners``."""
+    sin_pan, cos_pan, sin_tilt, cos_tilt = pose_trig(pan, tilt)
+    c0, c1, c2 = np.ascontiguousarray(corners.T)
+    return c0 * sin_pan + c2 * cos_pan, c0 * cos_pan - c2 * sin_pan, c1, sin_tilt, cos_tilt
 
-    Rows behind the camera hold no meaningful hull.
+
+def _hull(view: tuple, focal: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Unclipped float64[4, n] pixel hulls (rows x_min, y_min, x_max, y_max), and a bool[n] mask
+    of targets behind the camera, of a ``corner_view`` and the poses' ``focal_lengths``.
+
+    With forward = (sin pan cos tilt, sin tilt, cos pan cos tilt), right = (cos pan, 0, -sin pan)
+    and up = forward x right written out, a corner lies at depth z = cos tilt a + sin tilt c1,
+    right r and up cos tilt c1 - sin tilt a; the four are folded pairwise by ``np.minimum`` and
+    ``np.maximum``.  Rows behind the camera hold no meaningful hull.
     """
-    sin_pan, cos_pan = trig[:2]
-    forward = _forward(*trig)
-    right = np.stack([cos_pan, np.zeros_like(cos_pan), -sin_pan], axis=-1)
-    up = _cross(right, forward) * -1.0  # = forward x right
-    z = np.matmul(corners, forward[:, :, None])[:, :, 0]
-    behind = np.any(z <= 1e-9, axis=1)
-    f = focal[:, None]
+    a, r, c1, sin_tilt, cos_tilt = view
+    z = cos_tilt * a + sin_tilt * c1
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.image_w / 2.0 + f * np.matmul(corners, right[:, :, None])[:, :, 0] / z
-        v = k.image_h / 2.0 - f * np.matmul(corners, up[:, :, None])[:, :, 0] / z
-    return np.stack([u.min(axis=1), v.min(axis=1), u.max(axis=1), v.max(axis=1)], axis=1), behind
+        u = k.image_w / 2.0 + focal * r / z
+        v = k.image_h / 2.0 - focal * (cos_tilt * c1 - sin_tilt * a) / z
+    uvz = np.concatenate([u, v, z]).reshape(3, 4, -1)
+    lo, hi = np.minimum(uvz[:, :2], uvz[:, 2:]), np.maximum(uvz[:, :2], uvz[:, 2:])
+    lo, hi = np.minimum(lo[:, 0], lo[:, 1]), np.maximum(hi[:, 0], hi[:, 1])
+    return np.concatenate([lo[:2], hi[:2]]), lo[2] <= 1e-9
 
 
-def project_trig(
-    trig: tuple, focal: np.ndarray, k: CameraIntrinsics, corners: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``project_batch`` of the poses of ``trig`` and ``focal``, as ``_hull`` takes them:
-    camera basis, hull and clip, the one projection every caller runs."""
-    hull, behind = _hull(trig, focal, k, corners)
-    x0, y0, x1, y1 = hull.T
-    w, h = float(k.image_w), float(k.image_h)
-    clipped = np.stack([np.maximum(x0, 0.0), np.maximum(y0, 0.0), np.minimum(x1, w), np.minimum(y1, h)], axis=1)
-    out = behind | (clipped[:, 0] >= clipped[:, 2]) | (clipped[:, 1] >= clipped[:, 3])
-    inside = (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= w) & (y1 <= h)
-    codes = np.where(out, CODE_OUT, np.where(inside, CODE_FULL, CODE_CLIPPED)).astype(np.int8)
-    return np.where(out[:, None], 0.0, clipped), codes
+def project_dots(view: tuple, focal: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """``project_batch`` of a ``corner_view`` and the poses' ``focal_lengths``:
+    hull and clip, the one projection every caller runs."""
+    hull, behind = _hull(view, focal, k)
+    lo, hi = np.maximum(hull[:2], 0.0), np.minimum(hull[2:], [[float(k.image_w)], [float(k.image_h)]])
+    box = np.concatenate([lo, hi])
+    out = behind | (lo[0] >= hi[0]) | (lo[1] >= hi[1])
+    edge = (box != hull).any(axis=0)  # an edge moved by the clip
+    codes = np.where(out, CODE_OUT, np.where(edge, CODE_CLIPPED, CODE_FULL)).astype(np.int8)
+    return np.where(out, 0.0, box).T, codes
 
 
 def project_batch(
@@ -304,7 +305,7 @@ def project_batch(
     tilt[i], zoom[i])``; corners of shape [1, 4, 3] serve every row.
     Out-of-view rows are all zero with ``CODE_OUT``.
     """
-    return project_trig(pose_trig(pan, tilt), focal_lengths(zoom, k), k, corners)
+    return project_dots(corner_view(pan, tilt, corners), focal_lengths(zoom, k), k)
 
 
 def box_areas(boxes: np.ndarray) -> np.ndarray:
@@ -349,18 +350,16 @@ def oracle_actions(
     if not 0.0 < fill_ratio < 1.0:
         raise ValueError("fill_ratio must be in (0, 1)")
     azimuth, elevation = geometry[:, 0], geometry[:, 1]
-    d = _forward(*pose_trig(azimuth, elevation))
-    forward = _forward(*pose_trig(pan, tilt))
-    # one 3-vector dot per row, as the scalar code rounds it
-    ok = np.array([float(di @ fi) > 0.0 for di, fi in zip(d, forward)], dtype=bool)
+    a, _, d1, sin_tilt, cos_tilt = corner_view(pan, tilt, _forward(*pose_trig(azimuth, elevation))[:, None])
+    ok = cos_tilt * a[0] + sin_tilt * d1[0] > 0.0  # the target direction's depth, as ``_hull`` takes it
     actions = np.zeros((len(geometry), 3), dtype=np.int64)
     actions[:, 0] = round_half_away_batch(wrap_angles(azimuth - pan))
     actions[:, 1] = round_half_away_batch(np.clip(elevation, -90.0, 90.0) - tilt)
     centered_pan, centered_tilt, centered_zoom = apply_action_batch(pan, tilt, zoom, actions)
-    hull, behind = _hull(pose_trig(centered_pan, centered_tilt), focal_lengths(centered_zoom, k), k, corners)
+    hull, behind = _hull(corner_view(centered_pan, centered_tilt, corners), focal_lengths(centered_zoom, k), k)
     ok &= ~behind
     with np.errstate(invalid="ignore"):
-        ratio = box_areas(hull) / (k.image_w * k.image_h)
+        ratio = box_areas(hull.T) / (k.image_w * k.image_h)
         zooming = ok & (ratio > 0.0)  # a row of no area keeps a zero zoom delta
     budget = np.floor(ZOOM_MAX - zoom[zooming])
     actions[zooming, 2] = np.maximum(np.minimum(zoom_units(fill_ratio / ratio[zooming]), budget), 0.0)

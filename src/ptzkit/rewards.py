@@ -30,10 +30,10 @@ from ptzkit.camera import (
     CameraIntrinsics,
     apply_action_batch,
     bbox_arrays,
+    corner_view,
     focal_lengths,
     iou_batch,
-    pose_trig,
-    project_trig,
+    project_dots,
 )
 from ptzkit.codec import MAX_ACTION_VALUE, ActionDelta
 from ptzkit.pseudolabel import FEATURE_NAMES
@@ -158,7 +158,8 @@ STD_GUARD = 1e-8  # keeps a group of equal rewards at zero advantage
 def row_advantages(rewards: np.ndarray, std_guard: float = STD_GUARD) -> np.ndarray:
     """Group-normalized advantages of each row (the last axis is one group):
     (r - mean) / (population std + guard)."""
-    return (rewards - rewards.mean(axis=-1, keepdims=True)) / (rewards.std(axis=-1, keepdims=True) + std_guard)
+    d = rewards - rewards.mean(axis=-1, keepdims=True)
+    return d / (np.sqrt((d * d).sum(axis=-1, keepdims=True) / rewards.shape[-1]) + std_guard)  # np.std's steps
 
 
 def group_advantages(rewards: Sequence[float], std_guard: float = STD_GUARD) -> list[float]:
@@ -189,43 +190,53 @@ def default_bins() -> dict[str, np.ndarray]:
     }
 
 
-def draw_bins(log_probs: dict[str, np.ndarray], uniforms: np.ndarray) -> np.ndarray:
-    """int64[..., n, 3] bin indices drawn by inverse CDF from per-head ``log_probs``.
+def draw_bins(probs: dict[str, np.ndarray], uniforms: np.ndarray) -> np.ndarray:
+    """int64[T, n, 3] bin indices drawn by inverse CDF from per-head probabilities ``probs``.
 
-    ``log_probs[h]`` is float64[..., n_bins], one row per prompt, and
-    ``uniforms`` is float64[..., n, 3] from ``rng.random``, one per rollout
-    and head in that order.  ``Generator.choice(len(p), p=p)`` reads one
-    ``random()`` and returns ``searchsorted(cumsum(p) / cdf[-1], u,
-    side="right")``, which is the count of CDF entries ``<= u`` as the CDF
-    never decreases; so the draws equal one ``choice`` call per head and rollout.
+    ``probs[h]`` is float64[T, n_bins], the ``exp`` of ``ToyPolicy.log_prob_rows``, and
+    ``uniforms`` is float64[T, n, 3] from ``rng.random``, one per rollout and head in that
+    order.  ``Generator.choice(len(p), p=p / p.sum())`` reads one ``random()`` and returns
+    ``searchsorted(cumsum(p) / cdf[-1], u, side="right")``, the count of CDF entries ``<= u``;
+    so the draws equal one ``choice`` call per head and rollout.  The CDFs are laid out bins
+    first and padded with zero probabilities to one width, where they stay at 1.0, above every
+    ``u``, so one compare and one count serve every head.
     """
-    idx = np.empty(uniforms.shape, dtype=np.int64)
-    for j, h in enumerate(HEADS):
-        p = np.exp(log_probs[h])
-        p = p / p.sum(axis=-1, keepdims=True)
-        cdf = p.cumsum(axis=-1)
-        cdf /= cdf[..., -1:]
-        idx[..., j] = (cdf[..., None, :] <= uniforms[..., j, None]).sum(axis=-1)
-    return idx
+    width = max(p.shape[-1] for p in probs.values())
+    cdf = np.zeros((width, len(uniforms), len(HEADS)))
+    for j, p in enumerate(probs[h] for h in HEADS):
+        cdf[: p.shape[1], :, j] = (p / p.sum(axis=1, keepdims=True)).T
+    cdf = cdf.cumsum(axis=0)
+    cdf /= cdf[-1]
+    u = np.ascontiguousarray(uniforms.transpose(1, 0, 2))  # [n, T, 3]
+    counts = (cdf[:, None] <= u).sum(axis=0, dtype=np.int8 if width < 128 else np.int64)
+    return counts.transpose(1, 0, 2).astype(np.int64, order="C")
 
 
 class ToyPolicy:
     """Three independent linear-softmax heads over discrete action bins.
 
-    Each head owns a weight matrix of shape (n_bins, n_features + 1); the
-    trailing column multiplies a constant 1 appended to the feature vector.
-    Zero weights give the uniform distribution over bins.
+    The weights are one float64[n_pan + n_tilt + n_zoom, n_features + 1] matrix, ``stacked``:
+    pan's bins' rows, then tilt's, then zoom's; ``weights[h]`` views head h's rows.  The last
+    column multiplies a constant 1 appended to the features.  Zero weights are uniform.
     """
 
     def __init__(self, bins: dict[str, np.ndarray], weights: dict[str, np.ndarray]):
         self.bins = {h: np.asarray(bins[h], dtype=np.int64) for h in HEADS}
-        self.weights = {h: np.asarray(weights[h], dtype=np.float64) for h in HEADS}
         for h, low in zip(HEADS, (-MAX_ACTION_VALUE, -MAX_ACTION_VALUE, 0)):
-            if self.weights[h].shape[0] != self.bins[h].shape[0]:
+            if len(weights[h]) != self.bins[h].shape[0]:
                 raise ValueError(f"{h} weight rows must match bin count")
             if np.any(self.bins[h] < low) or np.any(self.bins[h] > MAX_ACTION_VALUE):
                 raise ValueError(f"{h} bins must lie in [{low}, {MAX_ACTION_VALUE}]")
-        self.n_features = self.weights[HEADS[0]].shape[1] - 1
+        self.sizes = [len(self.bins[h]) for h in HEADS]
+        self.starts = np.cumsum([0, *self.sizes[:-1]])  # each head's first row of ``stacked``
+        self.slices = [slice(a, a + n) for a, n in zip(self.starts.tolist(), self.sizes)]
+        self.bin_values = np.concatenate([self.bins[h] for h in HEADS])  # each column's bin
+        self.stacked = np.concatenate([np.asarray(weights[h], dtype=np.float64) for h in HEADS])
+        self.n_features = self.stacked.shape[1] - 1
+
+    @property
+    def weights(self) -> dict[str, np.ndarray]:
+        return {h: self.stacked[s] for h, s in zip(HEADS, self.slices)}  # views: writing one writes ``stacked``
 
     @classmethod
     def init(cls, n_features: int, bins: dict[str, np.ndarray] | None = None) -> "ToyPolicy":
@@ -234,40 +245,40 @@ class ToyPolicy:
         return cls(bins, weights)
 
     def clone(self) -> "ToyPolicy":
-        return ToyPolicy(
-            {h: self.bins[h].copy() for h in HEADS},
-            {h: self.weights[h].copy() for h in HEADS},
-        )
+        return ToyPolicy({h: self.bins[h].copy() for h in HEADS}, self.weights)
 
-    def log_prob_rows(self, features: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-head float64[T, n_bins] log-probabilities of each row of ``features``.
+    def split_heads(self, matrix: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-head views of the columns of a float64[..., n_pan + n_tilt + n_zoom] array."""
+        return {h: matrix[..., s] for h, s in zip(HEADS, self.slices)}
 
-        Each row is rounded exactly as a one-row call rounds it: ``einsum``
-        computes every logit the same way whatever T is, where a 2-D matmul
-        would round a T-row product differently from a one-row one.
-        """
+    def log_prob_matrix(self, features: np.ndarray) -> np.ndarray:
+        """float64[T, n_pan + n_tilt + n_zoom] log-probabilities of each row of ``features``,
+        a column per row of ``stacked``.  The ``einsum`` rounds each logit the same way whatever
+        T is (a matmul would not, and would round by the BLAS kernel); each head's maximum and
+        sum of exponentials are one ``reduceat`` each."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {features.shape[-1]}")
         phi = np.hstack([features, np.ones((features.shape[0], 1))])
-        out = {}
-        for h in HEADS:
-            z = np.einsum("tk,bk->tb", phi, self.weights[h])
-            z -= z.max(axis=1, keepdims=True)
-            out[h] = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return out
+        z = np.einsum("tk,bk->tb", phi, self.stacked)
+        z -= np.maximum.reduceat(z, self.starts, axis=1).repeat(self.sizes, axis=1)
+        return z - np.log(np.add.reduceat(np.exp(z), self.starts, axis=1)).repeat(self.sizes, axis=1)
+
+    def log_prob_rows(self, features: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-head float64[T, n_bins] views of ``log_prob_matrix``."""
+        return self.split_heads(self.log_prob_matrix(features))
 
     def log_probs(self, features: np.ndarray) -> dict[str, np.ndarray]:
         """Per-head float64[n_bins] log-probabilities of one feature vector."""
-        rows = self.log_prob_rows(np.asarray(features, dtype=np.float64)[None, :])
-        return {h: rows[h][0] for h in HEADS}
+        return self.split_heads(self.log_prob_matrix(np.asarray(features, dtype=np.float64)[None, :])[0])
 
     def actions_of(self, idx: np.ndarray) -> np.ndarray:
         """int64[..., 3] (pan, tilt, zoom) actions of bin-index rows."""
-        return np.stack([self.bins[h][idx[..., j]] for j, h in enumerate(HEADS)], axis=-1)
+        return self.bin_values[idx + self.starts]
 
     def sample(self, features: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ActionDelta]:
-        idx = draw_bins(self.log_probs(features), rng.random((1, len(HEADS))))
+        probs = np.exp(self.log_prob_matrix(np.asarray(features, dtype=np.float64)[None, :]))
+        idx = draw_bins(self.split_heads(probs), rng.random((1, 1, len(HEADS))))[0]
         return tuple(idx[0].tolist()), ActionDelta(*self.actions_of(idx)[0].tolist())
 
     def to_dict(self) -> dict:
@@ -313,6 +324,7 @@ class RolloutBatch:
     log-probabilities, float64[T, n_bins], as ``ToyPolicy.log_prob_rows``
     gives them: under the policy that sampled the batch, which is the one
     ``grpo_step`` steps, and under the frozen reference of the KL term.
+    ``probs``, the sampler's, is their ``exp`` side by side (taken if not given).
     """
 
     features: np.ndarray  # float64[T, n_features]
@@ -324,6 +336,7 @@ class RolloutBatch:
     cur_log_probs: dict[str, np.ndarray]
     ref_log_probs: dict[str, np.ndarray]
     gt_actions: np.ndarray | None = None  # int64[T, 3]
+    probs: np.ndarray | None = None  # float64[T, n_pan + n_tilt + n_zoom]
 
     def __post_init__(self):
         t, n = self.rewards.shape
@@ -332,47 +345,43 @@ class RolloutBatch:
         shapes = (self.bins.shape, self.logp_old.shape, self.features.shape[0])
         if shapes != ((t, n, len(HEADS)), (t, n), t):
             raise ValueError("rollout batch arrays disagree on their [T, n] shape")
+        if self.probs is None:
+            self.probs = np.exp(np.concatenate([self.cur_log_probs[h] for h in HEADS], axis=1))
 
 
-def _taken_log_probs(log_probs: dict[str, np.ndarray], idx: np.ndarray) -> np.ndarray:
-    """float64[T, n] log-probability of each rollout's bins: pan, tilt and zoom added in that order."""
-    prompt = np.arange(idx.shape[0])[:, None]
-    pan, tilt, zoom = (log_probs[h][prompt, idx[..., j]] for j, h in enumerate(HEADS))
-    return pan + tilt + zoom
+def _taken_log_probs(log_probs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """float64[T, n] log-probability of the int64[T, n, 3] columns ``cols`` of ``log_probs``, in head order."""
+    taken = log_probs[np.arange(cols.shape[0])[:, None, None], cols]
+    return taken[..., 0] + taken[..., 1] + taken[..., 2]
 
 
-def _rollout_tables(samples: SampleSet, bins: dict, k: CameraIntrinsics, reward_cfg: RewardConfig) -> dict:
-    """Per head, a float64[T, n_bins, m] table of what each bin fixes for each prompt: (sin, cos,
-    reward term) of the post-action pan or tilt, or (focal length, reward term) of the zoom.
-
-    Each column is an elementwise rule (``apply_action_batch``, ``pose_trig``, ``focal_lengths``,
-    ``angle_rewards``, ``zoom_rewards``) on the (prompt, bin) grid, so it has a rollout row's bits.
-    """
-    t, width = len(samples), max(len(b) for b in bins.values())
-    grid = np.stack([np.resize(bins[h], width) for h in HEADS], axis=1)  # every head's bins, padded to one width
-    pose = apply_action_batch(*np.repeat(samples.pose, width, axis=0).T, np.tile(grid, (t, 1)))
-    pan, tilt, zoom = (p.reshape(t, width)[:, : len(bins[h])] for p, h in zip(pose, HEADS))
-    sin_pan, cos_pan, sin_tilt, cos_tilt = pose_trig(pan, tilt)
-    gt = samples.actions.astype(np.float64)
-    return {
-        "pan": np.stack([sin_pan, cos_pan, angle_rewards(bins["pan"], gt[:, :1], reward_cfg)], axis=-1),
-        "tilt": np.stack([sin_tilt, cos_tilt, angle_rewards(bins["tilt"], gt[:, 1:2], reward_cfg)], axis=-1),
-        "zoom": np.stack([focal_lengths(zoom, k), zoom_rewards(bins["zoom"], gt[:, 2:], reward_cfg)], axis=-1),
-    }
+def _rollout_tables(samples: SampleSet, policy: ToyPolicy, k: CameraIntrinsics, cfg: RewardConfig) -> np.ndarray:
+    """float64[12, (n_pan + n_tilt + n_zoom) * T] table of what each bin (a ``log_prob_matrix``
+    column c) fixes for each prompt p, at column c * T + p: its reward term, the target corners'
+    dots a and r (``camera.corner_view``) at the post-action pan, the post-action tilt's sine and
+    cosine and the post-action zoom's focal length, of which a bin's own head reads its entries.
+    Each is an elementwise rule on the (prompt, bin) grid, so it has a rollout row's bits."""
+    t, values = len(samples), policy.bin_values
+    moves = np.repeat(values, t)[:, None].repeat(len(HEADS), axis=1)  # every bin's value on every axis
+    pose = apply_action_batch(*np.tile(samples.pose.T, len(values)), moves)
+    pan, tilt, zoom = (p.reshape(len(values), t) for p in pose)
+    a, r, _, sin_tilt, cos_tilt = corner_view(pan, tilt, samples.corners[:, None])  # a, r: [4, columns, T]
+    gt, rules = samples.actions.T.astype(np.float64), (angle_rewards, angle_rewards, zoom_rewards)
+    terms = np.concatenate([f(policy.bins[h][:, None], g, cfg) for h, f, g in zip(HEADS, rules, gt)])
+    return np.stack([terms, *a, *r, sin_tilt, cos_tilt, focal_lengths(zoom, k)]).reshape(12, -1)
 
 
-def _rollout_rewards(tables: dict, idx: np.ndarray, rows: SampleSet, k: CameraIntrinsics) -> np.ndarray:
-    """float64[T, n] composite rewards of the rollouts that took bins ``idx``: the
-    ``_rollout_tables`` entries of their prompts and bins, and one ``project_trig``
-    and IoU of the T*n ``rows`` (each prompt repeated for its n rollouts)."""
-    t, n = idx.shape[:2]
-    prompt = np.arange(t)[:, None]
-    (sin_pan, cos_pan, r_pan), (sin_tilt, cos_tilt, r_tilt), (focal, r_zoom) = (
-        tables[h][prompt, idx[..., j]].reshape(t * n, -1).T for j, h in enumerate(HEADS)
-    )
-    boxes, codes = project_trig((sin_pan, cos_pan, sin_tilt, cos_tilt), focal, k, rows.corners)
-    terms = np.stack([iou_batch(boxes, codes, rows.boxes, rows.codes), r_pan, r_tilt, r_zoom], axis=1)
-    return reward_totals(terms).reshape(t, n)
+def _rollout_rewards(table: np.ndarray, cols: np.ndarray, rows: SampleSet, k: CameraIntrinsics) -> np.ndarray:
+    """float64[T, n] composite rewards of the rollouts that took ``log_prob_matrix`` columns
+    ``cols`` (int64[T, n, 3]): their ``_rollout_tables`` entries, gathered by one ``take``, and
+    one ``project_dots`` and IoU of the T*n ``rows`` (each prompt repeated n times)."""
+    t, n = cols.shape[:2]
+    cells = (cols * t + np.arange(t)[:, None, None]).ravel()
+    pan, tilt, zoom = table.take(cells, axis=1).reshape(len(table), t * n, 3).transpose(2, 0, 1)
+    view = (pan[1:5], pan[5:9], np.ascontiguousarray(rows.corners[:, :, 1].T), tilt[9], tilt[10])
+    boxes, codes = project_dots(view, zoom[11], k)
+    terms = np.array([iou_batch(boxes, codes, rows.boxes, rows.codes), pan[0], tilt[0], zoom[0]])
+    return reward_totals(terms.T).reshape(t, n)
 
 
 def _sample_batch(
@@ -380,7 +389,7 @@ def _sample_batch(
     ref_log_probs: dict[str, np.ndarray],
     samples: SampleSet,
     rows: SampleSet,
-    tables: dict,
+    table: np.ndarray,
     k: CameraIntrinsics,
     cfg: GRPOConfig,
     rng: np.random.Generator,
@@ -388,28 +397,29 @@ def _sample_batch(
     """Sample every prompt's group on-policy and score all T*n rollouts in one pass.
 
     ``rows`` holds each of the T ``samples`` repeated for its n rollouts, and
-    ``tables`` is their ``_rollout_tables``.  One ``rng.random`` call draws
-    every bin (the same stream as one call of n*3 per prompt, in prompt
-    order).  Each array row is computed on its own (a sum along the last axis
-    rounds each row as the 1-D sum of that row does, and ``log_prob_rows``
-    rounds each row as a one-row call), so a prompt's draws, rewards,
-    advantages and log-probabilities are those of sampling, applying,
-    projecting and scoring its rollouts one at a time.
+    ``table`` is their ``_rollout_tables``.  One ``rng.random`` call draws every
+    bin (the stream of one call of n*3 per prompt, in prompt order), from
+    probabilities taken once and carried to ``grpo_step``.  Each array row is
+    computed on its own, so a prompt's draws, rewards, advantages and
+    log-probabilities are those of sampling and scoring it alone.
     """
-    cur_lp = policy.log_prob_rows(samples.features)
+    log_probs = policy.log_prob_matrix(samples.features)
+    probs = np.exp(log_probs)
     t, n = len(samples), cfg.group_size
-    idx = draw_bins(cur_lp, rng.random(t * n * len(HEADS)).reshape(t, n, len(HEADS)))
-    rewards = _rollout_rewards(tables, idx, rows, k)
+    idx = draw_bins(policy.split_heads(probs), rng.random(t * n * len(HEADS)).reshape(t, n, len(HEADS)))
+    cols = idx + policy.starts
+    rewards = _rollout_rewards(table, cols, rows, k)
     return RolloutBatch(
         features=samples.features,
         bins=idx,
         actions=policy.actions_of(idx),
-        logp_old=_taken_log_probs(cur_lp, idx),
+        logp_old=_taken_log_probs(log_probs, cols),
         rewards=rewards,
         advantages=row_advantages(rewards),
-        cur_log_probs=cur_lp,
+        cur_log_probs=policy.split_heads(log_probs),
         ref_log_probs=ref_log_probs,
         gt_actions=samples.actions,
+        probs=probs,
     )
 
 
@@ -426,8 +436,8 @@ def build_rollout_group(
     ``grpo_train``'s sampler.  ``sample`` is a one-row ``SampleSet``."""
     ref_lp = ref_policy.log_prob_rows(sample.features)
     rows = sample[np.zeros(cfg.group_size, dtype=np.int64)]
-    tables = _rollout_tables(sample, policy.bins, k, reward_cfg)
-    return _sample_batch(policy, ref_lp, sample, rows, tables, k, cfg, rng)
+    table = _rollout_tables(sample, policy, k, reward_cfg)
+    return _sample_batch(policy, ref_lp, sample, rows, table, k, cfg, rng)
 
 
 def _group_kl(cur_lp: dict[str, np.ndarray], ref_lp: dict[str, np.ndarray]) -> float:
@@ -480,53 +490,43 @@ def grpo_step(policy: ToyPolicy, batch: RolloutBatch, cfg: GRPOConfig) -> tuple[
     """One ascent step on the batch objective via the analytic gradient.
 
     The current log-probabilities are ``batch.cur_log_probs``, which must be
-    ``policy``'s.  Per head, the logit gradient ``dz`` is float64[T, n_bins]:
-    each rollout's unclipped surrogate coefficient added into its taken bin,
-    minus the prompt's probabilities times the sum of its coefficients, minus
-    the KL weight's share of the KL gradient.  The weight gradient is then one
-    product ``dz.T @ phi``.  A group whose rewards are all equal has zero
-    advantages and adds nothing to the surrogate; ``zero_signal_fraction``
-    counts such groups.
+    ``policy``'s.  The logit gradient ``dz`` has a column per row of
+    ``policy.stacked``: each rollout's unclipped surrogate coefficient added
+    into its taken bins (one ``np.bincount``), minus the prompt's
+    probabilities times the sum of its coefficients, minus the KL weight's
+    share of the KL gradient.  The weight gradient is one ``einsum``, which
+    sums over the prompts in order with no BLAS kernel.  A group of equal
+    rewards adds nothing to the surrogate; ``zero_signal_fraction`` counts them.
     """
     t, n = batch.rewards.shape
-    lp = _taken_log_probs(batch.cur_log_probs, batch.bins)
-    if not (np.all(np.isfinite(lp)) and np.all(np.isfinite(batch.logp_old))):
-        raise ValueError("non-finite log-probabilities in rollout batch")
     if batch.features.shape[1] != policy.n_features:
         raise ValueError(f"expected {policy.n_features} features, got {batch.features.shape[1]}")
+    cur, ref = (np.concatenate([lp[h] for h in HEADS], axis=1) for lp in (batch.cur_log_probs, batch.ref_log_probs))
+    cols = batch.bins + policy.starts  # each rollout's three columns of ``cur``
+    lp = _taken_log_probs(cur, cols)
+    if not (np.isfinite(lp).all() and np.isfinite(batch.logp_old).all()):
+        raise ValueError("non-finite log-probabilities in rollout batch")
     phi = np.hstack([batch.features, np.ones((t, 1))])
     s = np.exp(lp - batch.logp_old)
     advantage = batch.advantages
     clipped = ((advantage > 0) & (s > 1.0 + CLIP_EPS)) | ((advantage < 0) & (s < 1.0 - CLIP_EPS))
     coef = np.where(clipped, 0.0, s * advantage / (n * t))
-    prompt = np.arange(t)[:, None]
-    coef_sum = coef.sum(axis=1, keepdims=True)
-    kl = np.zeros(t)
-    grads = {}
-    for j, h in enumerate(HEADS):
-        probs = np.exp(batch.cur_log_probs[h])
-        diff = batch.cur_log_probs[h] - batch.ref_log_probs[h]
-        kl_h = np.sum(probs * diff, axis=1)
-        kl += kl_h
-        dz = np.zeros_like(probs)
-        np.add.at(dz, (prompt, batch.bins[..., j]), coef)
-        dz -= probs * coef_sum
-        dz -= (cfg.kl_weight / t) * probs * (diff - kl_h[:, None])
-        grads[h] = dz.T @ phi
-    new_weights = {h: policy.weights[h] + cfg.learning_rate * grads[h] for h in HEADS}
-    if any(not np.all(np.isfinite(w)) for w in new_weights.values()):
+    cells = (cols + cur.shape[1] * np.arange(t)[:, None, None]).ravel()  # each taken bin's place in ``cur``
+    dz = np.bincount(cells, coef.repeat(len(HEADS)), cur.size).reshape(cur.shape)
+    probs, diff = batch.probs, cur - ref
+    kl_heads = np.add.reduceat(probs * diff, policy.starts, axis=1)
+    dz -= probs * coef.sum(axis=1, keepdims=True)
+    dz -= (cfg.kl_weight / t) * probs * (diff - kl_heads.repeat(policy.sizes, axis=1))
+    stacked = policy.stacked + cfg.learning_rate * np.einsum("tk,tb->kb", phi, dz).T
+    if not np.isfinite(stacked).all():
         raise ValueError("non-finite gradient step")
     new_policy = copy.copy(policy)  # the same bins, already checked when the policy was built
-    new_policy.weights = new_weights
-    if batch.gt_actions is not None:
-        # integer-valued, so the sum is exact in any order
-        taken = batch.actions.reshape(t * n, len(HEADS)).astype(np.float64)
-        mae = np.abs(taken - np.repeat(batch.gt_actions, n, axis=0)).sum(axis=0) / (t * n)
-    else:
-        mae = np.full(3, float("nan"))
+    new_policy.stacked = stacked
+    gt = np.nan if batch.gt_actions is None else batch.gt_actions[:, None, :]  # integers: the sum is exact
+    mae = np.abs(batch.actions - gt).sum(axis=(0, 1)) / (t * n)
     stats = StepStats(
         mean_reward=float(batch.rewards.mean()),
-        mean_kl=float(kl.mean()),
+        mean_kl=float((kl_heads[:, 0] + kl_heads[:, 1] + kl_heads[:, 2]).mean()),
         clip_fraction=int(clipped.sum()) / (t * n),
         mae_pan=float(mae[0]),
         mae_tilt=float(mae[1]),
@@ -558,11 +558,11 @@ def grpo_train(
         raise ValueError("no samples to train on")
     rows = samples[np.repeat(np.arange(len(samples)), cfg.group_size)]
     ref_lp = policy.log_prob_rows(samples.features)
-    tables = _rollout_tables(samples, policy.bins, k, reward_cfg)
+    table = _rollout_tables(samples, policy, k, reward_cfg)
     rng = np.random.default_rng(seed)
     history = []
     for _ in range(steps):
-        batch = _sample_batch(policy, ref_lp, samples, rows, tables, k, cfg, rng)
+        batch = _sample_batch(policy, ref_lp, samples, rows, table, k, cfg, rng)
         policy, stats = grpo_step(policy, batch, cfg)
         history.append(stats)
     return policy, history

@@ -408,34 +408,39 @@ def _reference_apply(state, action):
 
 def _reference_direction(azimuth, elevation):
     az, el = math.radians(azimuth), math.radians(elevation)
-    return np.array([math.sin(az) * math.cos(el), math.sin(el), math.cos(az) * math.cos(el)])
+    return math.sin(az) * math.cos(el), math.sin(el), math.cos(az) * math.cos(el)
 
 
-def _reference_basis(pan, tilt):
+def _reference_camera(point, pan, tilt):
+    """A point's (right, up, depth) offsets from the camera at (pan, tilt), in ``math`` and float
+    arithmetic: its dots with the basis right = (cos pan, 0, -sin pan), forward = (sin pan cos tilt,
+    sin tilt, cos pan cos tilt) and up = forward x right, factored through the pan's level dots."""
+    x, y, z = point
     p, t = math.radians(pan), math.radians(tilt)
-    forward = np.array([math.sin(p) * math.cos(t), math.sin(t), math.cos(p) * math.cos(t)])
-    right = np.array([math.cos(p), 0.0, -math.sin(p)])
-    return right, np.cross(right, forward) * -1.0, forward
+    a = x * math.sin(p) + z * math.cos(p)
+    r = x * math.cos(p) - z * math.sin(p)
+    return r, math.cos(t) * y - math.sin(t) * a, math.cos(t) * a + math.sin(t) * y
 
 
 def _reference_hull(pan, tilt, zoom, k, target):
-    """The unclipped hull one target at a time, in ``math`` and 3-vector numpy."""
+    """The unclipped hull one target at a time, in ``math`` and float arithmetic."""
     d = _reference_direction(target.azimuth, target.elevation)
     horiz = math.hypot(d[0], d[2])
-    span_r = np.array([1.0, 0.0, 0.0]) if horiz < 1e-9 else np.array([d[2] / horiz, 0.0, -d[0] / horiz])
-    span_u = np.cross(d, span_r)
+    span_r = (1.0, 0.0, 0.0) if horiz < 1e-9 else (d[2] / horiz, 0.0, -d[0] / horiz)
+    span_u = tuple(d[i] * span_r[j] - d[j] * span_r[i] for i, j in ((1, 2), (2, 0), (0, 1)))  # d x span_r
     hw, hh = target.width / 2.0, target.height / 2.0
-    corners = np.array(
-        [target.distance * d + sx * hw * span_r + sy * hh * span_u for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)]
-    )
-    right, up, forward = _reference_basis(pan, tilt)
-    z = corners @ forward
-    if np.any(z <= 1e-9):
+    corners = [
+        [target.distance * d[i] + sx * hw * span_r[i] + sy * hh * span_u[i] for i in range(3)]
+        for sx in (-1.0, 1.0)
+        for sy in (-1.0, 1.0)
+    ]
+    views = [_reference_camera(c, pan, tilt) for c in corners]
+    if any(z <= 1e-9 for _, _, z in views):
         return None
     f = k.focal_px(zoom)
-    u = k.image_w / 2.0 + f * (corners @ right) / z
-    v = k.image_h / 2.0 - f * (corners @ up) / z
-    return float(u.min()), float(v.min()), float(u.max()), float(v.max())
+    u = [k.image_w / 2.0 + f * x / z for x, _, z in views]
+    v = [k.image_h / 2.0 - f * y / z for _, y, z in views]
+    return min(u), min(v), max(u), max(v)
 
 
 def _reference_project(pan, tilt, zoom, k, target):
@@ -452,7 +457,7 @@ def _reference_project(pan, tilt, zoom, k, target):
 
 def _reference_oracle(pan, tilt, zoom, k, target, fill_ratio):
     """The oracle action one target at a time, or None out of the front hemisphere."""
-    if float(_reference_direction(target.azimuth, target.elevation) @ _reference_basis(pan, tilt)[2]) <= 0.0:
+    if _reference_camera(_reference_direction(target.azimuth, target.elevation), pan, tilt)[2] <= 0.0:
         return None
     d_pan = round_half_away(_reference_wrap(target.azimuth - pan))
     d_tilt = round_half_away(min(max(target.elevation, -90.0), 90.0) - tilt)

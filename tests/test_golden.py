@@ -29,9 +29,14 @@ the tests and the rewrite use, so a golden is never written with other flags
 than the test runs.  ``PYTHONPATH=src python tests/test_golden.py`` rewrites
 every golden file from it, in order (the scene first; the inputs
 ``records.jsonl``, ``model.json`` and ``iterate.ini`` are kept as they are).
+``python tests/test_golden.py --out DIR`` runs them into ``DIR/<name>`` and
+leaves the goldens alone; the BLAS-kernel test reruns them that way under
+each of ``BLAS_CORETYPES``.
 """
 
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -74,9 +79,15 @@ RUNS = {
     },
 }
 # The goldens of scene-gen, grpo-train, fit and eval were written with this
-# numpy.  GRPO's weights are ``einsum`` and ``@`` products, whose last bits
-# could differ under another numpy or BLAS.
+# numpy.  No written byte goes through BLAS (no ``@``, ``dot`` or ``matmul``;
+# GRPO's products are ``einsum``s, which numpy computes itself), but numpy's
+# own ``exp`` and ``log`` round some values differently from one release, or
+# one SIMD level, to another.
 GOLDEN_NUMPY = "2.4.6"
+# OpenBLAS kernels the goldens must also hold under, chosen by
+# ``OPENBLAS_CORETYPE`` in a DYNAMIC_ARCH build; each rounds a matrix product
+# its own way.
+BLAS_CORETYPES = ("Haswell", "Prescott")
 
 
 def run_in_golden(name: str, out: Path) -> None:
@@ -128,6 +139,26 @@ def test_eval_writes_the_golden_scores(tmp_path, policy):
     assert_writes_the_goldens(f"eval-{Path(policy).stem}", tmp_path)
 
 
+def _dynamic_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build")
+@pytest.mark.parametrize("coretype", BLAS_CORETYPES)
+def test_goldens_hold_under_another_blas_kernel(tmp_path, coretype):
+    # every command of RUNS, in a process whose OpenBLAS runs another CPU's kernels
+    src = str(Path(pl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": path}
+    subprocess.run([sys.executable, __file__, "--out", str(tmp_path)], env=env, check=True)
+    for name, (_, files) in RUNS.items():
+        for written, golden in files.items():
+            assert (tmp_path / name / written).read_bytes() == (GOLDEN / golden).read_bytes(), (
+                f"{name}: {written} differs from tests/golden/{golden} under OPENBLAS_CORETYPE={coretype}"
+            )
+
+
 def rewrite_goldens() -> None:
     """Run every command of ``RUNS`` in order and copy what it wrote over its goldens."""
     for name, (_, files) in RUNS.items():
@@ -139,6 +170,10 @@ def rewrite_goldens() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--out"]:  # run every command of RUNS into OUT/<name>, leaving the goldens
+        for name in RUNS:
+            run_in_golden(name, Path(sys.argv[2]) / name)
+        sys.exit()
     if np.__version__ != GOLDEN_NUMPY:
         sys.exit(f"the goldens are written with numpy {GOLDEN_NUMPY}; this is numpy {np.__version__}")
     rewrite_goldens()

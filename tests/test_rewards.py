@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -624,6 +625,51 @@ class TestBatchedRollouts:
             assert action.as_tuple() == tuple(int(policy.bins[h][i]) for h, i in zip(rw.HEADS, expected))
 
 
+class TestStackedPolicy:
+    """The three heads' weights are one matrix, and the per-head forms are views of it."""
+
+    def test_writing_a_head_view_writes_the_matrix(self):
+        policy = rw.ToyPolicy.init(3)
+        features = np.array([[0.2, -0.1, 0.4]])
+        before = policy.log_prob_rows(features)["tilt"].copy()
+        policy.weights["tilt"] += np.random.default_rng(0).normal(0, 0.5, policy.weights["tilt"].shape)
+        assert not np.array_equal(policy.log_prob_rows(features)["tilt"], before)
+        assert np.array_equal(policy.stacked[policy.slices[1]], policy.weights["tilt"])
+        assert not policy.stacked[policy.slices[0]].any() and not policy.stacked[policy.slices[2]].any()
+
+    def test_clone_shares_no_storage(self):
+        policy = small_policy()
+        copy = policy.clone()
+        assert not np.shares_memory(copy.stacked, policy.stacked)
+        assert not any(np.shares_memory(copy.bins[h], policy.bins[h]) for h in rw.HEADS)
+        copy.weights["zoom"][0, 0] += 1.0
+        assert copy.stacked[policy.slices[2]][0, 0] == policy.weights["zoom"][0, 0] + 1.0
+
+    def test_checkpoint_keeps_the_golden_format(self, tmp_path):
+        golden = Path(__file__).parent / "golden" / "policy.json"
+        doc = json.loads(golden.read_text(encoding="utf-8"))
+        policy = rw.ToyPolicy.from_dict(doc)
+        assert policy.stacked.shape == (sum(len(doc["bins"][h]) for h in rw.HEADS), 4)
+        rw.save_policy(tmp_path / "policy.json", policy, seed=doc["seed"])
+        assert (tmp_path / "policy.json").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("n_bins", [(61, 61, 31), (1, 7, 2), (130, 3, 200)])
+    def test_draws_equal_choice_on_the_same_probabilities(self, n_bins):
+        bins = {h: np.arange(n) * (1 if h == "zoom" else -1) for h, n in zip(rw.HEADS, n_bins)}
+        policy = rw.ToyPolicy.init(3, bins)
+        rng = np.random.default_rng(sum(n_bins))
+        policy.stacked += rng.normal(0, 2.0, policy.stacked.shape)
+        t, n = 7, 5
+        probs = policy.split_heads(np.exp(policy.log_prob_matrix(rng.normal(0, 1, (t, 3)))))
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        got = rw.draw_bins(probs, a.random((t, n, len(rw.HEADS))))
+        want = [
+            [[int(b.choice(len(p), p=p / p.sum())) for p in (probs[h][i] for h in rw.HEADS)] for _ in range(n)]
+            for i in range(t)
+        ]
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
 # one prompt: start pose, target offset from it and size, and action label
 _PROMPT = hst.tuples(
     hst.floats(-180.0, 180.0),  # start pan
@@ -700,8 +746,8 @@ class TestRolloutTables:
         samples = prompt_samples(prompts)
         idx = every_triple(policy, len(samples))
         _, _, want, rows = rollout_terms(policy, samples, idx, reward_cfg)
-        tables = rw._rollout_tables(samples, policy.bins, K, reward_cfg)
-        got = rw._rollout_rewards(tables, idx, rows, K)
+        table = rw._rollout_tables(samples, policy, K, reward_cfg)
+        got = rw._rollout_rewards(table, idx + policy.starts, rows, K)
         assert got.shape == idx.shape[:2]
         assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.tolist()]
 
@@ -717,7 +763,7 @@ class TestRolloutTables:
         assert 0.0 < at_clamp[0, 0] < K.image_w / 2
 
     def test_tables_are_built_once_per_run(self, monkeypatch):
-        calls = {"focal_px": 0, "project_batch": 0, "project_trig": 0}
+        calls = {"focal_px": 0, "project_batch": 0, "project_dots": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -729,7 +775,7 @@ class TestRolloutTables:
         monkeypatch.setattr(cam.CameraIntrinsics, "focal_px", counted("focal_px", cam.CameraIntrinsics.focal_px))
         for module in (cam, rw):
             monkeypatch.setattr(module, "project_batch", counted("project_batch", cam.project_batch), raising=False)
-        monkeypatch.setattr(rw, "project_trig", counted("project_trig", rw.project_trig))
+        monkeypatch.setattr(rw, "project_dots", counted("project_dots", rw.project_dots))
         tasks = with_seam_task(TestTraining().make_tasks(n=6))
         counts = {}
         for steps in (1, 20):
@@ -739,7 +785,7 @@ class TestRolloutTables:
         assert counts[1]["focal_px"] > 0
         assert counts[1]["focal_px"] == counts[20]["focal_px"]
         assert counts[1]["project_batch"] == counts[20]["project_batch"]
-        assert (counts[1]["project_trig"], counts[20]["project_trig"]) == (1, 20)
+        assert (counts[1]["project_dots"], counts[20]["project_dots"]) == (1, 20)
 
 
 # --- the per-group training loop, kept as the reference the step-wide batch
