@@ -223,6 +223,8 @@ class ToyPolicy:
     def __init__(self, bins: dict[str, np.ndarray], weights: dict[str, np.ndarray]):
         self.bins = {h: np.asarray(bins[h], dtype=np.int64) for h in HEADS}
         for h, low in zip(HEADS, (-MAX_ACTION_VALUE, -MAX_ACTION_VALUE, 0)):
+            if self.bins[h].size == 0:  # a head's columns must be a non-empty ``reduceat`` segment
+                raise ValueError(f"{h} needs at least one bin")
             if len(weights[h]) != self.bins[h].shape[0]:
                 raise ValueError(f"{h} weight rows must match bin count")
             if np.any(self.bins[h] < low) or np.any(self.bins[h] > MAX_ACTION_VALUE):
@@ -298,8 +300,6 @@ class ToyPolicy:
         for h in HEADS:
             bins[h] = np.array([jsonl.integer(b, f"{h} bins") for b in d["bins"][h]], dtype=np.int64)
             rows = [jsonl.finite(row, f"{h} weights") for row in d["weights"][h]]
-            if bins[h].size == 0:
-                raise ValueError(f"{h} needs at least one bin")
             for i, row in enumerate(rows):
                 if len(row) != width:
                     raise ValueError(

@@ -637,6 +637,10 @@ class TestStackedPolicy:
         assert np.array_equal(policy.stacked[policy.slices[1]], policy.weights["tilt"])
         assert not policy.stacked[policy.slices[0]].any() and not policy.stacked[policy.slices[2]].any()
 
+    def test_every_head_needs_a_bin(self):
+        with pytest.raises(ValueError, match="tilt needs at least one bin"):
+            rw.ToyPolicy.init(3, {**rw.default_bins(), "tilt": np.zeros(0, dtype=np.int64)})
+
     def test_clone_shares_no_storage(self):
         policy = small_policy()
         copy = policy.clone()
